@@ -21,9 +21,9 @@ const char* ReduceOpName(ReduceOp op);
 /// Uniform API over collective backends, mirroring c10d::ProcessGroup
 /// (paper §3.3): "DDP takes the APIs from the three libraries and wraps
 /// them into the same ProcessGroup API". All ranks must issue the same
-/// sequence of collectives with matching sizes and dtypes; the simulated
-/// backends CHECK this and abort on mismatch — the paper's "incorrect
-/// reduction result or program crash".
+/// sequence of collectives with matching sizes and dtypes; a mismatch fails
+/// the collective with WorkError::kShapeMismatch instead of the paper's
+/// "incorrect reduction result or program crash".
 class ProcessGroup {
  public:
   virtual ~ProcessGroup() = default;
@@ -34,7 +34,8 @@ class ProcessGroup {
   int rank() const { return rank_; }
   int world() const { return world_; }
 
-  /// In-place all-reduce of a contiguous tensor (float32 or uint8).
+  /// In-place all-reduce of a contiguous tensor (float32, uint8 or int64
+  /// under any op; float16 under kSum).
   /// Asynchronous: returns a Work the caller must eventually Wait on.
   [[nodiscard]] virtual WorkHandle AllReduce(
       Tensor tensor, ReduceOp op = ReduceOp::kSum) = 0;

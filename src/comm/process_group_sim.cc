@@ -14,48 +14,19 @@ namespace ddpkit::comm {
 
 namespace internal {
 
-enum class OpKind {
-  kAllReduce,
-  kBroadcast,
-  kAllGather,
-  kReduce,
-  kReduceScatter,
-  kGather,
-  kBarrier,
-};
-
-const char* OpKindName(OpKind kind) {
-  switch (kind) {
-    case OpKind::kAllReduce:
-      return "all_reduce";
-    case OpKind::kBroadcast:
-      return "broadcast";
-    case OpKind::kAllGather:
-      return "all_gather";
-    case OpKind::kReduce:
-      return "reduce";
-    case OpKind::kReduceScatter:
-      return "reduce_scatter";
-    case OpKind::kGather:
-      return "gather";
-    case OpKind::kBarrier:
-      return "barrier";
-  }
-  return "unknown";
-}
-
 /// One in-flight collective, matched across ranks by per-rank sequence
 /// number (all ranks must issue collectives in the same order — §3.3).
 struct CollectiveInstance {
-  OpKind kind;
+  Collective kind = Collective::kBarrier;
   ReduceOp op = ReduceOp::kSum;
   int root = 0;
   int64_t numel = 0;
   DType dtype = DType::kFloat32;
 
-  std::vector<Tensor> tensors;       // per-rank contributions (in-place)
-  std::vector<Tensor> gather_inputs;
-  std::vector<Tensor> gather_outputs;
+  // Per-rank program buffers: the in-place tensor or output (kData) and
+  // the input of AllGather/ReduceScatter/Gather (kInput).
+  std::vector<Tensor> data;
+  std::vector<Tensor> inputs;
   std::vector<double> arrivals;
   int arrived = 0;
   WorkHandle work = std::make_shared<Work>();
@@ -144,8 +115,6 @@ class GroupRegistry {
 
 using internal::CollectiveInstance;
 using internal::GroupState;
-using internal::OpKind;
-using internal::OpKindName;
 
 std::shared_ptr<ProcessGroupSim> ProcessGroupSim::Create(
     Store* store, const std::string& name, int rank, int world,
@@ -260,37 +229,21 @@ namespace {
 /// Pre-failed handle for a rank the fault plan keeps out of collective
 /// `seq`: its own call must surface an error too, not hang.
 WorkHandle AbsentRankWork(const FaultPlan& plan, GroupState* state,
-                          uint64_t seq, int rank, OpKind kind,
+                          uint64_t seq, int rank, Collective kind,
                           sim::VirtualClock* clock) {
   auto work = std::make_shared<Work>();
   std::ostringstream msg;
   if (plan.IsCrashed(rank, seq)) {
-    msg << OpKindName(kind) << " seq " << seq << ": rank " << rank
+    msg << CollectiveName(kind) << " seq " << seq << ": rank " << rank
         << " crashed (fault plan, " << plan.AbsenceReason(rank, seq) << ")";
     work->MarkFailed(WorkError::kRankFailure, msg.str(), clock->Now());
   } else {
-    msg << OpKindName(kind) << " seq " << seq << " timed out after "
+    msg << CollectiveName(kind) << " seq " << seq << " timed out after "
         << state->collective_timeout << "s (virtual): rank " << rank
         << " " << plan.AbsenceReason(rank, seq);
     work->MarkFailed(WorkError::kTimeout, msg.str(),
                      clock->Now() + state->collective_timeout);
   }
-  return work;
-}
-
-/// Pre-failed handle for a locally invalid collective call — the Status
-/// path of PR 2's failure model, where the c10d analogue throws on the
-/// calling rank before enqueueing anything. The call never joins the
-/// group's sequence (no seq number is consumed), so a subsequent valid
-/// collective on this rank pairs with peers as a signature mismatch rather
-/// than silently corrupting the reduction.
-WorkHandle InvalidArgumentWork(OpKind kind, int rank, const std::string& detail,
-                               sim::VirtualClock* clock) {
-  auto work = std::make_shared<Work>();
-  std::ostringstream msg;
-  msg << OpKindName(kind) << ": rank " << rank
-      << " issued invalid collective arguments: " << detail;
-  work->MarkFailed(WorkError::kShapeMismatch, msg.str(), clock->Now());
   return work;
 }
 
@@ -302,12 +255,12 @@ WorkHandle InvalidArgumentWork(OpKind kind, int rank, const std::string& detail,
 /// cross-rank signature mismatches fail the work instead of aborting.
 WorkHandle Contribute(
     GroupState* state, uint64_t seq, int rank, sim::VirtualClock* clock,
-    OpKind kind, ReduceOp op, int root, int64_t numel, DType dtype,
-    const Tensor* inplace, const Tensor* gather_in, const Tensor* gather_out,
+    Collective kind, ReduceOp op, int root, int64_t numel, DType dtype,
+    const Tensor& data, const Tensor& input,
     const std::function<double(const CollectiveInstance&, double start)>&
         duration_fn) {
   if (state->metrics != nullptr) {
-    state->metrics->counter(std::string("pg.ops.") + OpKindName(kind))
+    state->metrics->counter(std::string("pg.ops.") + CollectiveName(kind))
         .Increment();
     state->metrics->counter("pg.bytes_contributed")
         .Increment(static_cast<uint64_t>(numel) *
@@ -339,7 +292,7 @@ WorkHandle Contribute(
     if (state->superseded_by != 0) {
       auto work = std::make_shared<Work>();
       std::ostringstream msg;
-      msg << OpKindName(kind) << " seq " << seq << ": rank " << rank
+      msg << CollectiveName(kind) << " seq " << seq << ": rank " << rank
           << " issued a collective on group generation " << state->generation
           << ", which was superseded by generation " << state->superseded_by
           << " (" << state->abort_reason << ")";
@@ -358,9 +311,8 @@ WorkHandle Contribute(
       inst->root = root;
       inst->numel = numel;
       inst->dtype = dtype;
-      inst->tensors.resize(static_cast<size_t>(state->world));
-      inst->gather_inputs.resize(static_cast<size_t>(state->world));
-      inst->gather_outputs.resize(static_cast<size_t>(state->world));
+      inst->data.resize(static_cast<size_t>(state->world));
+      inst->inputs.resize(static_cast<size_t>(state->world));
       inst->arrivals.assign(static_cast<size_t>(state->world), 0.0);
       state->inflight.emplace(seq, inst);
     } else {
@@ -373,10 +325,10 @@ WorkHandle Contribute(
           inst->numel != numel || inst->dtype != dtype) {
         std::ostringstream msg;
         msg << "collective signatures diverged at seq " << seq << ": rank "
-            << rank << " issued " << OpKindName(kind) << " (numel " << numel
+            << rank << " issued " << CollectiveName(kind) << " (numel " << numel
             << ", root " << root << ", op " << ReduceOpName(op)
             << ") but an earlier participant issued "
-            << OpKindName(inst->kind) << " (numel " << inst->numel
+            << CollectiveName(inst->kind) << " (numel " << inst->numel
             << ", root " << inst->root << ", op " << ReduceOpName(inst->op)
             << ")";
         inst->work->MarkFailed(WorkError::kShapeMismatch, msg.str(),
@@ -386,13 +338,8 @@ WorkHandle Contribute(
         }
       }
     }
-    if (inplace != nullptr) inst->tensors[static_cast<size_t>(rank)] = *inplace;
-    if (gather_in != nullptr) {
-      inst->gather_inputs[static_cast<size_t>(rank)] = *gather_in;
-    }
-    if (gather_out != nullptr) {
-      inst->gather_outputs[static_cast<size_t>(rank)] = *gather_out;
-    }
+    inst->data[static_cast<size_t>(rank)] = data;
+    inst->inputs[static_cast<size_t>(rank)] = input;
     inst->arrivals[static_cast<size_t>(rank)] = arrival_clock;
     last = (++inst->arrived == live);
     if (last) state->inflight.erase(seq);
@@ -409,7 +356,7 @@ WorkHandle Contribute(
       const std::vector<int> absent = plan->AbsentRanks(seq, state->world);
       bool any_crashed = false;
       std::ostringstream msg;
-      msg << OpKindName(kind) << " seq " << seq << " timed out after "
+      msg << CollectiveName(kind) << " seq " << seq << " timed out after "
           << state->collective_timeout << "s (virtual) waiting for";
       for (int r : absent) {
         msg << " rank " << r << " (" << plan->AbsenceReason(r, seq) << ")";
@@ -429,48 +376,33 @@ WorkHandle Contribute(
       return inst->work;
     }
 
-    // Data plane (real reduction), executed once by the last arrival.
-    switch (inst->kind) {
-      case OpKind::kAllReduce: {
-        // Resolve kAuto against this group's actual topology (message size
-        // x world size x host layout), and tell the data plane where the
-        // node boundaries are so kHierarchical reduces intra-host first.
-        // The same resolution happens inside the cost model's 4-arg
-        // AllReduceSeconds, so modeled time and data movement agree.
-        const size_t bytes = static_cast<size_t>(inst->numel) *
-                             static_cast<size_t>(ItemSize(inst->dtype));
-        const sim::Topology& topo = state->cost_model->topology();
-        const Algorithm algo = sim::ResolveAllReduceAlgorithm(
-            state->algorithm, bytes, state->world, topo);
-        if (state->metrics != nullptr) {
-          state->metrics
-              ->counter(std::string("pg.allreduce_algo.") +
-                        AlgorithmName(algo))
-              .Increment();
-        }
-        RunAllReduce(algo, inst->op, inst->tensors, topo.gpus_per_host());
-        break;
-      }
-      case OpKind::kBroadcast:
-        RunBroadcast(inst->tensors, inst->root);
-        break;
-      case OpKind::kAllGather:
-        RunAllGather(inst->gather_inputs, inst->gather_outputs);
-        break;
-      case OpKind::kReduce:
-        RunReduce(state->algorithm, inst->op, inst->tensors, inst->root);
-        break;
-      case OpKind::kReduceScatter:
-        RunReduceScatter(inst->op, inst->gather_inputs,
-                         inst->gather_outputs);
-        break;
-      case OpKind::kGather:
-        RunGather(inst->gather_inputs,
-                  inst->gather_outputs[static_cast<size_t>(inst->root)],
-                  inst->root);
-        break;
-      case OpKind::kBarrier:
-        break;
+    // Data plane (real reduction), executed once by the last arrival: the
+    // in-memory executor runs every rank's step program. kAuto resolves
+    // against this group's topology (message size x world x host layout),
+    // which also places kHierarchical's node boundaries; the cost model's
+    // 4-arg AllReduceSeconds resolves the same way, so modeled time and
+    // data movement agree.
+    ProgramSpec spec;
+    spec.kind = inst->kind;
+    spec.dtype = inst->dtype;
+    spec.world = state->world;
+    spec.root = inst->root;
+    spec.numel = inst->kind == Collective::kReduceScatter
+                     ? inst->numel / state->world
+                     : inst->numel;
+    spec.algorithm = state->algorithm;
+    spec.ranks_per_node = state->cost_model->topology().gpus_per_host();
+    if (inst->kind == Collective::kAllReduce && state->metrics != nullptr) {
+      const Algorithm algo = ResolveAlgorithm(
+          spec.algorithm,
+          static_cast<size_t>(spec.numel) * ItemSize(spec.dtype), spec.world,
+          spec.ranks_per_node);
+      state->metrics
+          ->counter(std::string("pg.allreduce_algo.") + AlgorithmName(algo))
+          .Increment();
+    }
+    if (inst->kind != Collective::kBarrier) {  // a barrier moves no data
+      RunInMemory(spec, inst->op, inst->data, inst->inputs);
     }
     // Time plane: start when the last participant arrived AND the comm
     // queue is free; serialize the queue.
@@ -512,18 +444,18 @@ WorkHandle Contribute(
 }  // namespace
 
 WorkHandle ProcessGroupSim::AllReduce(Tensor tensor, ReduceOp op) {
-  if (!tensor.defined() || !tensor.is_contiguous()) {
-    return InvalidArgumentWork(OpKind::kAllReduce, rank(),
-                               "tensor must be defined and contiguous",
-                               clock_);
+  if (WorkHandle bad =
+          RejectInvalidCollective(Collective::kAllReduce, op, 0, rank(),
+                                  world(), tensor, Tensor(), clock_->Now())) {
+    return bad;
   }
   GroupState* state = state_.get();
   const size_t bytes = tensor.nbytes();
   const int w = world();
   const int groups = options_.concurrent_groups;
   return Contribute(
-      state, next_seq_++, rank(), clock_, OpKind::kAllReduce, op,
-      /*root=*/0, tensor.numel(), tensor.dtype(), &tensor, nullptr, nullptr,
+      state, next_seq_++, rank(), clock_, Collective::kAllReduce, op,
+      /*root=*/0, tensor.numel(), tensor.dtype(), tensor, Tensor(),
       [state, bytes, w, groups](const CollectiveInstance&, double) {
         return state->cost_model->AllReduceSeconds(bytes, w, groups,
                                                    state->algorithm);
@@ -531,70 +463,51 @@ WorkHandle ProcessGroupSim::AllReduce(Tensor tensor, ReduceOp op) {
 }
 
 WorkHandle ProcessGroupSim::Broadcast(Tensor tensor, int root) {
-  if (!tensor.defined() || !tensor.is_contiguous()) {
-    return InvalidArgumentWork(OpKind::kBroadcast, rank(),
-                               "tensor must be defined and contiguous",
-                               clock_);
-  }
-  if (root < 0 || root >= world()) {
-    return InvalidArgumentWork(
-        OpKind::kBroadcast, rank(),
-        "root " + std::to_string(root) + " outside [0, world)", clock_);
+  if (WorkHandle bad = RejectInvalidCollective(
+          Collective::kBroadcast, ReduceOp::kSum, root, rank(), world(),
+          tensor, Tensor(), clock_->Now())) {
+    return bad;
   }
   GroupState* state = state_.get();
   const size_t bytes = tensor.nbytes();
   const int w = world();
   return Contribute(
-      state, next_seq_++, rank(), clock_, OpKind::kBroadcast,
-      ReduceOp::kSum, root, tensor.numel(), tensor.dtype(), &tensor, nullptr,
-      nullptr, [state, bytes, w](const CollectiveInstance&, double) {
+      state, next_seq_++, rank(), clock_, Collective::kBroadcast,
+      ReduceOp::kSum, root, tensor.numel(), tensor.dtype(), tensor, Tensor(),
+      [state, bytes, w](const CollectiveInstance&, double) {
         return state->cost_model->BroadcastSeconds(bytes, w);
       });
 }
 
 WorkHandle ProcessGroupSim::AllGather(const Tensor& input, Tensor output) {
-  if (!input.defined() || !input.is_contiguous() || !output.defined() ||
-      !output.is_contiguous()) {
-    return InvalidArgumentWork(
-        OpKind::kAllGather, rank(),
-        "input and output must be defined and contiguous", clock_);
-  }
-  if (output.numel() != input.numel() * world()) {
-    return InvalidArgumentWork(
-        OpKind::kAllGather, rank(),
-        "output numel " + std::to_string(output.numel()) +
-            " != input numel * world (" +
-            std::to_string(input.numel() * world()) + ")",
-        clock_);
+  if (WorkHandle bad = RejectInvalidCollective(
+          Collective::kAllGather, ReduceOp::kSum, 0, rank(), world(), input,
+          output, clock_->Now())) {
+    return bad;
   }
   GroupState* state = state_.get();
   const size_t bytes = input.nbytes();
   const int w = world();
   return Contribute(
-      state, next_seq_++, rank(), clock_, OpKind::kAllGather,
-      ReduceOp::kSum, /*root=*/0, input.numel(), input.dtype(), nullptr,
-      &input, &output, [state, bytes, w](const CollectiveInstance&, double) {
+      state, next_seq_++, rank(), clock_, Collective::kAllGather,
+      ReduceOp::kSum, /*root=*/0, input.numel(), input.dtype(), output, input,
+      [state, bytes, w](const CollectiveInstance&, double) {
         return state->cost_model->AllGatherSeconds(bytes, w);
       });
 }
 
 WorkHandle ProcessGroupSim::Reduce(Tensor tensor, int root, ReduceOp op) {
-  if (!tensor.defined() || !tensor.is_contiguous()) {
-    return InvalidArgumentWork(OpKind::kReduce, rank(),
-                               "tensor must be defined and contiguous",
-                               clock_);
-  }
-  if (root < 0 || root >= world()) {
-    return InvalidArgumentWork(
-        OpKind::kReduce, rank(),
-        "root " + std::to_string(root) + " outside [0, world)", clock_);
+  if (WorkHandle bad =
+          RejectInvalidCollective(Collective::kReduce, op, root, rank(),
+                                  world(), tensor, Tensor(), clock_->Now())) {
+    return bad;
   }
   GroupState* state = state_.get();
   const size_t bytes = tensor.nbytes();
   const int w = world();
   return Contribute(
-      state, next_seq_++, rank(), clock_, OpKind::kReduce, op, root,
-      tensor.numel(), tensor.dtype(), &tensor, nullptr, nullptr,
+      state, next_seq_++, rank(), clock_, Collective::kReduce, op, root,
+      tensor.numel(), tensor.dtype(), tensor, Tensor(),
       [state, bytes, w](const CollectiveInstance&, double) {
         // A tree reduce mirrors a pipelined broadcast's cost profile.
         return state->cost_model->BroadcastSeconds(bytes, w);
@@ -603,27 +516,18 @@ WorkHandle ProcessGroupSim::Reduce(Tensor tensor, int root, ReduceOp op) {
 
 WorkHandle ProcessGroupSim::ReduceScatter(const Tensor& input, Tensor output,
                                           ReduceOp op) {
-  if (!input.defined() || !input.is_contiguous() || !output.defined() ||
-      !output.is_contiguous()) {
-    return InvalidArgumentWork(
-        OpKind::kReduceScatter, rank(),
-        "input and output must be defined and contiguous", clock_);
-  }
-  if (input.numel() != output.numel() * world()) {
-    return InvalidArgumentWork(
-        OpKind::kReduceScatter, rank(),
-        "input numel " + std::to_string(input.numel()) +
-            " != output numel * world (" +
-            std::to_string(output.numel() * world()) + ")",
-        clock_);
+  if (WorkHandle bad =
+          RejectInvalidCollective(Collective::kReduceScatter, op, 0, rank(),
+                                  world(), input, output, clock_->Now())) {
+    return bad;
   }
   GroupState* state = state_.get();
   const size_t bytes = input.nbytes();
   const int w = world();
   const int groups = options_.concurrent_groups;
   return Contribute(
-      state, next_seq_++, rank(), clock_, OpKind::kReduceScatter, op,
-      /*root=*/0, input.numel(), input.dtype(), nullptr, &input, &output,
+      state, next_seq_++, rank(), clock_, Collective::kReduceScatter, op,
+      /*root=*/0, input.numel(), input.dtype(), output, input,
       [state, bytes, w, groups](const CollectiveInstance&, double) {
         // Reduce-scatter is the first half of ring all-reduce: same step
         // count structure, half the traffic.
@@ -633,37 +537,19 @@ WorkHandle ProcessGroupSim::ReduceScatter(const Tensor& input, Tensor output,
 
 WorkHandle ProcessGroupSim::Gather(const Tensor& input, Tensor output,
                                    int root) {
-  if (!input.defined() || !input.is_contiguous()) {
-    return InvalidArgumentWork(OpKind::kGather, rank(),
-                               "input must be defined and contiguous", clock_);
-  }
-  if (root < 0 || root >= world()) {
-    return InvalidArgumentWork(
-        OpKind::kGather, rank(),
-        "root " + std::to_string(root) + " outside [0, world)", clock_);
-  }
-  if (rank() == root) {
-    if (!output.defined()) {
-      return InvalidArgumentWork(OpKind::kGather, rank(),
-                                 "root output must be defined", clock_);
-    }
-    if (output.numel() != input.numel() * world()) {
-      return InvalidArgumentWork(
-          OpKind::kGather, rank(),
-          "root output numel " + std::to_string(output.numel()) +
-              " != input numel * world (" +
-              std::to_string(input.numel() * world()) + ")",
-          clock_);
-    }
+  if (WorkHandle bad = RejectInvalidCollective(
+          Collective::kGather, ReduceOp::kSum, root, rank(), world(), input,
+          output, clock_->Now())) {
+    return bad;
   }
   GroupState* state = state_.get();
   const size_t bytes = input.nbytes();
   const int w = world();
-  const Tensor* out_ptr = rank() == root ? &output : nullptr;
   return Contribute(
-      state, next_seq_++, rank(), clock_, OpKind::kGather,
-      ReduceOp::kSum, root, input.numel(), input.dtype(), nullptr, &input,
-      out_ptr, [state, bytes, w](const CollectiveInstance&, double) {
+      state, next_seq_++, rank(), clock_, Collective::kGather,
+      ReduceOp::kSum, root, input.numel(), input.dtype(),
+      rank() == root ? output : Tensor(), input,
+      [state, bytes, w](const CollectiveInstance&, double) {
         // Root receives (w-1) payloads; same volume as all-gather's
         // per-rank traffic.
         return state->cost_model->AllGatherSeconds(bytes, w);
@@ -674,9 +560,9 @@ void ProcessGroupSim::Barrier() {
   GroupState* state = state_.get();
   const int w = world();
   WorkHandle work = Contribute(
-      state, next_seq_++, rank(), clock_, OpKind::kBarrier,
-      ReduceOp::kSum, /*root=*/0, 0, DType::kFloat32, nullptr, nullptr,
-      nullptr, [state, w](const CollectiveInstance&, double) {
+      state, next_seq_++, rank(), clock_, Collective::kBarrier,
+      ReduceOp::kSum, /*root=*/0, 0, DType::kFloat32, Tensor(), Tensor(),
+      [state, w](const CollectiveInstance&, double) {
         return state->cost_model->BarrierSeconds(w);
       });
   work->Wait(clock_);

@@ -5,18 +5,16 @@
 #include <unistd.h>
 
 #include <algorithm>
+#include <charconv>
 #include <chrono>
-#include <cstdlib>
 #include <cstring>
+#include <system_error>
 #include <thread>
 #include <utility>
 
 #include "comm/net_socket.h"
 #include "comm/store_keys.h"
 #include "common/logging.h"
-#include "common/vec.h"
-#include "sim/collective_algo.h"
-#include "sim/topology.h"
 #include "tensor/dtype.h"
 
 // ddplint: allow-file(banned-nondeterminism) wire deadlines are wall-clock
@@ -42,74 +40,6 @@ constexpr uint32_t kHeaderMagic = 0xDD9C0002;
 constexpr uint32_t kChannelData = 0;
 constexpr uint32_t kChannelHeartbeat = 1;
 
-/// Collective kinds for the wire header.
-enum OpKind : uint8_t {
-  kKindAllReduce = 1,
-  kKindBroadcast = 2,
-  kKindAllGather = 3,
-  kKindReduce = 4,
-  kKindReduceScatter = 5,
-  kKindGather = 6,
-  kKindBarrier = 7,
-};
-
-const char* OpKindName(uint8_t kind) {
-  switch (kind) {
-    case kKindAllReduce:
-      return "allreduce";
-    case kKindBroadcast:
-      return "broadcast";
-    case kKindAllGather:
-      return "allgather";
-    case kKindReduce:
-      return "reduce";
-    case kKindReduceScatter:
-      return "reduce_scatter";
-    case kKindGather:
-      return "gather";
-    case kKindBarrier:
-      return "barrier";
-  }
-  return "?";
-}
-
-template <typename T>
-T Combine(ReduceOp op, T a, T b) {
-  switch (op) {
-    case ReduceOp::kSum:
-      return static_cast<T>(a + b);
-    case ReduceOp::kMax:
-      return a > b ? a : b;
-    case ReduceOp::kBor:
-      if constexpr (std::is_integral_v<T>) {
-        return static_cast<T>(a | b);
-      } else {
-        return (a != 0 || b != 0) ? T{1} : T{0};
-      }
-  }
-  return a;
-}
-
-/// Elementwise `dst = Combine(dst, src)` with the exact operand order and
-/// SIMD dispatch of comm/algorithms.cc's CombineSpan — the wire schedules
-/// below must produce bit-identical floats to the shared-memory zoo.
-template <typename T>
-void CombineSpan(ReduceOp op, T* dst, const T* src, int64_t len) {
-  if constexpr (std::is_same_v<T, float> || std::is_same_v<T, double>) {
-    if (op == ReduceOp::kSum) {
-      vec::AccumulateAdd(dst, src, len);
-      return;
-    }
-    if (op == ReduceOp::kMax) {
-      vec::AccumulateMax(dst, src, len);
-      return;
-    }
-  }
-  // ddplint: allow(raw-elementwise-loop) integer / kBor fallback; the vec
-  // layer covers the float and double sum/max hot paths above
-  for (int64_t i = 0; i < len; ++i) dst[i] = Combine(op, dst[i], src[i]);
-}
-
 /// Exchanged both ways on every fresh connection (connector first). The
 /// resume_seq field is the self-healing handshake: a supervisor re-mesh
 /// may only proceed when both ends agree on which collective is being
@@ -131,6 +61,23 @@ struct Hello {
 bool IsTransientWire(const Status& status) {
   return status.code() == StatusCode::kInternal ||
          status.code() == StatusCode::kTimedOut;
+}
+
+/// Splits the "host:port" a peer published. Store bytes are untrusted: the
+/// port must be digits in 1..65535 and nothing else, so a garbled address
+/// fails the mesh at once instead of being dialled until the deadline.
+bool ParsePeerAddress(const std::string& address, std::string* host,
+                      int* port) {
+  const size_t colon = address.rfind(':');
+  if (colon == std::string::npos) return false;
+  const char* end = address.data() + address.size();
+  const auto [ptr, ec] =
+      std::from_chars(address.data() + colon + 1, end, *port);
+  if (ec != std::errc() || ptr != end || *port < 1 || *port > 65535) {
+    return false;
+  }
+  *host = address.substr(0, colon);
+  return true;
 }
 
 double RemainingSeconds(const Deadline& deadline) {
@@ -174,10 +121,9 @@ using OpContext = ProcessGroupTcp::OpContext;
 }  // namespace
 
 // ---------------------------------------------------------------------------
-// Wire schedules. Each replicates the combine order documented in
-// comm/algorithms.cc for its algorithm, with "own value" always on the
-// exact operand side the shared-memory loop uses. All I/O funnels through
-// SendTo/RecvFrom/Exchange so the fault shim sees every byte.
+// The socket executor: one rank's step program (comm/algorithms.h) over the
+// mesh. Every message goes through SendTo/RecvFrom/Exchange so the fault
+// shim sees every byte; local steps run the shared RunLocalStep.
 // ---------------------------------------------------------------------------
 
 namespace {
@@ -212,289 +158,32 @@ namespace {
                      rlen, ctx.deadline, ctx.abort_fd);
 }
 
-/// Naive: ascending-rank combine at rank 0, then a star broadcast —
-/// NaiveAllReduce's order exactly (acc = bufs[0], += bufs[1], bufs[2]...).
-template <typename T>
-Status NaiveAllReduceTcp(const OpContext& ctx, ReduceOp op, T* data,
-                         int64_t n) {
-  const size_t bytes = static_cast<size_t>(n) * sizeof(T);
-  if (ctx.rank == 0) {
-    std::vector<T> tmp(static_cast<size_t>(n));
-    for (int q = 1; q < ctx.world; ++q) {
-      DDPKIT_RETURN_IF_ERROR(RecvFrom(ctx, q, tmp.data(), bytes));
-      CombineSpan(op, data, tmp.data(), n);
+[[nodiscard]] Status RunProgram(const OpContext& ctx, const Program& program,
+                                DType dtype, ReduceOp op, void* data,
+                                const void* input) {
+  const ProgramBuffers bufs(program, ItemSize(dtype), data, input);
+  for (const Step& step : program.steps) {
+    Status status;
+    switch (step.kind) {
+      case Step::kSend:
+        status = SendTo(ctx, step.send_peer, bufs.at(step.in),
+                        bufs.bytes(step.in));
+        break;
+      case Step::kRecv:
+        status = RecvFrom(ctx, step.recv_peer, bufs.at(step.out),
+                          bufs.bytes(step.out));
+        break;
+      case Step::kSendRecv:
+        status = Exchange(ctx, step.send_peer, bufs.at(step.in),
+                          bufs.bytes(step.in), step.recv_peer,
+                          bufs.at(step.out), bufs.bytes(step.out));
+        break;
+      default:
+        RunLocalStep(step, dtype, op, bufs);
     }
-    for (int q = 1; q < ctx.world; ++q) {
-      DDPKIT_RETURN_IF_ERROR(SendTo(ctx, q, data, bytes));
-    }
-    return Status::OK();
-  }
-  DDPKIT_RETURN_IF_ERROR(SendTo(ctx, 0, data, bytes));
-  return RecvFrom(ctx, 0, data, bytes);
-}
-
-/// fp16: Fp16AllReduce's order — fp32 accumulation starting from 0.0f over
-/// ranks 0..world-1 ascending, at rank 0, then broadcast of the half bits.
-Status Fp16AllReduceTcp(const OpContext& ctx, ReduceOp op, uint16_t* data,
-                        int64_t n) {
-  if (op != ReduceOp::kSum) {
-    return Status::InvalidArgument("fp16 all-reduce supports sum only");
-  }
-  const size_t bytes = static_cast<size_t>(n) * sizeof(uint16_t);
-  if (ctx.rank == 0) {
-    std::vector<std::vector<uint16_t>> contributions(
-        static_cast<size_t>(ctx.world));
-    for (int q = 1; q < ctx.world; ++q) {
-      contributions[static_cast<size_t>(q)].resize(static_cast<size_t>(n));
-      DDPKIT_RETURN_IF_ERROR(RecvFrom(
-          ctx, q, contributions[static_cast<size_t>(q)].data(), bytes));
-    }
-    for (int64_t i = 0; i < n; ++i) {
-      float v = 0.0f;
-      v += HalfBitsToFloat32(data[i]);  // rank 0's own contribution first
-      for (int q = 1; q < ctx.world; ++q) {
-        v += HalfBitsToFloat32(contributions[static_cast<size_t>(q)][i]);
-      }
-      data[i] = Float32ToHalfBits(v);
-    }
-    for (int q = 1; q < ctx.world; ++q) {
-      DDPKIT_RETURN_IF_ERROR(SendTo(ctx, q, data, bytes));
-    }
-    return Status::OK();
-  }
-  DDPKIT_RETURN_IF_ERROR(SendTo(ctx, 0, data, bytes));
-  return RecvFrom(ctx, 0, data, bytes);
-}
-
-/// Two-phase ring (reduce-scatter + all-gather) with `chunks_per_rank`
-/// chunks in flight per rank — RingAllReduce's chunking and combine order:
-/// chunk k (owner k % world) accumulates rank (owner+1)'s value first,
-/// then each next ring rank combines its own value as the right operand,
-/// ending at the owner.
-template <typename T>
-Status RingAllReduceTcp(const OpContext& ctx, ReduceOp op, T* data, int64_t n,
-                        int chunks_per_rank) {
-  const int world = ctx.world;
-  const int rank = ctx.rank;
-  const int next = (rank + 1) % world;
-  const int prev = (rank + world - 1) % world;
-  const int num_chunks = world * chunks_per_rank;
-  const int64_t base = n / num_chunks;
-  const int64_t rem = n % num_chunks;
-  auto chunk_begin = [&](int c) {
-    return base * c + std::min<int64_t>(c, rem);
-  };
-  auto chunk_size = [&](int c) { return base + (c < rem ? 1 : 0); };
-  // Owner o's chunks are o, o+world, o+2*world, ...
-  auto owner_bytes = [&](int o) {
-    int64_t total = 0;
-    for (int k = o; k < num_chunks; k += world) total += chunk_size(k);
-    return static_cast<size_t>(total) * sizeof(T);
-  };
-  auto pack = [&](int o, const T* src, T* stage) {
-    int64_t at = 0;
-    for (int k = o; k < num_chunks; k += world) {
-      std::memcpy(stage + at, src + chunk_begin(k),
-                  static_cast<size_t>(chunk_size(k)) * sizeof(T));
-      at += chunk_size(k);
-    }
-  };
-  auto unpack = [&](int o, const T* stage, T* dst) {
-    int64_t at = 0;
-    for (int k = o; k < num_chunks; k += world) {
-      std::memcpy(dst + chunk_begin(k), stage + at,
-                  static_cast<size_t>(chunk_size(k)) * sizeof(T));
-      at += chunk_size(k);
-    }
-  };
-
-  const size_t max_stage =
-      static_cast<size_t>(base + 1) * static_cast<size_t>(chunks_per_rank);
-  std::vector<T> send_stage(max_stage);
-  std::vector<T> recv_stage(max_stage);
-
-  // Phase 1 — reduce-scatter. At step s this rank forwards the partial for
-  // owner (rank - s) and receives the partial for owner (rank - 1 - s),
-  // combining its own contribution as the right operand.
-  for (int s = 1; s < world; ++s) {
-    const int send_owner = (rank - s + world) % world;
-    const int recv_owner = (rank - 1 - s + 2 * world) % world;
-    if (s == 1) pack(send_owner, data, send_stage.data());
-    DDPKIT_RETURN_IF_ERROR(Exchange(ctx, next, send_stage.data(),
-                                    owner_bytes(send_owner), prev,
-                                    recv_stage.data(),
-                                    owner_bytes(recv_owner)));
-    int64_t at = 0;
-    for (int k = recv_owner; k < num_chunks; k += world) {
-      CombineSpan(op, recv_stage.data() + at, data + chunk_begin(k),
-                  chunk_size(k));
-      at += chunk_size(k);
-    }
-    send_stage.swap(recv_stage);  // forward what we just accumulated
-  }
-  // After world-1 steps the accumulated partial is for owner == rank and it
-  // is complete; install it.
-  unpack(rank, send_stage.data(), data);
-
-  // Phase 2 — all-gather rotation of the finalized owner chunks.
-  for (int s = 1; s < world; ++s) {
-    const int send_owner = (rank - s + 1 + world) % world;
-    const int recv_owner = (rank - s + world) % world;
-    pack(send_owner, data, send_stage.data());
-    DDPKIT_RETURN_IF_ERROR(Exchange(ctx, next, send_stage.data(),
-                                    owner_bytes(send_owner), prev,
-                                    recv_stage.data(),
-                                    owner_bytes(recv_owner)));
-    unpack(recv_owner, recv_stage.data(), data);
+    DDPKIT_RETURN_IF_ERROR(status);
   }
   return Status::OK();
-}
-
-/// Recursive halving-doubling — HalvingDoublingAllReduce's exact fold /
-/// segment-split / unfold sequence. Every rank replays the sim's beg/end
-/// bookkeeping for all participants (identical inputs → identical
-/// schedules), then performs only its own exchanges.
-template <typename T>
-Status HalvingDoublingAllReduceTcp(const OpContext& ctx, ReduceOp op,
-                                   T* data, int64_t n) {
-  const int world = ctx.world;
-  const int rank = ctx.rank;
-  int pof2 = 1;
-  while (pof2 * 2 <= world) pof2 *= 2;
-  const int rem = world - pof2;
-  const size_t nbytes = static_cast<size_t>(n) * sizeof(T);
-
-  // Fold: odd ranks below 2*rem hand their contribution to the even
-  // neighbour (which combines it as the right operand) and sit out until
-  // the unfold.
-  if (rank < 2 * rem) {
-    if (rank % 2 == 1) {
-      DDPKIT_RETURN_IF_ERROR(SendTo(ctx, rank - 1, data, nbytes));
-      return RecvFrom(ctx, rank - 1, data, nbytes);  // unfold
-    }
-    std::vector<T> tmp(static_cast<size_t>(n));
-    DDPKIT_RETURN_IF_ERROR(RecvFrom(ctx, rank + 1, tmp.data(), nbytes));
-    CombineSpan(op, data, tmp.data(), n);
-  }
-  const int p = rank < 2 * rem ? rank / 2 : rank - rem;
-  auto part_rank = [&](int q) { return q < rem ? 2 * q : q + rem; };
-
-  std::vector<int64_t> beg(static_cast<size_t>(pof2), 0);
-  std::vector<int64_t> end(static_cast<size_t>(pof2), n);
-  std::vector<T> tmp(static_cast<size_t>(n));
-
-  // Recursive halving: keeper combines its own (pre-round) half with the
-  // partner's, own value on the left — exactly the sim's CombineSpan
-  // operand order for both the low and the high keeper.
-  for (int mask = pof2 / 2; mask >= 1; mask /= 2) {
-    for (int a = 0; a < pof2; ++a) {
-      const int b_part = a ^ mask;
-      if (b_part < a) continue;
-      const int64_t b = beg[static_cast<size_t>(a)];
-      const int64_t e = end[static_cast<size_t>(a)];
-      const int64_t mid = b + (e - b) / 2;
-      if (a == p || b_part == p) {
-        const int partner = part_rank(a == p ? b_part : a);
-        const bool low = a == p;  // keep [b, mid) if we're the low member
-        const int64_t keep_b = low ? b : mid;
-        const int64_t keep_len = low ? mid - b : e - mid;
-        const int64_t give_b = low ? mid : b;
-        const int64_t give_len = low ? e - mid : mid - b;
-        DDPKIT_RETURN_IF_ERROR(Exchange(
-            ctx, partner, data + give_b,
-            static_cast<size_t>(give_len) * sizeof(T), partner,
-            tmp.data() + keep_b, static_cast<size_t>(keep_len) * sizeof(T)));
-        CombineSpan(op, data + keep_b, tmp.data() + keep_b, keep_len);
-      }
-      end[static_cast<size_t>(a)] = mid;
-      beg[static_cast<size_t>(b_part)] = mid;
-    }
-  }
-
-  // Recursive doubling: adjacent segments swap back (pure copies, order
-  // free), segments merge in reverse.
-  for (int mask = 1; mask < pof2; mask *= 2) {
-    for (int a = 0; a < pof2; ++a) {
-      const int b_part = a ^ mask;
-      if (b_part < a) continue;
-      const int64_t pb = beg[static_cast<size_t>(a)];
-      const int64_t pe = end[static_cast<size_t>(a)];
-      const int64_t qb = beg[static_cast<size_t>(b_part)];
-      const int64_t qe = end[static_cast<size_t>(b_part)];
-      if (a == p || b_part == p) {
-        const int partner = part_rank(a == p ? b_part : a);
-        const bool low = a == p;
-        const int64_t send_b = low ? pb : qb;
-        const int64_t send_len = low ? pe - pb : qe - qb;
-        const int64_t recv_b = low ? qb : pb;
-        const int64_t recv_len = low ? qe - qb : pe - pb;
-        DDPKIT_RETURN_IF_ERROR(Exchange(
-            ctx, partner, data + send_b,
-            static_cast<size_t>(send_len) * sizeof(T), partner,
-            data + recv_b, static_cast<size_t>(recv_len) * sizeof(T)));
-      }
-      const int64_t nb = std::min(pb, qb);
-      const int64_t ne = std::max(pe, qe);
-      beg[static_cast<size_t>(a)] = beg[static_cast<size_t>(b_part)] = nb;
-      end[static_cast<size_t>(a)] = end[static_cast<size_t>(b_part)] = ne;
-    }
-  }
-
-  // Unfold: hand the full result back to the folded odd neighbour.
-  if (rank < 2 * rem) {
-    DDPKIT_RETURN_IF_ERROR(SendTo(ctx, rank + 1, data, nbytes));
-  }
-  return Status::OK();
-}
-
-/// Tree: recursive doubling reduce to rank 0 (receiver's own value on the
-/// left, matching TreeAllReduce), then a star broadcast (copies).
-template <typename T>
-Status TreeAllReduceTcp(const OpContext& ctx, ReduceOp op, T* data,
-                        int64_t n) {
-  const size_t nbytes = static_cast<size_t>(n) * sizeof(T);
-  std::vector<T> tmp(static_cast<size_t>(n));
-  for (int span = 1; span < ctx.world; span *= 2) {
-    if (ctx.rank % (2 * span) == 0) {
-      if (ctx.rank + span < ctx.world) {
-        DDPKIT_RETURN_IF_ERROR(
-            RecvFrom(ctx, ctx.rank + span, tmp.data(), nbytes));
-        CombineSpan(op, data, tmp.data(), n);
-      }
-    } else if (ctx.rank % (2 * span) == span) {
-      DDPKIT_RETURN_IF_ERROR(SendTo(ctx, ctx.rank - span, data, nbytes));
-      break;  // contribution handed off; wait for the broadcast
-    }
-  }
-  if (ctx.rank == 0) {
-    for (int q = 1; q < ctx.world; ++q) {
-      DDPKIT_RETURN_IF_ERROR(SendTo(ctx, q, data, nbytes));
-    }
-    return Status::OK();
-  }
-  return RecvFrom(ctx, 0, data, nbytes);
-}
-
-template <typename T>
-Status AllReduceTcp(const OpContext& ctx, Algorithm algorithm, ReduceOp op,
-                    T* data, int64_t n) {
-  if (ctx.world == 1 || n == 0) return Status::OK();
-  switch (algorithm) {
-    case Algorithm::kNaive:
-      return NaiveAllReduceTcp(ctx, op, data, n);
-    case Algorithm::kRing:
-      return RingAllReduceTcp(ctx, op, data, n, /*chunks_per_rank=*/1);
-    case Algorithm::kRingChunked:
-      return RingAllReduceTcp(ctx, op, data, n, sim::kRingChunksPerRank);
-    case Algorithm::kHalvingDoubling:
-      return HalvingDoublingAllReduceTcp(ctx, op, data, n);
-    case Algorithm::kTree:
-      return TreeAllReduceTcp(ctx, op, data, n);
-    default:
-      return Status::InvalidArgument(
-          std::string("algorithm not supported over TCP: ") +
-          AlgorithmName(algorithm));
-  }
 }
 
 }  // namespace
@@ -521,11 +210,6 @@ Result<std::shared_ptr<ProcessGroupTcp>> ProcessGroupTcp::Create(
   if (rank < 0 || world <= 0 || rank >= world) {
     return Status::InvalidArgument("bad rank/world: " + std::to_string(rank) +
                                    "/" + std::to_string(world));
-  }
-  if (options.algorithm == Algorithm::kHierarchical) {
-    return Status::InvalidArgument(
-        "kHierarchical needs a multi-host topology; the TCP backend is a "
-        "single-host mesh (use kRing/kRingChunked/kHalvingDoubling)");
   }
   if (options.fault_injector != nullptr &&
       options.fault_injector->self_rank() != rank) {
@@ -608,13 +292,13 @@ Status ProcessGroupTcp::BuildMesh(uint64_t resume_seq,
                                  " never published its address: " +
                                  addr.status().message()));
         }
-        const size_t colon = addr.value().rfind(':');
-        if (colon == std::string::npos) {
-          return fail(
-              Status::Internal("malformed peer address: " + addr.value()));
+        std::string host;
+        int peer_port = 0;
+        if (!ParsePeerAddress(addr.value(), &host, &peer_port)) {
+          return fail(Status::Internal("malformed peer address for rank " +
+                                       std::to_string(peer) + ": '" +
+                                       addr.value() + "'"));
         }
-        const std::string host = addr.value().substr(0, colon);
-        const int peer_port = std::atoi(addr.value().c_str() + colon + 1);
         const Deadline try_deadline = Deadline::After(
             std::min(0.3, std::max(0.01, RemainingSeconds(deadline))));
         Result<int> fd =
@@ -1012,7 +696,8 @@ Status ProcessGroupTcp::ExchangeHeaders(const OpHeader& mine,
         std::string("collective signature mismatch with rank ") +
         std::to_string(prev) + ": " + field + " ours=" +
         std::to_string(ours) + " theirs=" + std::to_string(theirs) +
-        " (op " + OpKindName(mine.kind) + ", seq " +
+        " (op " + CollectiveName(static_cast<Collective>(mine.kind)) +
+        ", seq " +
         std::to_string(mine.seq) + ")");
   };
   if (from_prev.magic != kHeaderMagic) {
@@ -1046,7 +731,7 @@ Status ProcessGroupTcp::ExchangeHeaders(const OpHeader& mine,
 }
 
 template <typename Body>
-WorkHandle ProcessGroupTcp::RunCollective(uint8_t kind, uint8_t dtype_code,
+WorkHandle ProcessGroupTcp::RunCollective(Collective kind, DType dtype,
                                           int64_t numel, int root,
                                           ReduceOp op,
                                           std::vector<ByteSpan> payload,
@@ -1064,14 +749,14 @@ WorkHandle ProcessGroupTcp::RunCollective(uint8_t kind, uint8_t dtype_code,
   }
 
   if (options_.metrics) {
-    options_.metrics->counter(std::string("pg.ops.") + OpKindName(kind))
+    options_.metrics->counter(std::string("pg.ops.") + CollectiveName(kind))
         .Increment();
     // Same accounting as ProcessGroupSim: this rank's payload contribution
     // at issue time, so `pg.bytes_contributed` is backend-portable and the
     // compression hooks' wire-byte metrics cross-check against it.
     options_.metrics->counter("pg.bytes_contributed")
         .Increment(static_cast<uint64_t>(numel) *
-                   ItemSize(static_cast<DType>(dtype_code)));
+                   ItemSize(dtype));
   }
 
   MutexLock lock(&mu_);
@@ -1104,8 +789,8 @@ WorkHandle ProcessGroupTcp::RunCollective(uint8_t kind, uint8_t dtype_code,
   }
 
   OpHeader header{kHeaderMagic,
-                  kind,
-                  dtype_code,
+                  static_cast<uint8_t>(kind),
+                  static_cast<uint8_t>(dtype),
                   static_cast<uint8_t>(op),
                   0,
                   root,
@@ -1148,7 +833,7 @@ WorkHandle ProcessGroupTcp::RunCollective(uint8_t kind, uint8_t dtype_code,
       }
       EmitEvent("pg.reconnect",
                 "seq=" + std::to_string(seq) + " attempt=" +
-                    std::to_string(attempt) + " op=" + OpKindName(kind));
+                    std::to_string(attempt) + " op=" + CollectiveName(kind));
     }
     OpContext ctx{&peer_fds_,
                   rank(),
@@ -1194,8 +879,9 @@ WorkHandle ProcessGroupTcp::RunCollective(uint8_t kind, uint8_t dtype_code,
   if (error == WorkError::kInvalidGeneration) {
     const uint64_t new_gen = superseded_by_.load();
     work->MarkFailed(error,
-                     "collective " + std::string(OpKindName(kind)) + " seq " +
-                         std::to_string(seq) + " aborted: generation " +
+                     "collective " + std::string(CollectiveName(kind)) +
+                         " seq " + std::to_string(seq) +
+                         " aborted: generation " +
                          std::to_string(options_.generation) +
                          " superseded by " + std::to_string(new_gen),
                      issue_clock + elapsed());
@@ -1209,7 +895,7 @@ WorkHandle ProcessGroupTcp::RunCollective(uint8_t kind, uint8_t dtype_code,
     options_.metrics->counter("pg.collectives_failed").Increment();
   }
   work->MarkFailed(error,
-                   "collective " + std::string(OpKindName(kind)) + " seq " +
+                   "collective " + std::string(CollectiveName(kind)) + " seq " +
                        std::to_string(seq) + " failed (" +
                        status.message() + ")",
                    issue_clock + elapsed());
@@ -1217,288 +903,84 @@ WorkHandle ProcessGroupTcp::RunCollective(uint8_t kind, uint8_t dtype_code,
 }
 
 // ---------------------------------------------------------------------------
-// Public collectives.
+// Public collectives: validated at issue time, then this rank's step program
+// runs as RunCollective's body.
 // ---------------------------------------------------------------------------
 
-WorkHandle ProcessGroupTcp::AllReduce(Tensor tensor, ReduceOp op) {
-  const int64_t n = tensor.numel();
-  const uint8_t dtype_code = static_cast<uint8_t>(tensor.dtype());
-  Algorithm algorithm = options_.algorithm;
-  if (algorithm == Algorithm::kAuto) {
-    sim::Topology::Options topo;
-    if (options_.ranks_per_node > 0) {
-      topo.gpus_per_host = options_.ranks_per_node;
-    }
-    algorithm = sim::SelectAllReduceAlgorithm(
-        static_cast<size_t>(n) * ItemSize(tensor.dtype()), world(),
-        sim::Topology(topo));
-    // The auto-selector may pick the two-level hierarchical layout; this
-    // backend's mesh is flat, so the chunked ring is its stand-in (same
-    // bandwidth-optimal class, deterministically chosen on every rank).
-    if (algorithm == Algorithm::kHierarchical) {
-      algorithm = Algorithm::kRingChunked;
-    }
+WorkHandle ProcessGroupTcp::Issue(Collective kind, ReduceOp op, int root,
+                                  const Tensor& tensor, Tensor output) {
+  if (WorkHandle bad = RejectInvalidCollective(kind, op, root, rank(),
+                                               world(), tensor, output,
+                                               clock_->Now())) {
+    return bad;
   }
+  // The in-place collectives mutate `tensor`; the others read it and write
+  // `output`, which is also what a replay must restore.
+  const bool in_place = kind == Collective::kAllReduce ||
+                        kind == Collective::kBroadcast ||
+                        kind == Collective::kReduce;
+  Tensor data = in_place ? tensor : output;
+  ProgramSpec spec;
+  spec.kind = kind;
+  spec.dtype = tensor.dtype();
+  spec.world = world();
+  spec.root = root;
+  spec.numel =
+      kind == Collective::kReduceScatter ? output.numel() : tensor.numel();
+  spec.algorithm = options_.algorithm;
+  spec.ranks_per_node = options_.ranks_per_node;
+  const Program program = BuildProgram(spec, rank());
+  void* data_ptr = data.defined() ? data.data<uint8_t>() : nullptr;
+  const void* input_ptr = in_place ? nullptr : tensor.data<uint8_t>();
   std::vector<ByteSpan> payload;
-  if (tensor.is_contiguous() && n > 0) {
-    payload.push_back({tensor.data<uint8_t>(),
-                       static_cast<size_t>(tensor.nbytes())});
+  if (data.defined() && data.numel() > 0) {
+    payload.push_back({data_ptr, static_cast<size_t>(data.nbytes())});
   }
-  return RunCollective(
-      kKindAllReduce, dtype_code, n, /*root=*/-1, op, std::move(payload),
-      [&, algorithm](const OpContext& ctx) -> Status {
-        if (!tensor.is_contiguous()) {
-          return Status::InvalidArgument("AllReduce needs contiguous tensor");
-        }
-        switch (tensor.dtype()) {
-          case DType::kFloat32:
-            return AllReduceTcp(ctx, algorithm, op, tensor.data<float>(), n);
-          case DType::kUInt8:
-            return AllReduceTcp(ctx, algorithm, op, tensor.data<uint8_t>(),
-                                n);
-          case DType::kInt64:
-            return AllReduceTcp(ctx, algorithm, op, tensor.data<int64_t>(),
-                                n);
-          case DType::kFloat16:
-            return Fp16AllReduceTcp(ctx, op, tensor.data<uint16_t>(), n);
-          default:
-            return Status::InvalidArgument(
-                std::string("AllReduce unsupported dtype ") +
-                DTypeName(tensor.dtype()));
-        }
-      });
+  return RunCollective(kind, spec.dtype, spec.numel, root, op,
+                       std::move(payload), [&](const OpContext& ctx) {
+                         return RunProgram(ctx, program, spec.dtype, op,
+                                           data_ptr, input_ptr);
+                       });
+}
+
+WorkHandle ProcessGroupTcp::AllReduce(Tensor tensor, ReduceOp op) {
+  return Issue(Collective::kAllReduce, op, 0, tensor, Tensor());
 }
 
 WorkHandle ProcessGroupTcp::Broadcast(Tensor tensor, int root) {
-  const int64_t n = tensor.numel();
-  const size_t bytes = static_cast<size_t>(n) * ItemSize(tensor.dtype());
-  std::vector<ByteSpan> payload;
-  if (tensor.is_contiguous() && n > 0) {
-    payload.push_back({tensor.data<uint8_t>(),
-                       static_cast<size_t>(tensor.nbytes())});
-  }
-  return RunCollective(
-      kKindBroadcast, static_cast<uint8_t>(tensor.dtype()), n, root,
-      ReduceOp::kSum, std::move(payload),
-      [&](const OpContext& ctx) -> Status {
-        if (root < 0 || root >= ctx.world) {
-          return Status::InvalidArgument("bad broadcast root");
-        }
-        if (!tensor.is_contiguous()) {
-          return Status::InvalidArgument("Broadcast needs contiguous tensor");
-        }
-        if (ctx.world == 1 || bytes == 0) return Status::OK();
-        void* data = tensor.data<uint8_t>();
-        if (ctx.rank == root) {
-          for (int q = 0; q < ctx.world; ++q) {
-            if (q == root) continue;
-            DDPKIT_RETURN_IF_ERROR(SendTo(ctx, q, data, bytes));
-          }
-          return Status::OK();
-        }
-        return RecvFrom(ctx, root, data, bytes);
-      });
+  return Issue(Collective::kBroadcast, ReduceOp::kSum, root, tensor, Tensor());
 }
 
 WorkHandle ProcessGroupTcp::AllGather(const Tensor& input, Tensor output) {
-  const int64_t n = input.numel();
-  const size_t block = static_cast<size_t>(n) * ItemSize(input.dtype());
-  std::vector<ByteSpan> payload;
-  if (output.is_contiguous() && output.numel() > 0) {
-    payload.push_back({output.data<uint8_t>(),
-                       static_cast<size_t>(output.nbytes())});
-  }
-  return RunCollective(
-      kKindAllGather, static_cast<uint8_t>(input.dtype()), n, /*root=*/-1,
-      ReduceOp::kSum, std::move(payload),
-      [&](const OpContext& ctx) -> Status {
-        if (output.numel() != n * ctx.world) {
-          return Status::InvalidArgument("AllGather output size mismatch");
-        }
-        if (!input.is_contiguous() || !output.is_contiguous()) {
-          return Status::InvalidArgument("AllGather needs contiguous tensors");
-        }
-        uint8_t* out = output.data<uint8_t>();
-        std::memcpy(out + static_cast<size_t>(ctx.rank) * block,
-                    input.data<uint8_t>(), block);
-        if (ctx.world == 1 || block == 0) return Status::OK();
-        // Ring rotation: step s forwards the block received last step.
-        const int next = (ctx.rank + 1) % ctx.world;
-        const int prev = (ctx.rank + ctx.world - 1) % ctx.world;
-        for (int s = 1; s < ctx.world; ++s) {
-          const int send_block = (ctx.rank - s + 1 + ctx.world) % ctx.world;
-          const int recv_block = (ctx.rank - s + ctx.world) % ctx.world;
-          DDPKIT_RETURN_IF_ERROR(Exchange(
-              ctx, next, out + static_cast<size_t>(send_block) * block,
-              block, prev, out + static_cast<size_t>(recv_block) * block,
-              block));
-        }
-        return Status::OK();
-      });
+  return Issue(Collective::kAllGather, ReduceOp::kSum, 0, input, output);
 }
 
 WorkHandle ProcessGroupTcp::Reduce(Tensor tensor, int root, ReduceOp op) {
-  const int64_t n = tensor.numel();
-  std::vector<ByteSpan> payload;
-  if (tensor.is_contiguous() && n > 0) {
-    payload.push_back({tensor.data<uint8_t>(),
-                       static_cast<size_t>(tensor.nbytes())});
-  }
-  return RunCollective(
-      kKindReduce, static_cast<uint8_t>(tensor.dtype()), n, root, op,
-      std::move(payload), [&](const OpContext& ctx) -> Status {
-        if (root < 0 || root >= ctx.world) {
-          return Status::InvalidArgument("bad reduce root");
-        }
-        if (!tensor.is_contiguous()) {
-          return Status::InvalidArgument("Reduce needs contiguous tensor");
-        }
-        if (ctx.world == 1 || n == 0) return Status::OK();
-        // ReduceInto's order: root's tensor is the accumulator, sources
-        // combined in ascending rank order skipping the root.
-        auto run = [&](auto* data) -> Status {
-          using T = std::remove_pointer_t<decltype(data)>;
-          const size_t bytes = static_cast<size_t>(n) * sizeof(T);
-          if (ctx.rank != root) return SendTo(ctx, root, data, bytes);
-          std::vector<T> tmp(static_cast<size_t>(n));
-          for (int q = 0; q < ctx.world; ++q) {
-            if (q == root) continue;
-            DDPKIT_RETURN_IF_ERROR(RecvFrom(ctx, q, tmp.data(), bytes));
-            CombineSpan(op, data, tmp.data(), n);
-          }
-          return Status::OK();
-        };
-        switch (tensor.dtype()) {
-          case DType::kFloat32:
-            return run(tensor.data<float>());
-          case DType::kUInt8:
-            return run(tensor.data<uint8_t>());
-          case DType::kInt64:
-            return run(tensor.data<int64_t>());
-          default:
-            return Status::InvalidArgument(
-                std::string("Reduce unsupported dtype ") +
-                DTypeName(tensor.dtype()));
-        }
-      });
+  return Issue(Collective::kReduce, op, root, tensor, Tensor());
 }
 
 WorkHandle ProcessGroupTcp::ReduceScatter(const Tensor& input, Tensor output,
                                           ReduceOp op) {
-  const int64_t chunk = output.numel();
-  std::vector<ByteSpan> payload;
-  if (output.is_contiguous() && chunk > 0) {
-    payload.push_back({output.data<uint8_t>(),
-                       static_cast<size_t>(output.nbytes())});
-  }
-  return RunCollective(
-      kKindReduceScatter, static_cast<uint8_t>(input.dtype()), chunk,
-      /*root=*/-1, op, std::move(payload),
-      [&](const OpContext& ctx) -> Status {
-        if (input.dtype() != DType::kFloat32 ||
-            output.dtype() != DType::kFloat32) {
-          return Status::InvalidArgument("ReduceScatter supports float32");
-        }
-        if (input.numel() != chunk * ctx.world) {
-          return Status::InvalidArgument("ReduceScatter input size mismatch");
-        }
-        if (!input.is_contiguous() || !output.is_contiguous()) {
-          return Status::InvalidArgument(
-              "ReduceScatter needs contiguous tensors");
-        }
-        const float* in = input.data<float>();
-        float* out = output.data<float>();
-        if (ctx.world == 1) {
-          std::memcpy(out, in, static_cast<size_t>(chunk) * sizeof(float));
-          return Status::OK();
-        }
-        if (chunk == 0) return Status::OK();
-        // Exactly RunReduceScatter: chunk c accumulates from rank (c+1)
-        // around the ring, finishing at rank c — the ring's phase 1, with
-        // this rank's contribution combined as the right operand.
-        const size_t bytes = static_cast<size_t>(chunk) * sizeof(float);
-        const int next = (ctx.rank + 1) % ctx.world;
-        const int prev = (ctx.rank + ctx.world - 1) % ctx.world;
-        std::vector<float> send_stage(static_cast<size_t>(chunk));
-        std::vector<float> recv_stage(static_cast<size_t>(chunk));
-        for (int s = 1; s < ctx.world; ++s) {
-          const int send_chunk = (ctx.rank - s + ctx.world) % ctx.world;
-          const int recv_chunk =
-              (ctx.rank - 1 - s + 2 * ctx.world) % ctx.world;
-          if (s == 1) {
-            std::memcpy(send_stage.data(),
-                        in + static_cast<size_t>(send_chunk) * chunk, bytes);
-          }
-          DDPKIT_RETURN_IF_ERROR(Exchange(ctx, next, send_stage.data(),
-                                          bytes, prev, recv_stage.data(),
-                                          bytes));
-          CombineSpan(op, recv_stage.data(),
-                      in + static_cast<size_t>(recv_chunk) * chunk, chunk);
-          send_stage.swap(recv_stage);
-        }
-        std::memcpy(out, send_stage.data(), bytes);
-        return Status::OK();
-      });
+  return Issue(Collective::kReduceScatter, op, 0, input, output);
 }
 
 WorkHandle ProcessGroupTcp::Gather(const Tensor& input, Tensor output,
                                    int root) {
-  const int64_t n = input.numel();
-  const size_t block = static_cast<size_t>(n) * ItemSize(input.dtype());
-  std::vector<ByteSpan> payload;
-  if (output.is_contiguous() && output.numel() > 0) {
-    payload.push_back({output.data<uint8_t>(),
-                       static_cast<size_t>(output.nbytes())});
-  }
-  return RunCollective(
-      kKindGather, static_cast<uint8_t>(input.dtype()), n, root,
-      ReduceOp::kSum, std::move(payload),
-      [&](const OpContext& ctx) -> Status {
-        if (root < 0 || root >= ctx.world) {
-          return Status::InvalidArgument("bad gather root");
-        }
-        if (!input.is_contiguous()) {
-          return Status::InvalidArgument("Gather needs contiguous input");
-        }
-        if (ctx.rank != root) {
-          if (ctx.world == 1) return Status::OK();
-          return SendTo(ctx, root, input.data<uint8_t>(), block);
-        }
-        if (output.numel() != n * ctx.world) {
-          return Status::InvalidArgument("Gather output size mismatch");
-        }
-        if (!output.is_contiguous()) {
-          return Status::InvalidArgument("Gather needs contiguous output");
-        }
-        uint8_t* out = output.data<uint8_t>();
-        std::memcpy(out + static_cast<size_t>(root) * block,
-                    input.data<uint8_t>(), block);
-        for (int q = 0; q < ctx.world; ++q) {
-          if (q == root) continue;
-          DDPKIT_RETURN_IF_ERROR(RecvFrom(
-              ctx, q, out + static_cast<size_t>(q) * block, block));
-        }
-        return Status::OK();
-      });
+  return Issue(Collective::kGather, ReduceOp::kSum, root, input, output);
 }
 
 void ProcessGroupTcp::Barrier() {
+  ProgramSpec spec;
+  spec.kind = Collective::kBarrier;
+  spec.dtype = DType::kUInt8;
+  spec.world = world();
+  const Program program = BuildProgram(spec, rank());
+  uint8_t token = 0;
   WorkHandle work = RunCollective(
-      kKindBarrier, 0, 0, /*root=*/-1, ReduceOp::kSum, {},
-      [&](const OpContext& ctx) -> Status {
-        if (ctx.world == 1) return Status::OK();
-        char token = 'b';
-        if (ctx.rank == 0) {
-          for (int q = 1; q < ctx.world; ++q) {
-            DDPKIT_RETURN_IF_ERROR(RecvFrom(ctx, q, &token, 1));
-          }
-          for (int q = 1; q < ctx.world; ++q) {
-            DDPKIT_RETURN_IF_ERROR(SendTo(ctx, q, &token, 1));
-          }
-          return Status::OK();
-        }
-        DDPKIT_RETURN_IF_ERROR(SendTo(ctx, 0, &token, 1));
-        return RecvFrom(ctx, 0, &token, 1);
+      Collective::kBarrier, spec.dtype, 0, /*root=*/0, ReduceOp::kSum, {},
+      [&](const OpContext& ctx) {
+        return RunProgram(ctx, program, spec.dtype, ReduceOp::kSum, &token,
+                          nullptr);
       });
   // Barrier has no error channel; a wire failure is logged rather than
   // aborted on (kill -9 chaos must surface as typed errors on the ops that

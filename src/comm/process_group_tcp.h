@@ -32,16 +32,16 @@ namespace ddpkit::comm {
 /// lower rank and accepts from every higher one, then keeps the full mesh
 /// cached for the group's lifetime.
 ///
-/// Data plane: the wire schedules replicate the algorithm zoo's combine
-/// orders *exactly* — same chunking, same per-element summation order as
-/// comm/algorithms.cc — so a TCP run is bit-identical to ProcessGroupSim
-/// on the same seed (the PR's cross-check gate). kRing/kRingChunked run
-/// the two-phase ring, kHalvingDoubling the Rabenseifner exchange, kTree
-/// recursive doubling to rank 0, kNaive the root star; kAuto resolves per
-/// collective through sim::SelectAllReduceAlgorithm. Collectives execute
-/// synchronously in the calling thread (localhost latencies make overlap
-/// machinery pure complexity here); the returned Work is already terminal
-/// and carries the typed verdict.
+/// Data plane: each collective runs this rank's step program from
+/// comm/algorithms.h — the same program ProcessGroupSim's in-memory
+/// executor runs for every rank — so a TCP run is bit-identical to the
+/// simulator by construction, for every algorithm including kHierarchical
+/// (`ranks_per_node` places the node boundaries on the flat mesh) and kAuto.
+/// The (collective, dtype, op) support table and shape rules are checked at
+/// issue time, before any byte moves. Collectives execute synchronously in
+/// the calling thread (localhost latencies make overlap machinery pure
+/// complexity here); the returned Work is already terminal and carries the
+/// typed verdict.
 ///
 /// Failure taxonomy, mapped from socket-layer Status:
 ///   deadline elapsed      → WorkError::kTimeout
@@ -79,7 +79,8 @@ class ProcessGroupTcp : public ProcessGroup {
     /// Address this rank binds and publishes (the launcher runtime is
     /// localhost by design).
     std::string host = "127.0.0.1";
-    /// Feeds kAuto resolution (message size x world, sim topology).
+    /// Host-major ranks per node: kHierarchical's node boundaries and the
+    /// kAuto resolution (0 = 8, the sim topology's default).
     int ranks_per_node = 0;
     /// Optional metrics sink (pg.* namespace, issue-side counters).
     std::shared_ptr<MetricsRegistry> metrics;
@@ -116,9 +117,8 @@ class ProcessGroupTcp : public ProcessGroup {
 
   /// Rendezvous constructor: blocks until the full mesh is up, within the
   /// connect timeout. `store` and `clock` must outlive the group. Typed
-  /// failures: kTimedOut when a peer never publishes/connects,
-  /// kInvalidArgument for an unsupported algorithm (kHierarchical needs a
-  /// multi-host topology this backend doesn't have).
+  /// failures: kTimedOut when a peer never publishes/connects, kInternal
+  /// for a malformed published address.
   [[nodiscard]] static Result<std::shared_ptr<ProcessGroupTcp>> Create(
       Store* store, const std::string& name, int rank, int world,
       const Options& options, sim::VirtualClock* clock);
@@ -161,10 +161,10 @@ class ProcessGroupTcp : public ProcessGroup {
 
   /// Per-collective wire header, exchanged with the ring neighbours before
   /// payload bytes move; disagreement is the typed kShapeMismatch arm.
-  /// Public only so the schedule implementations (free functions in the
-  /// .cc) can name it; defined there.
+  /// Defined in the .cc.
   struct OpHeader;
-  /// Everything a schedule needs for one collective's I/O. Same deal.
+  /// Everything the socket executor (free functions in the .cc) needs for
+  /// one collective's I/O; public only so they can name it.
   struct OpContext;
 
  private:
@@ -205,10 +205,16 @@ class ProcessGroupTcp : public ProcessGroup {
   /// retry (snapshotting `payload` so a replay starts from the original
   /// bytes), error mapping, and Work termination.
   template <typename Body>
-  [[nodiscard]] WorkHandle RunCollective(uint8_t kind, uint8_t dtype_code,
+  [[nodiscard]] WorkHandle RunCollective(Collective kind, DType dtype,
                                          int64_t numel, int root, ReduceOp op,
                                          std::vector<ByteSpan> payload,
                                          Body body);
+
+  /// Checks one collective at issue time, builds this rank's step program
+  /// and runs it through RunCollective. `tensor` and `output` follow
+  /// RejectInvalidCollective.
+  [[nodiscard]] WorkHandle Issue(Collective kind, ReduceOp op, int root,
+                                 const Tensor& tensor, Tensor output);
 
   [[nodiscard]] Status ExchangeHeaders(const OpHeader& mine,
                                        const OpContext& ctx);

@@ -20,7 +20,7 @@ TEST(ReduceAlgoTest, OnlyRootReceivesSum) {
       Tensor::Full({4}, 2.0),
       Tensor::Full({4}, 3.0),
   };
-  RunReduce(Algorithm::kTree, ReduceOp::kSum, tensors, /*root=*/1);
+  RunReduce(ReduceOp::kSum, tensors, /*root=*/1);
   EXPECT_DOUBLE_EQ(tensors[0].FlatAt(0), 1.0);  // untouched
   EXPECT_DOUBLE_EQ(tensors[1].FlatAt(0), 6.0);  // reduced
   EXPECT_DOUBLE_EQ(tensors[2].FlatAt(0), 3.0);  // untouched
@@ -31,7 +31,7 @@ TEST(ReduceAlgoTest, MaxOperator) {
       Tensor::FromVector({1, 9}, {2}),
       Tensor::FromVector({5, 2}, {2}),
   };
-  RunReduce(Algorithm::kNaive, ReduceOp::kMax, tensors, 0);
+  RunReduce(ReduceOp::kMax, tensors, 0);
   EXPECT_DOUBLE_EQ(tensors[0].FlatAt(0), 5.0);
   EXPECT_DOUBLE_EQ(tensors[0].FlatAt(1), 9.0);
 }

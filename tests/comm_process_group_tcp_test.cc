@@ -1,10 +1,12 @@
 // ProcessGroupTcp over loopback, in-process: every rank is a thread with
 // its own group instance, rendezvousing through one shared in-memory Store
 // (keys only — payload moves over real sockets). The headline property is
-// the PR's cross-check gate in miniature: each wire schedule must be
-// BIT-IDENTICAL to the simulated zoo (RunAllReduceRaw) on the same inputs,
-// not merely numerically close. Plus the typed failure taxonomy: timeout,
-// shape mismatch, abort/generation, and post-failure poisoning.
+// the cross-check gate in miniature: the socket executor must be
+// BIT-IDENTICAL to the in-memory executor (RunAllReduceRaw) running the
+// same step programs on the same inputs, not merely numerically close.
+// Plus the typed failure taxonomy: timeout, shape mismatch, unsupported
+// collectives, malformed peer addresses, abort/generation, and
+// post-failure poisoning.
 //
 // All sockets bind port 0 and publish through the store, so the suite is
 // port-collision-proof by construction.
@@ -19,13 +21,16 @@
 #include <memory>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "comm/algorithms.h"
 #include "comm/fault_plan.h"
 #include "comm/net_fault.h"
 #include "comm/process_group_tcp.h"
+#include "comm/sim_world.h"
 #include "comm/store.h"
+#include "comm/store_keys.h"
 #include "common/mutex.h"
 #include "common/rng.h"
 #include "common/status.h"
@@ -103,32 +108,42 @@ std::vector<std::vector<float>> MakeInputs(int world, int64_t n,
   return bufs;
 }
 
-// The wire schedules (kHierarchical is sim-only; kAuto swept separately).
-const Algorithm kWireZoo[] = {Algorithm::kNaive, Algorithm::kRing,
-                              Algorithm::kRingChunked,
-                              Algorithm::kHalvingDoubling, Algorithm::kTree};
+// Every algorithm over the wire: the six concrete ones (kHierarchical at two
+// node shapes on the flat localhost mesh) plus kAuto.
+struct WireCase {
+  Algorithm algorithm;
+  int ranks_per_node;
+};
+const WireCase kWireZoo[] = {
+    {Algorithm::kNaive, 0},           {Algorithm::kRing, 0},
+    {Algorithm::kRingChunked, 0},     {Algorithm::kHalvingDoubling, 0},
+    {Algorithm::kTree, 0},            {Algorithm::kHierarchical, 2},
+    {Algorithm::kHierarchical, 3},    {Algorithm::kAuto, 0}};
 
-// The gate: for every schedule and several world sizes (including non
+// The gate: for every algorithm and several world sizes (including non
 // powers of two and worlds bigger than the element remainder), the TCP
-// all-reduce must produce exactly the bytes the simulated zoo produces.
+// all-reduce must produce exactly the bytes the in-memory executor produces.
 TEST(ProcessGroupTcpTest, AllReduceBitExactVsSimZoo) {
   const int worlds[] = {2, 3, 5, 8};
   const int64_t n = 193;  // prime: uneven chunking in every schedule
-  for (Algorithm algorithm : kWireZoo) {
+  for (const WireCase& wc : kWireZoo) {
     for (int world : worlds) {
-      SCOPED_TRACE(std::string(AlgorithmName(algorithm)) + " world " +
+      SCOPED_TRACE(std::string(AlgorithmName(wc.algorithm)) + " rpn " +
+                   std::to_string(wc.ranks_per_node) + " world " +
                    std::to_string(world));
       const auto inputs = MakeInputs(
           world, n, 0xbeef + static_cast<uint64_t>(world));
 
-      // Reference: the simulated data plane on a copy of the same inputs.
+      // Reference: the in-memory executor on a copy of the same inputs.
       auto reference = inputs;
       std::vector<float*> pointers;
       for (auto& b : reference) pointers.push_back(b.data());
-      RunAllReduceRaw<float>(algorithm, ReduceOp::kSum, pointers, n);
+      RunAllReduceRaw<float>(wc.algorithm, ReduceOp::kSum, pointers, n,
+                             wc.ranks_per_node);
 
       ProcessGroupTcp::Options options;
-      options.algorithm = algorithm;
+      options.algorithm = wc.algorithm;
+      options.ranks_per_node = wc.ranks_per_node;
       std::vector<std::vector<float>> wire(static_cast<size_t>(world));
       RunTcpWorld(world, options, [&](int rank, const Group& group) {
         Tensor tensor = FromVec(inputs[static_cast<size_t>(rank)]);
@@ -174,6 +189,49 @@ TEST(ProcessGroupTcpTest, AutoAlgorithmResolvesAndMatchesSim) {
     EXPECT_EQ(0, std::memcmp(reference[static_cast<size_t>(rank)].data(),
                              wire[static_cast<size_t>(rank)].data(),
                              static_cast<size_t>(n) * sizeof(float)));
+  }
+}
+
+// A large message on a two-node layout: kAuto resolves to kHierarchical
+// (the single resolution every caller shares) and the wire result matches
+// the in-memory executor for the same layout.
+TEST(ProcessGroupTcpTest, AutoResolvesHierarchicalOnTwoNodeLayout) {
+  const int world = 4;
+  const int ranks_per_node = 2;
+  const int64_t n = 65536;  // 256 KB: past the latency-bound regime
+  ASSERT_EQ(Algorithm::kHierarchical,
+            ResolveAlgorithm(Algorithm::kAuto,
+                             static_cast<size_t>(n) * sizeof(float), world,
+                             ranks_per_node));
+  const auto inputs = MakeInputs(world, n, 0xa071);
+  auto reference = inputs;
+  std::vector<float*> pointers;
+  for (auto& b : reference) pointers.push_back(b.data());
+  RunAllReduceRaw<float>(Algorithm::kAuto, ReduceOp::kSum, pointers, n,
+                         ranks_per_node);
+  auto hierarchical = inputs;
+  pointers.clear();
+  for (auto& b : hierarchical) pointers.push_back(b.data());
+  RunAllReduceRaw<float>(Algorithm::kHierarchical, ReduceOp::kSum, pointers,
+                         n, ranks_per_node);
+  EXPECT_EQ(reference, hierarchical);
+
+  ProcessGroupTcp::Options options;
+  options.algorithm = Algorithm::kAuto;
+  options.ranks_per_node = ranks_per_node;
+  std::vector<std::vector<float>> wire(static_cast<size_t>(world));
+  RunTcpWorld(world, options, [&](int rank, const Group& group) {
+    Tensor tensor = FromVec(inputs[static_cast<size_t>(rank)]);
+    WorkHandle work = group->AllReduce(tensor, ReduceOp::kSum);
+    ASSERT_TRUE(work->status().ok()) << work->status().ToString();
+    wire[static_cast<size_t>(rank)].assign(
+        tensor.data<float>(), tensor.data<float>() + tensor.numel());
+  });
+  for (int rank = 0; rank < world; ++rank) {
+    EXPECT_EQ(0, std::memcmp(reference[static_cast<size_t>(rank)].data(),
+                             wire[static_cast<size_t>(rank)].data(),
+                             static_cast<size_t>(n) * sizeof(float)))
+        << "rank " << rank;
   }
 }
 
@@ -311,6 +369,105 @@ TEST(ProcessGroupTcpTest, OtherCollectivesMatchReference) {
     }
     group->Barrier();  // and the token star runs clean on a healthy mesh
   });
+}
+
+// Collectives outside the (collective, dtype, op) support table fail the
+// same typed way on both backends — kShapeMismatch at issue time, before
+// any byte moves — and leave the group usable: a valid all-reduce right
+// after them still pairs up and sums correctly.
+TEST(ProcessGroupTcpTest, UnsupportedCollectivesFailTypedOnBothBackends) {
+  using Issue = std::function<WorkHandle(ProcessGroup&)>;
+  const std::vector<std::pair<std::string, Issue>> cases = {
+      {"all_reduce float64",
+       [](ProcessGroup& pg) {
+         return pg.AllReduce(Tensor::Ones({4}, DType::kFloat64),
+                             ReduceOp::kSum);
+       }},
+      {"all_reduce float16 max",
+       [](ProcessGroup& pg) {
+         return pg.AllReduce(Tensor::Zeros({4}, DType::kFloat16),
+                             ReduceOp::kMax);
+       }},
+      {"all_reduce float16 bor",
+       [](ProcessGroup& pg) {
+         return pg.AllReduce(Tensor::Zeros({4}, DType::kFloat16),
+                             ReduceOp::kBor);
+       }},
+      {"reduce float64",
+       [](ProcessGroup& pg) {
+         return pg.Reduce(Tensor::Ones({4}, DType::kFloat64), 0,
+                          ReduceOp::kSum);
+       }},
+      {"reduce float16",
+       [](ProcessGroup& pg) {
+         return pg.Reduce(Tensor::Zeros({4}, DType::kFloat16), 0,
+                          ReduceOp::kSum);
+       }},
+      {"reduce_scatter int64",
+       [](ProcessGroup& pg) {
+         return pg.ReduceScatter(Tensor::Zeros({4}, DType::kInt64),
+                                 Tensor::Zeros({2}, DType::kInt64),
+                                 ReduceOp::kSum);
+       }},
+      {"reduce_scatter float64",
+       [](ProcessGroup& pg) {
+         return pg.ReduceScatter(Tensor::Ones({4}, DType::kFloat64),
+                                 Tensor::Zeros({2}, DType::kFloat64),
+                                 ReduceOp::kSum);
+       }},
+  };
+  auto check = [&](const std::string& backend, int rank, ProcessGroup& pg,
+                   sim::VirtualClock* clock) {
+    for (const auto& [name, issue] : cases) {
+      WorkHandle work = issue(pg);
+      ASSERT_TRUE(work->Poll()) << backend << " " << name;
+      EXPECT_EQ(WorkError::kShapeMismatch, work->error())
+          << backend << " rank " << rank << " " << name << ": "
+          << work->error_message();
+    }
+    Tensor ok = Tensor::Full({3}, rank + 1.0);
+    WorkHandle work = pg.AllReduce(ok, ReduceOp::kSum);
+    ASSERT_TRUE(work->Wait(clock, 30.0).ok()) << backend;
+    EXPECT_EQ(3.0, ok.FlatAt(0)) << backend;
+  };
+  SimWorld::Run(2, [&](SimWorld::RankContext& ctx) {
+    check("sim", ctx.rank, *ctx.process_group, ctx.clock);
+  });
+  RunTcpWorld(2, ProcessGroupTcp::Options(), [&](int rank, const Group& g) {
+    check("tcp", rank, *g, g->clock());
+  });
+}
+
+// A peer address in the Store that is not host:port with a port in
+// 1..65535 fails the bootstrap at once as kInternal, instead of dialling a
+// bogus port until the connect deadline runs out.
+TEST(ProcessGroupTcpTest, MalformedPeerAddressFailsFast) {
+  const char* bad[] = {"127.0.0.1:abc", "127.0.0.1:99999999999999999999",
+                       "127.0.0.1:0",   "127.0.0.1:65536",
+                       "127.0.0.1:80x", "no-port"};
+  for (const char* address : bad) {
+    SCOPED_TRACE(address);
+    Store store;
+    // Rank 0 never starts; its published address is garbage.
+    store.Set(store_keys::PgTcpRankKey(store_keys::PgTcpPrefix("bad", 0), 0),
+              address);
+    ProcessGroupTcp::Options options;
+    options.connect_timeout_seconds = 20.0;
+    sim::VirtualClock clock;
+    const auto start = std::chrono::steady_clock::now();
+    Result<Group> group =
+        ProcessGroupTcp::Create(&store, "bad", 1, 2, options, &clock);
+    const double elapsed = std::chrono::duration<double>(
+                               std::chrono::steady_clock::now() - start)
+                               .count();
+    ASSERT_FALSE(group.ok());
+    EXPECT_EQ(StatusCode::kInternal, group.status().code())
+        << group.status().ToString();
+    EXPECT_NE(std::string::npos,
+              group.status().message().find("malformed peer address"))
+        << group.status().ToString();
+    EXPECT_LT(elapsed, 2.0) << "must fail fast, not at the connect deadline";
+  }
 }
 
 // A peer that never issues the collective: the issuing rank times out with
