@@ -81,8 +81,7 @@ int main() {
   std::printf("%-8s %-12s %-16s %-16s %-10s\n", "world", "bucket_cap",
               "real_stack_sec", "simulator_sec", "diff_%");
   bench::JsonReport report("crosscheck");
-  std::string rows = "[";
-  bool first = true;
+  json::Array rows;
   for (int world : {2, 4, 8}) {
     for (size_t cap : {size_t{64} << 10, size_t{1} << 20, size_t{25} << 20}) {
       cluster::ModelSpec spec;
@@ -90,16 +89,13 @@ int main() {
       const double simulated = SimulatorLatency(world, cap, spec);
       std::printf("%-8d %-12zu %-16.6f %-16.6f %-10.1f\n", world, cap, real,
                   simulated, 100.0 * (simulated - real) / real);
-      if (!first) rows += ',';
-      first = false;
-      rows += "{\"world\":" + std::to_string(world) +
-              ",\"bucket_cap_bytes\":" + std::to_string(cap) +
-              ",\"real_stack_seconds\":" + JsonNumber(real) +
-              ",\"simulator_seconds\":" + JsonNumber(simulated) + "}";
+      rows.emplace_back(json::Object{{"world", world},
+                                     {"bucket_cap_bytes", cap},
+                                     {"real_stack_seconds", real},
+                                     {"simulator_seconds", simulated}});
     }
   }
-  rows += "]";
-  report.AddRaw("rows", rows);
+  report.Add("rows", std::move(rows));
   report.Write();
   std::printf("\nBoth paths share bucket assignment, compute charging and "
               "comm pricing; residual differences come from hook-time "

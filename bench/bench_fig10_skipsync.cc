@@ -16,7 +16,7 @@ namespace {
 
 const int kWorlds[] = {1, 2, 4, 8, 16, 32, 64, 128, 256};
 
-std::string RunBackend(sim::Backend backend) {
+json::Value RunBackend(sim::Backend backend) {
   std::printf("ResNet50 on %s, average per-iteration latency (sec):\n",
               sim::BackendName(backend));
   std::vector<std::string> columns;
@@ -24,8 +24,7 @@ std::string RunBackend(sim::Backend backend) {
   bench::PrintHeader("sync_every", columns);
 
   std::vector<double> baseline;
-  std::string series = "[";
-  bool first = true;
+  json::Array series;
   for (int n : {1, 2, 4, 8}) {
     std::vector<double> row;
     for (int world : kWorlds) {
@@ -43,19 +42,13 @@ std::string RunBackend(sim::Backend backend) {
     if (n == 1) baseline = row;
     bench::PrintSeries(n == 1 ? "every (n=1)" : "no_sync_" + std::to_string(n),
                        row);
-    if (!first) series += ',';
-    first = false;
-    series += "{\"sync_every\":" + std::to_string(n) + ",\"mean_seconds\":[";
-    for (size_t i = 0; i < row.size(); ++i) {
-      if (i) series += ',';
-      series += JsonNumber(row[i]);
-    }
-    series += "]}";
+    series.emplace_back(
+        json::Object{{"sync_every", n},
+                     {"mean_seconds", json::Array(row.begin(), row.end())}});
   }
-  series += "]";
   std::printf("\n");
-  return "{\"backend\":\"" + std::string(sim::BackendName(backend)) +
-         "\",\"series\":" + series + "}";
+  return json::Object{{"backend", sim::BackendName(backend)},
+                      {"series", std::move(series)}};
 }
 
 }  // namespace
@@ -64,9 +57,8 @@ int main() {
   bench::Banner("Figure 10",
                 "Skip gradient synchronization: amortized latency");
   bench::JsonReport report("fig10_skipsync");
-  std::string backends = "[" + RunBackend(sim::Backend::kNccl) + "," +
-                         RunBackend(sim::Backend::kGloo) + "]";
-  report.AddRaw("backends", backends);
+  report.Add("backends", json::Array{RunBackend(sim::Backend::kNccl),
+                                     RunBackend(sim::Backend::kGloo)});
   report.Write();
   std::printf("Expected shape: amortized latency drops as sync frequency "
               "falls; paper reports ~38%% (NCCL) and ~57%% (Gloo) speedup "

@@ -103,8 +103,8 @@ int main() {
   std::printf("%-10s %-14s %-16s %-10s %-12s %-12s\n", "hook", "bytes_raw",
               "bytes_compressed", "ratio", "first_loss", "final_loss");
   std::vector<HookRun> runs;
-  std::string rows = "[";
-  std::string sweep = "[";
+  json::Array rows;
+  json::Array sweep;
   bool ok = true;
   for (size_t i = 0; i < hooks.size(); ++i) {
     const HookRun run = RunHook(hooks[i]);
@@ -128,32 +128,26 @@ int main() {
       std::printf("  FAIL: %s did not converge\n", run.name.c_str());
       ok = false;
     }
-    if (i > 0) {
-      rows += ',';
-      sweep += ',';
-    }
-    rows += "{\"hook\":\"" + run.name +
-            "\",\"bytes_raw\":" + std::to_string(run.bytes_raw) +
-            ",\"bytes_compressed\":" + std::to_string(run.bytes_compressed) +
-            ",\"ratio\":" + JsonNumber(ratio) +
-            ",\"first_loss\":" + JsonNumber(run.first_loss) +
-            ",\"final_loss\":" + JsonNumber(run.final_loss) + "}";
-    sweep += "{\"algorithm\":\"" + run.name +
-             "/wire_bytes\",\"world\":" + std::to_string(kWorld) +
-             ",\"bytes\":" + std::to_string(run.bytes_raw) +
-             ",\"ns\":" + std::to_string(run.bytes_compressed) + "}";
-    sweep += ",{\"algorithm\":\"" + run.name +
-             "/final_loss\",\"world\":" + std::to_string(kWorld) +
-             ",\"bytes\":" + std::to_string(run.bytes_raw) +
-             ",\"ns\":" + JsonNumber(run.final_loss * 1e6) + "}";
+    rows.emplace_back(json::Object{{"hook", run.name},
+                                   {"bytes_raw", run.bytes_raw},
+                                   {"bytes_compressed", run.bytes_compressed},
+                                   {"ratio", ratio},
+                                   {"first_loss", run.first_loss},
+                                   {"final_loss", run.final_loss}});
+    sweep.emplace_back(json::Object{{"algorithm", run.name + "/wire_bytes"},
+                                    {"world", kWorld},
+                                    {"bytes", run.bytes_raw},
+                                    {"ns", run.bytes_compressed}});
+    sweep.emplace_back(json::Object{{"algorithm", run.name + "/final_loss"},
+                                    {"world", kWorld},
+                                    {"bytes", run.bytes_raw},
+                                    {"ns", run.final_loss * 1e6}});
     runs.push_back(run);
   }
-  rows += "]";
-  sweep += "]";
-  report.AddRaw("hooks", rows);
-  report.AddRaw("zoo_sweep", sweep);
-  report.AddInt("world", kWorld);
-  report.AddInt("steps", kSteps);
+  report.Add("hooks", std::move(rows));
+  report.Add("zoo_sweep", std::move(sweep));
+  report.Add("world", kWorld);
+  report.Add("steps", kSteps);
   report.Write();
 
   std::printf("\nExpected shape: onebit ~1/32 of raw bytes, powersgd/topk "

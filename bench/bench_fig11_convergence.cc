@@ -79,7 +79,7 @@ double Smoothed(const std::vector<double>& series, int at, int window) {
   return acc / n;
 }
 
-std::string RunConfig(const char* label, int iterations, int batch, double lr,
+json::Value RunConfig(const char* label, int iterations, int batch, double lr,
                       double momentum) {
   std::printf("%s (batch=%d/rank, lr=%.2f, momentum=%.1f, %d ranks, real "
               "training):\n",
@@ -100,20 +100,18 @@ std::string RunConfig(const char* label, int iterations, int batch, double lr,
   }
   std::printf("  final smoothed losses: ");
   const int cadences[] = {1, 2, 4, 8};
-  std::string finals = "[";
+  json::Array finals;
   for (size_t c = 0; c < curves.size(); ++c) {
     const double final_loss = Smoothed(curves[c], iterations - 1, 15);
     std::printf("%.4f  ", final_loss);
-    if (c) finals += ',';
-    finals += "{\"sync_every\":" + std::to_string(cadences[c]) +
-              ",\"final_smoothed_loss\":" + JsonNumber(final_loss) + "}";
+    finals.emplace_back(json::Object{{"sync_every", cadences[c]},
+                                     {"final_smoothed_loss", final_loss}});
   }
-  finals += "]";
   std::printf("\n\n");
-  std::string out = "{\"label\":\"";
-  AppendJsonEscaped(&out, label);
-  return out + "\",\"batch\":" + std::to_string(batch) +
-         ",\"lr\":" + JsonNumber(lr) + ",\"cadences\":" + finals + "}";
+  return json::Object{{"label", label},
+                      {"batch", batch},
+                      {"lr", lr},
+                      {"cadences", std::move(finals)}};
 }
 
 }  // namespace
@@ -121,16 +119,15 @@ std::string RunConfig(const char* label, int iterations, int batch, double lr,
 int main() {
   bench::Banner("Figure 11", "Convergence with skipped synchronization");
   bench::JsonReport report("fig11_convergence");
-  std::string configs = "[";
-  configs += RunConfig("(a) small batch", /*iterations=*/160, /*batch=*/8,
-                       /*lr=*/0.02, /*momentum=*/0.0);
+  json::Array configs;
+  configs.push_back(RunConfig("(a) small batch", /*iterations=*/160,
+                              /*batch=*/8, /*lr=*/0.02, /*momentum=*/0.0));
   // The paper's (b) regime: large batch and learning rate. Accumulating n
   // micro-gradients multiplies the effective step by ~n, which this lr and
   // momentum cannot absorb.
-  configs += "," + RunConfig("(b) large batch", /*iterations=*/100,
-                             /*batch=*/64, /*lr=*/0.35, /*momentum=*/0.5);
-  configs += "]";
-  report.AddRaw("configs", configs);
+  configs.push_back(RunConfig("(b) large batch", /*iterations=*/100,
+                              /*batch=*/64, /*lr=*/0.35, /*momentum=*/0.5));
+  report.Add("configs", std::move(configs));
   report.Write();
   std::printf("Expected shape: in (a) all cadences converge almost "
               "identically; in (b) aggressive skipping (no_sync_8) leaves a "

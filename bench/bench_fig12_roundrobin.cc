@@ -16,14 +16,13 @@ namespace {
 
 const int kWorlds[] = {1, 2, 4, 8, 16, 24, 32};
 
-std::string RunCombo(const cluster::ModelSpec& spec, sim::Backend backend) {
+json::Value RunCombo(const cluster::ModelSpec& spec, sim::Backend backend) {
   std::printf("%s on %s, median per-iteration latency (sec):\n",
               spec.name.c_str(), sim::BackendName(backend));
   std::vector<std::string> columns;
   for (int world : kWorlds) columns.push_back(std::to_string(world));
   bench::PrintHeader("groups", columns);
-  std::string series = "[";
-  bool first = true;
+  json::Array series;
   for (int groups : {1, 3, 5}) {
     std::vector<double> row;
     for (int world : kWorlds) {
@@ -36,20 +35,14 @@ std::string RunCombo(const cluster::ModelSpec& spec, sim::Backend backend) {
       row.push_back(sim.Run(40).LatencySummary().median);
     }
     bench::PrintSeries("rr" + std::to_string(groups), row);
-    if (!first) series += ',';
-    first = false;
-    series += "{\"groups\":" + std::to_string(groups) +
-              ",\"median_seconds\":[";
-    for (size_t i = 0; i < row.size(); ++i) {
-      if (i) series += ',';
-      series += JsonNumber(row[i]);
-    }
-    series += "]}";
+    series.emplace_back(
+        json::Object{{"groups", groups},
+                     {"median_seconds", json::Array(row.begin(), row.end())}});
   }
-  series += "]";
   std::printf("\n");
-  return "{\"model\":\"" + spec.name + "\",\"backend\":\"" +
-         sim::BackendName(backend) + "\",\"series\":" + series + "}";
+  return json::Object{{"model", spec.name},
+                      {"backend", sim::BackendName(backend)},
+                      {"series", std::move(series)}};
 }
 
 }  // namespace
@@ -57,13 +50,11 @@ std::string RunCombo(const cluster::ModelSpec& spec, sim::Backend backend) {
 int main() {
   bench::Banner("Figure 12", "Round-robin process groups (1-32 GPUs)");
   bench::JsonReport report("fig12_roundrobin");
-  std::string combos = "[";
-  combos += RunCombo(cluster::ResNet50Spec(), sim::Backend::kNccl);
-  combos += "," + RunCombo(cluster::ResNet50Spec(), sim::Backend::kGloo);
-  combos += "," + RunCombo(cluster::BertBaseSpec(), sim::Backend::kNccl);
-  combos += "," + RunCombo(cluster::BertBaseSpec(), sim::Backend::kGloo);
-  combos += "]";
-  report.AddRaw("combos", combos);
+  json::Array combos{RunCombo(cluster::ResNet50Spec(), sim::Backend::kNccl),
+                     RunCombo(cluster::ResNet50Spec(), sim::Backend::kGloo),
+                     RunCombo(cluster::BertBaseSpec(), sim::Backend::kNccl),
+                     RunCombo(cluster::BertBaseSpec(), sim::Backend::kGloo)};
+  report.Add("combos", std::move(combos));
   report.Write();
   std::printf("Expected shape: negligible differences for ResNet50/NCCL "
               "(bandwidth is not the bottleneck); visible rr3 gains for "

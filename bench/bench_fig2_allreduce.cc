@@ -26,7 +26,7 @@ using namespace ddpkit;  // NOLINT
 
 namespace {
 
-std::string RunBackend(sim::Backend backend) {
+json::Value RunBackend(sim::Backend backend) {
   cluster::ClusterConfig config;
   config.world = 2;
   config.backend = backend;
@@ -38,23 +38,19 @@ std::string RunBackend(sim::Backend backend) {
                           3'000'000, 10'000'000, 20'000'000};
   std::printf("%-22s %-12s %-16s\n", "params_per_allreduce", "num_ops",
               "total_time_sec");
-  std::string rows = "[";
-  bool first = true;
+  json::Array rows;
   for (size_t params : sizes) {
     const size_t bytes = params * 4;
     const double total = sim.SplitAllReduceSeconds(kTotalParams * 4, bytes);
     const size_t ops = (kTotalParams + params - 1) / params;
     std::printf("%-22zu %-12zu %-16.5f\n", params, ops, total);
-    if (!first) rows += ',';
-    first = false;
-    rows += "{\"params_per_allreduce\":" + std::to_string(params) +
-            ",\"num_ops\":" + std::to_string(ops) +
-            ",\"total_seconds\":" + JsonNumber(total) + "}";
+    rows.emplace_back(json::Object{{"params_per_allreduce", params},
+                                   {"num_ops", ops},
+                                   {"total_seconds", total}});
   }
-  rows += "]";
   std::printf("\n");
-  return "{\"backend\":\"" + std::string(sim::BackendName(backend)) +
-         "\",\"rows\":" + rows + "}";
+  return json::Object{{"backend", sim::BackendName(backend)},
+                      {"rows", std::move(rows)}};
 }
 
 // ---------------------------------------------------------------------------
@@ -65,7 +61,7 @@ std::string RunBackend(sim::Backend backend) {
 // ---------------------------------------------------------------------------
 
 struct ZooResult {
-  std::string rows_json;
+  json::Array rows;
   double speedup_auto_25mb_8ranks = 0.0;
 };
 
@@ -86,8 +82,6 @@ ZooResult RunZooSweep() {
   };
 
   ZooResult result;
-  result.rows_json = "[";
-  bool first = true;
   for (const int world : worlds) {
     std::printf("world=%d (%s)\n", world,
                 topology.SingleHost(world) ? "single host" : "multi host");
@@ -106,18 +100,14 @@ ZooResult RunZooSweep() {
         std::printf("  %-18s %-12zu %-14.2f %-12.3f %-14.3f\n",
                     sim::CollectiveAlgorithmName(algo), bytes, s * 1e6, gbps,
                     speedup);
-        if (!first) result.rows_json += ',';
-        first = false;
-        result.rows_json +=
-            "{\"algorithm\":\"" +
-            std::string(sim::CollectiveAlgorithmName(algo)) +
-            "\",\"resolved\":\"" +
-            std::string(sim::CollectiveAlgorithmName(resolved)) +
-            "\",\"world\":" + std::to_string(world) +
-            ",\"bytes\":" + std::to_string(bytes) +
-            ",\"ns\":" + JsonNumber(s * 1e9) +
-            ",\"gbps\":" + JsonNumber(gbps) +
-            ",\"speedup_vs_ring\":" + JsonNumber(speedup) + "}";
+        result.rows.emplace_back(
+            json::Object{{"algorithm", sim::CollectiveAlgorithmName(algo)},
+                         {"resolved", sim::CollectiveAlgorithmName(resolved)},
+                         {"world", world},
+                         {"bytes", bytes},
+                         {"ns", s * 1e9},
+                         {"gbps", gbps},
+                         {"speedup_vs_ring", speedup}});
         if (world == 8 && bytes == (25u << 20) &&
             algo == sim::CollectiveAlgorithm::kAuto) {
           result.speedup_auto_25mb_8ranks = speedup;
@@ -126,7 +116,6 @@ ZooResult RunZooSweep() {
     }
     std::printf("\n");
   }
-  result.rows_json += "]";
   return result;
 }
 
@@ -136,17 +125,17 @@ int main() {
   bench::JsonReport report("fig2_allreduce");
   bench::Banner("Figure 2(a)", "NCCL total execution time vs tensor size "
                                "(60M params, 2 GPUs, NVLink)");
-  const std::string nccl = RunBackend(sim::Backend::kNccl);
+  const json::Value nccl = RunBackend(sim::Backend::kNccl);
 
   bench::Banner("Figure 2(b)", "Gloo total execution time vs tensor size "
                                "(60M params, 2 ranks, CPU tensors)");
-  const std::string gloo = RunBackend(sim::Backend::kGloo);
-  report.AddRaw("backends", "[" + nccl + "," + gloo + "]");
+  const json::Value gloo = RunBackend(sim::Backend::kGloo);
+  report.Add("backends", json::Array{nccl, gloo});
 
   bench::Banner("Algorithm zoo", "collective algorithm x message size x "
                                  "world size (NCCL cost model)");
-  const ZooResult zoo = RunZooSweep();
-  report.AddRaw("zoo_sweep", zoo.rows_json);
+  ZooResult zoo = RunZooSweep();
+  report.Add("zoo_sweep", std::move(zoo.rows));
   report.Add("speedup_auto_vs_ring_25mb_8ranks", zoo.speedup_auto_25mb_8ranks);
   report.Write();
 

@@ -18,7 +18,7 @@ using namespace ddpkit;  // NOLINT
 
 namespace {
 
-std::string RunDevice(const sim::ComputeCostModel::Options& profile,
+json::Value RunDevice(const sim::ComputeCostModel::Options& profile,
                       const char* label) {
   const auto spec = cluster::ResNet152Spec();
   std::vector<int64_t> backward_numels;
@@ -49,7 +49,7 @@ std::string RunDevice(const sim::ComputeCostModel::Options& profile,
               "min_sec", "max_sec");
   // Print ~16 evenly spaced sample points.
   const size_t n = backward_numels.size();
-  std::string rows = "[";
+  json::Array rows;
   for (size_t s = 1; s <= 16; ++s) {
     const size_t idx = std::min(n - 1, s * n / 16);
     std::vector<double> at;
@@ -58,15 +58,13 @@ std::string RunDevice(const sim::ComputeCostModel::Options& profile,
     std::printf("%-18lld %-14.4f %-14.4f %-14.4f\n",
                 static_cast<long long>(cumulative[idx]), summary.median,
                 summary.min, summary.max);
-    if (s > 1) rows += ',';
-    rows += "{\"params_ready\":" + std::to_string(cumulative[idx]) +
-            ",\"median_seconds\":" + JsonNumber(summary.median) +
-            ",\"min_seconds\":" + JsonNumber(summary.min) +
-            ",\"max_seconds\":" + JsonNumber(summary.max) + "}";
+    rows.emplace_back(json::Object{{"params_ready", cumulative[idx]},
+                                   {"median_seconds", summary.median},
+                                   {"min_seconds", summary.min},
+                                   {"max_seconds", summary.max}});
   }
-  rows += "]";
   std::printf("\n");
-  return "{\"device\":\"" + std::string(label) + "\",\"rows\":" + rows + "}";
+  return json::Object{{"device", label}, {"rows", std::move(rows)}};
 }
 
 }  // namespace
@@ -75,12 +73,12 @@ int main() {
   bench::JsonReport report("fig2_backward");
   bench::Banner("Figure 2(c)", "GPU backward time vs #ready parameters "
                                "(ResNet152)");
-  const std::string gpu = RunDevice(sim::ComputeCostModel::GpuProfile(), "GPU");
+  const json::Value gpu = RunDevice(sim::ComputeCostModel::GpuProfile(), "GPU");
 
   bench::Banner("Figure 2(d)", "CPU backward time vs #ready parameters "
                                "(ResNet152)");
-  const std::string cpu = RunDevice(sim::ComputeCostModel::CpuProfile(), "CPU");
-  report.AddRaw("devices", "[" + gpu + "," + cpu + "]");
+  const json::Value cpu = RunDevice(sim::ComputeCostModel::CpuProfile(), "CPU");
+  report.Add("devices", json::Array{gpu, cpu});
   report.Write();
 
   std::printf("Expected shape: near-linear growth; full GPU backward "

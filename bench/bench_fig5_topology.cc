@@ -28,24 +28,19 @@ int main() {
   std::printf("\nring bottlenecks by world size:\n");
   std::printf("%-8s %-18s %-14s %-12s\n", "world", "ring_bw_GBps",
               "hop_latency_us", "single_host");
-  std::string rows = "[";
-  bool first = true;
+  json::Array rows;
   for (int world : {2, 4, 8, 16, 32, 64, 256}) {
     std::printf("%-8d %-18.1f %-14.1f %-12s\n", world,
                 topo.RingBandwidth(world) / 1e9,
                 topo.RingHopLatency(world) * 1e6,
                 topo.SingleHost(world) ? "yes" : "no");
-    if (!first) rows += ',';
-    first = false;
-    rows += "{\"world\":" + std::to_string(world) +
-            ",\"ring_bandwidth_bytes_per_second\":" +
-            JsonNumber(topo.RingBandwidth(world)) +
-            ",\"ring_hop_latency_seconds\":" +
-            JsonNumber(topo.RingHopLatency(world)) + ",\"single_host\":" +
-            (topo.SingleHost(world) ? "true" : "false") + "}";
+    rows.emplace_back(json::Object{
+        {"world", world},
+        {"ring_bandwidth_bytes_per_second", topo.RingBandwidth(world)},
+        {"ring_hop_latency_seconds", topo.RingHopLatency(world)},
+        {"single_host", topo.SingleHost(world)}});
   }
-  rows += "]";
-  report.AddRaw("ring_bottlenecks", rows);
+  report.Add("ring_bottlenecks", std::move(rows));
   report.Write();
   std::printf("\nCrossing the host boundary (world > 8) drops the ring to "
               "NIC bandwidth — the paper's recommendation to keep DDP "

@@ -34,7 +34,7 @@ using namespace ddpkit;  // NOLINT
 
 namespace {
 
-std::string RunCombo(const cluster::ModelSpec& spec, sim::Backend backend) {
+json::Value RunCombo(const cluster::ModelSpec& spec, sim::Backend backend) {
   cluster::ClusterConfig config;
   config.world = 32;
   config.backend = backend;
@@ -63,19 +63,18 @@ std::string RunCombo(const cluster::ModelSpec& spec, sim::Backend backend) {
   std::printf("  overlap speedup: %.1f%%\n\n", speedup * 100.0);
 
   auto breakdown_json = [](const cluster::IterationBreakdown& b) {
-    std::string out = "{\"forward\":" + JsonNumber(b.forward);
-    out += ",\"backward_compute\":" + JsonNumber(b.backward_compute);
-    out += ",\"backward_comm_exposed\":" + JsonNumber(b.backward_comm_exposed);
-    out += ",\"optimizer\":" + JsonNumber(b.optimizer);
-    out += ",\"total\":" + JsonNumber(b.total) + "}";
-    return out;
+    return json::Object{{"forward", b.forward},
+                        {"backward_compute", b.backward_compute},
+                        {"backward_comm_exposed", b.backward_comm_exposed},
+                        {"optimizer", b.optimizer},
+                        {"total", b.total}};
   };
-  std::string combo = "{\"model\":\"" + spec.name + "\",\"backend\":\"" +
-                      sim::BackendName(backend) + "\"";
-  combo += ",\"non_overlap\":" + breakdown_json(non_overlap.mean_breakdown);
-  combo += ",\"overlap\":" + breakdown_json(overlap.mean_breakdown);
-  combo += ",\"overlap_speedup\":" + JsonNumber(speedup) + "}";
-  return combo;
+  return json::Object{
+      {"model", spec.name},
+      {"backend", sim::BackendName(backend)},
+      {"non_overlap", breakdown_json(non_overlap.mean_breakdown)},
+      {"overlap", breakdown_json(overlap.mean_breakdown)},
+      {"overlap_speedup", speedup}};
 }
 
 /// The same breakdown measured by the Reducer's own instrumentation: a
@@ -122,8 +121,8 @@ void RunTelemetryPlane(bench::JsonReport* report) {
   }
   std::printf("\n");
 
-  report->AddRaw("telemetry", telemetry->ToJson());
-  report->AddRaw("metrics", metrics->ToJson());
+  report->Add("telemetry", telemetry->ToJson());
+  report->Add("metrics", metrics->ToJson());
 
   // Chrome-trace file with the same iterations: feed it to chrome://tracing
   // or tools/trace_summary for the overlap ratio.
@@ -145,13 +144,11 @@ void RunTelemetryPlane(bench::JsonReport* report) {
 int main() {
   bench::Banner("Figure 6", "Per-iteration latency breakdown (32 GPUs)");
   bench::JsonReport report("fig6_breakdown");
-  std::string combos = "[";
-  combos += RunCombo(cluster::ResNet50Spec(), sim::Backend::kNccl);
-  combos += "," + RunCombo(cluster::BertBaseSpec(), sim::Backend::kNccl);
-  combos += "," + RunCombo(cluster::ResNet50Spec(), sim::Backend::kGloo);
-  combos += "," + RunCombo(cluster::BertBaseSpec(), sim::Backend::kGloo);
-  combos += "]";
-  report.AddRaw("combos", combos);
+  json::Array combos{RunCombo(cluster::ResNet50Spec(), sim::Backend::kNccl),
+                     RunCombo(cluster::BertBaseSpec(), sim::Backend::kNccl),
+                     RunCombo(cluster::ResNet50Spec(), sim::Backend::kGloo),
+                     RunCombo(cluster::BertBaseSpec(), sim::Backend::kGloo)};
+  report.Add("combos", std::move(combos));
 
   RunTelemetryPlane(&report);
   report.Write();

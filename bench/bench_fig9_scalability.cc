@@ -32,29 +32,26 @@ cluster::ClusterConfig SharedEntitlementConfig(int world,
   return config;
 }
 
-std::string RunCombo(const cluster::ModelSpec& spec, sim::Backend backend) {
+json::Value RunCombo(const cluster::ModelSpec& spec, sim::Backend backend) {
   std::printf("%s on %s:\n", spec.name.c_str(), sim::BackendName(backend));
   std::printf("  %-8s %-14s %-14s %-14s\n", "gpus", "median_sec",
               "p25_sec", "p75_sec");
-  std::string rows = "[";
-  bool first = true;
+  json::Array rows;
   for (int world : kWorlds) {
     auto config = SharedEntitlementConfig(world, backend);
     cluster::ClusterSim sim(spec, config);
     auto summary = sim.Run(40).LatencySummary();
     std::printf("  %-8d %-14.4f %-14.4f %-14.4f\n", world, summary.median,
                 summary.p25, summary.p75);
-    if (!first) rows += ',';
-    first = false;
-    rows += "{\"world\":" + std::to_string(world) +
-            ",\"median_seconds\":" + JsonNumber(summary.median) +
-            ",\"p25_seconds\":" + JsonNumber(summary.p25) +
-            ",\"p75_seconds\":" + JsonNumber(summary.p75) + "}";
+    rows.emplace_back(json::Object{{"world", world},
+                                   {"median_seconds", summary.median},
+                                   {"p25_seconds", summary.p25},
+                                   {"p75_seconds", summary.p75}});
   }
-  rows += "]";
   std::printf("\n");
-  return "{\"model\":\"" + spec.name + "\",\"backend\":\"" +
-         sim::BackendName(backend) + "\",\"rows\":" + rows + "}";
+  return json::Object{{"model", spec.name},
+                      {"backend", sim::BackendName(backend)},
+                      {"rows", std::move(rows)}};
 }
 
 }  // namespace
@@ -62,13 +59,11 @@ std::string RunCombo(const cluster::ModelSpec& spec, sim::Backend backend) {
 int main() {
   bench::Banner("Figure 9", "Scalability: per-iteration latency, 1-256 GPUs");
   bench::JsonReport report("fig9_scalability");
-  std::string combos = "[";
-  combos += RunCombo(cluster::ResNet50Spec(), sim::Backend::kNccl);
-  combos += "," + RunCombo(cluster::ResNet50Spec(), sim::Backend::kGloo);
-  combos += "," + RunCombo(cluster::BertBaseSpec(), sim::Backend::kNccl);
-  combos += "," + RunCombo(cluster::BertBaseSpec(), sim::Backend::kGloo);
-  combos += "]";
-  report.AddRaw("combos", combos);
+  json::Array combos{RunCombo(cluster::ResNet50Spec(), sim::Backend::kNccl),
+                     RunCombo(cluster::ResNet50Spec(), sim::Backend::kGloo),
+                     RunCombo(cluster::BertBaseSpec(), sim::Backend::kNccl),
+                     RunCombo(cluster::BertBaseSpec(), sim::Backend::kGloo)};
+  report.Add("combos", std::move(combos));
   report.Write();
   std::printf("Expected shape: latency grows steadily with scale; "
               "ResNet50/NCCL at 256 GPUs ~2x the 1-GPU latency (real "

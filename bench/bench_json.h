@@ -5,16 +5,16 @@
 #include <cstdlib>
 #include <string>
 #include <utility>
-#include <vector>
 
-#include "common/metrics.h"
+#include "common/json.h"
 
 namespace ddpkit::bench {
 
 /// Machine-readable companion to the human-readable bench output: each
-/// bench binary assembles one flat JSON object and writes it to
-/// BENCH_<name>.json, so CI can archive the numbers and plots can be
-/// regenerated without scraping stdout.
+/// bench binary assembles one JSON object, {"bench":<name>} followed by its
+/// fields in Add order, and writes it to BENCH_<name>.json, so CI can
+/// archive the numbers and plots can be regenerated without scraping
+/// stdout.
 ///
 /// Destination, first match wins:
 ///   1. $DDPKIT_BENCH_JSON_PATH          (exact file path)
@@ -22,42 +22,11 @@ namespace ddpkit::bench {
 ///   3. ./BENCH_<name>.json
 class JsonReport {
  public:
-  explicit JsonReport(std::string name) : name_(std::move(name)) {}
+  explicit JsonReport(std::string name)
+      : name_(name), fields_{{"bench", std::move(name)}} {}
 
-  /// Scalar metric (rendered with JsonNumber: finite, compact).
-  void Add(const std::string& key, double value) {
-    fields_.emplace_back(key, JsonNumber(value));
-  }
-
-  void AddInt(const std::string& key, long long value) {
-    fields_.emplace_back(key, std::to_string(value));
-  }
-
-  void AddText(const std::string& key, const std::string& value) {
-    std::string rendered = "\"";
-    AppendJsonEscaped(&rendered, value);
-    rendered += '"';
-    fields_.emplace_back(key, std::move(rendered));
-  }
-
-  /// Pre-rendered JSON value (TelemetryLog::ToJson(),
-  /// MetricsRegistry::ToJson(), hand-built arrays). Trusted verbatim.
-  void AddRaw(const std::string& key, std::string json) {
-    fields_.emplace_back(key, std::move(json));
-  }
-
-  std::string ToJson() const {
-    std::string out = "{\"bench\":\"";
-    AppendJsonEscaped(&out, name_);
-    out += '"';
-    for (const auto& [key, value] : fields_) {
-      out += ",\"";
-      AppendJsonEscaped(&out, key);
-      out += "\":";
-      out += value;
-    }
-    out += '}';
-    return out;
+  void Add(std::string key, json::Value value) {
+    fields_.emplace_back(std::move(key), std::move(value));
   }
 
   std::string OutputPath() const {
@@ -74,23 +43,20 @@ class JsonReport {
   /// failure — benches treat that as a warning, not an abort.
   bool Write() const {
     const std::string path = OutputPath();
-    std::FILE* f = std::fopen(path.c_str(), "wb");
-    if (f == nullptr) {
-      std::printf("[bench_json] cannot open %s for writing\n", path.c_str());
+    const std::string text = json::Serialize(fields_);
+    const Status written = json::WriteFile(path, text);
+    if (!written.ok()) {
+      std::printf("[bench_json] %s\n", written.message().c_str());
       return false;
     }
-    const std::string json = ToJson();
-    const bool ok =
-        std::fwrite(json.data(), 1, json.size(), f) == json.size();
-    std::fclose(f);
     std::printf("[bench_json] wrote %s (%zu bytes)\n", path.c_str(),
-                json.size());
-    return ok;
+                text.size());
+    return true;
   }
 
  private:
   std::string name_;
-  std::vector<std::pair<std::string, std::string>> fields_;
+  json::Object fields_;
 };
 
 }  // namespace ddpkit::bench

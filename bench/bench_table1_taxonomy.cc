@@ -52,28 +52,22 @@ int main() {
   std::printf("%-30s %2s %2s %2s %2s %2s %2s\n", "scheme", "S", "A", "C",
               "I", "D", "M");
   ddpkit::bench::JsonReport report("table1_taxonomy");
-  std::string rows = "[";
-  bool first = true;
+  ddpkit::json::Array rows;
   for (const auto& s : kSolutions) {
     std::printf("%-30s %2s %2s %2s %2s %2s %2s\n", s.name,
                 Mark(s.synchronous), Mark(s.asynchronous),
                 Mark(s.cross_iteration), Mark(s.intra_iteration),
                 Mark(s.data_parallel), Mark(s.model_parallel));
-    if (!first) rows += ',';
-    first = false;
-    std::string row = "{\"scheme\":\"";
-    ddpkit::AppendJsonEscaped(&row, s.name);
-    auto flag = [](bool v) { return v ? "true" : "false"; };
-    row += std::string("\",\"synchronous\":") + flag(s.synchronous) +
-           ",\"asynchronous\":" + flag(s.asynchronous) +
-           ",\"cross_iteration\":" + flag(s.cross_iteration) +
-           ",\"intra_iteration\":" + flag(s.intra_iteration) +
-           ",\"data_parallel\":" + flag(s.data_parallel) +
-           ",\"model_parallel\":" + flag(s.model_parallel) + "}";
-    rows += row;
+    rows.emplace_back(
+        ddpkit::json::Object{{"scheme", s.name},
+                             {"synchronous", s.synchronous},
+                             {"asynchronous", s.asynchronous},
+                             {"cross_iteration", s.cross_iteration},
+                             {"intra_iteration", s.intra_iteration},
+                             {"data_parallel", s.data_parallel},
+                             {"model_parallel", s.model_parallel}});
   }
-  rows += "]";
-  report.AddRaw("solutions", rows);
+  report.Add("solutions", std::move(rows));
   report.Write();
   std::printf("\nddpkit implements the PT DDP row: synchronous, "
               "intra-iteration, data-parallel.\n");

@@ -14,13 +14,12 @@
 
 namespace ddpkit::bench {
 
-inline std::string BucketSweep(int world, const cluster::ModelSpec& spec,
+inline json::Value BucketSweep(int world, const cluster::ModelSpec& spec,
                                sim::Backend backend,
                                const std::vector<size_t>& caps_mb) {
   std::printf("%s on %s (%d GPUs):\n", spec.name.c_str(),
               sim::BackendName(backend), world);
-  std::string rows = "[";
-  bool first = true;
+  json::Array rows;
   for (size_t cap_mb : caps_mb) {
     cluster::ClusterConfig config;
     config.world = world;
@@ -33,17 +32,15 @@ inline std::string BucketSweep(int world, const cluster::ModelSpec& spec,
     auto result = sim.Run(220);
     const Summary s = result.LatencySummary();
     PrintBoxRow(std::to_string(cap_mb) + " MB", s);
-    if (!first) rows += ',';
-    first = false;
-    rows += "{\"bucket_cap_mb\":" + std::to_string(cap_mb) +
-            ",\"median_seconds\":" + JsonNumber(s.median) +
-            ",\"min_seconds\":" + JsonNumber(s.min) +
-            ",\"max_seconds\":" + JsonNumber(s.max) + "}";
+    rows.emplace_back(json::Object{{"bucket_cap_mb", cap_mb},
+                                   {"median_seconds", s.median},
+                                   {"min_seconds", s.min},
+                                   {"max_seconds", s.max}});
   }
-  rows += "]";
   std::printf("\n");
-  return "{\"model\":\"" + spec.name + "\",\"backend\":\"" +
-         sim::BackendName(backend) + "\",\"rows\":" + rows + "}";
+  return json::Object{{"model", spec.name},
+                      {"backend", sim::BackendName(backend)},
+                      {"rows", std::move(rows)}};
 }
 
 inline void RunBucketFigure(const char* figure, int world) {
@@ -51,18 +48,16 @@ inline void RunBucketFigure(const char* figure, int world) {
   const std::vector<size_t> resnet_caps = {0, 5, 10, 25, 50};
   const std::vector<size_t> bert_caps = {0, 5, 10, 25, 50, 100, 200};
   JsonReport report(world == 16 ? "fig7_bucket16" : "fig8_bucket32");
-  std::string combos = "[";
-  combos += BucketSweep(world, cluster::ResNet50Spec(), sim::Backend::kNccl,
-                        resnet_caps);
-  combos += "," + BucketSweep(world, cluster::ResNet50Spec(),
-                              sim::Backend::kGloo, resnet_caps);
-  combos += "," + BucketSweep(world, cluster::BertBaseSpec(),
-                              sim::Backend::kNccl, bert_caps);
-  combos += "," + BucketSweep(world, cluster::BertBaseSpec(),
-                              sim::Backend::kGloo, bert_caps);
-  combos += "]";
-  report.AddInt("world", world);
-  report.AddRaw("combos", combos);
+  report.Add("world", world);
+  report.Add("combos",
+             json::Array{BucketSweep(world, cluster::ResNet50Spec(),
+                                     sim::Backend::kNccl, resnet_caps),
+                         BucketSweep(world, cluster::ResNet50Spec(),
+                                     sim::Backend::kGloo, resnet_caps),
+                         BucketSweep(world, cluster::BertBaseSpec(),
+                                     sim::Backend::kNccl, bert_caps),
+                         BucketSweep(world, cluster::BertBaseSpec(),
+                                     sim::Backend::kGloo, bert_caps)});
   report.Write();
   std::printf("Expected shape: 0 MB (per-gradient AllReduce) is worst; "
               "ResNet50/NCCL optimum near 10-25 MB; BERT/NCCL favors larger "

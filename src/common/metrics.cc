@@ -1,50 +1,10 @@
 #include "common/metrics.h"
 
 #include <algorithm>
-#include <cmath>
-#include <cstdio>
 
 #include "common/stats.h"
 
 namespace ddpkit {
-
-void AppendJsonEscaped(std::string* out, const std::string& s) {
-  for (char c : s) {
-    switch (c) {
-      case '"':
-        *out += "\\\"";
-        break;
-      case '\\':
-        *out += "\\\\";
-        break;
-      case '\n':
-        *out += "\\n";
-        break;
-      case '\t':
-        *out += "\\t";
-        break;
-      case '\r':
-        *out += "\\r";
-        break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof(buf), "\\u%04x",
-                        static_cast<unsigned>(static_cast<unsigned char>(c)));
-          *out += buf;
-        } else {
-          *out += c;
-        }
-    }
-  }
-}
-
-std::string JsonNumber(double value) {
-  if (!std::isfinite(value)) return "0";
-  char buf[32];
-  std::snprintf(buf, sizeof(buf), "%.9g", value);
-  return buf;
-}
 
 void Histogram::Record(double sample) {
   MutexLock lock(&mutex_);
@@ -136,61 +96,44 @@ size_t MetricsRegistry::NumMetrics() const {
   return counters_.size() + gauges_.size() + histograms_.size();
 }
 
-std::string MetricsRegistry::ToJson() const {
-  // Hold the creation lock only to copy the pointer maps; each metric's own
-  // lock serializes against concurrent updates while rendering.
-  std::vector<std::pair<std::string, const Counter*>> counters;
+json::Value MetricsRegistry::ToJson() const {
+  // Hold the creation lock only to read the lock-free counters and copy the
+  // other pointer maps; each gauge's and histogram's own lock serializes
+  // against concurrent updates while rendering.
+  json::Object counters_json;
   std::vector<std::pair<std::string, const Gauge*>> gauges;
   std::vector<std::pair<std::string, const Histogram*>> histograms;
   {
     MutexLock lock(&mutex_);
-    for (const auto& [name, c] : counters_) counters.emplace_back(name, c.get());
+    for (const auto& [name, c] : counters_) {
+      counters_json.emplace_back(name, c->value());
+    }
     for (const auto& [name, g] : gauges_) gauges.emplace_back(name, g.get());
     for (const auto& [name, h] : histograms_) {
       histograms.emplace_back(name, h.get());
     }
   }
 
-  std::string out = "{\"counters\":{";
-  bool first = true;
-  for (const auto& [name, c] : counters) {
-    if (!first) out += ',';
-    first = false;
-    out += '"';
-    AppendJsonEscaped(&out, name);
-    out += "\":" + std::to_string(c->value());
-  }
-  out += "},\"gauges\":{";
-  first = true;
+  json::Object gauges_json;
+  json::Object histograms_json;
   for (const auto& [name, g] : gauges) {
-    if (!first) out += ',';
-    first = false;
-    out += '"';
-    AppendJsonEscaped(&out, name);
-    out += "\":" + JsonNumber(g->value());
+    gauges_json.emplace_back(name, g->value());
   }
-  out += "},\"histograms\":{";
-  first = true;
   for (const auto& [name, h] : histograms) {
-    if (!first) out += ',';
-    first = false;
-    out += '"';
-    AppendJsonEscaped(&out, name);
     // One locked snapshot per histogram: rendering via the individual
     // accessors would take the lock seven times, letting a concurrent
     // Record() tear the view (e.g. count from before a sample, sum from
     // after it).
     const Histogram::Summary s = h->Snapshot();
-    out += "\":{\"count\":" + std::to_string(s.count) +
-           ",\"sum\":" + JsonNumber(s.sum) +
-           ",\"min\":" + JsonNumber(s.min) +
-           ",\"max\":" + JsonNumber(s.max) +
-           ",\"p50\":" + JsonNumber(s.p50) +
-           ",\"p95\":" + JsonNumber(s.p95) +
-           ",\"p99\":" + JsonNumber(s.p99) + "}";
+    histograms_json.emplace_back(
+        name, json::Object{{"count", s.count}, {"sum", s.sum},
+                           {"min", s.min},     {"max", s.max},
+                           {"p50", s.p50},     {"p95", s.p95},
+                           {"p99", s.p99}});
   }
-  out += "}}";
-  return out;
+  return json::Object{{"counters", std::move(counters_json)},
+                      {"gauges", std::move(gauges_json)},
+                      {"histograms", std::move(histograms_json)}};
 }
 
 }  // namespace ddpkit

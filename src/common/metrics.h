@@ -8,20 +8,11 @@
 #include <string>
 #include <vector>
 
+#include "common/json.h"
 #include "common/mutex.h"
 #include "common/thread_annotations.h"
 
 namespace ddpkit {
-
-/// Appends `s` to `*out` with JSON string escaping: quotes, backslashes,
-/// and control characters (< 0x20) become \" \\ \n \t \r or \u00XX. Shared
-/// by the metrics registry, the telemetry records, and the Chrome trace
-/// exporter so every JSON emitter in the codebase survives hostile names.
-void AppendJsonEscaped(std::string* out, const std::string& s);
-
-/// Renders a double for JSON: finite values via %.9g, non-finite as 0 (JSON
-/// has no NaN/Inf literals).
-std::string JsonNumber(double value);
 
 /// Monotonic event count. Lock-free; safe to bump from rank threads.
 class Counter {
@@ -119,7 +110,7 @@ class MetricsRegistry {
 
   /// {"counters":{...},"gauges":{...},"histograms":{name:{count,sum,min,
   /// max,p50,p95,p99}}} — keys sorted (std::map) for stable diffs.
-  std::string ToJson() const;
+  json::Value ToJson() const;
 
   size_t NumMetrics() const;
 

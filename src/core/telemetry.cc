@@ -1,44 +1,33 @@
 #include "core/telemetry.h"
 
-#include <cstdio>
-
-#include "common/metrics.h"
-
 namespace ddpkit::core {
 
-std::string DDPTelemetry::ToJson() const {
-  std::string out = "{";
-  out += "\"iteration\":" + std::to_string(iteration);
-  out += ",\"rank\":" + std::to_string(rank);
-  out += ",\"synced\":";
-  out += synced ? "true" : "false";
-  out += ",\"forward_seconds\":" + JsonNumber(forward_seconds);
-  out += ",\"backward_compute_seconds\":" +
-         JsonNumber(backward_compute_seconds);
-  out += ",\"allreduce_wait_seconds\":" + JsonNumber(allreduce_wait_seconds);
-  out += ",\"overlap_seconds\":" + JsonNumber(overlap_seconds);
-  out += ",\"comm_seconds\":" + JsonNumber(comm_seconds);
-  out += ",\"copy_in_seconds\":" + JsonNumber(copy_in_seconds);
-  out += ",\"copy_out_seconds\":" + JsonNumber(copy_out_seconds);
-  out += ",\"rebuilds\":" + std::to_string(rebuilds);
-  out += ",\"sync_failures\":" + std::to_string(sync_failures);
-  out += ",\"param_compute_seconds\":[";
-  for (size_t i = 0; i < param_compute_seconds.size(); ++i) {
-    if (i) out += ',';
-    out += JsonNumber(param_compute_seconds[i]);
+json::Value DDPTelemetry::ToJson() const {
+  json::Array buckets_json;
+  for (const BucketTelemetry& b : buckets) {
+    buckets_json.emplace_back(
+        json::Object{{"bucket", b.bucket},
+                     {"bytes", b.bytes},
+                     {"launch_seconds", b.launch_seconds},
+                     {"completion_seconds", b.completion_seconds},
+                     {"wait_seconds", b.wait_seconds}});
   }
-  out += "],\"buckets\":[";
-  for (size_t i = 0; i < buckets.size(); ++i) {
-    const BucketTelemetry& b = buckets[i];
-    if (i) out += ',';
-    out += "{\"bucket\":" + std::to_string(b.bucket) +
-           ",\"bytes\":" + std::to_string(b.bytes) +
-           ",\"launch_seconds\":" + JsonNumber(b.launch_seconds) +
-           ",\"completion_seconds\":" + JsonNumber(b.completion_seconds) +
-           ",\"wait_seconds\":" + JsonNumber(b.wait_seconds) + "}";
-  }
-  out += "]}";
-  return out;
+  return json::Object{
+      {"iteration", iteration},
+      {"rank", rank},
+      {"synced", synced},
+      {"forward_seconds", forward_seconds},
+      {"backward_compute_seconds", backward_compute_seconds},
+      {"allreduce_wait_seconds", allreduce_wait_seconds},
+      {"overlap_seconds", overlap_seconds},
+      {"comm_seconds", comm_seconds},
+      {"copy_in_seconds", copy_in_seconds},
+      {"copy_out_seconds", copy_out_seconds},
+      {"rebuilds", rebuilds},
+      {"sync_failures", sync_failures},
+      {"param_compute_seconds", json::Array(param_compute_seconds.begin(),
+                                            param_compute_seconds.end())},
+      {"buckets", std::move(buckets_json)}};
 }
 
 void TelemetryLog::Append(DDPTelemetry record) {
@@ -61,27 +50,16 @@ std::vector<DDPTelemetry> TelemetryLog::snapshot() const {
   return records_;
 }
 
-std::string TelemetryLog::ToJson() const {
-  std::vector<DDPTelemetry> records = snapshot();
-  std::string out = "{\"iterations\":[";
-  for (size_t i = 0; i < records.size(); ++i) {
-    if (i) out += ',';
-    out += records[i].ToJson();
+json::Value TelemetryLog::ToJson() const {
+  json::Array iterations;
+  for (const DDPTelemetry& record : snapshot()) {
+    iterations.push_back(record.ToJson());
   }
-  out += "]}";
-  return out;
+  return json::Object{{"iterations", std::move(iterations)}};
 }
 
 Status TelemetryLog::WriteJson(const std::string& path) const {
-  std::FILE* f = std::fopen(path.c_str(), "wb");
-  if (f == nullptr) {
-    return Status::NotFound("cannot open for writing: " + path);
-  }
-  const std::string json = ToJson();
-  const bool ok = std::fwrite(json.data(), 1, json.size(), f) == json.size();
-  std::fclose(f);
-  if (!ok) return Status::Internal("short write: " + path);
-  return Status::OK();
+  return json::WriteFile(path, json::Serialize(ToJson()));
 }
 
 }  // namespace ddpkit::core

@@ -5,6 +5,7 @@
 #include <string>
 #include <vector>
 
+#include "common/json.h"
 #include "common/mutex.h"
 #include "common/status.h"
 #include "common/thread_annotations.h"
@@ -65,7 +66,7 @@ struct DDPTelemetry {
   uint64_t rebuilds = 0;
   uint64_t sync_failures = 0;
 
-  std::string ToJson() const;
+  json::Value ToJson() const;
 };
 
 /// Append-only per-iteration telemetry trajectory. One instance is shared
@@ -85,9 +86,9 @@ class TelemetryLog {
   std::vector<DDPTelemetry> snapshot() const;
 
   /// {"iterations":[{...},...]} — the BENCH_*.json trajectory format.
-  std::string ToJson() const;
+  json::Value ToJson() const;
 
-  /// Writes ToJson() to `path`.
+  /// Writes Serialize(ToJson()) to `path`.
   Status WriteJson(const std::string& path) const;
 
  private:

@@ -5,6 +5,7 @@
 #include <string>
 #include <vector>
 
+#include "common/json.h"
 #include "common/mutex.h"
 #include "common/status.h"
 #include "common/thread_annotations.h"
@@ -36,8 +37,9 @@ class TraceRecorder {
     double end_seconds = 0.0;
   };
 
-  /// Position of a flow point within its arrow chain.
-  enum class FlowPhase { kStart, kStep, kEnd };
+  /// Position of a flow point within its arrow chain; each value is the
+  /// event's Chrome trace "ph" letter.
+  enum class FlowPhase : char { kStart = 's', kStep = 't', kEnd = 'f' };
 
   struct FlowPoint {
     uint64_t flow_id = 0;
@@ -81,9 +83,9 @@ class TraceRecorder {
 
   /// Chrome trace-event JSON ("X" complete events, "s"/"t"/"f" flow
   /// events, "i" instants; microsecond units, one pseudo-thread per rank).
-  std::string ToChromeTraceJson() const;
+  json::Value ToChromeTraceJson() const;
 
-  /// Writes ToChromeTraceJson() to `path`.
+  /// Writes Serialize(ToChromeTraceJson()) to `path`.
   Status WriteJson(const std::string& path) const;
 
  private:

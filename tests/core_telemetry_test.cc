@@ -35,7 +35,7 @@ TEST(TelemetryRecordTest, ToJsonCarriesEveryField) {
   t.rebuilds = 1;
   t.sync_failures = 2;
 
-  const std::string json = t.ToJson();
+  const std::string json = json::Serialize(t.ToJson());
   EXPECT_NE(json.find("\"iteration\":7"), std::string::npos) << json;
   EXPECT_NE(json.find("\"rank\":2"), std::string::npos) << json;
   EXPECT_NE(json.find("\"synced\":false"), std::string::npos) << json;
@@ -60,7 +60,7 @@ TEST(TelemetryLogTest, AppendSnapshotClear) {
   auto frames = log.snapshot();
   ASSERT_EQ(frames.size(), 2u);
   EXPECT_EQ(frames[1].iteration, 1u);
-  const std::string json = log.ToJson();
+  const std::string json = json::Serialize(log.ToJson());
   EXPECT_NE(json.find("\"iterations\":["), std::string::npos) << json;
   log.Clear();
   EXPECT_EQ(log.size(), 0u);
@@ -188,7 +188,7 @@ TEST(DdpTelemetryTest, FlowArrowsLinkReadyLaunchCompletion) {
   EXPECT_EQ(wire_instants, expected);
 
   // The Chrome export renders every flow phase with a shared id.
-  const std::string json = run.trace->ToChromeTraceJson();
+  const std::string json = json::Serialize(run.trace->ToChromeTraceJson());
   EXPECT_NE(json.find("\"ph\":\"s\""), std::string::npos);
   EXPECT_NE(json.find("\"ph\":\"t\""), std::string::npos);
   EXPECT_NE(json.find("\"ph\":\"f\""), std::string::npos);

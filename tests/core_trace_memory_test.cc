@@ -35,7 +35,7 @@ TEST(TraceRecorderTest, RecordsAndSnapshots) {
 TEST(TraceRecorderTest, ChromeJsonWellFormed) {
   TraceRecorder trace;
   trace.AddSpan("allreduce \"bucket\" 0", "comm", 2, 0.001, 0.002);
-  const std::string json = trace.ToChromeTraceJson();
+  const std::string json = json::Serialize(trace.ToChromeTraceJson());
   EXPECT_NE(json.find("\"traceEvents\""), std::string::npos);
   EXPECT_NE(json.find("\"ph\":\"X\""), std::string::npos);
   EXPECT_NE(json.find("\"tid\":2"), std::string::npos);

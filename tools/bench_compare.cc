@@ -25,6 +25,9 @@
 // unexplained regression through. Waived cells are reported as waived so
 // the regression stays visible in the CI log.
 //
+// A malformed report, a world or bytes that is not an exact int64, or
+// nesting past json::kMaxDepth is an error (exit 1), never a crash.
+//
 // The numbers gated here come from the analytical cost models, not wall
 // clocks, so they are bit-deterministic across machines: any drift is a
 // genuine model change, and the 15% headroom exists only so deliberate
@@ -32,203 +35,16 @@
 
 #include <cctype>
 #include <cstdio>
-#include <fstream>
 #include <map>
 #include <sstream>
 #include <string>
 #include <vector>
 
+#include "common/json.h"
 #include "tool_util.h"
 
 namespace ddpkit::tools {
 namespace {
-
-// ---------------------------------------------------------------------------
-// Minimal JSON reader — just enough for ddpkit's own bench reports
-// (objects, arrays, strings without exotic escapes, numbers, literals).
-// ---------------------------------------------------------------------------
-
-struct JsonValue {
-  enum class Kind { kNull, kBool, kNumber, kString, kArray, kObject };
-  Kind kind = Kind::kNull;
-  bool boolean = false;
-  double number = 0.0;
-  std::string str;
-  std::vector<JsonValue> items;
-  std::vector<std::pair<std::string, JsonValue>> members;
-
-  const JsonValue* Find(const std::string& key) const {
-    for (const auto& [k, v] : members) {
-      if (k == key) return &v;
-    }
-    return nullptr;
-  }
-};
-
-class JsonParser {
- public:
-  explicit JsonParser(const std::string& text) : text_(text) {}
-
-  bool Parse(JsonValue* out) {
-    const bool ok = ParseValue(out);
-    SkipSpace();
-    if (ok && pos_ != text_.size()) {
-      return Fail("trailing characters after document");
-    }
-    return ok;
-  }
-
-  const std::string& error() const { return error_; }
-
- private:
-  bool Fail(const std::string& what) {
-    if (error_.empty()) {
-      error_ = what + " at offset " + std::to_string(pos_);
-    }
-    return false;
-  }
-
-  void SkipSpace() {
-    while (pos_ < text_.size() &&
-           std::isspace(static_cast<unsigned char>(text_[pos_]))) {
-      ++pos_;
-    }
-  }
-
-  bool Consume(char c) {
-    SkipSpace();
-    if (pos_ < text_.size() && text_[pos_] == c) {
-      ++pos_;
-      return true;
-    }
-    return Fail(std::string("expected '") + c + "'");
-  }
-
-  bool ParseValue(JsonValue* out) {
-    SkipSpace();
-    if (pos_ >= text_.size()) return Fail("unexpected end of input");
-    const char c = text_[pos_];
-    if (c == '{') return ParseObject(out);
-    if (c == '[') return ParseArray(out);
-    if (c == '"') return ParseString(&out->str) &&
-                         (out->kind = JsonValue::Kind::kString, true);
-    if (c == 't' || c == 'f') return ParseLiteral(out);
-    if (c == 'n') return ParseLiteral(out);
-    return ParseNumber(out);
-  }
-
-  bool ParseObject(JsonValue* out) {
-    out->kind = JsonValue::Kind::kObject;
-    if (!Consume('{')) return false;
-    SkipSpace();
-    if (pos_ < text_.size() && text_[pos_] == '}') {
-      ++pos_;
-      return true;
-    }
-    while (true) {
-      std::string key;
-      if (!ParseString(&key)) return false;
-      if (!Consume(':')) return false;
-      JsonValue value;
-      if (!ParseValue(&value)) return false;
-      out->members.emplace_back(std::move(key), std::move(value));
-      SkipSpace();
-      if (pos_ < text_.size() && text_[pos_] == ',') {
-        ++pos_;
-        SkipSpace();
-        continue;
-      }
-      return Consume('}');
-    }
-  }
-
-  bool ParseArray(JsonValue* out) {
-    out->kind = JsonValue::Kind::kArray;
-    if (!Consume('[')) return false;
-    SkipSpace();
-    if (pos_ < text_.size() && text_[pos_] == ']') {
-      ++pos_;
-      return true;
-    }
-    while (true) {
-      JsonValue value;
-      if (!ParseValue(&value)) return false;
-      out->items.push_back(std::move(value));
-      SkipSpace();
-      if (pos_ < text_.size() && text_[pos_] == ',') {
-        ++pos_;
-        continue;
-      }
-      return Consume(']');
-    }
-  }
-
-  bool ParseString(std::string* out) {
-    SkipSpace();
-    if (pos_ >= text_.size() || text_[pos_] != '"') {
-      return Fail("expected string");
-    }
-    ++pos_;
-    out->clear();
-    while (pos_ < text_.size() && text_[pos_] != '"') {
-      char c = text_[pos_++];
-      if (c == '\\' && pos_ < text_.size()) {
-        const char esc = text_[pos_++];
-        switch (esc) {
-          case 'n': c = '\n'; break;
-          case 't': c = '\t'; break;
-          default: c = esc; break;  // \" \\ \/ and friends
-        }
-      }
-      out->push_back(c);
-    }
-    if (pos_ >= text_.size()) return Fail("unterminated string");
-    ++pos_;  // closing quote
-    return true;
-  }
-
-  bool ParseLiteral(JsonValue* out) {
-    static const struct {
-      const char* word;
-      JsonValue::Kind kind;
-      bool boolean;
-    } kLiterals[] = {{"true", JsonValue::Kind::kBool, true},
-                     {"false", JsonValue::Kind::kBool, false},
-                     {"null", JsonValue::Kind::kNull, false}};
-    for (const auto& lit : kLiterals) {
-      const size_t len = std::string(lit.word).size();
-      if (text_.compare(pos_, len, lit.word) == 0) {
-        pos_ += len;
-        out->kind = lit.kind;
-        out->boolean = lit.boolean;
-        return true;
-      }
-    }
-    return Fail("unrecognized literal");
-  }
-
-  bool ParseNumber(JsonValue* out) {
-    const size_t start = pos_;
-    while (pos_ < text_.size() &&
-           (std::isdigit(static_cast<unsigned char>(text_[pos_])) ||
-            text_[pos_] == '-' || text_[pos_] == '+' || text_[pos_] == '.' ||
-            text_[pos_] == 'e' || text_[pos_] == 'E')) {
-      ++pos_;
-    }
-    if (pos_ == start) return Fail("expected value");
-    try {
-      out->number = std::stod(text_.substr(start, pos_ - start));
-    } catch (...) {
-      return Fail("malformed number");
-    }
-    out->kind = JsonValue::Kind::kNumber;
-    return true;
-  }
-
-  const std::string& text_;
-  size_t pos_ = 0;
-  std::string error_;
-};
 
 // ---------------------------------------------------------------------------
 // Report model: cell-id -> modeled ns, extracted from "zoo_sweep".
@@ -236,32 +52,29 @@ class JsonParser {
 
 bool ExtractCells(const std::string& json_text, const std::string& label,
                   std::map<std::string, double>* cells, std::string* error) {
-  JsonValue root;
-  JsonParser parser(json_text);
-  if (!parser.Parse(&root)) {
-    *error = label + ": JSON parse error: " + parser.error();
+  const Result<json::Value> root = json::Parse(json_text);
+  if (!root.ok()) {
+    *error = label + ": " + root.status().message();
     return false;
   }
-  const JsonValue* sweep = root.Find("zoo_sweep");
-  if (sweep == nullptr || sweep->kind != JsonValue::Kind::kArray) {
+  const json::Value& sweep = root.value()["zoo_sweep"];
+  if (sweep.kind() != json::Value::Kind::kArray) {
     *error = label + ": no \"zoo_sweep\" array in report";
     return false;
   }
-  for (const JsonValue& row : sweep->items) {
-    const JsonValue* algo = row.Find("algorithm");
-    const JsonValue* world = row.Find("world");
-    const JsonValue* bytes = row.Find("bytes");
-    const JsonValue* ns = row.Find("ns");
-    if (algo == nullptr || world == nullptr || bytes == nullptr ||
-        ns == nullptr || algo->kind != JsonValue::Kind::kString ||
-        ns->kind != JsonValue::Kind::kNumber) {
-      *error = label + ": zoo_sweep row missing algorithm/world/bytes/ns";
+  for (const json::Value& row : sweep.items()) {
+    const json::Value& algo = row["algorithm"];
+    const Result<int64_t> world = row["world"].AsInt();
+    const Result<int64_t> bytes = row["bytes"].AsInt();
+    if (algo.kind() != json::Value::Kind::kString || !world.ok() ||
+        !bytes.ok() || !row["ns"].is_number()) {
+      *error = label + ": zoo_sweep row needs algorithm, integer world and " +
+               "bytes, and ns: " + json::Serialize(row);
       return false;
     }
-    const std::string id =
-        algo->str + "/w" + std::to_string(static_cast<long long>(world->number)) +
-        "/b" + std::to_string(static_cast<long long>(bytes->number));
-    (*cells)[id] = ns->number;
+    const std::string id = algo.str() + "/w" + std::to_string(world.value()) +
+                           "/b" + std::to_string(bytes.value());
+    (*cells)[id] = row["ns"].number();
   }
   if (cells->empty()) {
     *error = label + ": zoo_sweep is empty";
@@ -379,42 +192,25 @@ CompareResult CompareReports(const std::string& baseline_json,
   return result;
 }
 
-std::string ReadFile(const std::string& path, std::string* error) {
-  std::ifstream in(path, std::ios::binary);
-  if (!in) {
-    *error = "cannot read " + path;
-    return "";
-  }
-  std::ostringstream buf;
-  buf << in.rdbuf();
-  return buf.str();
-}
-
 int RunCompare(const ToolArgs& args) {
-  std::string error;
-  const std::string baseline = ReadFile(args.positional[0], &error);
-  if (!error.empty()) {
-    std::fprintf(stderr, "bench_compare: %s\n", error.c_str());
-    return 1;
-  }
-  const std::string candidate = ReadFile(args.positional[1], &error);
-  if (!error.empty()) {
-    std::fprintf(stderr, "bench_compare: %s\n", error.c_str());
-    return 1;
-  }
-  std::string waivers_text;
-  const std::string waivers_path = args.FlagValue("waivers");
-  if (!waivers_path.empty()) {
-    waivers_text = ReadFile(waivers_path, &error);
-    if (!error.empty()) {
-      std::fprintf(stderr, "bench_compare: %s\n", error.c_str());
+  // Baseline, candidate and the optional waivers file.
+  const std::string paths[] = {args.positional[0], args.positional[1],
+                               args.FlagValue("waivers")};
+  std::string texts[3];
+  for (int i = 0; i < 3; ++i) {
+    if (paths[i].empty()) continue;
+    Result<std::string> text = json::ReadFile(paths[i]);
+    if (!text.ok()) {
+      std::fprintf(stderr, "bench_compare: %s\n",
+                   text.status().message().c_str());
       return 1;
     }
+    texts[i] = std::move(text).value();
   }
   const double threshold = std::stod(args.FlagValue("threshold", "1.15"));
 
   const CompareResult result =
-      CompareReports(baseline, candidate, threshold, waivers_text);
+      CompareReports(texts[0], texts[1], threshold, texts[2]);
   if (!result.error.empty()) {
     std::fprintf(stderr, "bench_compare: %s\n", result.error.c_str());
     return 1;
@@ -434,21 +230,23 @@ int RunCompare(const ToolArgs& args) {
 // Selftest: embedded documents through the same comparison path.
 // ---------------------------------------------------------------------------
 
-std::string Report(const std::string& rows) {
-  return "{\"bench\":\"fig2_allreduce\",\"zoo_sweep\":[" + rows + "]}";
+std::string Report(json::Array rows) {
+  return json::Serialize(json::Object{{"bench", "fig2_allreduce"},
+                                      {"zoo_sweep", std::move(rows)}});
 }
 
-std::string Cell(const std::string& algo, int world, long bytes, double ns) {
-  return "{\"algorithm\":\"" + algo + "\",\"resolved\":\"" + algo +
-         "\",\"world\":" + std::to_string(world) +
-         ",\"bytes\":" + std::to_string(bytes) +
-         ",\"ns\":" + std::to_string(ns) + ",\"gbps\":1.0}";
+json::Value Cell(const std::string& algo, int world, long bytes, double ns) {
+  return json::Object{{"algorithm", algo}, {"resolved", algo},
+                      {"world", world},    {"bytes", bytes},
+                      {"ns", ns},          {"gbps", 1.0}};
 }
 
 int RunSelftest(const ToolArgs&) {
-  const std::string base =
-      Report(Cell("ring", 8, 1048576, 1000.0) + "," +
-             Cell("auto", 8, 1048576, 600.0));
+  const std::string base = Report(
+      {Cell("ring", 8, 1048576, 1000.0), Cell("auto", 8, 1048576, 600.0)});
+  // The ring cell 30% slower than in `base`.
+  const std::string slow = Report(
+      {Cell("ring", 8, 1048576, 1300.0), Cell("auto", 8, 1048576, 600.0)});
   int failed = 0;
   const auto check = [&failed](const char* name, bool ok) {
     std::printf("  %-44s %s\n", name, ok ? "ok" : "FAILED");
@@ -461,14 +259,12 @@ int RunSelftest(const ToolArgs&) {
                                         r.regressions == 0 && r.error.empty());
   }
   {
-    const std::string cand = Report(Cell("ring", 8, 1048576, 1300.0) + "," +
-                                    Cell("auto", 8, 1048576, 600.0));
-    const CompareResult r = CompareReports(base, cand, 1.15, "");
+    const CompareResult r = CompareReports(base, slow, 1.15, "");
     check("30% regression fails", !r.ok && r.regressions == 1);
   }
   {
-    const std::string cand = Report(Cell("ring", 8, 1048576, 1100.0) + "," +
-                                    Cell("auto", 8, 1048576, 600.0));
+    const std::string cand = Report(
+        {Cell("ring", 8, 1048576, 1100.0), Cell("auto", 8, 1048576, 600.0)});
     const CompareResult r = CompareReports(base, cand, 1.15, "");
     check("10% drift stays inside headroom", r.ok && r.regressions == 0);
     const CompareResult tight = CompareReports(base, cand, 1.05, "");
@@ -476,38 +272,33 @@ int RunSelftest(const ToolArgs&) {
                                                tight.regressions == 1);
   }
   {
-    const std::string cand = Report(Cell("ring", 8, 1048576, 1300.0) + "," +
-                                    Cell("auto", 8, 1048576, 600.0));
     const CompareResult r = CompareReports(
-        base, cand, 1.15,
+        base, slow, 1.15,
         "# retuned latency constants for the v2 NIC model\n"
         "allow(ring/w8/b1048576) deliberate retune, see DESIGN.md §10\n");
     check("waiver with reason passes", r.ok && r.waived == 1 &&
                                            r.regressions == 0);
   }
   {
-    const std::string cand = Report(Cell("ring", 8, 1048576, 1300.0) + "," +
-                                    Cell("auto", 8, 1048576, 600.0));
     const CompareResult r =
-        CompareReports(base, cand, 1.15, "allow(ring/w8/b1048576)\n");
+        CompareReports(base, slow, 1.15, "allow(ring/w8/b1048576)\n");
     check("waiver without reason is rejected", !r.ok && !r.error.empty());
   }
   {
-    const std::string cand = Report(Cell("auto", 8, 1048576, 600.0));
+    const std::string cand = Report({Cell("auto", 8, 1048576, 600.0)});
     const CompareResult r = CompareReports(base, cand, 1.15, "");
     check("missing baseline cell fails", !r.ok && r.missing == 1);
   }
   {
-    const std::string cand =
-        Report(Cell("ring", 8, 1048576, 1000.0) + "," +
-               Cell("auto", 8, 1048576, 600.0) + "," +
-               Cell("hierarchical", 32, 1048576, 400.0));
+    const std::string cand = Report({Cell("ring", 8, 1048576, 1000.0),
+                                     Cell("auto", 8, 1048576, 600.0),
+                                     Cell("hierarchical", 32, 1048576, 400.0)});
     const CompareResult r = CompareReports(base, cand, 1.15, "");
     check("new candidate cells never fail", r.ok && r.added == 1);
   }
   {
-    const std::string cand = Report(Cell("ring", 8, 1048576, 500.0) + "," +
-                                    Cell("auto", 8, 1048576, 300.0));
+    const std::string cand = Report(
+        {Cell("ring", 8, 1048576, 500.0), Cell("auto", 8, 1048576, 300.0)});
     const CompareResult r = CompareReports(base, cand, 1.15, "");
     check("improvements pass without a baseline refresh", r.ok);
   }
@@ -519,6 +310,22 @@ int RunSelftest(const ToolArgs&) {
     const CompareResult r =
         CompareReports("{\"zoo_sweep\":[]}", base, 1.15, "");
     check("empty sweep is an error", !r.ok && !r.error.empty());
+  }
+  {
+    // Hostile candidates: each must be a typed error, never a crash and
+    // never a nearby valid number.
+    const auto rejected = [&base](const std::string& cand) {
+      const CompareResult r = CompareReports(base, cand, 1.15, "");
+      return !r.ok && !r.error.empty();
+    };
+    const std::string row =
+        "{\"zoo_sweep\":[{\"algorithm\":\"ring\",\"bytes\":1048576,";
+    check("malformed number is an error",
+          rejected(row + "\"world\":8,\"ns\":1-2}]}"));
+    check("world of 1e300 is an error",
+          rejected(row + "\"world\":1e300,\"ns\":1000}]}"));
+    check("nesting past the cap is an error",
+          rejected("{\"zoo_sweep\":" + std::string(1000000, '[')));
   }
 
   std::printf("bench_compare selftest: %d failed\n", failed);

@@ -10,219 +10,34 @@
 // Also counts flow arrows (grad-ready -> launch -> completion) and frame
 // markers so a truncated or mis-written trace is visible at a glance.
 //
+// Malformed input (a bad number, nesting past json::kMaxDepth, a tid that
+// is not an int64) is a message and exit 1, never a crash or a misread.
+//
 // Usage:
 //   trace_summary <trace.json>
-//   trace_summary --selftest [scratch.json]   # write + verify a known trace
+//   trace_summary --selftest [scratch.json]   # write + verify known traces
 //
 // Exit status is 0 on success, 1 on parse/verification failure, so the
 // selftest doubles as a ctest entry.
 
 #include <algorithm>
-#include <cctype>
 #include <cmath>
+#include <cstdint>
 #include <cstdio>
-#include <fstream>
 #include <map>
 #include <sstream>
 #include <string>
 #include <vector>
 
+#include "common/json.h"
 #include "core/trace.h"
 #include "tool_util.h"
 
 namespace {
 
-// ---------------------------------------------------------------------------
-// Minimal JSON reader. Chrome trace files are flat and machine-written; this
-// parser supports the full value grammar (objects, arrays, strings with
-// escapes, numbers, true/false/null) but keeps only what the summary needs.
-// ---------------------------------------------------------------------------
-
-struct JsonValue {
-  enum class Kind { kNull, kBool, kNumber, kString, kArray, kObject };
-  Kind kind = Kind::kNull;
-  bool boolean = false;
-  double number = 0.0;
-  std::string text;
-  std::vector<JsonValue> items;                       // kArray
-  std::vector<std::pair<std::string, JsonValue>> fields;  // kObject
-
-  const JsonValue* Find(const std::string& key) const {
-    for (const auto& [k, v] : fields) {
-      if (k == key) return &v;
-    }
-    return nullptr;
-  }
-};
-
-class JsonParser {
- public:
-  explicit JsonParser(const std::string& input) : input_(input) {}
-
-  bool Parse(JsonValue* out, std::string* error) {
-    const bool ok = Value(out) && (SkipWs(), pos_ == input_.size());
-    if (!ok && error != nullptr) {
-      *error = "JSON parse error near byte " + std::to_string(pos_);
-    }
-    return ok;
-  }
-
- private:
-  void SkipWs() {
-    while (pos_ < input_.size() &&
-           std::isspace(static_cast<unsigned char>(input_[pos_]))) {
-      ++pos_;
-    }
-  }
-
-  bool Literal(const char* word, JsonValue* out, JsonValue::Kind kind,
-               bool value) {
-    const size_t len = std::string(word).size();
-    if (input_.compare(pos_, len, word) != 0) return false;
-    pos_ += len;
-    out->kind = kind;
-    out->boolean = value;
-    return true;
-  }
-
-  bool String(std::string* out) {
-    if (pos_ >= input_.size() || input_[pos_] != '"') return false;
-    ++pos_;
-    out->clear();
-    while (pos_ < input_.size()) {
-      const char c = input_[pos_++];
-      if (c == '"') return true;
-      if (c != '\\') {
-        out->push_back(c);
-        continue;
-      }
-      if (pos_ >= input_.size()) return false;
-      const char esc = input_[pos_++];
-      switch (esc) {
-        case '"': out->push_back('"'); break;
-        case '\\': out->push_back('\\'); break;
-        case '/': out->push_back('/'); break;
-        case 'b': out->push_back('\b'); break;
-        case 'f': out->push_back('\f'); break;
-        case 'n': out->push_back('\n'); break;
-        case 'r': out->push_back('\r'); break;
-        case 't': out->push_back('\t'); break;
-        case 'u': {
-          if (pos_ + 4 > input_.size()) return false;
-          unsigned code = 0;
-          for (int i = 0; i < 4; ++i) {
-            const char h = input_[pos_++];
-            code <<= 4;
-            if (h >= '0' && h <= '9') code |= static_cast<unsigned>(h - '0');
-            else if (h >= 'a' && h <= 'f') code |= static_cast<unsigned>(h - 'a' + 10);
-            else if (h >= 'A' && h <= 'F') code |= static_cast<unsigned>(h - 'A' + 10);
-            else return false;
-          }
-          // Summary output never prints names, so a lossy single-byte fold
-          // of non-ASCII escapes is acceptable here.
-          out->push_back(code < 0x80 ? static_cast<char>(code) : '?');
-          break;
-        }
-        default: return false;
-      }
-    }
-    return false;  // unterminated
-  }
-
-  bool Number(JsonValue* out) {
-    const size_t start = pos_;
-    if (pos_ < input_.size() && (input_[pos_] == '-' || input_[pos_] == '+')) {
-      ++pos_;
-    }
-    while (pos_ < input_.size() &&
-           (std::isdigit(static_cast<unsigned char>(input_[pos_])) ||
-            input_[pos_] == '.' || input_[pos_] == 'e' || input_[pos_] == 'E' ||
-            input_[pos_] == '+' || input_[pos_] == '-')) {
-      ++pos_;
-    }
-    if (pos_ == start) return false;
-    try {
-      out->number = std::stod(input_.substr(start, pos_ - start));
-    } catch (...) {
-      return false;
-    }
-    out->kind = JsonValue::Kind::kNumber;
-    return true;
-  }
-
-  bool Value(JsonValue* out) {
-    SkipWs();
-    if (pos_ >= input_.size()) return false;
-    const char c = input_[pos_];
-    if (c == '"') {
-      out->kind = JsonValue::Kind::kString;
-      return String(&out->text);
-    }
-    if (c == 't') return Literal("true", out, JsonValue::Kind::kBool, true);
-    if (c == 'f') return Literal("false", out, JsonValue::Kind::kBool, false);
-    if (c == 'n') return Literal("null", out, JsonValue::Kind::kNull, false);
-    if (c == '[') {
-      ++pos_;
-      out->kind = JsonValue::Kind::kArray;
-      SkipWs();
-      if (pos_ < input_.size() && input_[pos_] == ']') {
-        ++pos_;
-        return true;
-      }
-      while (true) {
-        JsonValue item;
-        if (!Value(&item)) return false;
-        out->items.push_back(std::move(item));
-        SkipWs();
-        if (pos_ >= input_.size()) return false;
-        if (input_[pos_] == ',') {
-          ++pos_;
-          continue;
-        }
-        if (input_[pos_] == ']') {
-          ++pos_;
-          return true;
-        }
-        return false;
-      }
-    }
-    if (c == '{') {
-      ++pos_;
-      out->kind = JsonValue::Kind::kObject;
-      SkipWs();
-      if (pos_ < input_.size() && input_[pos_] == '}') {
-        ++pos_;
-        return true;
-      }
-      while (true) {
-        SkipWs();
-        std::string key;
-        if (!String(&key)) return false;
-        SkipWs();
-        if (pos_ >= input_.size() || input_[pos_] != ':') return false;
-        ++pos_;
-        JsonValue value;
-        if (!Value(&value)) return false;
-        out->fields.emplace_back(std::move(key), std::move(value));
-        SkipWs();
-        if (pos_ >= input_.size()) return false;
-        if (input_[pos_] == ',') {
-          ++pos_;
-          continue;
-        }
-        if (input_[pos_] == '}') {
-          ++pos_;
-          return true;
-        }
-        return false;
-      }
-    }
-    return Number(out);
-  }
-
-  const std::string& input_;
-  size_t pos_ = 0;
-};
+namespace json = ddpkit::json;
+using ddpkit::Result;
+using ddpkit::core::TraceRecorder;
 
 // ---------------------------------------------------------------------------
 // Interval arithmetic over microsecond spans.
@@ -281,41 +96,39 @@ struct RankSummary {
   int frames = 0;
 };
 
-bool Summarize(const JsonValue& root, std::string* error,
-               std::map<int, RankSummary>* out) {
-  const JsonValue* events = root.Find("traceEvents");
-  if (events == nullptr || events->kind != JsonValue::Kind::kArray) {
+bool Summarize(const json::Value& root, std::string* error,
+               std::map<int64_t, RankSummary>* out) {
+  using Kind = json::Value::Kind;
+  if (root["traceEvents"].kind() != Kind::kArray) {
     *error = "no traceEvents array at top level";
     return false;
   }
-  for (const JsonValue& ev : events->items) {
-    if (ev.kind != JsonValue::Kind::kObject) continue;
-    const JsonValue* ph = ev.Find("ph");
-    const JsonValue* tid = ev.Find("tid");
-    if (ph == nullptr || ph->kind != JsonValue::Kind::kString ||
-        tid == nullptr) {
+  for (const json::Value& ev : root["traceEvents"].items()) {
+    const std::string& ph = ev["ph"].str();
+    if (ev["ph"].kind() != Kind::kString || ev["tid"].kind() == Kind::kNull) {
       continue;
     }
-    RankSummary& rank = (*out)[static_cast<int>(tid->number)];
-    const JsonValue* cat = ev.Find("cat");
-    const std::string category =
-        cat != nullptr && cat->kind == JsonValue::Kind::kString ? cat->text
-                                                                : "";
-    if (ph->text == "X") {
-      const JsonValue* ts = ev.Find("ts");
-      const JsonValue* dur = ev.Find("dur");
-      if (ts == nullptr || dur == nullptr) continue;
-      const Interval iv{ts->number, ts->number + dur->number};
+    const Result<int64_t> tid = ev["tid"].AsInt();
+    if (!tid.ok()) {
+      *error = "tid: " + tid.status().message();
+      return false;
+    }
+    RankSummary& rank = (*out)[tid.value()];
+    const std::string& category = ev["cat"].str();
+    if (ph == "X") {
+      if (!ev["ts"].is_number() || !ev["dur"].is_number()) continue;
+      const double ts = ev["ts"].number();
+      const Interval iv{ts, ts + ev["dur"].number()};
       if (category == "backward") rank.backward.push_back(iv);
       else if (category == "comm") rank.comm.push_back(iv);
       else if (category == "forward") rank.forward.push_back(iv);
-    } else if (ph->text == "s") {
+    } else if (ph == "s") {
       ++rank.flow_starts;
-    } else if (ph->text == "t") {
+    } else if (ph == "t") {
       ++rank.flow_steps;
-    } else if (ph->text == "f") {
+    } else if (ph == "f") {
       ++rank.flow_ends;
-    } else if (ph->text == "i" && category == "frame") {
+    } else if (ph == "i" && category == "frame") {
       ++rank.frames;
     }
   }
@@ -326,7 +139,7 @@ bool Summarize(const JsonValue& root, std::string* error,
   return true;
 }
 
-void PrintSummary(const std::map<int, RankSummary>& ranks) {
+void PrintSummary(const std::map<int64_t, RankSummary>& ranks) {
   std::printf("%-6s %-12s %-12s %-12s %-12s %-8s %-16s %-7s\n", "rank",
               "forward_ms", "backward_ms", "comm_ms", "overlap_ms", "ratio",
               "flows(s/t/f)", "frames");
@@ -339,8 +152,9 @@ void PrintSummary(const std::map<int, RankSummary>& ranks) {
     const double ratio = comm_us > 0.0 ? overlap_us / comm_us : 0.0;
     std::ostringstream flows;
     flows << s.flow_starts << "/" << s.flow_steps << "/" << s.flow_ends;
-    std::printf("%-6d %-12.3f %-12.3f %-12.3f %-12.3f %-8.3f %-16s %-7d\n",
-                rank, TotalLength(UnionIntervals(s.forward)) * 1e-3,
+    std::printf("%-6lld %-12.3f %-12.3f %-12.3f %-12.3f %-8.3f %-16s %-7d\n",
+                static_cast<long long>(rank),
+                TotalLength(UnionIntervals(s.forward)) * 1e-3,
                 backward_us * 1e-3, comm_us * 1e-3, overlap_us * 1e-3, ratio,
                 flows.str().c_str(), s.frames);
   }
@@ -350,20 +164,12 @@ void PrintSummary(const std::map<int, RankSummary>& ranks) {
 }
 
 bool SummarizeFile(const std::string& path,
-                   std::map<int, RankSummary>* ranks) {
-  std::ifstream in(path, std::ios::binary);
-  if (!in) {
-    std::fprintf(stderr, "trace_summary: cannot open %s\n", path.c_str());
-    return false;
-  }
-  std::ostringstream buffer;
-  buffer << in.rdbuf();
-  const std::string text = buffer.str();
-
-  JsonValue root;
-  std::string error;
-  JsonParser parser(text);
-  if (!parser.Parse(&root, &error) || !Summarize(root, &error, ranks)) {
+                   std::map<int64_t, RankSummary>* ranks) {
+  const Result<std::string> text = json::ReadFile(path);
+  const Result<json::Value> root =
+      text.ok() ? json::Parse(text.value()) : text.status();
+  std::string error = root.status().message();
+  if (!root.ok() || !Summarize(root.value(), &error, ranks)) {
     std::fprintf(stderr, "trace_summary: %s: %s\n", path.c_str(),
                  error.c_str());
     return false;
@@ -371,22 +177,27 @@ bool SummarizeFile(const std::string& path,
   return true;
 }
 
-// Writes a trace with a known answer and checks the pipeline end to end:
-// backward occupies [0ms, 10ms], comm occupies [5ms, 15ms], so the overlap
-// is 5ms and the ratio must come out exactly 0.5.
+// Writes a trace with known answers and checks the pipeline end to end.
 int SelfTest(const std::string& path) {
-  ddpkit::core::TraceRecorder trace;
+  TraceRecorder trace;
+  // Rank 0: backward occupies [0ms, 10ms] and comm [5ms, 15ms], so the
+  // overlap is 5ms and the ratio must come out exactly 0.5.
   trace.AddSpan("forward", "forward", 0, 0.000, 0.002);
   trace.AddSpan("grad 0", "backward", 0, 0.000, 0.006);
   trace.AddSpan("grad 1", "backward", 0, 0.004, 0.010);
   trace.AddSpan("allreduce bucket 0", "comm", 0, 0.005, 0.015);
-  trace.AddFlowPoint(1, ddpkit::core::TraceRecorder::FlowPhase::kStart,
+  trace.AddFlowPoint(1, TraceRecorder::FlowPhase::kStart,
                      "bucket 0 grads ready", "flow", 0, 0.005);
-  trace.AddFlowPoint(1, ddpkit::core::TraceRecorder::FlowPhase::kStep,
-                     "bucket 0 launch", "flow", 0, 0.005);
-  trace.AddFlowPoint(1, ddpkit::core::TraceRecorder::FlowPhase::kEnd,
-                     "bucket 0 complete", "flow", 0, 0.015);
+  trace.AddFlowPoint(1, TraceRecorder::FlowPhase::kStep, "bucket 0 launch",
+                     "flow", 0, 0.005);
+  trace.AddFlowPoint(1, TraceRecorder::FlowPhase::kEnd, "bucket 0 complete",
+                     "flow", 0, 0.015);
   trace.AddInstant("iteration 0", "frame", 0, 0.015);
+  // Rank 1, twelve seconds into a run: backward [12.345678, 12.345978] s
+  // and comm [12.3458, 12.3461] s overlap by 0.178 of 0.3 ms. Timestamps
+  // cut to six significant digits (100 us here) read 0.2 ms, ratio 0.667.
+  trace.AddSpan("grad 0", "backward", 1, 12.345678, 12.345978);
+  trace.AddSpan("allreduce bucket 0", "comm", 1, 12.3458, 12.3461);
   const ddpkit::Status written = trace.WriteJson(path);
   if (!written.ok()) {
     std::fprintf(stderr, "trace_summary selftest: %s\n",
@@ -394,21 +205,26 @@ int SelfTest(const std::string& path) {
     return 1;
   }
 
-  std::map<int, RankSummary> ranks;
+  std::map<int64_t, RankSummary> ranks;
   if (!SummarizeFile(path, &ranks)) return 1;
   PrintSummary(ranks);
 
+  const auto check = [&ranks](int rank, double backward_us, double ratio) {
+    const auto backward = UnionIntervals(ranks[rank].backward);
+    const auto comm = UnionIntervals(ranks[rank].comm);
+    const double got = IntersectionLength(backward, comm) / TotalLength(comm);
+    const bool ok = std::fabs(got - ratio) < 1e-9 &&
+                    std::fabs(TotalLength(backward) - backward_us) < 1e-6;
+    std::printf("selftest rank %d %s (ratio %.6f, expected %.6f)\n", rank,
+                ok ? "PASSED" : "FAILED", got, ratio);
+    return ok;
+  };
   const RankSummary& s = ranks[0];
-  const auto backward = UnionIntervals(s.backward);
-  const auto comm = UnionIntervals(s.comm);
-  const double ratio = IntersectionLength(backward, comm) / TotalLength(comm);
-  const bool ok = std::fabs(ratio - 0.5) < 1e-9 &&
-                  std::fabs(TotalLength(backward) - 10000.0) < 1e-6 &&
-                  s.flow_starts == 1 && s.flow_steps == 1 &&
-                  s.flow_ends == 1 && s.frames == 1;
-  std::printf("selftest %s (ratio %.6f, expected 0.5)\n",
-              ok ? "PASSED" : "FAILED", ratio);
-  return ok ? 0 : 1;
+  const bool flows_ok = s.flow_starts == 1 && s.flow_steps == 1 &&
+                        s.flow_ends == 1 && s.frames == 1;
+  const bool early_ok = check(0, 10000.0, 0.5);
+  const bool late_ok = check(1, 300.0, 0.178 / 0.3);
+  return flows_ok && early_ok && late_ok ? 0 : 1;
 }
 
 }  // namespace
@@ -419,7 +235,7 @@ int main(int argc, char** argv) {
   spec.min_positional = 1;
   spec.max_positional = 1;
   spec.run = [](const ddpkit::tools::ToolArgs& args) {
-    std::map<int, RankSummary> ranks;
+    std::map<int64_t, RankSummary> ranks;
     if (!SummarizeFile(args.positional[0], &ranks)) return 1;
     PrintSummary(ranks);
     return 0;
