@@ -230,11 +230,12 @@ class SimdLevelSweep {
   vec::Level prev_;
 };
 
-#define DDPKIT_SIMD_LEVEL_ARGS(n)                                   \
-  ArgNames({"level", "n"})                                          \
-      ->Args({static_cast<long>(vec::Level::kScalar), (n)})         \
-      ->Args({static_cast<long>(vec::Level::kAvx2), (n)})           \
-      ->Args({static_cast<long>(vec::Level::kAvx512), (n)})
+// One cell per level for the given trailing args; the registration names
+// the args with ArgNames({"level", ...}) first.
+#define DDPKIT_SIMD_LEVEL_ARGS(...)                                  \
+  Args({static_cast<long>(vec::Level::kScalar), __VA_ARGS__})        \
+      ->Args({static_cast<long>(vec::Level::kAvx2), __VA_ARGS__})    \
+      ->Args({static_cast<long>(vec::Level::kAvx512), __VA_ARGS__})
 
 void BM_VecAccumulateAdd(benchmark::State& state) {
   SimdLevelSweep sweep(state, static_cast<int>(state.range(0)));
@@ -249,7 +250,9 @@ void BM_VecAccumulateAdd(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() * n);
   state.SetBytesProcessed(state.iterations() * n * 4 * 3);
 }
-BENCHMARK(BM_VecAccumulateAdd)->DDPKIT_SIMD_LEVEL_ARGS(1 << 16);
+BENCHMARK(BM_VecAccumulateAdd)
+    ->ArgNames({"level", "n"})
+    ->DDPKIT_SIMD_LEVEL_ARGS(1 << 16);
 
 void BM_VecAccumulateMax(benchmark::State& state) {
   SimdLevelSweep sweep(state, static_cast<int>(state.range(0)));
@@ -264,7 +267,9 @@ void BM_VecAccumulateMax(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() * n);
   state.SetBytesProcessed(state.iterations() * n * 4 * 3);
 }
-BENCHMARK(BM_VecAccumulateMax)->DDPKIT_SIMD_LEVEL_ARGS(1 << 16);
+BENCHMARK(BM_VecAccumulateMax)
+    ->ArgNames({"level", "n"})
+    ->DDPKIT_SIMD_LEVEL_ARGS(1 << 16);
 
 void BM_VecAdd(benchmark::State& state) {
   SimdLevelSweep sweep(state, static_cast<int>(state.range(0)));
@@ -280,7 +285,9 @@ void BM_VecAdd(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() * n);
   state.SetBytesProcessed(state.iterations() * n * 4 * 3);
 }
-BENCHMARK(BM_VecAdd)->DDPKIT_SIMD_LEVEL_ARGS(1 << 16);
+BENCHMARK(BM_VecAdd)
+    ->ArgNames({"level", "n"})
+    ->DDPKIT_SIMD_LEVEL_ARGS(1 << 16);
 
 void BM_VecAxpy(benchmark::State& state) {
   SimdLevelSweep sweep(state, static_cast<int>(state.range(0)));
@@ -295,7 +302,9 @@ void BM_VecAxpy(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() * n);
   state.SetBytesProcessed(state.iterations() * n * 4 * 3);
 }
-BENCHMARK(BM_VecAxpy)->DDPKIT_SIMD_LEVEL_ARGS(1 << 16);
+BENCHMARK(BM_VecAxpy)
+    ->ArgNames({"level", "n"})
+    ->DDPKIT_SIMD_LEVEL_ARGS(1 << 16);
 
 void BM_VecCopy(benchmark::State& state) {
   SimdLevelSweep sweep(state, static_cast<int>(state.range(0)));
@@ -310,7 +319,29 @@ void BM_VecCopy(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() * n);
   state.SetBytesProcessed(state.iterations() * n * 4 * 2);
 }
-BENCHMARK(BM_VecCopy)->DDPKIT_SIMD_LEVEL_ARGS(1 << 16);
+BENCHMARK(BM_VecCopy)
+    ->ArgNames({"level", "n"})
+    ->DDPKIT_SIMD_LEVEL_ARGS(1 << 16);
+
+// The Linear forward, C[m,n] = A[m,k] · B[n,k]ᵀ, at the mlp_w2 (batch 8)
+// and transformer_w2 (128 tokens) shapes; items are multiply-adds.
+void BM_MatMulTransB(benchmark::State& state) {
+  SimdLevelSweep sweep(state, static_cast<int>(state.range(0)));
+  const int64_t m = state.range(1), k = state.range(2), n = state.range(3);
+  Rng rng(12);
+  Tensor a = Tensor::Randn({m, k}, &rng);
+  Tensor b = Tensor::Randn({n, k}, &rng);
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(kernels::MatMulTransB(a, b));
+  }
+  state.SetItemsProcessed(state.iterations() * m * k * n);
+}
+BENCHMARK(BM_MatMulTransB)
+    ->ArgNames({"level", "m", "k", "n"})
+    ->DDPKIT_SIMD_LEVEL_ARGS(8, 784, 1024)
+    ->DDPKIT_SIMD_LEVEL_ARGS(8, 1024, 1024)
+    ->DDPKIT_SIMD_LEVEL_ARGS(128, 64, 256)
+    ->DDPKIT_SIMD_LEVEL_ARGS(128, 256, 64);
 
 void BM_Fp16Conversion(benchmark::State& state) {
   const int64_t n = state.range(0);

@@ -115,6 +115,31 @@ void AccumMaxF64ScalarImpl(double* dst, const double* src, int64_t n) {
     return decltype(x)::Max(x, y);
   });
 }
+void PackPanelScalarImpl(const float* b, int64_t ldb, int cols, int64_t k,
+                         float* panel) {
+  for (int64_t p = 0; p < k; ++p) {
+    for (int c = 0; c < kTileCols; ++c) {
+      panel[p * kTileCols + c] = c < cols ? b[c * ldb + p] : 0.0f;
+    }
+  }
+}
+void MatMulTransBTileScalarImpl(const float* a, int64_t lda, int rows,
+                                const float* panel, int64_t k, float* out,
+                                int64_t ldo, int cols) {
+  using V = Vec<float, kTileCols>;
+  V acc[kTileRows];
+  for (V& v : acc) v = V::Broadcast(0.0f);
+  for (int64_t p = 0; p < k; ++p) {
+    const V bp = V::Load(panel + p * kTileCols);
+    for (int r = 0; r < rows; ++r) {
+      acc[r] = acc[r] + V::Broadcast(a[r * lda + p]) * bp;
+    }
+  }
+  for (int r = 0; r < rows; ++r) {
+    std::memcpy(out + r * ldo, acc[r].lane,
+                static_cast<size_t>(cols) * sizeof(float));
+  }
+}
 
 #if defined(DDPKIT_VEC_X86)
 
@@ -270,13 +295,113 @@ DDPKIT_TARGET_AVX2 void AccumMaxF64Avx2(double* dst, const double* src,
   }
   for (; i < n; ++i) dst[i] = dst[i] > src[i] ? dst[i] : src[i];
 }
+// dst[i * kTileCols + c] = src[c * ld + i] for c, i < 8: one 8×8 block of
+// B rows into eight columns of eight panel rows, in registers.
+DDPKIT_TARGET_AVX2 void Transpose8x8Avx2(const float* src, int64_t ld,
+                                         float* dst) {
+  const __m256 r0 = _mm256_loadu_ps(src);
+  const __m256 r1 = _mm256_loadu_ps(src + ld);
+  const __m256 r2 = _mm256_loadu_ps(src + 2 * ld);
+  const __m256 r3 = _mm256_loadu_ps(src + 3 * ld);
+  const __m256 r4 = _mm256_loadu_ps(src + 4 * ld);
+  const __m256 r5 = _mm256_loadu_ps(src + 5 * ld);
+  const __m256 r6 = _mm256_loadu_ps(src + 6 * ld);
+  const __m256 r7 = _mm256_loadu_ps(src + 7 * ld);
+  const __m256 t0 = _mm256_unpacklo_ps(r0, r1);
+  const __m256 t1 = _mm256_unpackhi_ps(r0, r1);
+  const __m256 t2 = _mm256_unpacklo_ps(r2, r3);
+  const __m256 t3 = _mm256_unpackhi_ps(r2, r3);
+  const __m256 t4 = _mm256_unpacklo_ps(r4, r5);
+  const __m256 t5 = _mm256_unpackhi_ps(r4, r5);
+  const __m256 t6 = _mm256_unpacklo_ps(r6, r7);
+  const __m256 t7 = _mm256_unpackhi_ps(r6, r7);
+  // s{i} and s{4+i}: element i in the low 128 bits and element 4 + i in
+  // the high 128 bits of rows 0-3 and rows 4-7.
+  const __m256 s0 = _mm256_shuffle_ps(t0, t2, 0x44);
+  const __m256 s1 = _mm256_shuffle_ps(t0, t2, 0xEE);
+  const __m256 s2 = _mm256_shuffle_ps(t1, t3, 0x44);
+  const __m256 s3 = _mm256_shuffle_ps(t1, t3, 0xEE);
+  const __m256 s4 = _mm256_shuffle_ps(t4, t6, 0x44);
+  const __m256 s5 = _mm256_shuffle_ps(t4, t6, 0xEE);
+  const __m256 s6 = _mm256_shuffle_ps(t5, t7, 0x44);
+  const __m256 s7 = _mm256_shuffle_ps(t5, t7, 0xEE);
+  _mm256_storeu_ps(dst + 0 * kTileCols, _mm256_permute2f128_ps(s0, s4, 0x20));
+  _mm256_storeu_ps(dst + 1 * kTileCols, _mm256_permute2f128_ps(s1, s5, 0x20));
+  _mm256_storeu_ps(dst + 2 * kTileCols, _mm256_permute2f128_ps(s2, s6, 0x20));
+  _mm256_storeu_ps(dst + 3 * kTileCols, _mm256_permute2f128_ps(s3, s7, 0x20));
+  _mm256_storeu_ps(dst + 4 * kTileCols, _mm256_permute2f128_ps(s0, s4, 0x31));
+  _mm256_storeu_ps(dst + 5 * kTileCols, _mm256_permute2f128_ps(s1, s5, 0x31));
+  _mm256_storeu_ps(dst + 6 * kTileCols, _mm256_permute2f128_ps(s2, s6, 0x31));
+  _mm256_storeu_ps(dst + 7 * kTileCols, _mm256_permute2f128_ps(s3, s7, 0x31));
+}
+// Full panels go eight p at a time through two transposes, one per panel
+// half. The p tail (k % 8) and a partial panel (the last strip when B's
+// row count is not a multiple of kTileCols) take the scalar body.
+DDPKIT_TARGET_AVX2 void PackPanelAvx2(const float* b, int64_t ldb, int cols,
+                                      int64_t k, float* panel) {
+  int64_t p0 = 0;
+  for (; cols == kTileCols && p0 + 8 <= k; p0 += 8) {
+    Transpose8x8Avx2(b + p0, ldb, panel + p0 * kTileCols);
+    Transpose8x8Avx2(b + 8 * ldb + p0, ldb, panel + p0 * kTileCols + 8);
+  }
+  PackPanelScalarImpl(b + p0, ldb, cols, k - p0, panel + p0 * kTileCols);
+}
+// Eight accumulators (4 rows × 2 halves). Rows past `rows` re-read row 0
+// and are never stored, so the loop body has no row branches.
+DDPKIT_TARGET_AVX2 void MatMulTransBTileAvx2(const float* a, int64_t lda,
+                                             int rows, const float* panel,
+                                             int64_t k, float* out,
+                                             int64_t ldo, int cols) {
+  const float* a0 = a;
+  const float* a1 = rows > 1 ? a + lda : a;
+  const float* a2 = rows > 2 ? a + 2 * lda : a;
+  const float* a3 = rows > 3 ? a + 3 * lda : a;
+  __m256 c0l = _mm256_setzero_ps(), c0h = _mm256_setzero_ps();
+  __m256 c1l = _mm256_setzero_ps(), c1h = _mm256_setzero_ps();
+  __m256 c2l = _mm256_setzero_ps(), c2h = _mm256_setzero_ps();
+  __m256 c3l = _mm256_setzero_ps(), c3h = _mm256_setzero_ps();
+  for (int64_t p = 0; p < k; ++p) {
+    const __m256 bl = _mm256_loadu_ps(panel + p * kTileCols);
+    const __m256 bh = _mm256_loadu_ps(panel + p * kTileCols + 8);
+    __m256 x = _mm256_set1_ps(a0[p]);
+    c0l = _mm256_add_ps(c0l, _mm256_mul_ps(x, bl));
+    c0h = _mm256_add_ps(c0h, _mm256_mul_ps(x, bh));
+    x = _mm256_set1_ps(a1[p]);
+    c1l = _mm256_add_ps(c1l, _mm256_mul_ps(x, bl));
+    c1h = _mm256_add_ps(c1h, _mm256_mul_ps(x, bh));
+    x = _mm256_set1_ps(a2[p]);
+    c2l = _mm256_add_ps(c2l, _mm256_mul_ps(x, bl));
+    c2h = _mm256_add_ps(c2h, _mm256_mul_ps(x, bh));
+    x = _mm256_set1_ps(a3[p]);
+    c3l = _mm256_add_ps(c3l, _mm256_mul_ps(x, bl));
+    c3h = _mm256_add_ps(c3h, _mm256_mul_ps(x, bh));
+  }
+  // Lane c of a half is stored iff c < cols - half offset.
+  const __m256i lane = _mm256_setr_epi32(0, 1, 2, 3, 4, 5, 6, 7);
+  const __m256i ml = _mm256_cmpgt_epi32(_mm256_set1_epi32(cols), lane);
+  const __m256i mh = _mm256_cmpgt_epi32(_mm256_set1_epi32(cols - 8), lane);
+  _mm256_maskstore_ps(out, ml, c0l);
+  _mm256_maskstore_ps(out + 8, mh, c0h);
+  if (rows > 1) {
+    _mm256_maskstore_ps(out + ldo, ml, c1l);
+    _mm256_maskstore_ps(out + ldo + 8, mh, c1h);
+  }
+  if (rows > 2) {
+    _mm256_maskstore_ps(out + 2 * ldo, ml, c2l);
+    _mm256_maskstore_ps(out + 2 * ldo + 8, mh, c2h);
+  }
+  if (rows > 3) {
+    _mm256_maskstore_ps(out + 3 * ldo, ml, c3l);
+    _mm256_maskstore_ps(out + 3 * ldo + 8, mh, c3h);
+  }
+}
 
 // ---------------------------------------------------------------------------
 // AVX-512 kernels: 16 float / 8 double lanes per register. Only the
-// bandwidth-bound accumulate/copy/axpy family gets dedicated 512-bit
-// bodies; the rest reuse the AVX2 bodies at this level (same bit-exact
-// results, and 256-bit ops avoid license-based downclocking on older
-// parts for the short kernels).
+// bandwidth-bound accumulate/copy/axpy family and the compute-bound
+// A·Bᵀ tile get dedicated 512-bit bodies; the rest reuse the AVX2 bodies
+// at this level (same bit-exact results, and 256-bit ops avoid
+// license-based downclocking on older parts for the short kernels).
 // ---------------------------------------------------------------------------
 
 DDPKIT_TARGET_AVX512 void AddAvx512(const float* a, const float* b, float* dst,
@@ -345,6 +470,31 @@ DDPKIT_TARGET_AVX512 void AccumMaxF64Avx512(double* dst, const double* src,
                                             _mm512_loadu_pd(src + i)));
   }
   for (; i < n; ++i) dst[i] = dst[i] > src[i] ? dst[i] : src[i];
+}
+// One register per tile row. Four independent add chains cover the add
+// latency, so the loop runs at the two vector ports' mul+add throughput.
+DDPKIT_TARGET_AVX512 void MatMulTransBTileAvx512(const float* a, int64_t lda,
+                                                 int rows, const float* panel,
+                                                 int64_t k, float* out,
+                                                 int64_t ldo, int cols) {
+  const float* a0 = a;
+  const float* a1 = rows > 1 ? a + lda : a;
+  const float* a2 = rows > 2 ? a + 2 * lda : a;
+  const float* a3 = rows > 3 ? a + 3 * lda : a;
+  __m512 c0 = _mm512_setzero_ps(), c1 = _mm512_setzero_ps();
+  __m512 c2 = _mm512_setzero_ps(), c3 = _mm512_setzero_ps();
+  for (int64_t p = 0; p < k; ++p) {
+    const __m512 bp = _mm512_loadu_ps(panel + p * kTileCols);
+    c0 = _mm512_add_ps(c0, _mm512_mul_ps(_mm512_set1_ps(a0[p]), bp));
+    c1 = _mm512_add_ps(c1, _mm512_mul_ps(_mm512_set1_ps(a1[p]), bp));
+    c2 = _mm512_add_ps(c2, _mm512_mul_ps(_mm512_set1_ps(a2[p]), bp));
+    c3 = _mm512_add_ps(c3, _mm512_mul_ps(_mm512_set1_ps(a3[p]), bp));
+  }
+  const __mmask16 mask = static_cast<__mmask16>((1u << cols) - 1u);
+  _mm512_mask_storeu_ps(out, mask, c0);
+  if (rows > 1) _mm512_mask_storeu_ps(out + ldo, mask, c1);
+  if (rows > 2) _mm512_mask_storeu_ps(out + 2 * ldo, mask, c2);
+  if (rows > 3) _mm512_mask_storeu_ps(out + 3 * ldo, mask, c3);
 }
 
 #endif  // DDPKIT_VEC_X86
@@ -508,6 +658,23 @@ void AccumulateMax(double* dst, const double* src, int64_t n) {
   DDPKIT_VEC_DISPATCH(AccumMaxF64Avx512(dst, src, n),
                       AccumMaxF64Avx2(dst, src, n),
                       AccumMaxF64ScalarImpl(dst, src, n));
+}
+
+void PackPanel(const float* b, int64_t ldb, int cols, int64_t k,
+               float* panel) {
+  // The transposes are shuffle-bound and B streams from memory, so 256-bit
+  // registers already reach copy speed; AVX-512 reuses the AVX2 body.
+  DDPKIT_VEC_DISPATCH(PackPanelAvx2(b, ldb, cols, k, panel),
+                      PackPanelAvx2(b, ldb, cols, k, panel),
+                      PackPanelScalarImpl(b, ldb, cols, k, panel));
+}
+void MatMulTransBTile(const float* a, int64_t lda, int rows,
+                      const float* panel, int64_t k, float* out, int64_t ldo,
+                      int cols) {
+  DDPKIT_VEC_DISPATCH(
+      MatMulTransBTileAvx512(a, lda, rows, panel, k, out, ldo, cols),
+      MatMulTransBTileAvx2(a, lda, rows, panel, k, out, ldo, cols),
+      MatMulTransBTileScalarImpl(a, lda, rows, panel, k, out, ldo, cols));
 }
 
 void Copy(float* dst, const float* src, int64_t n) {

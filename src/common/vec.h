@@ -24,9 +24,12 @@ namespace ddpkit::vec {
 /// independent chunking this means the SIMD dispatch can never perturb a
 /// deterministic run: results are identical across machines with different
 /// ISA extensions, across DDPKIT_SIMD overrides, and across pool sizes.
-/// Horizontal reductions (dot products, sums) are deliberately NOT offered
-/// here — they would change accumulation order; use ParallelReduce's
-/// chunked combine for those.
+/// A reduction is offered only when each lane owns one output and runs
+/// that output's serial order unchanged (MatMulTransBTile: lane c sums
+/// its p terms in ascending p, exactly like the scalar loop). Reductions
+/// that reassociate — splitting one sum across lanes, then folding the
+/// lanes — are deliberately NOT offered; use ParallelReduce's chunked
+/// combine for those.
 
 // ---------------------------------------------------------------------------
 // Dispatch levels.
@@ -148,6 +151,30 @@ void AccumulateMax(double* dst, const double* src, int64_t n);
 /// entry point with the arithmetic kernels.
 void Copy(float* dst, const float* src, int64_t n);
 void Copy(double* dst, const double* src, int64_t n);
+
+// ---------------------------------------------------------------------------
+// The A·Bᵀ tile (the Linear forward). B is packed once into column panels
+// of kTileCols lanes, then every kTileRows-row tile of A runs against the
+// packed panel.
+// ---------------------------------------------------------------------------
+
+inline constexpr int kTileRows = 4;
+inline constexpr int kTileCols = 16;
+
+/// Packs `cols` (1..kTileCols) rows of a row-major B, each `k` floats long
+/// and `ldb` floats apart, into a k × kTileCols panel:
+/// panel[p * kTileCols + c] = b[c * ldb + p], and +0.0f for c >= cols.
+/// Pure data movement.
+void PackPanel(const float* b, int64_t ldb, int cols, int64_t k, float* panel);
+
+/// out[r * ldo + c] = Σ_p a[r * lda + p] * panel[p * kTileCols + c] for
+/// r < rows (1..kTileRows) and c < cols (1..kTileCols); nothing else in
+/// `out` is written. Each lane is one output element: it starts at +0.0f
+/// and adds the rounded product for p = 0, 1, …, k-1 in that order, never
+/// fused — the roundings of `acc += a[p] * b[p]`, at every level.
+void MatMulTransBTile(const float* a, int64_t lda, int rows,
+                      const float* panel, int64_t k, float* out, int64_t ldo,
+                      int cols);
 
 }  // namespace ddpkit::vec
 

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 #include <cstring>
+#include <vector>
 
 #include "common/parallel.h"
 #include "common/vec.h"
@@ -289,16 +290,27 @@ Tensor MatMulTransB(const Tensor& a, const Tensor& b) {
   const float* pa = a.data<float>();
   const float* pb = b.data<float>();
   float* po = out.data<float>();
-  ParallelFor(0, m, GrainFromCost(k * n), [&](int64_t rb, int64_t re) {
-    for (int64_t i = rb; i < re; ++i) {
-      const float* arow = pa + i * k;
-      for (int64_t j = 0; j < n; ++j) {
-        const float* brow = pb + j * k;
-        float acc = 0.0f;
-        // ddplint: allow(raw-elementwise-loop) horizontal dot product; the
-        // vec layer offers no reductions (lane order would change rounding)
-        for (int64_t p = 0; p < k; ++p) acc += arow[p] * brow[p];
-        po[i * n + j] = acc;
+  // One task per kTileCols-column strip of the output: it packs those rows
+  // of b once and runs every kTileRows-row tile of a against the packed
+  // panel. Each output element is one tile lane with the serial loop's
+  // roundings, so results do not depend on the pool size or SIMD level.
+  constexpr int64_t kCols = vec::kTileCols, kRows = vec::kTileRows;
+  const int64_t strips = (n + kCols - 1) / kCols;
+  const int64_t grain = GrainFromCost(m * k * kCols);
+  ParallelFor(0, strips, grain, [&](int64_t sb, int64_t se) {
+    // Per-thread, reused across calls: k × 64 bytes (64 KiB at k = 1024).
+    thread_local std::vector<float> panel;
+    if (panel.size() < static_cast<size_t>(k * kCols)) {
+      panel.resize(static_cast<size_t>(k * kCols));
+    }
+    for (int64_t s = sb; s < se; ++s) {
+      const int64_t j0 = s * kCols;
+      const int cols = static_cast<int>(std::min(kCols, n - j0));
+      vec::PackPanel(pb + j0 * k, k, cols, k, panel.data());
+      for (int64_t i = 0; i < m; i += kRows) {
+        vec::MatMulTransBTile(pa + i * k, k,
+                              static_cast<int>(std::min(kRows, m - i)),
+                              panel.data(), k, po + i * n + j0, n, cols);
       }
     }
   });
@@ -789,18 +801,22 @@ Tensor EmbeddingBackward(const Tensor& grad_out, const Tensor& indices,
 
 double MaxAbsDiff(const Tensor& a, const Tensor& b) {
   DDPKIT_CHECK_EQ(a.numel(), b.numel());
-  // max is order-insensitive, but the chunked combine keeps the pattern
-  // consistent with SumAll.
+  // A NaN anywhere is a mismatch, so it must win every max (std::max would
+  // drop it). Equal values, equal infinities included, differ by 0.
+  const auto larger = [](double x, double y) {
+    return std::isnan(x) || x > y ? x : y;
+  };
   return ParallelReduce(
       0, a.numel(), kParallelGrain, 0.0,
       [&](int64_t lo, int64_t hi) {
         double mx = 0.0;
         for (int64_t i = lo; i < hi; ++i) {
-          mx = std::max(mx, std::abs(a.FlatAt(i) - b.FlatAt(i)));
+          const double x = a.FlatAt(i), y = b.FlatAt(i);
+          mx = larger(mx, x == y ? 0.0 : std::abs(x - y));
         }
         return mx;
       },
-      [](double x, double y) { return std::max(x, y); });
+      larger);
 }
 
 bool AllClose(const Tensor& a, const Tensor& b, double rtol, double atol) {
@@ -808,7 +824,12 @@ bool AllClose(const Tensor& a, const Tensor& b, double rtol, double atol) {
   const int64_t n = a.numel();
   for (int64_t i = 0; i < n; ++i) {
     const double x = a.FlatAt(i), y = b.FlatAt(i);
-    if (std::abs(x - y) > atol + rtol * std::abs(y)) return false;
+    // A NaN matches nothing and an infinity only itself.
+    if (x == y) continue;
+    if (!std::isfinite(x) || !std::isfinite(y) ||
+        std::abs(x - y) > atol + rtol * std::abs(y)) {
+      return false;
+    }
   }
   return true;
 }

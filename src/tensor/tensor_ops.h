@@ -110,9 +110,11 @@ Tensor EmbeddingBackward(const Tensor& grad_out, const Tensor& indices,
 
 // ---- Comparisons -----------------------------------------------------------------
 
-/// Max absolute elementwise difference (for tests).
+/// Max absolute elementwise difference (for tests); NaN if either tensor
+/// holds a NaN, so a NaN never reads as a match.
 double MaxAbsDiff(const Tensor& a, const Tensor& b);
-/// True if all |a-b| <= atol + rtol*|b|.
+/// True if all |a-b| <= atol + rtol*|b|; a NaN is never close, and an
+/// infinity is close only to itself.
 bool AllClose(const Tensor& a, const Tensor& b, double rtol = 1e-5,
               double atol = 1e-7);
 

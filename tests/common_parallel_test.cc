@@ -11,12 +11,14 @@
 #include "autograd/engine.h"
 #include "comm/algorithms.h"
 #include "comm/sim_world.h"
+#include "common/mutex.h"
 #include "common/rng.h"
 #include "core/distributed_data_parallel.h"
 #include "nn/losses.h"
 #include "nn/zoo.h"
 #include "optim/sgd.h"
 #include "tensor/tensor_ops.h"
+#include "tests/vec_levels.h"
 
 namespace ddpkit {
 namespace {
@@ -89,10 +91,10 @@ TEST(ParallelForTest, SubrangesAreGrainAlignedTiles) {
   PoolSizeGuard guard;
   ThreadPool::SetNumThreads(4);
   constexpr int64_t kBegin = 3, kEnd = 103, kGrain = 16;
-  std::mutex mu;
+  Mutex mu;
   std::vector<std::pair<int64_t, int64_t>> ranges;
   ParallelFor(kBegin, kEnd, kGrain, [&](int64_t b, int64_t e) {
-    std::lock_guard<std::mutex> lock(mu);
+    MutexLock lock(&mu);
     ranges.emplace_back(b, e);
   });
   // Chunk boundaries depend only on the range and grain, never on which
@@ -180,24 +182,31 @@ TEST(ParallelReduceTest, MatchesSerialSumAndIdentityOnEmpty) {
   EXPECT_EQ(ParallelReduce(0, 0, 1024, -1.0, map, combine), -1.0);
 }
 
-// ---- Determinism across thread counts ------------------------------------------
+// ---- Determinism across thread counts and SIMD levels ----------------------
 //
 // The runtime's contract: chunk partitioning depends only on problem size
-// and grain, so every result below must be byte-identical whether the pool
-// has 1, 2, or 8 threads.
+// and grain, and every vec.h primitive rounds identically at every dispatch
+// level, so every result below must be byte-identical whether the pool has
+// 1, 2, or 8 threads and whichever level the host can run.
 
-/// Runs `fn` under each pool size and asserts all invocations produce the
-/// same bytes.
+/// Runs `fn` under each available SIMD level × pool size and asserts every
+/// invocation produces the bytes of the first (scalar, 1 thread).
 template <typename Fn>
 void ExpectBitExactAcrossThreadCounts(const char* what, Fn fn) {
-  PoolSizeGuard guard;
-  std::vector<std::vector<uint8_t>> results;
-  for (int threads : {1, 2, 8}) {
-    ThreadPool::SetNumThreads(threads);
-    results.push_back(fn());
+  PoolSizeGuard pool_guard;
+  testing::VecLevelGuard level_guard;
+  std::vector<uint8_t> first;
+  for (const vec::Level level : testing::AvailableLevels()) {
+    vec::SetLevelForTesting(level);
+    for (int threads : {1, 2, 8}) {
+      ThreadPool::SetNumThreads(threads);
+      std::vector<uint8_t> bytes = fn();
+      if (level == vec::Level::kScalar && threads == 1) first = bytes;
+      EXPECT_EQ(first, bytes) << what << ": scalar/1 thread vs "
+                              << vec::LevelName(level) << "/" << threads
+                              << " threads";
+    }
   }
-  EXPECT_EQ(results[0], results[1]) << what << ": 1 vs 2 threads";
-  EXPECT_EQ(results[0], results[2]) << what << ": 1 vs 8 threads";
 }
 
 TEST(ParallelDeterminismTest, TensorOpsBitExact) {
@@ -274,7 +283,7 @@ TEST(ParallelDeterminismTest, DdpTrainingStepBitExact) {
   // End-to-end: 2-rank DDP forward/backward/optimizer step. Gradients flow
   // through parallel kernels, the bucket copy-in/copy-out, and the ring
   // all-reduce; the resulting parameters must be byte-identical for every
-  // pool size.
+  // pool size and SIMD level.
   ExpectBitExactAcrossThreadCounts("ddp_step", [] {
     const int world = 2;
     const int64_t per_rank = 8;
@@ -305,6 +314,50 @@ TEST(ParallelDeterminismTest, DdpTrainingStepBitExact) {
       rank_params[static_cast<size_t>(ctx.rank)] = std::move(bytes);
     });
     // Ranks must agree with each other, too.
+    EXPECT_EQ(rank_params[0], rank_params[1]);
+    return rank_params[0];
+  });
+  // Attention and the q/k/v/o/ff Linears under the same contract.
+  ExpectBitExactAcrossThreadCounts("ddp_transformer_step", [] {
+    const int world = 2;
+    const int64_t per_rank = 4;
+    nn::TransformerTiny::Config config;
+    config.seq_len = 8;
+    config.dim = 32;
+    config.ff_dim = 64;
+    config.num_heads = 2;
+    Rng data_rng(43);
+    std::vector<int64_t> token_ids(
+        static_cast<size_t>(per_rank * world * config.seq_len));
+    for (int64_t& id : token_ids) id = data_rng.UniformInt(config.vocab_size);
+    std::vector<int64_t> label_ids(static_cast<size_t>(per_rank * world));
+    for (int64_t& id : label_ids) id = data_rng.UniformInt(config.num_classes);
+    const Tensor all_tokens = Tensor::FromVectorInt64(
+        token_ids, {per_rank * world, config.seq_len});
+    const Tensor all_labels =
+        Tensor::FromVectorInt64(label_ids, {per_rank * world});
+
+    std::vector<std::vector<uint8_t>> rank_params(world);
+    comm::SimWorld::Run(world, [&](comm::SimWorld::RankContext& ctx) {
+      Rng rng(47);
+      auto model = std::make_shared<nn::TransformerTiny>(config, &rng);
+      core::DistributedDataParallel ddp(model, ctx.process_group);
+      optim::Sgd opt(model->parameters(),
+                     optim::Sgd::Options{.lr = 0.05, .momentum = 0.9});
+      for (int step = 0; step < 2; ++step) {
+        opt.ZeroGrad();
+        Tensor x = all_tokens.Narrow(0, ctx.rank * per_rank, per_rank).Clone();
+        Tensor y = all_labels.Narrow(0, ctx.rank * per_rank, per_rank).Clone();
+        autograd::Backward(nn::CrossEntropyLoss()(ddp.Forward(x), y));
+        opt.Step();
+      }
+      std::vector<uint8_t> bytes;
+      for (const Tensor& p : model->parameters()) {
+        std::vector<uint8_t> b = TensorBytes(p);
+        bytes.insert(bytes.end(), b.begin(), b.end());
+      }
+      rank_params[static_cast<size_t>(ctx.rank)] = std::move(bytes);
+    });
     EXPECT_EQ(rank_params[0], rank_params[1]);
     return rank_params[0];
   });

@@ -8,32 +8,13 @@
 #include <vector>
 
 #include "common/rng.h"
+#include "tests/vec_levels.h"
 
 namespace ddpkit {
 namespace {
 
-/// Restores whatever dispatch level was active when the test started, so a
-/// forced level never leaks into other tests.
-class VecLevelGuard {
- public:
-  ~VecLevelGuard() { vec::SetLevelForTesting(previous_); }
-
- private:
-  vec::Level previous_ = vec::ActiveLevel();
-};
-
-/// All levels the host can actually execute (requests above DetectedLevel
-/// clamp down, so higher enumerators are skipped on weaker machines).
-std::vector<vec::Level> AvailableLevels() {
-  std::vector<vec::Level> levels = {vec::Level::kScalar};
-  if (vec::DetectedLevel() >= vec::Level::kAvx2) {
-    levels.push_back(vec::Level::kAvx2);
-  }
-  if (vec::DetectedLevel() >= vec::Level::kAvx512) {
-    levels.push_back(vec::Level::kAvx512);
-  }
-  return levels;
-}
+using testing::AvailableLevels;
+using testing::VecLevelGuard;
 
 std::vector<float> RandomFloats(int64_t n, uint64_t seed) {
   Rng rng(seed);
@@ -54,6 +35,8 @@ std::vector<double> RandomDoubles(int64_t n, uint64_t seed) {
 template <typename T>
 void ExpectBitEqual(const std::vector<T>& a, const std::vector<T>& b) {
   ASSERT_EQ(a.size(), b.size());
+  // An empty vector's data() may be null, which memcmp must not receive.
+  if (a.empty()) return;
   ASSERT_EQ(0, std::memcmp(a.data(), b.data(), a.size() * sizeof(T)));
 }
 
@@ -168,6 +151,29 @@ TEST(VecBitExactTest, AllFloatKernelsMatchScalarAtEveryLevel) {
          [](const std::vector<float>& x, const std::vector<float>&,
             std::vector<float>* d) {
            vec::Copy(d->data(), x.data(), x.size());
+         }},
+        // The tile cases read k = n / kTileCols; rows and cols vary with n so
+        // full and partial panels and tiles are covered, and the 99s left
+        // outside the tile check that no level stores past `cols`.
+        {"PackPanel",
+         [](const std::vector<float>& x, const std::vector<float>&,
+            std::vector<float>* d) {
+           const int64_t k = static_cast<int64_t>(x.size()) / vec::kTileCols;
+           const int partial = 1 + static_cast<int>(x.size() % vec::kTileCols);
+           const int cols = x.size() % 2 == 0 ? vec::kTileCols : partial;
+           d->assign(static_cast<size_t>(k * vec::kTileCols), 99.0f);
+           vec::PackPanel(x.data(), k, cols, k, d->data());
+         }},
+        {"MatMulTransBTile",
+         [](const std::vector<float>& x, const std::vector<float>& y,
+            std::vector<float>* d) {
+           const int64_t k = static_cast<int64_t>(x.size()) / vec::kTileCols;
+           const int rows = 1 + static_cast<int>(x.size() % vec::kTileRows);
+           const int cols = 1 + static_cast<int>(x.size() % vec::kTileCols);
+           d->assign(static_cast<size_t>(vec::kTileRows * vec::kTileCols),
+                     99.0f);
+           vec::MatMulTransBTile(x.data(), k, rows, y.data(), k, d->data(),
+                                 vec::kTileCols, cols);
          }},
     };
     for (const Case& c : cases) {
@@ -289,6 +295,29 @@ TEST(VecSemanticsTest, AxpyIsMulThenAddNotFused) {
     ASSERT_NE(want, fused);
     for (int i = 0; i < 16; ++i) {
       EXPECT_EQ(want, y[static_cast<size_t>(i)]) << "lane " << i;
+    }
+  }
+}
+
+// The same probe for the A·Bᵀ tile: p = 0 sets every lane to 1 · -1 = -1,
+// then p = 1 adds alpha · alpha, which must be rounded before the add.
+TEST(VecSemanticsTest, MatMulTransBTileIsMulThenAddNotFused) {
+  VecLevelGuard guard;
+  const float alpha = 1.0f + std::ldexp(1.0f, -12);
+  std::vector<float> a;
+  for (int r = 0; r < vec::kTileRows; ++r) a.insert(a.end(), {1.0f, alpha});
+  std::vector<float> panel(vec::kTileCols, -1.0f);
+  panel.resize(2 * vec::kTileCols, alpha);
+  const float want = -1.0f + alpha * alpha;
+  ASSERT_NE(want, std::fma(alpha, alpha, -1.0f));
+  for (const vec::Level level : AvailableLevels()) {
+    vec::SetLevelForTesting(level);
+    std::vector<float> out(vec::kTileRows * vec::kTileCols, 99.0f);
+    vec::MatMulTransBTile(a.data(), 2, vec::kTileRows, panel.data(), 2,
+                          out.data(), vec::kTileCols, vec::kTileCols);
+    SCOPED_TRACE(vec::LevelName(level));
+    for (size_t i = 0; i < out.size(); ++i) {
+      EXPECT_EQ(want, out[i]) << "lane " << i;
     }
   }
 }

@@ -1,12 +1,19 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
+#include <limits>
+#include <string>
 
 #include "common/rng.h"
 #include "tensor/tensor_ops.h"
+#include "tests/vec_levels.h"
 
 namespace ddpkit::kernels {
 namespace {
+
+using testing::AvailableLevels;
+using testing::VecLevelGuard;
 
 TEST(KernelsTest, ElementwiseAddSubMul) {
   Tensor a = Tensor::FromVector({1, 2, 3}, {3});
@@ -59,8 +66,103 @@ TEST(KernelsTest, MatMulTransposedVariantsAgree) {
   Tensor reference = MatMul(a, b);
   Tensor via_trans_a = MatMulTransA(Transpose2D(a), b);
   Tensor via_trans_b = MatMulTransB(a, Transpose2D(b));
-  EXPECT_LT(MaxAbsDiff(reference, via_trans_a), 1e-5);
-  EXPECT_LT(MaxAbsDiff(reference, via_trans_b), 1e-5);
+  // All three accumulate p in ascending order with mul-then-add.
+  EXPECT_EQ(MaxAbsDiff(reference, via_trans_a), 0.0);
+  EXPECT_EQ(MaxAbsDiff(reference, via_trans_b), 0.0);
+}
+
+/// The serial dot-product loop MatMulTransB ran before it was tiled: one
+/// add chain per output, ascending p. Every level must match it bit for bit.
+Tensor ReferenceMatMulTransB(const Tensor& a, const Tensor& b) {
+  const int64_t m = a.size(0), k = a.size(1), n = b.size(0);
+  Tensor out = Tensor::Empty({m, n});
+  const float* pa = a.data<float>();
+  const float* pb = b.data<float>();
+  float* po = out.data<float>();
+  for (int64_t i = 0; i < m; ++i) {
+    for (int64_t j = 0; j < n; ++j) {
+      float acc = 0.0f;
+      for (int64_t p = 0; p < k; ++p) acc += pa[i * k + p] * pb[j * k + p];
+      po[i * n + j] = acc;
+    }
+  }
+  return out;
+}
+
+/// Randn values with signed zeros and denormals mixed in, and every third
+/// row scaled down so that products underflow into the denormal range.
+Tensor MatrixWithSpecials(int64_t rows, int64_t cols, uint64_t seed) {
+  Rng rng(seed);
+  Tensor t = Tensor::Randn({rows, cols}, &rng);
+  float* p = t.data<float>();
+  for (int64_t i = 0; i < t.numel(); ++i) {
+    if (i % 7 == 3) p[i] = -0.0f;
+    if (i % 11 == 5) p[i] = 0.0f;
+    if (i % 13 == 1) p[i] = 3e-39f;
+    if (i % 17 == 2) p[i] = -5e-40f;
+    if ((i / cols) % 3 == 1) p[i] *= 1e-20f;
+  }
+  return t;
+}
+
+// {m, k, n}: k = 0, m = 1, n = 1, m % 4 != 0, n % 16 != 0, and the Linear
+// shapes of the mlp (784/1024 -> 1024 -> 10 at batch 8) and transformer
+// (128 tokens; 64 <-> 256, 16 x 16 attention) benchmark workloads.
+const int64_t kMatMulTransBShapes[][3] = {
+    {3, 0, 5},      {1, 37, 1},      {1, 1, 1},       {5, 19, 17},
+    {7, 33, 33},    {2, 8, 48},      {8, 784, 1024},  {8, 1024, 1024},
+    {8, 1024, 10},  {128, 64, 64},   {128, 64, 256},  {128, 256, 64},
+    {16, 16, 16},
+};
+
+TEST(KernelsTest, MatMulTransBMatchesSerialLoopAtEveryLevel) {
+  VecLevelGuard guard;
+  for (const auto& shape : kMatMulTransBShapes) {
+    const int64_t m = shape[0], k = shape[1], n = shape[2];
+    const Tensor a = MatrixWithSpecials(m, k, 300 + m);
+    const Tensor b = MatrixWithSpecials(n, k, 400 + n);
+    const Tensor want = ReferenceMatMulTransB(a, b);
+    for (const vec::Level level : AvailableLevels()) {
+      vec::SetLevelForTesting(level);
+      const Tensor got = MatMulTransB(a, b);
+      SCOPED_TRACE(std::to_string(m) + "x" + std::to_string(k) + "->" +
+                   std::to_string(n) + " level=" + vec::LevelName(level));
+      ASSERT_EQ(got.shape(), want.shape());
+      EXPECT_EQ(0, std::memcmp(got.data<float>(), want.data<float>(),
+                               want.nbytes()));
+    }
+  }
+}
+
+TEST(KernelsTest, MatMulTransBNonFiniteInBPropagates) {
+  VecLevelGuard guard;
+  const float inf = std::numeric_limits<float>::infinity();
+  const float nan = std::numeric_limits<float>::quiet_NaN();
+  Rng rng(55);
+  const Tensor a = Tensor::Randn({6, 20}, &rng);
+  Tensor b = Tensor::Randn({35, 20}, &rng);
+  // n = 35 is two full 16-column panels and a partial one; k = 20 is two
+  // 8-wide transposes and a 4-wide scalar tail in the vector pack.
+  b.data<float>()[0 * 20 + 0] = inf;    // full panel, first transpose
+  b.data<float>()[5 * 20 + 7] = -inf;   // full panel, first transpose
+  b.data<float>()[17 * 20 + 19] = nan;  // full panel, scalar p tail
+  b.data<float>()[34 * 20 + 3] = nan;   // partial panel
+  const Tensor want = ReferenceMatMulTransB(a, b);
+  for (const vec::Level level : AvailableLevels()) {
+    vec::SetLevelForTesting(level);
+    const Tensor got = MatMulTransB(a, b);
+    SCOPED_TRACE(vec::LevelName(level));
+    int non_finite = 0;
+    for (int64_t i = 0; i < want.numel(); ++i) {
+      const bool finite = std::isfinite(want.data<float>()[i]);
+      non_finite += finite ? 0 : 1;
+      EXPECT_EQ(finite, std::isfinite(got.data<float>()[i])) << "at " << i;
+      if (finite) {
+        EXPECT_EQ(want.data<float>()[i], got.data<float>()[i]) << "at " << i;
+      }
+    }
+    EXPECT_EQ(non_finite, 4 * 6);  // four columns, every row
+  }
 }
 
 TEST(KernelsTest, Transpose2D) {
@@ -187,6 +289,35 @@ TEST(KernelsTest, AllCloseAndMaxAbsDiff) {
   EXPECT_TRUE(AllClose(a, b, 1e-3, 1e-3));
   EXPECT_FALSE(AllClose(a, b, 1e-7, 1e-7));
   EXPECT_NEAR(MaxAbsDiff(a, b), 0.0001, 1e-5);
+
+  // A NaN on either side, at any position, is a mismatch — including when
+  // a larger finite difference sits in another ParallelReduce chunk.
+  const float nan = std::numeric_limits<float>::quiet_NaN();
+  const float inf = std::numeric_limits<float>::infinity();
+  const Tensor finite = Tensor::FromVector({1, 2}, {2});
+  for (const Tensor& with_nan : {Tensor::FromVector({nan, 2}, {2}),
+                                 Tensor::FromVector({1, nan}, {2})}) {
+    EXPECT_TRUE(std::isnan(MaxAbsDiff(with_nan, finite)));
+    EXPECT_TRUE(std::isnan(MaxAbsDiff(finite, with_nan)));
+    EXPECT_TRUE(std::isnan(MaxAbsDiff(with_nan, with_nan)));
+    EXPECT_FALSE(AllClose(with_nan, finite, 1.0, 1.0));
+    EXPECT_FALSE(AllClose(finite, with_nan, 1.0, 1.0));
+    EXPECT_FALSE(AllClose(with_nan, with_nan));
+  }
+  for (const int64_t at : {int64_t{5}, int64_t{60000}}) {
+    Tensor big = Tensor::Zeros({70000});
+    big.data<float>()[at] = nan;
+    big.data<float>()[at == 5 ? 60000 : 5] = 3.0f;
+    EXPECT_TRUE(std::isnan(MaxAbsDiff(big, Tensor::Zeros({70000}))));
+    EXPECT_FALSE(AllClose(big, Tensor::Zeros({70000}), 1.0, 10.0));
+  }
+  // An infinity matches only itself.
+  const Tensor pos_inf = Tensor::FromVector({inf}, {1});
+  EXPECT_EQ(MaxAbsDiff(pos_inf, pos_inf), 0.0);
+  EXPECT_TRUE(AllClose(pos_inf, pos_inf));
+  EXPECT_FALSE(AllClose(pos_inf, Tensor::FromVector({-inf}, {1}), 1.0, 1.0));
+  EXPECT_FALSE(AllClose(pos_inf, Tensor::FromVector({1e30f}, {1}), 1.0, 1.0));
+  EXPECT_EQ(MaxAbsDiff(pos_inf, Tensor::FromVector({1e30f}, {1})), inf);
 }
 
 TEST(KernelsTest, GeluMatchesReferencePoints) {
