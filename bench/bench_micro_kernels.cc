@@ -306,23 +306,6 @@ BENCHMARK(BM_VecAxpy)
     ->ArgNames({"level", "n"})
     ->DDPKIT_SIMD_LEVEL_ARGS(1 << 16);
 
-void BM_VecCopy(benchmark::State& state) {
-  SimdLevelSweep sweep(state, static_cast<int>(state.range(0)));
-  const int64_t n = state.range(1);
-  std::vector<float> src(static_cast<size_t>(n), 1.0f);
-  std::vector<float> dst(static_cast<size_t>(n));
-  for (auto _ : state) {
-    vec::Copy(dst.data(), src.data(), n);
-    benchmark::DoNotOptimize(dst.data());
-    benchmark::ClobberMemory();
-  }
-  state.SetItemsProcessed(state.iterations() * n);
-  state.SetBytesProcessed(state.iterations() * n * 4 * 2);
-}
-BENCHMARK(BM_VecCopy)
-    ->ArgNames({"level", "n"})
-    ->DDPKIT_SIMD_LEVEL_ARGS(1 << 16);
-
 // The Linear forward, C[m,n] = A[m,k] · B[n,k]ᵀ, at the mlp_w2 (batch 8)
 // and transformer_w2 (128 tokens) shapes; items are multiply-adds.
 void BM_MatMulTransB(benchmark::State& state) {

@@ -88,13 +88,10 @@ int main(int argc, char** argv) {
   {
     core::ReducerOptions reducer_options;
     reducer_options.bucket_cap_bytes = best_cap << 20;
-    auto plain = core::EstimateDdpMemory(spec.params, reducer_options);
-    reducer_options.gradient_as_bucket_view = true;
-    auto views = core::EstimateDdpMemory(spec.params, reducer_options);
-    std::printf("per-rank memory at %zu MB buckets:\n", best_cap);
-    std::printf("  default:                 %s\n", plain.ToString().c_str());
-    std::printf("  gradient_as_bucket_view: %s\n\n",
-                views.ToString().c_str());
+    std::printf("per-rank memory at %zu MB buckets: %s\n\n", best_cap,
+                core::EstimateDdpMemory(spec.params, reducer_options)
+                    .ToString()
+                    .c_str());
   }
 
   std::printf("extensions at %zu MB:\n", best_cap);

@@ -677,13 +677,6 @@ void MatMulTransBTile(const float* a, int64_t lda, int rows,
       MatMulTransBTileScalarImpl(a, lda, rows, panel, k, out, ldo, cols));
 }
 
-void Copy(float* dst, const float* src, int64_t n) {
-  if (n > 0) std::memcpy(dst, src, static_cast<size_t>(n) * sizeof(float));
-}
-void Copy(double* dst, const double* src, int64_t n) {
-  if (n > 0) std::memcpy(dst, src, static_cast<size_t>(n) * sizeof(double));
-}
-
 #undef DDPKIT_VEC_DISPATCH
 
 }  // namespace ddpkit::vec

@@ -146,12 +146,6 @@ void AccumulateMax(float* dst, const float* src, int64_t n);
 void AccumulateAdd(double* dst, const double* src, int64_t n);
 void AccumulateMax(double* dst, const double* src, int64_t n);
 
-/// Contiguous copy (the bucket copy-in/copy-out primitive). Semantically
-/// memcpy; routed through this layer so the hot copies share one audited
-/// entry point with the arithmetic kernels.
-void Copy(float* dst, const float* src, int64_t n);
-void Copy(double* dst, const double* src, int64_t n);
-
 // ---------------------------------------------------------------------------
 // The A·Bᵀ tile (the Linear forward). B is packed once into column panels
 // of kTileCols lanes, then every kTileRows-row tile of A runs against the

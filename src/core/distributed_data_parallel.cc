@@ -20,21 +20,7 @@ DistributedDataParallel::DistributedDataParallel(
 
   BroadcastInitialState();
 
-  ReducerOptions reducer_options;
-  reducer_options.bucket_cap_bytes = options_.bucket_cap_bytes;
-  reducer_options.first_bucket_cap_bytes = options_.first_bucket_cap_bytes;
-  reducer_options.find_unused_parameters = options_.find_unused_parameters;
-  reducer_options.comm_hook = options_.comm_hook;
-  reducer_options.compute_model = options_.compute_model;
-  reducer_options.gradient_as_bucket_view = options_.gradient_as_bucket_view;
-  reducer_options.trace = options_.trace;
-  reducer_options.telemetry = options_.telemetry;
-  reducer_options.metrics = options_.metrics;
-  reducer_options.collective_timeout_seconds =
-      options_.collective_timeout_seconds;
-  reducer_options.validate_bucket_layout = options_.validate_bucket_layout;
-  reducer_ = std::make_unique<Reducer>(module_->parameters(), pg_,
-                                       reducer_options);
+  reducer_ = std::make_unique<Reducer>(module_->parameters(), pg_, options_);
 }
 
 void DistributedDataParallel::RecordCommFailure(Status status) {

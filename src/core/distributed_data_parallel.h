@@ -59,35 +59,14 @@ struct RecoveryReport {
 
 /// Constructor knobs (paper §4.1 "Configurable Knobs"): process_group,
 /// bucket_cap (bucket_cap_mb), and find_unused_parameters — plus extension
-/// hooks.
-struct DdpOptions {
-  size_t bucket_cap_bytes = 25u << 20;
-  size_t first_bucket_cap_bytes = 0;  // 0 = same as bucket_cap_bytes
-  bool find_unused_parameters = false;
+/// hooks. Every Reducer knob (see ReducerOptions) is set here and handed to
+/// the Reducer as is; collective_timeout_seconds also bounds DDP's own
+/// state and buffer broadcasts, and `telemetry` frames additionally get the
+/// forward time stamped by DDP.
+struct DdpOptions : ReducerOptions {
   /// Broadcast BatchNorm-style buffers from rank 0 before synced forwards
   /// (paper §4.1 "Model Buffers").
   bool broadcast_buffers = true;
-  std::shared_ptr<CommHook> comm_hook;
-  std::shared_ptr<sim::ComputeCostModel> compute_model;
-  /// See ReducerOptions::gradient_as_bucket_view.
-  bool gradient_as_bucket_view = false;
-  /// Optional span recorder (forward/backward/comm timeline; see
-  /// core/trace.h).
-  std::shared_ptr<TraceRecorder> trace;
-  /// Optional per-iteration telemetry sink (see ReducerOptions::telemetry);
-  /// DDP additionally stamps each frame's forward time.
-  std::shared_ptr<TelemetryLog> telemetry;
-  /// Optional metrics registry shared by the reducer (ddp.*/reducer.*
-  /// namespaces) and — when the same registry is handed to the backend —
-  /// the process group (pg.* namespace).
-  std::shared_ptr<MetricsRegistry> metrics;
-  /// Watchdog (virtual seconds) applied to every collective DDP issues:
-  /// state broadcasts, buffer broadcasts, and — through ReducerOptions —
-  /// gradient-bucket all-reduces. A stalled or crashed peer surfaces as a
-  /// typed sync_status() error instead of a hang.
-  double collective_timeout_seconds = 30.0;
-  /// See ReducerOptions::validate_bucket_layout.
-  bool validate_bucket_layout = true;
 };
 
 /// The paper's primary contribution: an nn::Module wrapper that makes

@@ -8,11 +8,11 @@ namespace ddpkit::core {
 std::string MemoryEstimate::ToString() const {
   char buf[256];
   std::snprintf(buf, sizeof(buf),
-                "params=%.1fMB grads=%.1fMB buckets=%.1fMB bitmap=%.1fKB "
+                "params=%.1fMB grads+buckets=%.1fMB bitmap=%.1fKB "
                 "hook=%.1fMB total=%.1fMB",
-                parameter_bytes / 1048576.0, gradient_bytes / 1048576.0,
-                bucket_bytes / 1048576.0, bitmap_bytes / 1024.0,
-                hook_payload_bytes / 1048576.0, Total() / 1048576.0);
+                parameter_bytes / 1048576.0, bucket_bytes / 1048576.0,
+                bitmap_bytes / 1024.0, hook_payload_bytes / 1048576.0,
+                Total() / 1048576.0);
   return buf;
 }
 
@@ -29,11 +29,6 @@ MemoryEstimate EstimateDdpMemory(const std::vector<ParamMeta>& params,
     estimate.bucket_bytes += bytes;
     max_bucket = std::max(max_bucket, bytes);
   }
-
-  // With bucket views, gradients ARE the buckets; otherwise a full
-  // gradient copy exists alongside.
-  estimate.gradient_bytes =
-      options.gradient_as_bucket_view ? 0 : estimate.parameter_bytes;
 
   if (options.find_unused_parameters) {
     // CPU bitmap + device copy (paper §4.2).

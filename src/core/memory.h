@@ -11,20 +11,17 @@ namespace ddpkit::core {
 
 /// Per-rank memory footprint of a DDP configuration. The paper's related
 /// work (§7, ZeRO discussion) lists parameters, gradients and buckets as
-/// the data-parallel memory contributors DDP replicates on every rank;
-/// this estimator makes the trade-offs of the knobs visible:
-/// gradient_as_bucket_view removes the separate gradient allocation, and
-/// compression hooks add transient payload buffers.
+/// the data-parallel memory contributors DDP replicates on every rank.
+/// Gradients are views of their bucket slots, so bucket_bytes is also the
+/// gradient memory; compression hooks add transient payload buffers.
 struct MemoryEstimate {
   size_t parameter_bytes = 0;
-  size_t gradient_bytes = 0;
   size_t bucket_bytes = 0;
   size_t bitmap_bytes = 0;
   size_t hook_payload_bytes = 0;
 
   size_t Total() const {
-    return parameter_bytes + gradient_bytes + bucket_bytes + bitmap_bytes +
-           hook_payload_bytes;
+    return parameter_bytes + bucket_bytes + bitmap_bytes + hook_payload_bytes;
   }
   std::string ToString() const;
 };

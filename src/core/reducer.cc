@@ -7,8 +7,6 @@
 #include <sstream>
 #include <utility>
 
-#include <cstring>
-
 #include "autograd/engine.h"
 #include "autograd/grad_accumulator.h"
 #include "autograd/graph_utils.h"
@@ -16,27 +14,18 @@
 #include "comm/store_keys.h"
 #include "common/check.h"
 #include "common/logging.h"
-#include "common/parallel.h"
-#include "common/vec.h"
 #include "tensor/tensor_ops.h"
 
 namespace ddpkit::core {
 
 namespace {
 
-/// Thread-chunked copy between contiguous float32 buffers (the bucket
-/// copy-in/copy-out path, §4.2's named per-backward copy cost).
-void ParallelCopy(float* dst, const float* src, int64_t n) {
-  ParallelFor(0, n, kParallelGrain, [&](int64_t b, int64_t e) {
-    vec::Copy(dst + b, src + b, e - b);
-  });
-}
-
-/// Monotonic wall-clock seconds for the copy-cost telemetry (the copies
-/// are real work in this process, unlike the modeled virtual time).
+/// Monotonic wall-clock seconds for the copy-cost telemetry (the re-attach
+/// copies and the averaging pass are real work in this process, unlike the
+/// modeled virtual time).
 double WallSeconds() {
   // ddplint: allow(banned-nondeterminism) copy-cost telemetry measures real
-  // memcpy time by design (§4.2); it never feeds simulated results.
+  // memory-pass time by design (§4.2); it never feeds simulated results.
   const auto now = std::chrono::steady_clock::now();
   return std::chrono::duration<double>(now.time_since_epoch()).count();
 }
@@ -148,11 +137,6 @@ Reducer::Reducer(std::vector<Tensor> params,
         << "duplicate parameter handed to Reducer";
   }
 
-  DDPKIT_CHECK(!(options_.gradient_as_bucket_view &&
-                 options_.find_unused_parameters))
-      << "gradient_as_bucket_view cannot keep globally-unused gradients "
-         "intact; disable one of the two options";
-
   // No concurrent access is possible before the constructor returns, but
   // InitBuckets / AbortSync / ValidateCrossRankLayout carry REQUIRES(mu_)
   // contracts, so take the (uncontended) lock for the setup sequence.
@@ -215,50 +199,52 @@ void Reducer::InitBuckets(const BucketAssignment& assignment) {
   assignment_ = assignment;
   buckets_.clear();
   buckets_.resize(assignment_.buckets.size());
-  param_to_bucket_.assign(params_.size(), 0);
   param_slots_.assign(params_.size(), Slot{});
 
   for (size_t b = 0; b < assignment_.buckets.size(); ++b) {
     Bucket& bucket = buckets_[b];
     int64_t total = 0;
     for (size_t idx : assignment_.buckets[b]) {
-      bucket.slots.push_back(Slot{idx, total, metas_[idx].numel});
-      param_to_bucket_[idx] = b;
-      param_slots_[idx] = bucket.slots.back();
+      param_slots_[idx] = Slot{b, total, metas_[idx].numel};
       total += metas_[idx].numel;
     }
     const int device = metas_[assignment_.buckets[b].front()].device_id;
     // Buckets live on the same device as their parameters (§4.2).
     bucket.buffer = Tensor::Zeros({total}, DType::kFloat32, device);
     bucket.bytes = BucketBytes(metas_, assignment_.buckets[b]);
-    bucket.pending = bucket.slots.size();
+    bucket.pending = assignment_.buckets[b].size();
   }
-  if (options_.gradient_as_bucket_view) InstallGradViews();
+  // A gradient that views a retired bucket keeps that buffer alive until it
+  // is moved here, so accumulated values survive a rebuild or recovery.
+  for (size_t i = 0; i < params_.size(); ++i) {
+    Tensor grad = params_[i].grad();
+    if (!grad.defined()) continue;
+    Tensor view = SlotView(i);
+    view.CopyFrom(grad);
+    params_[i].set_grad(view);
+  }
 }
 
-void Reducer::InstallGradViews() {
-  for (Bucket& bucket : buckets_) {
-    for (const Slot& slot : bucket.slots) {
-      Tensor p = params_[slot.param_index];
-      Tensor view = bucket.buffer.Narrow(0, slot.offset, slot.length)
-                        .Reshape(p.shape());
-      Tensor existing = p.grad();
-      if (existing.defined()) {
-        // Preserve accumulated values across (re)installation.
-        view.CopyFrom(existing);
-      } else {
-        view.Zero();
-      }
-      p.set_grad(view);
-    }
-  }
+Tensor Reducer::SlotView(size_t param_index) {
+  const Slot& slot = param_slots_[param_index];
+  return buckets_[slot.bucket].buffer.Narrow(0, slot.offset, slot.length)
+      .Reshape(params_[param_index].shape());
+}
+
+bool Reducer::GradIsSlotView(size_t param_index) {
+  const Tensor grad = params_[param_index].grad();
+  const Slot& slot = param_slots_[param_index];
+  return grad.defined() &&
+         grad.data<float>() ==
+             buckets_[slot.bucket].buffer.data<float>() + slot.offset;
 }
 
 void Reducer::ResetIterationState() {
   param_ready_.assign(params_.size(), 0);
-  for (Bucket& b : buckets_) {
+  for (size_t i = 0; i < buckets_.size(); ++i) {
+    Bucket& b = buckets_[i];
     // Replenish the pending gradient count for every bucket (§4.2).
-    b.pending = b.slots.size();
+    b.pending = assignment_.buckets[i].size();
     b.ready = false;
     b.launched = false;
     b.work.reset();
@@ -344,31 +330,36 @@ void Reducer::MarkParamReady(size_t param_index, bool via_hook) {
   param_ready_[param_index] = 1;
   ready_order_.push_back(param_index);
 
-  const size_t bucket_id = param_to_bucket_[param_index];
+  const size_t bucket_id = param_slots_[param_index].bucket;
   Bucket& bucket = buckets_[bucket_id];
-  // Copy the gradient into its bucket view (Algorithm 1 lines 15-16). The
-  // slot was precomputed at bucket-build time, so this lookup is O(1).
-  const Slot& slot = param_slots_[param_index];
-  DDPKIT_CHECK_EQ(slot.param_index, param_index);
-  const bool time_copies = frame_active_ && options_.telemetry != nullptr;
-  const double copy_start = time_copies ? WallSeconds() : 0.0;
-  Tensor view = bucket.buffer.Narrow(0, slot.offset, slot.length);
-  Tensor grad = params_[param_index].grad();
-  if (grad.defined() && grad.data<float>() == view.data<float>()) {
-    // gradient_as_bucket_view: the gradient already lives in the bucket.
-  } else if (grad.defined()) {
-    if (grad.is_contiguous()) {
-      ParallelCopy(view.data<float>(), grad.data<float>(), slot.length);
-    } else {
-      view.CopyFrom(grad.Flatten());
+  Tensor p = params_[param_index];
+  Tensor grad = p.grad();
+  if (GradIsSlotView(param_index)) {
+    // Autograd accumulated straight into the bucket (Algorithm 1 lines
+    // 15-16 need no copy). A hook implies local use, so only a parameter
+    // marked ready by the unused-parameter traversal can land here unused.
+    if (!locally_used_[param_index]) {
+      // §3.2.3: if no rank used it, this gradient must stay intact, yet its
+      // slot is about to be reduced. Detach it; the slot keeps the values
+      // this rank contributes, and the post-wait pass re-attaches the
+      // gradient if some peer did use the parameter.
+      p.set_grad(grad.Clone());
     }
   } else {
-    // Locally-unused parameter with no accumulated gradient: contribute
-    // zeros so peers that did use it still receive a correct average.
-    DDPKIT_CHECK(!via_hook);
-    view.Zero();
+    // One-time re-attach copy: the first gradient, a user set_grad, or a
+    // rank that contributes zeros for a gradient it never had (peers that
+    // used the parameter still receive a correct average).
+    const bool time_copies = frame_active_ && options_.telemetry != nullptr;
+    const double copy_start = time_copies ? WallSeconds() : 0.0;
+    Tensor view = SlotView(param_index);
+    if (grad.defined()) {
+      view.CopyFrom(grad);
+    } else {
+      DDPKIT_CHECK(!via_hook);
+      view.Zero();
+    }
+    if (time_copies) frame_.copy_in_seconds += WallSeconds() - copy_start;
   }
-  if (time_copies) frame_.copy_in_seconds += WallSeconds() - copy_start;
 
   DDPKIT_CHECK_GT(bucket.pending, 0u);
   if (--bucket.pending == 0) {
@@ -565,56 +556,22 @@ void Reducer::FinalizeBackward() {
         UnionLength(std::move(windows), backward_start_clock_, backward_end);
   }
 
-  // Average and write back (the finalizing step Algorithm 1 omits).
+  // Average in place (the finalizing step Algorithm 1 omits). The buckets
+  // hold the gradients, so there is nothing to copy back: a globally-used
+  // parameter whose .grad is not yet a view of its slot is pointed at it.
+  // Globally-unused gradients stay intact (§3.2.3), so optimizers that
+  // inspect gradient absence behave exactly as in local training.
+  const double average_start = telem ? WallSeconds() : 0.0;
   const double inv_world = 1.0 / static_cast<double>(pg_->world());
-  // Gradient allocation and view bookkeeping stay on this thread; the
-  // per-slot data movement is collected into jobs and fanned out across the
-  // pool (slots write disjoint gradient buffers).
-  struct CopyJob {
-    float* dst;
-    const float* src;
-    int64_t numel;
-  };
-  const double copy_out_start = telem ? WallSeconds() : 0.0;
-  std::vector<CopyJob> copy_jobs;
   for (Bucket& bucket : buckets_) {
     kernels::ScaleInPlace(&bucket.buffer, inv_world);
-    if (options_.gradient_as_bucket_view) {
-      // Gradients alias the bucket; the scale above already averaged them
-      // in place and there is nothing to copy back.
-      continue;
-    }
-    for (const Slot& slot : bucket.slots) {
-      const size_t i = slot.param_index;
-      if (options_.find_unused_parameters && !globally_used_[i]) {
-        // Globally-unused gradients stay intact (§3.2.3), so optimizers
-        // that inspect gradient absence behave exactly as in local
-        // training.
-        continue;
-      }
-      Tensor p = params_[i];
-      Tensor grad = p.grad();
-      if (!grad.defined()) {
-        Tensor fresh = Tensor::Zeros(p.shape(), p.dtype(), p.device_id());
-        p.set_grad(fresh);
-        grad = p.grad();
-      }
-      DDPKIT_CHECK(grad.is_contiguous());
-      copy_jobs.push_back(CopyJob{
-          grad.data<float>(),
-          bucket.buffer.data<float>() + slot.offset,
-          slot.length,
-      });
+  }
+  for (size_t i = 0; i < params_.size(); ++i) {
+    if (globally_used_[i] && !GradIsSlotView(i)) {
+      params_[i].set_grad(SlotView(i));
     }
   }
-  ParallelFor(0, static_cast<int64_t>(copy_jobs.size()), 1,
-              [&](int64_t jb, int64_t je) {
-    for (int64_t j = jb; j < je; ++j) {
-      const CopyJob& job = copy_jobs[static_cast<size_t>(j)];
-      vec::Copy(job.dst, job.src, job.numel);
-    }
-  });
-  if (telem) frame_.copy_out_seconds = WallSeconds() - copy_out_start;
+  if (telem) frame_.copy_out_seconds = WallSeconds() - average_start;
 
   std::fill(locally_used_.begin(), locally_used_.end(), 0);
   last_ready_order_ = ready_order_;

@@ -22,7 +22,18 @@ namespace ddpkit::core {
 
 /// Configuration knobs exposed through the DDP constructor (paper §4.1):
 /// bucket_cap_bytes <-> bucket_cap_mb, find_unused_parameters, plus the
-/// extension hooks.
+/// extension hooks. DdpOptions extends this struct and is handed to the
+/// Reducer as is.
+///
+/// No knob picks the gradient layout: each parameter's .grad is a view of
+/// its slot in its bucket, so autograd accumulates straight into bucket
+/// memory and averaging a bucket in place averages its gradients. Neither
+/// of §4.2's per-backward copies (grads into buckets, averages back) nor a
+/// separate gradient copy exists. Views are lazy: a .grad stays undefined
+/// until its parameter first gets a gradient; a .grad that is not a view
+/// of its slot (the first gradient, a user set_grad) is copied in once and
+/// pointed at the slot when the sync completes; a bucket rebuild moves
+/// every defined .grad into its new slot.
 struct ReducerOptions {
   /// Bucket capacity; 0 means one AllReduce per gradient (the paper's 0 MB
   /// baseline). Default 25 MB per the paper.
@@ -35,14 +46,6 @@ struct ReducerOptions {
   bool find_unused_parameters = false;
   /// Optional gradient-compression hook (§6.2.3 extension).
   std::shared_ptr<CommHook> comm_hook;
-  /// Memory/copy optimization: make each parameter's .grad a view into its
-  /// bucket slot, eliminating both the hook-time grad->bucket copy and the
-  /// finalize-time bucket->grad copy-back ("every backward pass copies
-  /// tensors from all parameter gradients to buckets, and averaged
-  /// gradients are copied back" — §4.2 names these copies as a cost).
-  /// Incompatible with find_unused_parameters: a view cannot "stay intact"
-  /// while its bucket is reduced.
-  bool gradient_as_bucket_view = false;
   /// Optional virtual-time charging: when set, each gradient hook advances
   /// the rank's clock by the modeled per-op backward cost, so the real
   /// thread-backed stack produces paper-comparable iteration latencies.
@@ -101,7 +104,7 @@ class Reducer {
       EXCLUDES(mu_);
 
   /// True once the most recent synced backward has completed its reduction
-  /// (all AllReduce waits done, gradients averaged and written back).
+  /// (all AllReduce waits done, gradients averaged in their buckets).
   bool backward_finalized() const EXCLUDES(mu_) {
     MutexLock lock(&mu_);
     return finalized_;
@@ -116,6 +119,14 @@ class Reducer {
   /// synchronization on this replica: backwards still accumulate local
   /// gradients, but no collectives are issued (restart-from-checkpoint is
   /// the recovery path, as with a dead NCCL communicator).
+  ///
+  /// Gradients of the failed iteration live in their buckets, so a
+  /// collective that fails after bytes have moved (a wire fault mid-ring)
+  /// can leave them partly reduced. Discard them — zero them or end the
+  /// run — before the next Optimizer::Step, as Recover() requires. A
+  /// collective that fails before any byte moves (the sim backend's
+  /// short-of-participants check) leaves them holding the local
+  /// accumulation.
   ///
   /// Like the other const&-returning accessors below, this returns a
   /// reference into reducer state: safe to hold only while no backward /
@@ -224,14 +235,15 @@ class Reducer {
   }
 
  private:
+  /// Where one parameter's gradient lives: [offset, offset + length) of
+  /// its bucket's buffer.
   struct Slot {
-    size_t param_index;
-    int64_t offset;
-    int64_t length;
+    size_t bucket = 0;
+    int64_t offset = 0;
+    int64_t length = 0;
   };
   struct Bucket {
     Tensor buffer;  // flat float32, same device as its parameters
-    std::vector<Slot> slots;
     size_t pending = 0;
     bool ready = false;
     bool launched = false;
@@ -242,6 +254,8 @@ class Reducer {
   };
 
   void InstallHooks();
+  /// Allocates the buckets for `assignment` and moves every defined .grad
+  /// into its new slot; undefined ones stay undefined.
   void InitBuckets(const BucketAssignment& assignment) REQUIRES(mu_);
   /// Store-based cross-rank bucket-signature handshake (see
   /// ReducerOptions::validate_bucket_layout). Sets sync_status_ on desync.
@@ -265,9 +279,11 @@ class Reducer {
   /// did complete still advances the clock to its completion, everything
   /// else is simply dropped.
   void DrainBucketWorks(Bucket& bucket) REQUIRES(mu_);
-  /// gradient_as_bucket_view: repoint every param.grad at its bucket slot,
-  /// preserving any existing gradient values.
-  void InstallGradViews() REQUIRES(mu_);
+  /// The parameter's slot in its bucket, shaped like the parameter: the
+  /// tensor its .grad is a view of once attached.
+  Tensor SlotView(size_t param_index) REQUIRES(mu_);
+  /// True when the parameter's .grad is (already) a view of its slot.
+  bool GradIsSlotView(size_t param_index) REQUIRES(mu_);
   void ResetIterationState() REQUIRES(mu_);
   /// Post-hook entry point (Algorithm 1 lines 12-21). Locks mu_ for the
   /// whole hook: autograd fires it on the rank's own backward thread,
@@ -304,10 +320,8 @@ class Reducer {
 
   BucketAssignment assignment_ GUARDED_BY(mu_);
   std::vector<Bucket> buckets_ GUARDED_BY(mu_);
-  std::vector<size_t> param_to_bucket_ GUARDED_BY(mu_);
-  /// param_index -> its slot (offset/length in its bucket's buffer),
-  /// precomputed at bucket-build time so MarkParamReady does no O(slots)
-  /// scan on the per-gradient hot path.
+  /// param_index -> its slot, precomputed at bucket-build time so
+  /// MarkParamReady does no scan on the per-gradient hot path.
   std::vector<Slot> param_slots_ GUARDED_BY(mu_);
 
   // Per-iteration state.

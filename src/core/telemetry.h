@@ -27,10 +27,10 @@ struct BucketTelemetry {
 };
 
 /// One synced iteration's timing record — the paper's Fig 6 quantities plus
-/// the copy costs §4.2 names. Populated by the DDP wrapper (forward) and
-/// the Reducer (everything else); virtual-clock fields are comparable to
-/// the cluster simulator's breakdowns, while the copy fields are real
-/// wall-clock spent in this process's memcpy loops.
+/// the Reducer's passes over gradient memory. Populated by the DDP wrapper
+/// (forward) and the Reducer (everything else); virtual-clock fields are
+/// comparable to the cluster simulator's breakdowns, while the copy fields
+/// are real wall-clock spent in this process's memory passes.
 struct DDPTelemetry {
   uint64_t iteration = 0;
   int rank = 0;
@@ -53,9 +53,14 @@ struct DDPTelemetry {
   /// Union of launch→completion windows (in-flight communication time).
   double comm_seconds = 0.0;
 
-  // -- §4.2 copy costs (real wall-clock seconds) --
-  double copy_in_seconds = 0.0;   // gradient -> bucket, summed over hooks
-  double copy_out_seconds = 0.0;  // bucket -> gradient, at finalize
+  // -- Passes over gradient memory (real wall-clock seconds). The names
+  // predate bucket-view gradients, which removed §4.2's per-backward
+  // copies; the JSON keys and perfbench read them. --
+  /// One-time copies that attach a .grad to its bucket slot, summed over
+  /// hooks.
+  double copy_in_seconds = 0.0;
+  /// The per-bucket averaging pass at finalize.
+  double copy_out_seconds = 0.0;
 
   /// Per-parameter backward compute charged by the cost model, in hook
   /// order; empty when no compute model is attached.

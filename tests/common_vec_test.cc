@@ -147,11 +147,6 @@ TEST(VecBitExactTest, AllFloatKernelsMatchScalarAtEveryLevel) {
            *d = y;
            vec::AccumulateMax(d->data(), x.data(), x.size());
          }},
-        {"Copy",
-         [](const std::vector<float>& x, const std::vector<float>&,
-            std::vector<float>* d) {
-           vec::Copy(d->data(), x.data(), x.size());
-         }},
         // The tile cases read k = n / kTileCols; rows and cols vary with n so
         // full and partial panels and tiles are covered, and the 99s left
         // outside the tile check that no level stores past `cols`.

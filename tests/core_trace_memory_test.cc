@@ -95,21 +95,24 @@ std::vector<ParamMeta> MegabyteParams(int count) {
 }
 
 TEST(MemoryEstimateTest, BaselineCountsParamsGradsBuckets) {
+  // Gradients live in the bucket slots, so bucket_bytes is the gradient bill.
   ReducerOptions options;
   options.bucket_cap_bytes = 4u << 20;
   auto estimate = EstimateDdpMemory(MegabyteParams(8), options);
   EXPECT_EQ(estimate.parameter_bytes, 8u << 20);
-  EXPECT_EQ(estimate.gradient_bytes, 8u << 20);
   EXPECT_EQ(estimate.bucket_bytes, 8u << 20);
   EXPECT_EQ(estimate.bitmap_bytes, 0u);
-  EXPECT_EQ(estimate.Total(), 24u << 20);
+  EXPECT_EQ(estimate.hook_payload_bytes, 0u);
+  EXPECT_EQ(estimate.Total(), 16u << 20);
 }
 
 TEST(MemoryEstimateTest, BucketViewsEliminateGradientCopy) {
-  ReducerOptions options;
-  options.gradient_as_bucket_view = true;
-  auto estimate = EstimateDdpMemory(MegabyteParams(8), options);
-  EXPECT_EQ(estimate.gradient_bytes, 0u);
+  // Gradients are views of their bucket slots: the bill is parameters plus
+  // buckets, with no separate gradient copy, whatever the bucket cap.
+  auto estimate = EstimateDdpMemory(MegabyteParams(8), ReducerOptions{});
+  EXPECT_EQ(estimate.bucket_bytes, estimate.parameter_bytes);
+  EXPECT_EQ(estimate.Total(),
+            estimate.parameter_bytes + estimate.bucket_bytes);
   EXPECT_EQ(estimate.Total(), 16u << 20);
 }
 

@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <string>
 #include <vector>
 
 #include "autograd/engine.h"
@@ -40,26 +41,49 @@ TEST(UnusedParamsTest, BackwardCompletesWhenBranchSkipped) {
 
 TEST(UnusedParamsTest, GloballyUnusedGradientsStayIntact) {
   // Paper §3.2.3: "DDP should only touch gradients that are indeed involved
-  // in the backward pass."
-  SimWorld::Run(2, [&](SimWorld::RankContext& ctx) {
-    Rng rng(2);
-    auto model = std::make_shared<nn::BranchyNet>(4, &rng);
-    model->set_use_branch_a(true);
-    DistributedDataParallel ddp(model, ctx.process_group,
-                                FindUnusedOptions());
-    // Pre-seed branch B gradients with a sentinel value.
-    for (Tensor& p : model->branch_b_parameters()) {
-      p.set_grad(Tensor::Full(p.shape(), 42.0));
+  // in the backward pass." Branch B's gradients first come out of a synced
+  // backward (as bucket views); then no rank uses branch B, and they must
+  // keep their exact bytes whether the user replaced them or wrote into
+  // them in place. World 3 matters: (x+x)*0.5 == x for any finite x, but
+  // (0.1f+0.1f+0.1f)*(1/3) != 0.1f, so only there does an averaged
+  // gradient differ from an untouched one.
+  for (int world : {2, 3}) {
+    for (bool in_place : {false, true}) {
+      // Failures land on rank threads, where SCOPED_TRACE does not reach.
+      const std::string label =
+          "world " + std::to_string(world) +
+          (in_place ? ", written in place" : ", replaced");
+      const float sentinel = in_place ? 0.1f : 42.0f;
+      SimWorld::Run(world, [&](SimWorld::RankContext& ctx) {
+        Rng rng(2);
+        auto model = std::make_shared<nn::BranchyNet>(4, &rng);
+        DistributedDataParallel ddp(model, ctx.process_group,
+                                    FindUnusedOptions());
+        Tensor x = Tensor::Full({2, 4}, 1.0);
+        model->set_use_branch_a(false);
+        autograd::Backward(ops::MeanAll(ddp.Forward(x)));
+        for (Tensor& p : model->branch_b_parameters()) {
+          if (in_place) {
+            p.grad().Fill(sentinel);
+          } else {
+            p.set_grad(Tensor::Full(p.shape(), sentinel));
+          }
+        }
+        model->set_use_branch_a(true);
+        autograd::Backward(ops::MeanAll(ddp.Forward(x)));
+        for (const Tensor& p : model->branch_b_parameters()) {
+          Tensor g = p.grad();
+          for (int64_t i = 0; i < g.numel(); ++i) {
+            EXPECT_EQ(g.data<float>()[i], sentinel)  // untouched
+                << label << ", rank " << ctx.rank << ", element " << i;
+          }
+        }
+        for (const Tensor& p : model->branch_a_parameters()) {
+          EXPECT_NE(p.grad().FlatAt(0), sentinel) << label;  // reduced
+        }
+      });
     }
-    Tensor x = Tensor::Full({2, 4}, 1.0);
-    autograd::Backward(ops::MeanAll(ddp.Forward(x)));
-    for (const Tensor& p : model->branch_b_parameters()) {
-      EXPECT_DOUBLE_EQ(p.grad().FlatAt(0), 42.0);  // untouched
-    }
-    for (const Tensor& p : model->branch_a_parameters()) {
-      EXPECT_NE(p.grad().FlatAt(0), 42.0);  // reduced normally
-    }
-  });
+  }
 }
 
 TEST(UnusedParamsTest, GloballyUsedMaskMatchesBranch) {
