@@ -15,20 +15,11 @@ ClusterSim::ClusterSim(ModelSpec spec, ClusterConfig config)
   DDPKIT_CHECK_GE(config_.round_robin_groups, 1);
   DDPKIT_CHECK_GE(config_.skip_sync_every, 1);
 
-  switch (config_.backend) {
-    case sim::Backend::kNccl:
-      cost_model_ = std::make_unique<sim::NcclCostModel>(
-          config_.topology,
-          config_.nccl_options.value_or(sim::NcclCostModel::Options()));
-      break;
-    case sim::Backend::kGloo:
-      cost_model_ = std::make_unique<sim::GlooCostModel>(
-          config_.topology,
-          config_.gloo_options.value_or(sim::GlooCostModel::Options()));
-      break;
-    case sim::Backend::kMpi:
-      cost_model_ = std::make_unique<sim::MpiCostModel>(config_.topology);
-      break;
+  if (config_.backend == sim::Backend::kNccl && config_.nccl_options) {
+    cost_model_ = std::make_unique<sim::NcclCostModel>(config_.topology,
+                                                       *config_.nccl_options);
+  } else {
+    cost_model_ = sim::MakeCostModel(config_.backend, config_.topology);
   }
 
   // Exactly the production bucketing code path (core/bucketing.cc).

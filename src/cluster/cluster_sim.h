@@ -38,8 +38,9 @@ struct ClusterConfig {
 
   sim::ComputeCostModel::Options compute = sim::ComputeCostModel::V100Profile();
   sim::StragglerModel::Options straggler;
+  /// NCCL link-model override (the degraded shared links of Figs 9-10);
+  /// other backends always use their defaults.
   std::optional<sim::NcclCostModel::Options> nccl_options;
-  std::optional<sim::GlooCostModel::Options> gloo_options;
 
   /// Every `hiccup_every` iterations add `hiccup_seconds` (the Fig 7/8
   /// outliers: "delay spikes at 100 iteration boundaries caused by DDP

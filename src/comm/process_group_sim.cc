@@ -1,12 +1,12 @@
 #include "comm/process_group_sim.h"
 
 #include <algorithm>
-#include <functional>
 #include <sstream>
 #include <unordered_map>
 
 #include "comm/store_keys.h"
 #include "common/check.h"
+#include "common/logging.h"
 #include "common/mutex.h"
 #include "common/thread_annotations.h"
 
@@ -60,7 +60,6 @@ struct GroupState {
   // lock. Deliberately not GUARDED_BY.
   std::unique_ptr<sim::CommCostModel> cost_model;
   Algorithm algorithm = Algorithm::kRing;
-  int concurrent_groups = 1;
   /// Shared deterministic fault schedule (null = fault-free) and the
   /// virtual-time watchdog applied when scheduled faults leave a
   /// collective short of participants.
@@ -137,24 +136,8 @@ std::shared_ptr<ProcessGroupSim> ProcessGroupSim::Create(
   {
     MutexLock lock(&state->mutex);
     if (!state->cost_model) {
-      switch (options.flavor) {
-        case sim::Backend::kNccl:
-          state->cost_model = std::make_unique<sim::NcclCostModel>(
-              options.topology, options.nccl_options.value_or(
-                                    sim::NcclCostModel::Options()));
-          break;
-        case sim::Backend::kGloo:
-          state->cost_model = std::make_unique<sim::GlooCostModel>(
-              options.topology, options.gloo_options.value_or(
-                                    sim::GlooCostModel::Options()));
-          break;
-        case sim::Backend::kMpi:
-          state->cost_model =
-              std::make_unique<sim::MpiCostModel>(options.topology);
-          break;
-      }
+      state->cost_model = sim::MakeCostModel(options.flavor, options.topology);
       state->algorithm = options.algorithm;
-      state->concurrent_groups = options.concurrent_groups;
       state->fault_plan = options.fault_plan;
       state->collective_timeout = options.collective_timeout_seconds;
       state->generation = options.generation;
@@ -247,18 +230,43 @@ WorkHandle AbsentRankWork(const FaultPlan& plan, GroupState* state,
   return work;
 }
 
+/// Modeled duration of one collective of `bytes` (the in-place tensor or
+/// the input): every kind is priced by one cost-model formula.
+double ModeledSeconds(const GroupState& state, Collective kind, size_t bytes,
+                      int concurrent_groups) {
+  const sim::CommCostModel& model = *state.cost_model;
+  switch (kind) {
+    case Collective::kAllReduce:
+      return model.AllReduceSeconds(bytes, state.world, concurrent_groups,
+                                    state.algorithm);
+    case Collective::kBroadcast:
+    case Collective::kReduce:  // a tree reduce mirrors a pipelined broadcast
+      return model.BroadcastSeconds(bytes, state.world);
+    case Collective::kAllGather:
+    case Collective::kGather:  // the root receives all-gather's volume
+      return model.AllGatherSeconds(bytes, state.world);
+    case Collective::kReduceScatter:
+      // The first half of a ring all-reduce: same step count structure,
+      // half the traffic.
+      return 0.5 * model.AllReduceSeconds(bytes, state.world,
+                                          concurrent_groups);
+    case Collective::kBarrier:
+      return model.BarrierSeconds(state.world);
+  }
+  return 0.0;
+}
+
 /// Registers this rank's contribution under `seq`; the last live arrival
 /// runs the data-plane operation, computes timing against the group's comm
-/// queue, and completes the shared Work. Faults from the group's plan are
-/// applied here: stalls delay this rank's arrival, absent peers turn the
-/// collective into a typed timeout/rank-failure instead of a deadlock, and
-/// cross-rank signature mismatches fail the work instead of aborting.
-WorkHandle Contribute(
-    GroupState* state, uint64_t seq, int rank, sim::VirtualClock* clock,
-    Collective kind, ReduceOp op, int root, int64_t numel, DType dtype,
-    const Tensor& data, const Tensor& input,
-    const std::function<double(const CollectiveInstance&, double start)>&
-        duration_fn) {
+/// queue (the collective takes `seconds` once it starts), and completes the
+/// shared Work. Faults from the group's plan are applied here: stalls delay
+/// this rank's arrival, absent peers turn the collective into a typed
+/// timeout/rank-failure instead of a deadlock, and cross-rank signature
+/// mismatches fail the work instead of aborting.
+WorkHandle Contribute(GroupState* state, uint64_t seq, int rank,
+                      sim::VirtualClock* clock, Collective kind, ReduceOp op,
+                      int root, int64_t numel, DType dtype, const Tensor& data,
+                      const Tensor& input, double seconds) {
   if (state->metrics != nullptr) {
     state->metrics->counter(std::string("pg.ops.") + CollectiveName(kind))
         .Increment();
@@ -418,7 +426,7 @@ WorkHandle Contribute(
       const double max_arrival = inst->arrivals[static_cast<size_t>(slowest)];
       const double start = std::max(max_arrival, state->queue_tail);
       queue_delay = start - max_arrival;
-      completion = start + duration_fn(*inst, start);
+      completion = start + seconds;
       if (plan != nullptr) completion += plan->CompletionDelaySeconds(seq);
       duration = completion - start;
       state->queue_tail = completion;
@@ -443,129 +451,66 @@ WorkHandle Contribute(
 
 }  // namespace
 
-WorkHandle ProcessGroupSim::AllReduce(Tensor tensor, ReduceOp op) {
-  if (WorkHandle bad =
-          RejectInvalidCollective(Collective::kAllReduce, op, 0, rank(),
-                                  world(), tensor, Tensor(), clock_->Now())) {
+WorkHandle ProcessGroupSim::Issue(Collective kind, ReduceOp op, int root,
+                                  const Tensor& tensor, Tensor output) {
+  if (WorkHandle bad = RejectInvalidCollective(kind, op, root, rank(),
+                                               world(), tensor, output,
+                                               clock_->Now())) {
     return bad;
   }
-  GroupState* state = state_.get();
-  const size_t bytes = tensor.nbytes();
-  const int w = world();
-  const int groups = options_.concurrent_groups;
-  return Contribute(
-      state, next_seq_++, rank(), clock_, Collective::kAllReduce, op,
-      /*root=*/0, tensor.numel(), tensor.dtype(), tensor, Tensor(),
-      [state, bytes, w, groups](const CollectiveInstance&, double) {
-        return state->cost_model->AllReduceSeconds(bytes, w, groups,
-                                                   state->algorithm);
-      });
+  // The in-place collectives combine into `tensor`; the others read it and
+  // write `output`, which only Gather's root contributes.
+  const bool in_place = kind == Collective::kAllReduce ||
+                        kind == Collective::kBroadcast ||
+                        kind == Collective::kReduce;
+  if (kind == Collective::kGather && rank() != root) output = Tensor();
+  return Contribute(state_.get(), next_seq_++, rank(), clock_, kind, op, root,
+                    tensor.numel(), tensor.dtype(),
+                    in_place ? tensor : output,
+                    in_place ? Tensor() : tensor,
+                    ModeledSeconds(*state_, kind, tensor.nbytes(),
+                                   options_.concurrent_groups));
+}
+
+WorkHandle ProcessGroupSim::AllReduce(Tensor tensor, ReduceOp op) {
+  return Issue(Collective::kAllReduce, op, 0, tensor, Tensor());
 }
 
 WorkHandle ProcessGroupSim::Broadcast(Tensor tensor, int root) {
-  if (WorkHandle bad = RejectInvalidCollective(
-          Collective::kBroadcast, ReduceOp::kSum, root, rank(), world(),
-          tensor, Tensor(), clock_->Now())) {
-    return bad;
-  }
-  GroupState* state = state_.get();
-  const size_t bytes = tensor.nbytes();
-  const int w = world();
-  return Contribute(
-      state, next_seq_++, rank(), clock_, Collective::kBroadcast,
-      ReduceOp::kSum, root, tensor.numel(), tensor.dtype(), tensor, Tensor(),
-      [state, bytes, w](const CollectiveInstance&, double) {
-        return state->cost_model->BroadcastSeconds(bytes, w);
-      });
+  return Issue(Collective::kBroadcast, ReduceOp::kSum, root, tensor, Tensor());
 }
 
 WorkHandle ProcessGroupSim::AllGather(const Tensor& input, Tensor output) {
-  if (WorkHandle bad = RejectInvalidCollective(
-          Collective::kAllGather, ReduceOp::kSum, 0, rank(), world(), input,
-          output, clock_->Now())) {
-    return bad;
-  }
-  GroupState* state = state_.get();
-  const size_t bytes = input.nbytes();
-  const int w = world();
-  return Contribute(
-      state, next_seq_++, rank(), clock_, Collective::kAllGather,
-      ReduceOp::kSum, /*root=*/0, input.numel(), input.dtype(), output, input,
-      [state, bytes, w](const CollectiveInstance&, double) {
-        return state->cost_model->AllGatherSeconds(bytes, w);
-      });
+  return Issue(Collective::kAllGather, ReduceOp::kSum, 0, input, output);
 }
 
 WorkHandle ProcessGroupSim::Reduce(Tensor tensor, int root, ReduceOp op) {
-  if (WorkHandle bad =
-          RejectInvalidCollective(Collective::kReduce, op, root, rank(),
-                                  world(), tensor, Tensor(), clock_->Now())) {
-    return bad;
-  }
-  GroupState* state = state_.get();
-  const size_t bytes = tensor.nbytes();
-  const int w = world();
-  return Contribute(
-      state, next_seq_++, rank(), clock_, Collective::kReduce, op, root,
-      tensor.numel(), tensor.dtype(), tensor, Tensor(),
-      [state, bytes, w](const CollectiveInstance&, double) {
-        // A tree reduce mirrors a pipelined broadcast's cost profile.
-        return state->cost_model->BroadcastSeconds(bytes, w);
-      });
+  return Issue(Collective::kReduce, op, root, tensor, Tensor());
 }
 
 WorkHandle ProcessGroupSim::ReduceScatter(const Tensor& input, Tensor output,
                                           ReduceOp op) {
-  if (WorkHandle bad =
-          RejectInvalidCollective(Collective::kReduceScatter, op, 0, rank(),
-                                  world(), input, output, clock_->Now())) {
-    return bad;
-  }
-  GroupState* state = state_.get();
-  const size_t bytes = input.nbytes();
-  const int w = world();
-  const int groups = options_.concurrent_groups;
-  return Contribute(
-      state, next_seq_++, rank(), clock_, Collective::kReduceScatter, op,
-      /*root=*/0, input.numel(), input.dtype(), output, input,
-      [state, bytes, w, groups](const CollectiveInstance&, double) {
-        // Reduce-scatter is the first half of ring all-reduce: same step
-        // count structure, half the traffic.
-        return 0.5 * state->cost_model->AllReduceSeconds(bytes, w, groups);
-      });
+  return Issue(Collective::kReduceScatter, op, 0, input, output);
 }
 
 WorkHandle ProcessGroupSim::Gather(const Tensor& input, Tensor output,
                                    int root) {
-  if (WorkHandle bad = RejectInvalidCollective(
-          Collective::kGather, ReduceOp::kSum, root, rank(), world(), input,
-          output, clock_->Now())) {
-    return bad;
-  }
-  GroupState* state = state_.get();
-  const size_t bytes = input.nbytes();
-  const int w = world();
-  return Contribute(
-      state, next_seq_++, rank(), clock_, Collective::kGather,
-      ReduceOp::kSum, root, input.numel(), input.dtype(),
-      rank() == root ? output : Tensor(), input,
-      [state, bytes, w](const CollectiveInstance&, double) {
-        // Root receives (w-1) payloads; same volume as all-gather's
-        // per-rank traffic.
-        return state->cost_model->AllGatherSeconds(bytes, w);
-      });
+  return Issue(Collective::kGather, ReduceOp::kSum, root, input, output);
 }
 
 void ProcessGroupSim::Barrier() {
-  GroupState* state = state_.get();
-  const int w = world();
   WorkHandle work = Contribute(
-      state, next_seq_++, rank(), clock_, Collective::kBarrier,
+      state_.get(), next_seq_++, rank(), clock_, Collective::kBarrier,
       ReduceOp::kSum, /*root=*/0, 0, DType::kFloat32, Tensor(), Tensor(),
-      [state, w](const CollectiveInstance&, double) {
-        return state->cost_model->BarrierSeconds(w);
-      });
-  work->Wait(clock_);
+      ModeledSeconds(*state_, Collective::kBarrier, 0,
+                     options_.concurrent_groups));
+  // Barrier has no error channel; a fault is logged rather than aborted on,
+  // as in ProcessGroupTcp::Barrier.
+  const Status status = work->Wait(clock_, options_.collective_timeout_seconds);
+  if (!status.ok()) {
+    DDPKIT_LOG(Error) << "[pg_sim rank " << rank() << "] barrier failed: "
+                      << status.message();
+  }
 }
 
 }  // namespace ddpkit::comm

@@ -4,7 +4,6 @@
 #include <cstdint>
 #include <map>
 #include <memory>
-#include <optional>
 #include <string>
 #include <vector>
 
@@ -44,9 +43,6 @@ class ProcessGroupSim : public ProcessGroup {
     /// Number of sibling groups concurrently sharing the links (set by
     /// RoundRobinProcessGroup; affects modeled bandwidth only).
     int concurrent_groups = 1;
-    /// Optional overrides for the flavor's cost-model parameters.
-    std::optional<sim::NcclCostModel::Options> nccl_options;
-    std::optional<sim::GlooCostModel::Options> gloo_options;
     /// Deterministic fault schedule shared by all ranks of the group (pass
     /// the same plan to every rank's Create). Null = fault-free.
     std::shared_ptr<const FaultPlan> fault_plan;
@@ -112,6 +108,12 @@ class ProcessGroupSim : public ProcessGroup {
   ProcessGroupSim(std::shared_ptr<internal::GroupState> state, int rank,
                   int world, const Options& options, sim::VirtualClock* clock,
                   Store* store);
+
+  /// Checks one collective at issue time, prices it with the group's cost
+  /// model and contributes it. `tensor` and `output` follow
+  /// RejectInvalidCollective.
+  [[nodiscard]] WorkHandle Issue(Collective kind, ReduceOp op, int root,
+                                 const Tensor& tensor, Tensor output);
 
   std::shared_ptr<internal::GroupState> state_;
   Options options_;

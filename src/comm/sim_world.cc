@@ -35,8 +35,6 @@ void SimWorld::Run(int world, const SimWorldOptions& options, RankFn fn) {
       pg_options.algorithm = options.algorithm;
       pg_options.topology = options.topology;
       pg_options.concurrent_groups = options.round_robin_groups;
-      pg_options.nccl_options = options.nccl_options;
-      pg_options.gloo_options = options.gloo_options;
       pg_options.fault_plan = options.fault_plan;
       pg_options.collective_timeout_seconds =
           options.collective_timeout_seconds;
@@ -50,49 +48,41 @@ void SimWorld::Run(int world, const SimWorldOptions& options, RankFn fn) {
       ctx.rng = Rng(options.seed * 1000003ULL + static_cast<uint64_t>(r));
       ctx.group_name = base_name;
 
+      // Builds this rank's group `name`: one ProcessGroupSim, or a
+      // RoundRobinProcessGroup over `name`_rr0, _rr1, ...
+      sim::VirtualClock* clock = ctx.clock;
+      Store* store_ptr = &store;
+      const int rr_groups = options.round_robin_groups;
+      auto build = [clock, store_ptr, rr_groups](
+                       const std::string& name, int rank, int size,
+                       const ProcessGroupSim::Options& pg)
+          -> std::shared_ptr<ProcessGroup> {
+        if (rr_groups == 1) {
+          return ProcessGroupSim::Create(store_ptr, name, rank, size, pg,
+                                         clock);
+        }
+        std::vector<std::shared_ptr<ProcessGroup>> children;
+        for (int g = 0; g < rr_groups; ++g) {
+          children.push_back(ProcessGroupSim::Create(
+              store_ptr, name + "_rr" + std::to_string(g), rank, size, pg,
+              clock));
+        }
+        return std::make_shared<RoundRobinProcessGroup>(std::move(children));
+      };
+
       // Factory for recovery-formed generations: same backend shape as the
       // original group, named per generation so each regroup is a fresh
       // Store/registry rendezvous among exactly the survivors.
-      sim::VirtualClock* clock = ctx.clock;
-      Store* store_ptr = &store;
       auto recovery_plan = options.recovery_fault_plan;
-      const int rr_groups = options.round_robin_groups;
-      ctx.make_group = [pg_options, clock, store_ptr, base_name,
-                        recovery_plan, rr_groups](
-                           uint64_t generation, int new_rank,
-                           int new_world) -> std::shared_ptr<ProcessGroup> {
+      ctx.make_group = [build, pg_options, base_name, recovery_plan](
+                           uint64_t generation, int new_rank, int new_world) {
         ProcessGroupSim::Options regroup_options = pg_options;
         regroup_options.fault_plan = recovery_plan;
         regroup_options.generation = generation;
-        const std::string gen_name =
-            base_name + "/g" + std::to_string(generation);
-        if (rr_groups == 1) {
-          return ProcessGroupSim::Create(store_ptr, gen_name, new_rank,
-                                         new_world, regroup_options, clock);
-        }
-        std::vector<std::shared_ptr<ProcessGroup>> regroup_children;
-        for (int g = 0; g < rr_groups; ++g) {
-          regroup_children.push_back(ProcessGroupSim::Create(
-              store_ptr, gen_name + "_rr" + std::to_string(g), new_rank,
-              new_world, regroup_options, clock));
-        }
-        return std::make_shared<RoundRobinProcessGroup>(
-            std::move(regroup_children));
+        return build(base_name + "/g" + std::to_string(generation), new_rank,
+                     new_world, regroup_options);
       };
-
-      if (options.round_robin_groups == 1) {
-        ctx.process_group = ProcessGroupSim::Create(
-            &store, base_name, r, world, pg_options, ctx.clock);
-      } else {
-        std::vector<std::shared_ptr<ProcessGroup>> children;
-        for (int g = 0; g < options.round_robin_groups; ++g) {
-          children.push_back(ProcessGroupSim::Create(
-              &store, base_name + "_rr" + std::to_string(g), r, world,
-              pg_options, ctx.clock));
-        }
-        ctx.process_group =
-            std::make_shared<RoundRobinProcessGroup>(std::move(children));
-      }
+      ctx.process_group = build(base_name, r, world, pg_options);
 
       fn(ctx);
     });

@@ -3,7 +3,6 @@
 
 #include <functional>
 #include <memory>
-#include <optional>
 
 #include "comm/process_group_sim.h"
 #include "comm/round_robin_process_group.h"
@@ -21,8 +20,6 @@ struct SimWorldOptions {
   /// >1 wraps the rank's groups in a RoundRobinProcessGroup (§5.4).
   int round_robin_groups = 1;
   uint64_t seed = 1234;
-  std::optional<sim::NcclCostModel::Options> nccl_options;
-  std::optional<sim::GlooCostModel::Options> gloo_options;
   /// Deterministic fault schedule shared by every rank (and, with
   /// round-robin, by every child group). Null = fault-free.
   std::shared_ptr<const FaultPlan> fault_plan;

@@ -164,17 +164,13 @@ Reducer::Reducer(std::vector<Tensor> params,
         comm::store_keys::ReducerInstanceCounter(pg_->rank()), 1, &count);
     if (st.ok()) {
       store_instance_ = count - 1;
-    } else if (options_.validate_bucket_layout) {
+    } else {
       AbortSync(Status(st.code(),
                        "bucket-layout validation could not reach the store: " +
                            st.message()));
-    } else {
-      DDPKIT_LOG(Warning)
-          << "reducer instance-id allocation failed; bucket rebuilds will "
-             "stay rank-local: " << st.ToString();
     }
   }
-  if (options_.validate_bucket_layout) ValidateCrossRankLayout();
+  ValidateCrossRankLayout();
 }
 
 Reducer::~Reducer() { *alive_ = false; }
@@ -314,7 +310,7 @@ void Reducer::AutogradHook(size_t param_index) {
                               "backward", pg_->rank(), t0,
                               pg_->clock()->Now());
     }
-    if (frame_active_ && options_.telemetry != nullptr) {
+    if (frame_active_) {
       frame_.param_compute_seconds.push_back(pg_->clock()->Now() - t0);
     }
   }
@@ -349,8 +345,7 @@ void Reducer::MarkParamReady(size_t param_index, bool via_hook) {
     // One-time re-attach copy: the first gradient, a user set_grad, or a
     // rank that contributes zeros for a gradient it never had (peers that
     // used the parameter still receive a correct average).
-    const bool time_copies = frame_active_ && options_.telemetry != nullptr;
-    const double copy_start = time_copies ? WallSeconds() : 0.0;
+    const double copy_start = WallSeconds();
     Tensor view = SlotView(param_index);
     if (grad.defined()) {
       view.CopyFrom(grad);
@@ -358,7 +353,7 @@ void Reducer::MarkParamReady(size_t param_index, bool via_hook) {
       DDPKIT_CHECK(!via_hook);
       view.Zero();
     }
-    if (time_copies) frame_.copy_in_seconds += WallSeconds() - copy_start;
+    if (frame_active_) frame_.copy_in_seconds += WallSeconds() - copy_start;
   }
 
   DDPKIT_CHECK_GT(bucket.pending, 0u);
@@ -399,7 +394,7 @@ void Reducer::LaunchBucket(size_t bucket_id) {
         "bucket " + std::to_string(bucket_id) + " launch", "flow",
         pg_->rank(), bucket.launch_clock);
   }
-  if (frame_active_ && options_.telemetry != nullptr) {
+  if (frame_active_) {
     frame_.buckets.push_back(BucketTelemetry{bucket_id, bucket.bytes,
                                              bucket.launch_clock, 0.0, 0.0});
   }
@@ -421,6 +416,7 @@ void Reducer::LaunchBucket(size_t bucket_id) {
   stats_.bytes_wire_raw += bytes_raw;
   stats_.bytes_wire_compressed += bytes_compressed;
   if (options_.metrics != nullptr) {
+    options_.metrics->counter("reducer.bytes_reduced").Increment(bucket.bytes);
     options_.metrics->counter("ddp.comm.bytes_raw").Increment(bytes_raw);
     options_.metrics->counter("ddp.comm.bytes_compressed")
         .Increment(bytes_compressed);
@@ -452,8 +448,6 @@ void Reducer::FinalizeBackward() {
     bitmap_work = pg_->AllReduce(used_bitmap_, comm::ReduceOp::kBor);
     ++stats_.bitmap_allreduces;
   }
-
-  const bool telem = options_.telemetry != nullptr;
 
   // Block waiting for all AllReduce ops (Algorithm 1 line 21), advancing
   // the virtual clock to each completion. A fault — a bucket that timed
@@ -504,7 +498,7 @@ void Reducer::FinalizeBackward() {
         return;
       }
     }
-    if (telem && b < frame_.buckets.size()) {
+    if (b < frame_.buckets.size()) {
       frame_.buckets[b].completion_seconds = completion;
       frame_.buckets[b].wait_seconds =
           std::max(0.0, pg_->clock()->Now() - wait_start);
@@ -561,7 +555,7 @@ void Reducer::FinalizeBackward() {
   // parameter whose .grad is not yet a view of its slot is pointed at it.
   // Globally-unused gradients stay intact (§3.2.3), so optimizers that
   // inspect gradient absence behave exactly as in local training.
-  const double average_start = telem ? WallSeconds() : 0.0;
+  const double average_start = WallSeconds();
   const double inv_world = 1.0 / static_cast<double>(pg_->world());
   for (Bucket& bucket : buckets_) {
     kernels::ScaleInPlace(&bucket.buffer, inv_world);
@@ -571,7 +565,7 @@ void Reducer::FinalizeBackward() {
       params_[i].set_grad(SlotView(i));
     }
   }
-  if (telem) frame_.copy_out_seconds = WallSeconds() - average_start;
+  frame_.copy_out_seconds = WallSeconds() - average_start;
 
   std::fill(locally_used_.begin(), locally_used_.end(), 0);
   last_ready_order_ = ready_order_;
@@ -583,7 +577,6 @@ void Reducer::FinalizeBackward() {
   if (options_.metrics != nullptr) {
     MetricsRegistry& m = *options_.metrics;
     m.counter("reducer.finalized_backwards").Increment();
-    m.counter("reducer.bytes_reduced").Increment(stats_.bytes_reduced);
     m.histogram("ddp.forward_seconds").Record(frame_.forward_seconds);
     m.histogram("ddp.backward_compute_seconds")
         .Record(frame_.backward_compute_seconds);
@@ -880,7 +873,7 @@ bool Reducer::RebuildBucketsFromTrace() {
   // Re-validate after every coordinated rebuild — even a no-op one keeps
   // the layout epochs aligned, and a rank whose layout diverged for any
   // other reason is caught here rather than at the next AllReduce.
-  if (coordinated && options_.validate_bucket_layout) {
+  if (coordinated) {
     ValidateCrossRankLayout();
     if (sync_status_.ok()) {
       // Garbage-collect the rebuild-order keys through the epoch just
@@ -952,7 +945,7 @@ Status Reducer::ResetAfterRecovery(
         comm::store_keys::ReducerInstanceCounter(pg_->rank()), 1, &count);
     if (st.ok()) {
       store_instance_ = count - 1;
-    } else if (options_.validate_bucket_layout) {
+    } else {
       AbortSync(Status(st.code(),
                        "post-recovery instance-id allocation could not reach "
                        "the store: " + st.message()));
@@ -969,7 +962,7 @@ Status Reducer::ResetAfterRecovery(
                             options_.first_bucket_cap_bytes));
   ResetIterationState();
 
-  if (options_.validate_bucket_layout) ValidateCrossRankLayout();
+  ValidateCrossRankLayout();
   if (options_.metrics != nullptr) {
     options_.metrics->counter("reducer.recoveries").Increment();
   }

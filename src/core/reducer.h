@@ -67,15 +67,9 @@ struct ReducerOptions {
   /// surfaces as a kTimedOut sync_status() instead of blocking forever.
   /// Non-positive disables the watchdog.
   double collective_timeout_seconds = 30.0;
-  /// Cross-rank bucket-layout validation at construction: every rank
-  /// publishes its bucket signature through the process group's Store and
-  /// checks the peers'. A mismatch (desynchronized rebuild, divergent
-  /// bucket_cap) is reported through sync_status() naming the offending
-  /// rank and bucket, and gradient synchronization is disabled — the
-  /// clean-abort alternative to the paper's "incorrect reduction result or
-  /// program crash". Skipped when the backend exposes no Store.
-  bool validate_bucket_layout = true;
-  /// Real-time budget for the validation handshake above.
+  /// Real-time budget for the cross-rank bucket-layout validation
+  /// handshake (Reducer::ValidateCrossRankLayout) and the rebuild-order
+  /// broadcast.
   double validation_timeout_seconds = 20.0;
 };
 
@@ -172,7 +166,7 @@ class Reducer {
   /// that rebuilds alone surfaces as a typed kTimedOut sync_status() after
   /// validation_timeout_seconds instead of corrupting gradients. After
   /// every coordinated rebuild the cross-rank layout validation handshake
-  /// re-runs (validate_bucket_layout).
+  /// re-runs.
   bool RebuildBucketsFromTrace() EXCLUDES(mu_);
 
   /// Elastic-recovery re-init: adopt `new_group` (the shrunken,
@@ -257,8 +251,14 @@ class Reducer {
   /// Allocates the buckets for `assignment` and moves every defined .grad
   /// into its new slot; undefined ones stay undefined.
   void InitBuckets(const BucketAssignment& assignment) REQUIRES(mu_);
-  /// Store-based cross-rank bucket-signature handshake (see
-  /// ReducerOptions::validate_bucket_layout). Sets sync_status_ on desync.
+  /// Store-based cross-rank bucket-signature handshake, run at
+  /// construction, after every coordinated rebuild and after recovery
+  /// whenever the group has a Store and world > 1: every rank publishes its
+  /// bucket signature and checks the peers'. A mismatch (desynchronized
+  /// rebuild, divergent bucket_cap) sets sync_status_ naming the offending
+  /// rank and bucket, and gradient synchronization is disabled — the
+  /// clean-abort alternative to the paper's "incorrect reduction result or
+  /// program crash".
   /// Re-runnable: each invocation uses a fresh epoch of Store keys, so the
   /// handshake repeats after every coordinated bucket rebuild. Holding mu_
   /// across the Store round-trips is deadlock-free: peers answer from
@@ -353,7 +353,9 @@ class Reducer {
   uint64_t layout_swept_ GUARDED_BY(mu_) = 0;
   uint64_t rebuild_swept_ GUARDED_BY(mu_) = 0;
 
-  // Telemetry state for the in-flight iteration.
+  // The in-flight synced iteration's record, filled whether or not a
+  // TelemetryLog is attached: the ddp.* and reducer.* metrics derive from
+  // it too.
   DDPTelemetry frame_ GUARDED_BY(mu_);
   bool frame_active_ GUARDED_BY(mu_) = false;
   double backward_start_clock_ GUARDED_BY(mu_) = 0.0;

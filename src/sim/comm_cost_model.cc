@@ -19,71 +19,96 @@ const char* BackendName(Backend backend) {
   return "?";
 }
 
-// ---- Shared algorithm-aware pricing -----------------------------------------
+// ---- The formulas -----------------------------------------------------------
+
+CommCostModel::CommCostModel(Backend backend, const Topology& topology,
+                             double base_latency, double step_overhead)
+    : backend_(backend),
+      topology_(topology),
+      base_latency_(base_latency),
+      step_overhead_(step_overhead) {}
+
+double CommCostModel::StepLatency(int world) const {
+  return topology_.RingHopLatency(world) + step_overhead_;
+}
+
+double CommCostModel::AllReduceSeconds(size_t bytes, int world,
+                                       int concurrent_groups) const {
+  DDPKIT_CHECK_GT(world, 0);
+  if (world == 1) return 0.0;
+  const double steps = 2.0 * (world - 1);
+  const double traffic =
+      2.0 * (world - 1) / static_cast<double>(world) *
+      static_cast<double>(bytes);
+  return base_latency_ + steps * StepLatency(world) +
+         traffic / Bandwidth(bytes, world, concurrent_groups);
+}
 
 double CommCostModel::AllReduceSeconds(size_t bytes, int world,
                                        int concurrent_groups,
                                        CollectiveAlgorithm algorithm) const {
   DDPKIT_CHECK_GT(world, 0);
   if (world == 1) return 0.0;
-  const Topology& topo = topology();
   const CollectiveAlgorithm algo =
-      ResolveAllReduceAlgorithm(algorithm, bytes, world, topo);
+      ResolveAllReduceAlgorithm(algorithm, bytes, world, topology_);
   const double fbytes = static_cast<double>(bytes);
   const double ring_traffic =
       2.0 * (world - 1) / static_cast<double>(world) * fbytes;
-  const AlgoModelParams p = AlgoParams(bytes, world, concurrent_groups);
+  const double step_latency = StepLatency(world);
+  const double ring_bandwidth = Bandwidth(bytes, world, concurrent_groups);
+  const ZooBandwidths zoo = ZooBandwidth(bytes, world, concurrent_groups);
   switch (algo) {
     case CollectiveAlgorithm::kRing:
     case CollectiveAlgorithm::kTree:
-      // The legacy per-backend ring model, unchanged: existing virtual-time
-      // traces and the cluster sweeps keep their exact numbers.
+      // The ring model above, unchanged: existing virtual-time traces and
+      // the cluster sweeps keep their exact numbers.
       return AllReduceSeconds(bytes, world, concurrent_groups);
     case CollectiveAlgorithm::kNaive: {
       // Gather everything through the root's link, reduce, broadcast back:
       // (world-1)+1 message volumes through one link instead of the ring's
       // balanced 2*(world-1)/world.
       const double traffic = static_cast<double>(world) * fbytes;
-      return p.base_latency + 2.0 * p.step_latency +
-             traffic / p.ring_bandwidth;
+      return base_latency_ + 2.0 * step_latency + traffic / ring_bandwidth;
     }
     case CollectiveAlgorithm::kRingChunked: {
       // Same balanced traffic as the ring, a few extra fill steps while the
       // pipeline primes, and the pipelined sustained bandwidth.
       const double steps =
           2.0 * (world - 1) + static_cast<double>(kRingChunksPerRank - 1);
-      return p.base_latency + steps * p.step_latency +
-             ring_traffic / p.chunked_bandwidth;
+      return base_latency_ + steps * step_latency +
+             ring_traffic / zoo.chunked;
     }
     case CollectiveAlgorithm::kHalvingDoubling: {
       int pof2 = 1;
       while (pof2 * 2 <= world) pof2 *= 2;
       const double depth = std::ceil(std::log2(static_cast<double>(world)));
-      double seconds = p.base_latency + 2.0 * depth * p.step_latency +
-                       ring_traffic / p.ring_bandwidth;
+      double seconds = base_latency_ + 2.0 * depth * step_latency +
+                       ring_traffic / ring_bandwidth;
       if (pof2 != world) {
         // Fold/unfold for the ranks beyond the leading power of two: one
         // extra full-vector exchange on each side.
-        seconds += 2.0 * p.step_latency + 2.0 * fbytes / p.ring_bandwidth;
+        seconds += 2.0 * step_latency + 2.0 * fbytes / ring_bandwidth;
       }
       return seconds;
     }
     case CollectiveAlgorithm::kHierarchical: {
-      const int per_host = std::min(world, topo.gpus_per_host());
-      const int hosts = (world + topo.gpus_per_host() - 1) /
-                        topo.gpus_per_host();
+      const int per_host = std::min(world, topology_.gpus_per_host());
+      const int hosts = (world + topology_.gpus_per_host() - 1) /
+                        topology_.gpus_per_host();
       const double intra_depth =
           std::ceil(std::log2(static_cast<double>(std::max(2, per_host))));
       // Intra-host reduce to the leader, then the mirror-image broadcast.
-      double seconds = p.base_latency +
-                       2.0 * (intra_depth * p.intra_step_latency +
-                              fbytes / p.intra_bandwidth);
+      double seconds = base_latency_ +
+                       2.0 * (intra_depth * StepLatency(per_host) +
+                              fbytes / zoo.intra_host);
       if (hosts > 1) {
         // Leader ring across hosts: the only NIC-tier traffic.
         const double leader_traffic =
             2.0 * (hosts - 1) / static_cast<double>(hosts) * fbytes;
-        seconds += 2.0 * (hosts - 1) * p.net_step_latency +
-                   leader_traffic / p.net_bandwidth;
+        const double net_step_latency =
+            topology_.Latency(LinkType::kNet) + step_overhead_;
+        seconds += 2.0 * (hosts - 1) * net_step_latency +
+                   leader_traffic / zoo.net;
       }
       return seconds;
     }
@@ -94,22 +119,55 @@ double CommCostModel::AllReduceSeconds(size_t bytes, int world,
   return 0.0;
 }
 
+double CommCostModel::BroadcastSeconds(size_t bytes, int world) const {
+  DDPKIT_CHECK_GT(world, 0);
+  if (world == 1) return 0.0;
+  // Pipelined tree broadcast: the payload streams through the tree, so the
+  // transfer time is paid once plus a per-level latency.
+  const double depth = std::ceil(std::log2(static_cast<double>(world)));
+  return base_latency_ + depth * StepLatency(world) +
+         static_cast<double>(bytes) / Bandwidth(bytes, world, 1);
+}
+
+double CommCostModel::AllGatherSeconds(size_t per_rank_bytes,
+                                       int world) const {
+  DDPKIT_CHECK_GT(world, 0);
+  if (world == 1) return 0.0;
+  const double steps = static_cast<double>(world - 1);
+  return base_latency_ + steps * StepLatency(world) +
+         steps * static_cast<double>(per_rank_bytes) /
+             Bandwidth(per_rank_bytes, world, 1);
+}
+
+double CommCostModel::BarrierSeconds(int world) const {
+  DDPKIT_CHECK_GT(world, 0);
+  if (world == 1) return 0.0;
+  const double depth = std::ceil(std::log2(static_cast<double>(world)));
+  return base_latency_ + 2.0 * depth * StepLatency(world);
+}
+
 // ---- NcclCostModel ----------------------------------------------------------
 
 NcclCostModel::NcclCostModel(const Topology& topology)
     : NcclCostModel(topology, Options()) {}
 
 NcclCostModel::NcclCostModel(const Topology& topology, const Options& options)
-    : topology_(topology), options_(options) {}
+    : CommCostModel(Backend::kNccl, topology, options.base_latency,
+                    options.step_overhead),
+      options_(options) {}
 
-double NcclCostModel::EffectiveBandwidth(int world,
-                                         int concurrent_groups) const {
-  double link = topology_.RingBandwidth(world);
+double NcclCostModel::Degraded(double link, int world) const {
   if (options_.degraded_above_world > 0 &&
       world > options_.degraded_above_world) {
     link *= options_.degraded_net_factor;
   }
-  const double fraction = topology_.SingleHost(world)
+  return link;
+}
+
+double NcclCostModel::Bandwidth(size_t /*bytes*/, int world,
+                                int concurrent_groups) const {
+  const double link = Degraded(topology().RingBandwidth(world), world);
+  const double fraction = topology().SingleHost(world)
                               ? options_.per_group_bw_fraction_intra
                               : options_.per_group_bw_fraction;
   const double per_group_cap = fraction * link;
@@ -118,88 +176,23 @@ double NcclCostModel::EffectiveBandwidth(int world,
   return std::min(per_group_cap, fair_share);
 }
 
-double NcclCostModel::AllReduceSeconds(size_t bytes, int world,
-                                       int concurrent_groups) const {
-  DDPKIT_CHECK_GT(world, 0);
-  if (world == 1) return 0.0;
-  const double steps = 2.0 * (world - 1);
-  const double alpha =
-      topology_.RingHopLatency(world) + options_.step_overhead;
-  const double bandwidth = EffectiveBandwidth(world, concurrent_groups);
-  const double traffic =
-      2.0 * (world - 1) / static_cast<double>(world) *
-      static_cast<double>(bytes);
-  return options_.base_latency + steps * alpha + traffic / bandwidth;
-}
-
-double NcclCostModel::BroadcastSeconds(size_t bytes, int world) const {
-  DDPKIT_CHECK_GT(world, 0);
-  if (world == 1) return 0.0;
-  // Pipelined tree broadcast: the payload streams through the tree, so the
-  // transfer time is paid once plus a per-level latency.
-  const double depth = std::ceil(std::log2(static_cast<double>(world)));
-  const double alpha =
-      topology_.RingHopLatency(world) + options_.step_overhead;
-  const double bandwidth = EffectiveBandwidth(world, 1);
-  return options_.base_latency + depth * alpha +
-         static_cast<double>(bytes) / bandwidth;
-}
-
-double NcclCostModel::AllGatherSeconds(size_t per_rank_bytes,
-                                       int world) const {
-  DDPKIT_CHECK_GT(world, 0);
-  if (world == 1) return 0.0;
-  const double steps = static_cast<double>(world - 1);
-  const double alpha =
-      topology_.RingHopLatency(world) + options_.step_overhead;
-  const double bandwidth = EffectiveBandwidth(world, 1);
-  return options_.base_latency + steps * alpha +
-         steps * static_cast<double>(per_rank_bytes) / bandwidth;
-}
-
-double NcclCostModel::BarrierSeconds(int world) const {
-  if (world == 1) return 0.0;
-  const double depth = std::ceil(std::log2(static_cast<double>(world)));
-  return options_.base_latency +
-         2.0 * depth *
-             (topology_.RingHopLatency(world) + options_.step_overhead);
-}
-
-CommCostModel::AlgoModelParams NcclCostModel::AlgoParams(
+CommCostModel::ZooBandwidths NcclCostModel::ZooBandwidth(
     size_t /*bytes*/, int world, int concurrent_groups) const {
-  AlgoModelParams p;
-  p.base_latency = options_.base_latency;
-  p.step_latency = topology_.RingHopLatency(world) + options_.step_overhead;
-  p.ring_bandwidth = EffectiveBandwidth(world, concurrent_groups);
-
   const double groups = static_cast<double>(std::max(1, concurrent_groups));
-  double link = topology_.RingBandwidth(world);
-  if (options_.degraded_above_world > 0 &&
-      world > options_.degraded_above_world) {
-    link *= options_.degraded_net_factor;
-  }
-  const double chunked_fraction = topology_.SingleHost(world)
+  const double link = Degraded(topology().RingBandwidth(world), world);
+  const double chunked_fraction = topology().SingleHost(world)
                                       ? options_.chunked_bw_fraction_intra
                                       : options_.chunked_bw_fraction;
-  p.chunked_bandwidth = std::min(chunked_fraction * link, link / groups);
-
-  const int per_host = std::min(world, topology_.gpus_per_host());
-  const double intra_link = topology_.RingBandwidth(per_host);
-  p.intra_bandwidth = std::min(
-      options_.chunked_bw_fraction_intra * intra_link, intra_link / groups);
-  p.intra_step_latency =
-      topology_.RingHopLatency(per_host) + options_.step_overhead;
-
-  double net_link = topology_.Bandwidth(LinkType::kNet);
-  if (options_.degraded_above_world > 0 &&
-      world > options_.degraded_above_world) {
-    net_link *= options_.degraded_net_factor;
-  }
-  p.net_bandwidth =
-      std::min(options_.chunked_bw_fraction * net_link, net_link / groups);
-  p.net_step_latency =
-      topology_.Latency(LinkType::kNet) + options_.step_overhead;
-  return p;
+  const int per_host = std::min(world, topology().gpus_per_host());
+  const double intra_link = topology().RingBandwidth(per_host);
+  const double net_link =
+      Degraded(topology().Bandwidth(LinkType::kNet), world);
+  return {.chunked = std::min(chunked_fraction * link, link / groups),
+          .intra_host =
+              std::min(options_.chunked_bw_fraction_intra * intra_link,
+                       intra_link / groups),
+          .net = std::min(options_.chunked_bw_fraction * net_link,
+                          net_link / groups)};
 }
 
 // ---- GlooCostModel -------------------------------------------------------------
@@ -208,15 +201,17 @@ GlooCostModel::GlooCostModel(const Topology& topology)
     : GlooCostModel(topology, Options()) {}
 
 GlooCostModel::GlooCostModel(const Topology& topology, const Options& options)
-    : topology_(topology), options_(options) {}
+    : CommCostModel(Backend::kGloo, topology, options.base_latency,
+                    options.step_overhead),
+      options_(options) {}
 
-double GlooCostModel::EffectiveBandwidth(size_t message_bytes, int world,
-                                         int concurrent_groups) const {
+double GlooCostModel::Bandwidth(size_t bytes, int world,
+                                int concurrent_groups) const {
   double bw = std::min(options_.max_bandwidth,
-                       topology_.RingBandwidth(world));
-  if (message_bytes > options_.large_message_bytes) {
+                       topology().RingBandwidth(world));
+  if (bytes > options_.large_message_bytes) {
     const double octaves =
-        std::log2(static_cast<double>(message_bytes) /
+        std::log2(static_cast<double>(bytes) /
                   static_cast<double>(options_.large_message_bytes)) /
         3.0;  // log base 8
     bw *= std::pow(options_.large_message_factor, 1.0 + octaves);
@@ -230,71 +225,14 @@ double GlooCostModel::EffectiveBandwidth(size_t message_bytes, int world,
   return bw;
 }
 
-double GlooCostModel::AllReduceSeconds(size_t bytes, int world,
-                                       int concurrent_groups) const {
-  DDPKIT_CHECK_GT(world, 0);
-  if (world == 1) return 0.0;
-  const double steps = 2.0 * (world - 1);
-  const double alpha =
-      topology_.RingHopLatency(world) + options_.step_overhead;
-  const double bandwidth =
-      EffectiveBandwidth(std::max<size_t>(bytes, 1), world,
-                         concurrent_groups);
-  const double traffic = 2.0 * (world - 1) / static_cast<double>(world) *
-                         static_cast<double>(bytes);
-  return options_.base_latency + steps * alpha + traffic / bandwidth;
-}
-
-double GlooCostModel::BroadcastSeconds(size_t bytes, int world) const {
-  DDPKIT_CHECK_GT(world, 0);
-  if (world == 1) return 0.0;
-  // Pipelined chunked broadcast, as above.
-  const double depth = std::ceil(std::log2(static_cast<double>(world)));
-  const double alpha =
-      topology_.RingHopLatency(world) + options_.step_overhead;
-  const double bandwidth = EffectiveBandwidth(bytes, world, 1);
-  return options_.base_latency + depth * alpha +
-         static_cast<double>(bytes) / bandwidth;
-}
-
-double GlooCostModel::AllGatherSeconds(size_t per_rank_bytes,
-                                       int world) const {
-  DDPKIT_CHECK_GT(world, 0);
-  if (world == 1) return 0.0;
-  const double steps = static_cast<double>(world - 1);
-  const double alpha =
-      topology_.RingHopLatency(world) + options_.step_overhead;
-  const double bandwidth = EffectiveBandwidth(per_rank_bytes, world, 1);
-  return options_.base_latency + steps * alpha +
-         steps * static_cast<double>(per_rank_bytes) / bandwidth;
-}
-
-double GlooCostModel::BarrierSeconds(int world) const {
-  if (world == 1) return 0.0;
-  const double depth = std::ceil(std::log2(static_cast<double>(world)));
-  return options_.base_latency +
-         2.0 * depth *
-             (topology_.RingHopLatency(world) + options_.step_overhead);
-}
-
-CommCostModel::AlgoModelParams GlooCostModel::AlgoParams(
+CommCostModel::ZooBandwidths GlooCostModel::ZooBandwidth(
     size_t bytes, int world, int concurrent_groups) const {
-  AlgoModelParams p;
-  p.base_latency = options_.base_latency;
-  p.step_latency = topology_.RingHopLatency(world) + options_.step_overhead;
-  p.ring_bandwidth =
-      EffectiveBandwidth(std::max<size_t>(bytes, 1), world, concurrent_groups);
-  p.chunked_bandwidth = p.ring_bandwidth * options_.chunked_pipeline_gain;
-  const int per_host = std::min(world, topology_.gpus_per_host());
-  p.intra_bandwidth = EffectiveBandwidth(std::max<size_t>(bytes, 1), per_host,
-                                         concurrent_groups);
-  p.intra_step_latency =
-      topology_.RingHopLatency(per_host) + options_.step_overhead;
+  const double ring = Bandwidth(bytes, world, concurrent_groups);
+  const int per_host = std::min(world, topology().gpus_per_host());
   // The CPU/TCP path is the cap whether or not the hop crosses a NIC.
-  p.net_bandwidth = p.ring_bandwidth;
-  p.net_step_latency =
-      topology_.Latency(LinkType::kNet) + options_.step_overhead;
-  return p;
+  return {.chunked = ring * options_.chunked_pipeline_gain,
+          .intra_host = Bandwidth(bytes, per_host, concurrent_groups),
+          .net = ring};
 }
 
 // ---- MpiCostModel ----------------------------------------------------------------
@@ -303,78 +241,26 @@ MpiCostModel::MpiCostModel(const Topology& topology)
     : MpiCostModel(topology, Options()) {}
 
 MpiCostModel::MpiCostModel(const Topology& topology, const Options& options)
-    : topology_(topology), options_(options) {}
+    : CommCostModel(Backend::kMpi, topology, options.base_latency,
+                    options.step_overhead),
+      options_(options) {}
 
-double MpiCostModel::EffectiveBandwidth(int world,
-                                        int concurrent_groups) const {
+double MpiCostModel::Bandwidth(size_t /*bytes*/, int world,
+                               int concurrent_groups) const {
   const double link =
-      std::min(options_.max_bandwidth, topology_.RingBandwidth(world));
+      std::min(options_.max_bandwidth, topology().RingBandwidth(world));
   return link / static_cast<double>(std::max(1, concurrent_groups));
 }
 
-double MpiCostModel::AllReduceSeconds(size_t bytes, int world,
-                                      int concurrent_groups) const {
-  DDPKIT_CHECK_GT(world, 0);
-  if (world == 1) return 0.0;
-  const double steps = 2.0 * (world - 1);
-  const double alpha =
-      topology_.RingHopLatency(world) + options_.step_overhead;
-  const double traffic = 2.0 * (world - 1) / static_cast<double>(world) *
-                         static_cast<double>(bytes);
-  return options_.base_latency + steps * alpha +
-         traffic / EffectiveBandwidth(world, concurrent_groups);
-}
-
-double MpiCostModel::BroadcastSeconds(size_t bytes, int world) const {
-  DDPKIT_CHECK_GT(world, 0);
-  if (world == 1) return 0.0;
-  const double depth = std::ceil(std::log2(static_cast<double>(world)));
-  const double alpha =
-      topology_.RingHopLatency(world) + options_.step_overhead;
-  return options_.base_latency + depth * alpha +
-         static_cast<double>(bytes) / EffectiveBandwidth(world, 1);
-}
-
-double MpiCostModel::AllGatherSeconds(size_t per_rank_bytes,
-                                      int world) const {
-  DDPKIT_CHECK_GT(world, 0);
-  if (world == 1) return 0.0;
-  const double steps = static_cast<double>(world - 1);
-  const double alpha =
-      topology_.RingHopLatency(world) + options_.step_overhead;
-  return options_.base_latency + steps * alpha +
-         steps * static_cast<double>(per_rank_bytes) /
-             EffectiveBandwidth(world, 1);
-}
-
-double MpiCostModel::BarrierSeconds(int world) const {
-  if (world == 1) return 0.0;
-  const double depth = std::ceil(std::log2(static_cast<double>(world)));
-  return options_.base_latency +
-         2.0 * depth *
-             (topology_.RingHopLatency(world) + options_.step_overhead);
-}
-
-CommCostModel::AlgoModelParams MpiCostModel::AlgoParams(
-    size_t /*bytes*/, int world, int concurrent_groups) const {
-  AlgoModelParams p;
-  const double groups = static_cast<double>(std::max(1, concurrent_groups));
-  p.base_latency = options_.base_latency;
-  p.step_latency = topology_.RingHopLatency(world) + options_.step_overhead;
-  p.ring_bandwidth = EffectiveBandwidth(world, concurrent_groups);
-  p.chunked_bandwidth = p.ring_bandwidth * options_.chunked_pipeline_gain;
-  const int per_host = std::min(world, topology_.gpus_per_host());
-  p.intra_bandwidth =
-      std::min(options_.max_bandwidth, topology_.RingBandwidth(per_host)) /
-      groups;
-  p.intra_step_latency =
-      topology_.RingHopLatency(per_host) + options_.step_overhead;
-  p.net_bandwidth =
-      std::min(options_.max_bandwidth, topology_.Bandwidth(LinkType::kNet)) /
-      groups;
-  p.net_step_latency =
-      topology_.Latency(LinkType::kNet) + options_.step_overhead;
-  return p;
+CommCostModel::ZooBandwidths MpiCostModel::ZooBandwidth(
+    size_t bytes, int world, int concurrent_groups) const {
+  const int per_host = std::min(world, topology().gpus_per_host());
+  return {.chunked = Bandwidth(bytes, world, concurrent_groups) *
+                     options_.chunked_pipeline_gain,
+          .intra_host = Bandwidth(bytes, per_host, concurrent_groups),
+          .net = std::min(options_.max_bandwidth,
+                          topology().Bandwidth(LinkType::kNet)) /
+                 static_cast<double>(std::max(1, concurrent_groups))};
 }
 
 // ---- Factory ----------------------------------------------------------------------

@@ -16,11 +16,13 @@ enum class Backend { kNccl, kGloo, kMpi };
 const char* BackendName(Backend backend);
 
 /// Analytical latency model for collective operations, standing in for the
-/// real NCCL/Gloo libraries (which need GPUs/NICs we don't have). The model
-/// is alpha-beta: `steps * alpha + traffic / effective_bandwidth`, with the
-/// ring topology's bottleneck link setting the bandwidth. Fig 2(a)/(b)
-/// shapes (latency-dominated at small tensors, bandwidth-dominated at
-/// large) emerge directly.
+/// real NCCL/Gloo/MPI libraries (which need GPUs/NICs we don't have). The
+/// model is alpha-beta: `base_latency + steps * step_latency + traffic /
+/// bandwidth`, with the ring topology's bottleneck link setting the
+/// bandwidth. Each collective's formula is written once, here; a backend
+/// supplies its two latencies (through the constructor) and its bandwidths
+/// (the two hooks below). Fig 2(a)/(b) shapes (latency-dominated at small
+/// tensors, bandwidth-dominated at large) emerge directly.
 class CommCostModel {
  public:
   virtual ~CommCostModel() = default;
@@ -29,50 +31,65 @@ class CommCostModel {
   /// the number of process groups concurrently sharing the links (the
   /// round-robin configuration of §5.4): a single group may not be able to
   /// saturate a link (per_group_bw_fraction), while k groups split it.
-  virtual double AllReduceSeconds(size_t bytes, int world,
-                                  int concurrent_groups = 1) const = 0;
+  double AllReduceSeconds(size_t bytes, int world,
+                          int concurrent_groups = 1) const;
 
-  /// Algorithm-aware all-reduce pricing, shared across backends. kRing and
-  /// kTree map to the legacy ring model above (so existing virtual-time
-  /// traces are unchanged); kAuto resolves via SelectAllReduceAlgorithm
-  /// against this model's topology — the same resolution ProcessGroupSim's
-  /// data plane performs, so modeled time and data movement always agree.
-  /// kRingChunked prices the pipelined ring (higher sustained link
-  /// saturation, a few extra fill steps), kHalvingDoubling trades bandwidth
-  /// for 2*ceil(log2 w) latency steps, and kHierarchical pays NVLink-tier
-  /// cost intra-host and NIC-tier cost only for the leader ring.
+  /// Algorithm-aware all-reduce pricing. kRing and kTree map to the ring
+  /// model above (so existing virtual-time traces are unchanged); kAuto
+  /// resolves via SelectAllReduceAlgorithm against this model's topology —
+  /// the same resolution ProcessGroupSim's data plane performs, so modeled
+  /// time and data movement always agree. kRingChunked prices the
+  /// pipelined ring (higher sustained link saturation, a few extra fill
+  /// steps), kHalvingDoubling trades bandwidth for 2*ceil(log2 w) latency
+  /// steps, and kHierarchical pays NVLink-tier cost intra-host and NIC-tier
+  /// cost only for the leader ring.
   double AllReduceSeconds(size_t bytes, int world, int concurrent_groups,
                           CollectiveAlgorithm algorithm) const;
 
-  /// Binary-tree broadcast of `bytes` from one root.
-  virtual double BroadcastSeconds(size_t bytes, int world) const = 0;
+  /// Pipelined binary-tree broadcast of `bytes` from one root.
+  double BroadcastSeconds(size_t bytes, int world) const;
 
   /// Ring all-gather where each rank contributes `per_rank_bytes`.
-  virtual double AllGatherSeconds(size_t per_rank_bytes, int world) const = 0;
+  double AllGatherSeconds(size_t per_rank_bytes, int world) const;
 
-  virtual double BarrierSeconds(int world) const = 0;
+  /// Tree barrier: up and down a ceil(log2 w)-deep tree, no payload.
+  double BarrierSeconds(int world) const;
 
-  virtual Backend backend() const = 0;
-  virtual const Topology& topology() const = 0;
+  Backend backend() const { return backend_; }
+  const Topology& topology() const { return topology_; }
 
  protected:
-  /// Per-backend knobs the shared algorithm-zoo formulas consume.
-  /// `ring_bandwidth` must equal what the backend's legacy ring model uses
-  /// for the same (bytes, world, groups); `chunked_bandwidth` is the higher
-  /// sustained rate a pipelined chunked ring achieves on the same links;
-  /// the intra/net tier fields price kHierarchical's two levels.
-  struct AlgoModelParams {
-    double base_latency = 0.0;
-    double step_latency = 0.0;       // per ring hop, protocol included
-    double ring_bandwidth = 0.0;     // legacy single-group effective bw
-    double chunked_bandwidth = 0.0;  // pipelined-chunked saturated bw
-    double intra_bandwidth = 0.0;    // intra-host tier (kHierarchical)
-    double intra_step_latency = 0.0;
-    double net_bandwidth = 0.0;      // inter-host tier (kHierarchical)
-    double net_step_latency = 0.0;
+  /// `base_latency` is the fixed per-collective launch overhead;
+  /// `step_overhead` is the per-step protocol cost added to each hop's link
+  /// latency.
+  CommCostModel(Backend backend, const Topology& topology,
+                double base_latency, double step_overhead);
+
+  /// Effective bandwidth of a ring or tree collective moving `bytes` over
+  /// `world` ranks while `concurrent_groups` groups share the links.
+  virtual double Bandwidth(size_t bytes, int world,
+                           int concurrent_groups) const = 0;
+
+  /// The algorithm zoo's other sustained bandwidths for the same call:
+  /// the pipelined chunked ring on the same links, and kHierarchical's
+  /// intra-host and inter-host (NIC) tiers.
+  struct ZooBandwidths {
+    double chunked = 0.0;
+    double intra_host = 0.0;
+    double net = 0.0;
   };
-  virtual AlgoModelParams AlgoParams(size_t bytes, int world,
+  virtual ZooBandwidths ZooBandwidth(size_t bytes, int world,
                                      int concurrent_groups) const = 0;
+
+ private:
+  /// Per-step latency of a ring over `world` ranks: its worst hop plus the
+  /// protocol overhead.
+  double StepLatency(int world) const;
+
+  Backend backend_;
+  Topology topology_;
+  double base_latency_;
+  double step_overhead_;
 };
 
 /// NCCL-like: microsecond launch overhead, low per-hop latency, high
@@ -110,22 +127,16 @@ class NcclCostModel : public CommCostModel {
   explicit NcclCostModel(const Topology& topology);
   NcclCostModel(const Topology& topology, const Options& options);
 
-  double AllReduceSeconds(size_t bytes, int world,
-                          int concurrent_groups) const override;
-  double BroadcastSeconds(size_t bytes, int world) const override;
-  double AllGatherSeconds(size_t per_rank_bytes, int world) const override;
-  double BarrierSeconds(int world) const override;
-  Backend backend() const override { return Backend::kNccl; }
-  const Topology& topology() const override { return topology_; }
-
  protected:
-  AlgoModelParams AlgoParams(size_t bytes, int world,
+  double Bandwidth(size_t bytes, int world,
+                   int concurrent_groups) const override;
+  ZooBandwidths ZooBandwidth(size_t bytes, int world,
                              int concurrent_groups) const override;
 
  private:
-  double EffectiveBandwidth(int world, int concurrent_groups) const;
+  /// `link` scaled down for worlds beyond degraded_above_world.
+  double Degraded(double link, int world) const;
 
-  Topology topology_;
   Options options_;
 };
 
@@ -160,23 +171,13 @@ class GlooCostModel : public CommCostModel {
   explicit GlooCostModel(const Topology& topology);
   GlooCostModel(const Topology& topology, const Options& options);
 
-  double AllReduceSeconds(size_t bytes, int world,
-                          int concurrent_groups) const override;
-  double BroadcastSeconds(size_t bytes, int world) const override;
-  double AllGatherSeconds(size_t per_rank_bytes, int world) const override;
-  double BarrierSeconds(int world) const override;
-  Backend backend() const override { return Backend::kGloo; }
-  const Topology& topology() const override { return topology_; }
-
  protected:
-  AlgoModelParams AlgoParams(size_t bytes, int world,
+  double Bandwidth(size_t bytes, int world,
+                   int concurrent_groups) const override;
+  ZooBandwidths ZooBandwidth(size_t bytes, int world,
                              int concurrent_groups) const override;
 
  private:
-  double EffectiveBandwidth(size_t message_bytes, int world,
-                            int concurrent_groups) const;
-
-  Topology topology_;
   Options options_;
 };
 
@@ -198,22 +199,13 @@ class MpiCostModel : public CommCostModel {
   explicit MpiCostModel(const Topology& topology);
   MpiCostModel(const Topology& topology, const Options& options);
 
-  double AllReduceSeconds(size_t bytes, int world,
-                          int concurrent_groups) const override;
-  double BroadcastSeconds(size_t bytes, int world) const override;
-  double AllGatherSeconds(size_t per_rank_bytes, int world) const override;
-  double BarrierSeconds(int world) const override;
-  Backend backend() const override { return Backend::kMpi; }
-  const Topology& topology() const override { return topology_; }
-
  protected:
-  AlgoModelParams AlgoParams(size_t bytes, int world,
+  double Bandwidth(size_t bytes, int world,
+                   int concurrent_groups) const override;
+  ZooBandwidths ZooBandwidth(size_t bytes, int world,
                              int concurrent_groups) const override;
 
  private:
-  double EffectiveBandwidth(int world, int concurrent_groups) const;
-
-  Topology topology_;
   Options options_;
 };
 

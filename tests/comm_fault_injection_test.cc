@@ -206,6 +206,21 @@ TEST(FaultInjectionTest, CrashedRankFailsAllRanksNamingIt) {
   });
 }
 
+TEST(FaultInjectionTest, BarrierWithCrashedPeerReturnsAtTimeout) {
+  // Barrier has no Work to hand back, so a fault must not abort the
+  // process: it waits out the collective timeout, logs, and returns.
+  auto plan = std::make_shared<FaultPlan>();
+  plan->CrashRank(1, /*at_seq=*/0);
+
+  SimWorldOptions options;
+  options.fault_plan = plan;
+  SimWorld::Run(2, options, [&](SimWorld::RankContext& ctx) {
+    if (ctx.rank == 1) return;  // crashed before its first collective
+    ctx.process_group->Barrier();
+    EXPECT_DOUBLE_EQ(ctx.clock->Now(), options.collective_timeout_seconds);
+  });
+}
+
 TEST(FaultInjectionTest, DelayedCompletionAddsVirtualTime) {
   auto plan = std::make_shared<FaultPlan>();
   plan->DelayCompletion(0, 0, 3.0);

@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstdint>
 #include <map>
 #include <memory>
 #include <vector>
@@ -67,7 +68,8 @@ TEST(TelemetryLogTest, AppendSnapshotClear) {
 }
 
 /// One shared 2-rank run with telemetry, metrics and tracing attached on
-/// rank 0; the assertions below slice its outputs.
+/// rank 0 (metrics alone with `metrics_only`); the assertions below slice
+/// its outputs.
 struct InstrumentedRun {
   std::shared_ptr<TelemetryLog> telemetry =
       std::make_shared<TelemetryLog>();
@@ -75,9 +77,10 @@ struct InstrumentedRun {
       std::make_shared<MetricsRegistry>();
   std::shared_ptr<TraceRecorder> trace = std::make_shared<TraceRecorder>();
   size_t num_buckets = 0;
+  uint64_t bytes_reduced = 0;  // rank 0's Reducer::Stats after the run
   static constexpr int kIterations = 3;
 
-  InstrumentedRun() {
+  explicit InstrumentedRun(bool metrics_only = false) {
     SimWorld::Run(2, [&](SimWorld::RankContext& ctx) {
       Rng rng(9);
       auto model = std::make_shared<nn::Mlp>(
@@ -87,9 +90,11 @@ struct InstrumentedRun {
       options.compute_model = std::make_shared<sim::ComputeCostModel>(
           sim::ComputeCostModel::GpuProfile());
       if (ctx.rank == 0) {
-        options.telemetry = telemetry;
         options.metrics = metrics;
-        options.trace = trace;
+        if (!metrics_only) {
+          options.telemetry = telemetry;
+          options.trace = trace;
+        }
       }
       DistributedDataParallel ddp(model, ctx.process_group, options);
       if (ctx.rank == 0) num_buckets = ddp.reducer().num_buckets();
@@ -98,6 +103,7 @@ struct InstrumentedRun {
         model->ZeroGrad();
         autograd::Backward(ops::MeanAll(ddp.Forward(x)));
       }
+      if (ctx.rank == 0) bytes_reduced = ddp.reducer().stats().bytes_reduced;
     });
   }
 };
@@ -145,7 +151,29 @@ TEST(DdpTelemetryTest, MetricsHistogramsMatchIterationCount) {
             static_cast<size_t>(run.kIterations));
   EXPECT_EQ(run.metrics->histogram("reducer.bucket_latency_seconds").count(),
             static_cast<size_t>(run.kIterations) * run.num_buckets);
-  EXPECT_GT(run.metrics->counter("reducer.bytes_reduced").value(), 0u);
+  // Each bucket's bytes count once, at launch: the counter tracks the
+  // Reducer's own cumulative stat instead of re-adding it per finalize.
+  EXPECT_GT(run.bytes_reduced, 0u);
+  EXPECT_EQ(run.metrics->counter("reducer.bytes_reduced").value(),
+            run.bytes_reduced);
+}
+
+TEST(DdpTelemetryTest, MetricsDoNotDependOnTelemetrySink) {
+  // The ddp.* and reducer.* metrics derive from the Reducer's per-iteration
+  // frame; it must be filled whether or not a TelemetryLog is attached.
+  InstrumentedRun both;
+  InstrumentedRun metrics_only(/*metrics_only=*/true);
+  const auto& overlap = both.metrics->histogram("ddp.overlap_seconds");
+  const auto& latency =
+      both.metrics->histogram("reducer.bucket_latency_seconds");
+  ASSERT_GT(overlap.sum(), 0.0);
+  ASSERT_GT(latency.count(), 0u);
+  EXPECT_EQ(metrics_only.metrics->histogram("ddp.overlap_seconds").sum(),
+            overlap.sum());
+  EXPECT_EQ(metrics_only.metrics->histogram("reducer.bucket_latency_seconds")
+                .count(),
+            latency.count());
+  EXPECT_EQ(metrics_only.telemetry->size(), 0u);
 }
 
 TEST(DdpTelemetryTest, FlowArrowsLinkReadyLaunchCompletion) {
