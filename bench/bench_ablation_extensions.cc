@@ -20,6 +20,7 @@
 #include "bench_util.h"
 #include "cluster/cluster_sim.h"
 #include "comm/sim_world.h"
+#include "common/check.h"
 #include "core/distributed_data_parallel.h"
 #include "core/order_tracer.h"
 #include "core/zero_redundancy_optimizer.h"
@@ -221,7 +222,8 @@ void ZeroShardingAblation() {
         Tensor x = Tensor::Full({2, 128}, 0.1);
         autograd::Backward(ops::MeanAll(ddp.Forward(x)));
         if (sharded) {
-          zero->Step();
+          const Status status = zero->Step();
+          DDPKIT_CHECK(status.ok()) << status.ToString();
         } else {
           plain->Step();
         }

@@ -23,8 +23,7 @@ ClusterSim::ClusterSim(ModelSpec spec, ClusterConfig config)
   }
 
   // Exactly the production bucketing code path (core/bucketing.cc).
-  assignment_ = core::AssignBuckets(spec_.params, config_.bucket_cap_bytes,
-                                    config_.first_bucket_cap_bytes);
+  assignment_ = core::AssignBuckets(spec_.params, config_.bucket_cap_bytes);
   bucket_bytes_.reserve(assignment_.buckets.size());
   for (const auto& bucket : assignment_.buckets) {
     bucket_bytes_.push_back(core::BucketBytes(spec_.params, bucket));

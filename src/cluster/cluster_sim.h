@@ -22,7 +22,6 @@ struct ClusterConfig {
   sim::Topology topology = sim::Topology();
 
   size_t bucket_cap_bytes = 25u << 20;
-  size_t first_bucket_cap_bytes = 0;
   /// When false, all communication waits for the end of the backward
   /// compute — the naive/parameter-averaging structure of §2.2/§3.2.1 and
   /// the "non-overlap" bars of Fig 6.

@@ -236,32 +236,6 @@ Status WireFaultInjector::SendRecvAll(int send_peer, int send_fd,
                            recv_len, deadline, abort_fd);
 }
 
-Status WireFaultInjector::SendFrame(int peer, int fd, const void* payload,
-                                    size_t len, const Deadline& deadline,
-                                    int abort_fd) {
-  if (plan_ == nullptr) {
-    return comm::SendFrame(fd, payload, len, deadline, abort_fd);
-  }
-  // Composed from the shim's SendAll so a truncation fault lands
-  // mid-frame: the length prefix escapes, the payload is cut short, and
-  // the peer's RecvFrame observes "peer closed mid-message".
-  if (len > 256u * 1024u * 1024u) {
-    return Status::InvalidArgument("frame too large: " + std::to_string(len) +
-                                   " bytes");
-  }
-  uint32_t size = static_cast<uint32_t>(len);
-  DDPKIT_RETURN_IF_ERROR(
-      SendAll(peer, fd, &size, sizeof(size), deadline, abort_fd));
-  if (len == 0) return Status::OK();
-  return SendAll(peer, fd, payload, len, deadline, abort_fd);
-}
-
-Result<std::vector<uint8_t>> WireFaultInjector::RecvFrame(
-    int peer, int fd, const Deadline& deadline, int abort_fd) {
-  (void)peer;
-  return comm::RecvFrame(fd, deadline, abort_fd);
-}
-
 Result<int> WireFaultInjector::AcceptWithDeadline(int listen_fd,
                                                   const Deadline& deadline,
                                                   int abort_fd) {

@@ -7,7 +7,6 @@
 #include <map>
 #include <string>
 #include <utility>
-#include <vector>
 
 #include "comm/fault_plan.h"
 #include "comm/net_socket.h"
@@ -16,11 +15,14 @@
 
 namespace ddpkit::comm {
 
-/// Fault-injecting transport shim over the comm/net_socket.h surface. One
-/// injector per process (not per group): it carries the sticky activation
-/// and heal state that must survive group regeneration, so a persistent
-/// partition keeps biting across elastic-recovery generations. With a null
-/// plan every call forwards straight to the underlying helper.
+/// Fault-injecting transport shim over the part of the comm/net_socket.h
+/// surface ProcessGroupTcp uses, and that group's only way to a peer. A
+/// chaos run shares one injector per process (not per group): it carries
+/// the sticky activation and heal state that must survive group
+/// regeneration, so a persistent partition keeps biting across
+/// elastic-recovery generations. With a null plan every call forwards
+/// straight to the underlying helper; a group given no injector owns such
+/// a plan-less one as its link.
 ///
 /// Faults are consulted on the *initiating* side only: a one-way partition
 /// src -> dst manifests as src's sends blackholing (and its connects
@@ -77,13 +79,6 @@ class WireFaultInjector {
                                    int recv_peer, int recv_fd, void* recv_buf,
                                    size_t recv_len, const Deadline& deadline,
                                    int abort_fd = -1);
-
-  [[nodiscard]] Status SendFrame(int peer, int fd, const void* payload,
-                                 size_t len, const Deadline& deadline,
-                                 int abort_fd = -1);
-
-  [[nodiscard]] Result<std::vector<uint8_t>> RecvFrame(
-      int peer, int fd, const Deadline& deadline, int abort_fd = -1);
 
   [[nodiscard]] Result<int> AcceptWithDeadline(int listen_fd,
                                                const Deadline& deadline,

@@ -60,18 +60,13 @@ Result<sockaddr_in> MakeAddr(const std::string& host, int port) {
   return addr;
 }
 
-/// Waits until `fd` has one of `events`, the abort pipe fires, or the
-/// deadline passes. Returns OK when `fd` is ready.
-Status PollReady(int fd, short events, const Deadline& deadline,
-                 int abort_fd) {
+/// Waits until one of the `nfds` entries of `fds` is ready, the abort pipe
+/// fires, or the deadline passes. `fds` has room for one more entry, which
+/// the abort pipe takes.
+Status PollFds(pollfd* fds, nfds_t nfds, const Deadline& deadline,
+               int abort_fd) {
+  if (abort_fd >= 0) fds[nfds++] = {abort_fd, POLLIN, 0};
   for (;;) {
-    pollfd fds[2];
-    fds[0] = {fd, events, 0};
-    nfds_t nfds = 1;
-    if (abort_fd >= 0) {
-      fds[1] = {abort_fd, POLLIN, 0};
-      nfds = 2;
-    }
     const int timeout_ms = deadline.PollMillis();
     if (timeout_ms == 0) {
       return Status::TimedOut("socket I/O deadline elapsed");
@@ -84,11 +79,12 @@ Status PollReady(int fd, short events, const Deadline& deadline,
     if (n == 0) {
       return Status::TimedOut("socket I/O deadline elapsed");
     }
-    if (abort_fd >= 0 && (fds[1].revents & (POLLIN | POLLERR | POLLHUP))) {
+    if (abort_fd >= 0 &&
+        (fds[nfds - 1].revents & (POLLIN | POLLERR | POLLHUP))) {
       return Status::FailedPrecondition(
           "aborted: group woke the abort pipe during socket I/O");
     }
-    if (fds[0].revents != 0) return Status::OK();
+    return Status::OK();
   }
 }
 
@@ -174,7 +170,8 @@ Result<int> AcceptWithDeadline(int listen_fd, const Deadline& deadline,
     if (errno != EAGAIN && errno != EWOULDBLOCK) {
       return Status::Internal(Errno("accept"));
     }
-    DDPKIT_RETURN_IF_ERROR(PollReady(listen_fd, POLLIN, deadline, abort_fd));
+    pollfd fds[2] = {{listen_fd, POLLIN, 0}, {}};
+    DDPKIT_RETURN_IF_ERROR(PollFds(fds, 1, deadline, abort_fd));
   }
 }
 
@@ -198,7 +195,8 @@ Result<int> ConnectWithDeadline(const std::string& host, int port,
       return fd;
     }
     if (errno == EINPROGRESS) {
-      const Status ready = PollReady(fd, POLLOUT, deadline, abort_fd);
+      pollfd fds[2] = {{fd, POLLOUT, 0}, {}};
+      const Status ready = PollFds(fds, 1, deadline, abort_fd);
       if (!ready.ok()) {
         CloseFd(fd);
         return ready;
@@ -232,55 +230,12 @@ Result<int> ConnectWithDeadline(const std::string& host, int port,
 
 Status SendAll(int fd, const void* data, size_t len, const Deadline& deadline,
                int abort_fd) {
-  const char* p = static_cast<const char*>(data);
-  size_t sent = 0;
-  while (sent < len) {
-    const ssize_t n = send(fd, p + sent, len - sent, MSG_NOSIGNAL);
-    if (n > 0) {
-      sent += static_cast<size_t>(n);
-      continue;
-    }
-    if (n == 0) {
-      // send() returning 0 for a nonzero request has no errno to blame;
-      // report it as the peer-closed condition it behaves like instead of
-      // decoding whatever stale errno the last call left behind.
-      return Status::Internal("send wrote 0 bytes (" + std::to_string(sent) +
-                              "/" + std::to_string(len) +
-                              " sent, peer closed?)");
-    }
-    if (errno == EINTR) continue;
-    if (errno == EAGAIN || errno == EWOULDBLOCK) {
-      DDPKIT_RETURN_IF_ERROR(PollReady(fd, POLLOUT, deadline, abort_fd));
-      continue;
-    }
-    return Status::Internal(Errno("send (peer closed?)"));
-  }
-  return Status::OK();
+  return SendRecvAll(fd, data, len, -1, nullptr, 0, deadline, abort_fd);
 }
 
 Status RecvAll(int fd, void* data, size_t len, const Deadline& deadline,
                int abort_fd) {
-  char* p = static_cast<char*>(data);
-  size_t got = 0;
-  while (got < len) {
-    const ssize_t n = recv(fd, p + got, len - got, 0);
-    if (n > 0) {
-      got += static_cast<size_t>(n);
-      continue;
-    }
-    if (n == 0) {
-      return Status::Internal("peer closed connection mid-message (" +
-                              std::to_string(got) + "/" +
-                              std::to_string(len) + " bytes)");
-    }
-    if (errno == EINTR) continue;
-    if (errno == EAGAIN || errno == EWOULDBLOCK) {
-      DDPKIT_RETURN_IF_ERROR(PollReady(fd, POLLIN, deadline, abort_fd));
-      continue;
-    }
-    return Status::Internal(Errno("recv"));
-  }
-  return Status::OK();
+  return SendRecvAll(-1, nullptr, 0, fd, data, len, deadline, abort_fd);
 }
 
 Status SendRecvAll(int send_fd, const void* send_buf, size_t send_len,
@@ -299,9 +254,11 @@ Status SendRecvAll(int send_fd, const void* send_buf, size_t send_len,
         sent += static_cast<size_t>(n);
         progressed = true;
       } else if (n == 0) {
-        return Status::Internal("send wrote 0 bytes mid-exchange (" +
-                                std::to_string(sent) + "/" +
-                                std::to_string(send_len) +
+        // send() returning 0 for a nonzero request has no errno to blame;
+        // report it as the peer-closed condition it behaves like instead of
+        // decoding whatever stale errno the last call left behind.
+        return Status::Internal("send wrote 0 bytes (" + std::to_string(sent) +
+                                "/" + std::to_string(send_len) +
                                 " sent, peer closed?)");
       } else if (errno != EAGAIN && errno != EWOULDBLOCK && errno != EINTR) {
         return Status::Internal(Errno("send (peer closed?)"));
@@ -313,7 +270,7 @@ Status SendRecvAll(int send_fd, const void* send_buf, size_t send_len,
         got += static_cast<size_t>(n);
         progressed = true;
       } else if (n == 0) {
-        return Status::Internal("peer closed connection mid-exchange (" +
+        return Status::Internal("peer closed connection mid-message (" +
                                 std::to_string(got) + "/" +
                                 std::to_string(recv_len) + " bytes)");
       } else if (errno != EAGAIN && errno != EWOULDBLOCK && errno != EINTR) {
@@ -322,7 +279,7 @@ Status SendRecvAll(int send_fd, const void* send_buf, size_t send_len,
     }
     if (progressed) continue;
 
-    // Both directions are blocked: poll for whichever can move.
+    // Every unfinished direction is blocked: poll for whichever can move.
     pollfd fds[3];
     nfds_t nfds = 0;
     if (send_fd == recv_fd) {
@@ -334,24 +291,7 @@ Status SendRecvAll(int send_fd, const void* send_buf, size_t send_len,
       if (sent < send_len) fds[nfds++] = {send_fd, POLLOUT, 0};
       if (got < recv_len) fds[nfds++] = {recv_fd, POLLIN, 0};
     }
-    if (abort_fd >= 0) fds[nfds++] = {abort_fd, POLLIN, 0};
-    const int timeout_ms = deadline.PollMillis();
-    if (timeout_ms == 0) {
-      return Status::TimedOut("socket exchange deadline elapsed");
-    }
-    const int n = poll(fds, nfds, timeout_ms);
-    if (n < 0) {
-      if (errno == EINTR) continue;
-      return Status::Internal(Errno("poll"));
-    }
-    if (n == 0) {
-      return Status::TimedOut("socket exchange deadline elapsed");
-    }
-    if (abort_fd >= 0 &&
-        (fds[nfds - 1].revents & (POLLIN | POLLERR | POLLHUP))) {
-      return Status::FailedPrecondition(
-          "aborted: group woke the abort pipe during socket exchange");
-    }
+    DDPKIT_RETURN_IF_ERROR(PollFds(fds, nfds, deadline, abort_fd));
   }
   return Status::OK();
 }

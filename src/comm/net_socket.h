@@ -66,30 +66,32 @@ struct Deadline {
                                               const Deadline& deadline,
                                               int abort_fd = -1);
 
-/// Writes exactly `len` bytes (SIGPIPE-safe).
-[[nodiscard]] Status SendAll(int fd, const void* data, size_t len,
-                             const Deadline& deadline, int abort_fd = -1);
-
-/// Reads exactly `len` bytes; a clean peer close mid-message is Internal.
-[[nodiscard]] Status RecvAll(int fd, void* data, size_t len,
-                             const Deadline& deadline, int abort_fd = -1);
-
 /// Full-duplex exchange: sends `send_len` bytes on `send_fd` while
 /// receiving `recv_len` bytes on `recv_fd`, making progress on both as the
-/// kernel allows. `send_fd == recv_fd` is valid (pairwise exchange with one
+/// kernel allows (SIGPIPE-safe; a clean peer close mid-message is
+/// Internal). `send_fd == recv_fd` is valid (pairwise exchange with one
 /// peer, as halving-doubling does); distinct fds serve ring steps
 /// (send-to-successor while receiving-from-predecessor). The duplex
 /// progress is what keeps the ring from deadlocking when messages exceed
-/// the kernel socket buffers.
+/// the kernel socket buffers. This is the only send/recv loop: SendAll and
+/// RecvAll are its one-sided calls.
 [[nodiscard]] Status SendRecvAll(int send_fd, const void* send_buf,
                                  size_t send_len, int recv_fd, void* recv_buf,
                                  size_t recv_len, const Deadline& deadline,
                                  int abort_fd = -1);
 
+/// Writes exactly `len` bytes: SendRecvAll with nothing to receive.
+[[nodiscard]] Status SendAll(int fd, const void* data, size_t len,
+                             const Deadline& deadline, int abort_fd = -1);
+
+/// Reads exactly `len` bytes: SendRecvAll with nothing to send.
+[[nodiscard]] Status RecvAll(int fd, void* data, size_t len,
+                             const Deadline& deadline, int abort_fd = -1);
+
 /// Length-prefixed frame: u32 little-endian payload size, then payload.
-/// The store RPCs and the process-group HELLO handshake speak frames;
-/// bulk collective payloads use the *All helpers directly (their sizes are
-/// implied by the schedule, so framing would only add copies).
+/// The store RPCs speak frames; the process-group HELLO and collective
+/// payloads use the *All helpers directly (their sizes are fixed or implied
+/// by the schedule, so framing would only add copies).
 [[nodiscard]] Status SendFrame(int fd, const void* payload, size_t len,
                                const Deadline& deadline, int abort_fd = -1);
 [[nodiscard]] Result<std::vector<uint8_t>> RecvFrame(int fd,

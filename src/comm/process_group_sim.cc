@@ -4,7 +4,6 @@
 #include <sstream>
 #include <unordered_map>
 
-#include "comm/store_keys.h"
 #include "common/check.h"
 #include "common/logging.h"
 #include "common/mutex.h"
@@ -125,9 +124,6 @@ std::shared_ptr<ProcessGroupSim> ProcessGroupSim::Create(
   DDPKIT_CHECK(clock != nullptr);
   // ddplint: allow(check-in-comm) rendezvous precondition (see above).
   DDPKIT_CHECK(rank >= 0 && rank < world);
-
-  // Membership rendezvous through the store (the TCPStore role).
-  store->Add(store_keys::PgJoinedCounter(name), 1);
 
   auto state = internal::GroupRegistry::Instance().GetOrCreate(name, world);
 

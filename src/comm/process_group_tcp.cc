@@ -21,9 +21,6 @@
 // by definition: peers are other processes that make progress only in real
 // time (DESIGN.md §11). The virtual clock still tracks completions so
 // telemetry and Work timeout semantics stay uniform across backends.
-// ddplint: allow-file(raw-wire-io) owns the abort wake pipe and the
-// heartbeat drain; all data-plane traffic goes through comm/net_socket.h
-// helpers or the comm/net_fault.h shim.
 
 namespace ddpkit::comm {
 
@@ -39,20 +36,6 @@ constexpr uint32_t kHeaderMagic = 0xDD9C0002;
 /// bytes into payloads).
 constexpr uint32_t kChannelData = 0;
 constexpr uint32_t kChannelHeartbeat = 1;
-
-/// Exchanged both ways on every fresh connection (connector first). The
-/// resume_seq field is the self-healing handshake: a supervisor re-mesh
-/// may only proceed when both ends agree on which collective is being
-/// replayed — otherwise byte-transparent replay is impossible and the
-/// group falls back to the step-level DDP::Recover path.
-struct Hello {
-  uint32_t magic;
-  int32_t rank;
-  uint64_t generation;
-  uint32_t channel;
-  uint32_t pad;
-  uint64_t resume_seq;
-};
 
 /// Transient wire verdicts: peer reset / closed stream (kInternal) and
 /// elapsed deadlines (kTimedOut) are conditions a re-mesh can heal.
@@ -85,7 +68,29 @@ double RemainingSeconds(const Deadline& deadline) {
   return ms < 0 ? 0.0 : static_cast<double>(ms) / 1000.0;
 }
 
+/// Handshake failures that end the whole mesh round: the abort pipe fired,
+/// or the peer is at another generation. Any other failure drops just the
+/// one connection, which is then retried.
+bool EndsMeshRound(const Status& status) {
+  return status.code() == StatusCode::kFailedPrecondition ||
+         status.code() == StatusCode::kInvalidGeneration;
+}
+
 }  // namespace
+
+/// Exchanged both ways on every fresh connection (connector first). The
+/// resume_seq field is the self-healing handshake: a supervisor re-mesh
+/// may only proceed when both ends agree on which collective is being
+/// replayed — otherwise byte-transparent replay is impossible and the
+/// group falls back to the step-level DDP::Recover path.
+struct ProcessGroupTcp::Hello {
+  uint32_t magic;
+  int32_t rank;
+  uint64_t generation;
+  uint32_t channel;
+  uint32_t pad;
+  uint64_t resume_seq;
+};
 
 /// Exchanged with both ring neighbours before any payload moves; all
 /// fields must agree or the collective fails kShapeMismatch — the typed
@@ -104,60 +109,26 @@ struct ProcessGroupTcp::OpHeader {
 };
 
 /// I/O context one collective runs under: the cached mesh, the wall
-/// deadline, the abort pipe, and (under chaos) the fault shim.
+/// deadline, the abort pipe, and the group's link, which carries every
+/// message.
 struct ProcessGroupTcp::OpContext {
   const std::vector<int>* fds;
   int rank;
   int world;
   Deadline deadline;
   int abort_fd;
-  WireFaultInjector* shim = nullptr;
+  WireFaultInjector* link;
 
   int fd(int peer) const { return (*fds)[static_cast<size_t>(peer)]; }
 };
 
 namespace {
+
 using OpContext = ProcessGroupTcp::OpContext;
-}  // namespace
 
-// ---------------------------------------------------------------------------
 // The socket executor: one rank's step program (comm/algorithms.h) over the
-// mesh. Every message goes through SendTo/RecvFrom/Exchange so the fault
-// shim sees every byte; local steps run the shared RunLocalStep.
-// ---------------------------------------------------------------------------
-
-namespace {
-
-[[nodiscard]] Status SendTo(const OpContext& ctx, int peer, const void* buf,
-                            size_t len) {
-  if (ctx.shim != nullptr) {
-    return ctx.shim->SendAll(peer, ctx.fd(peer), buf, len, ctx.deadline,
-                             ctx.abort_fd);
-  }
-  return SendAll(ctx.fd(peer), buf, len, ctx.deadline, ctx.abort_fd);
-}
-
-[[nodiscard]] Status RecvFrom(const OpContext& ctx, int peer, void* buf,
-                              size_t len) {
-  if (ctx.shim != nullptr) {
-    return ctx.shim->RecvAll(peer, ctx.fd(peer), buf, len, ctx.deadline,
-                             ctx.abort_fd);
-  }
-  return RecvAll(ctx.fd(peer), buf, len, ctx.deadline, ctx.abort_fd);
-}
-
-[[nodiscard]] Status Exchange(const OpContext& ctx, int send_peer,
-                              const void* sbuf, size_t slen, int recv_peer,
-                              void* rbuf, size_t rlen) {
-  if (ctx.shim != nullptr) {
-    return ctx.shim->SendRecvAll(send_peer, ctx.fd(send_peer), sbuf, slen,
-                                 recv_peer, ctx.fd(recv_peer), rbuf, rlen,
-                                 ctx.deadline, ctx.abort_fd);
-  }
-  return SendRecvAll(ctx.fd(send_peer), sbuf, slen, ctx.fd(recv_peer), rbuf,
-                     rlen, ctx.deadline, ctx.abort_fd);
-}
-
+// mesh. Every message goes through the link, so a fault plan sees every
+// byte; local steps run the shared RunLocalStep.
 [[nodiscard]] Status RunProgram(const OpContext& ctx, const Program& program,
                                 DType dtype, ReduceOp op, void* data,
                                 const void* input) {
@@ -166,17 +137,21 @@ namespace {
     Status status;
     switch (step.kind) {
       case Step::kSend:
-        status = SendTo(ctx, step.send_peer, bufs.at(step.in),
-                        bufs.bytes(step.in));
+        status = ctx.link->SendAll(step.send_peer, ctx.fd(step.send_peer),
+                                   bufs.at(step.in), bufs.bytes(step.in),
+                                   ctx.deadline, ctx.abort_fd);
         break;
       case Step::kRecv:
-        status = RecvFrom(ctx, step.recv_peer, bufs.at(step.out),
-                          bufs.bytes(step.out));
+        status = ctx.link->RecvAll(step.recv_peer, ctx.fd(step.recv_peer),
+                                   bufs.at(step.out), bufs.bytes(step.out),
+                                   ctx.deadline, ctx.abort_fd);
         break;
       case Step::kSendRecv:
-        status = Exchange(ctx, step.send_peer, bufs.at(step.in),
-                          bufs.bytes(step.in), step.recv_peer,
-                          bufs.at(step.out), bufs.bytes(step.out));
+        status = ctx.link->SendRecvAll(
+            step.send_peer, ctx.fd(step.send_peer), bufs.at(step.in),
+            bufs.bytes(step.in), step.recv_peer, ctx.fd(step.recv_peer),
+            bufs.at(step.out), bufs.bytes(step.out), ctx.deadline,
+            ctx.abort_fd);
         break;
       default:
         RunLocalStep(step, dtype, op, bufs);
@@ -199,7 +174,10 @@ ProcessGroupTcp::ProcessGroupTcp(Store* store, std::string name, int rank,
       options_(options),
       name_(std::move(name)),
       store_(store),
-      clock_(clock) {}
+      clock_(clock),
+      own_link_(/*plan=*/nullptr, rank),
+      link_(options.fault_injector != nullptr ? options.fault_injector
+                                              : &own_link_) {}
 
 Result<std::shared_ptr<ProcessGroupTcp>> ProcessGroupTcp::Create(
     Store* store, const std::string& name, int rank, int world,
@@ -224,11 +202,49 @@ Result<std::shared_ptr<ProcessGroupTcp>> ProcessGroupTcp::Create(
   return group;
 }
 
+Status ProcessGroupTcp::CheckHello(const Hello& theirs, int peer_lo,
+                                   int peer_hi, uint32_t channel_lo,
+                                   uint32_t channel_hi, uint64_t resume_seq) {
+  if (theirs.magic != kHelloMagic || theirs.rank < peer_lo ||
+      theirs.rank >= peer_hi || theirs.channel < channel_lo ||
+      theirs.channel >= channel_hi) {
+    return Status::Internal("garbled or stale HELLO");
+  }
+  if (theirs.generation != options_.generation) {
+    return Status::InvalidGeneration(
+        "peer rank " + std::to_string(theirs.rank) + " is at generation " +
+        std::to_string(theirs.generation) + ", this group is g" +
+        std::to_string(options_.generation));
+  }
+  if (theirs.resume_seq != resume_seq) {
+    // The peer is replaying a different collective: byte-transparent
+    // resume is impossible on this pairing. Treated as transient at the
+    // handshake (a stale connection from the peer's previous round looks
+    // identical); genuine divergence persists every round until the
+    // reconnect budget runs out and the caller poisons the group, handing
+    // recovery to the step-level path.
+    EmitEvent("pg.resume_mismatch",
+              "peer=" + std::to_string(theirs.rank) + " theirs=" +
+                  std::to_string(theirs.resume_seq) +
+                  " ours=" + std::to_string(resume_seq));
+    // Pause before the caller drops the connection: the peer needs
+    // wall-clock time to drain its replay and reach our sequence, and it
+    // retries the instant its read fails, so an unpaced drop busy-spins the
+    // handshake thousands of times on localhost. Pacing on both sides
+    // covers rank 0, which never dials out. Bounded, and the mesh is down
+    // anyway; abort still cuts in at the next poll via the wake pipe.
+    // ddplint: allow(blocking-under-lock) reason: bounded 5ms pacing of a
+    // dead-mesh handshake retry; see above.
+    std::this_thread::sleep_for(std::chrono::milliseconds(5));
+    return Status::Internal("resume_seq mismatch");
+  }
+  return Status::OK();
+}
+
 Status ProcessGroupTcp::BuildMesh(uint64_t resume_seq,
                                   const Deadline& deadline,
                                   std::vector<int>* data_fds,
                                   std::vector<int>* hb_fds) {
-  WireFaultInjector* shim = options_.fault_injector;
   const bool want_hb =
       options_.heartbeat_interval_seconds > 0.0 && world() > 1;
   const int channels = want_hb ? 2 : 1;
@@ -274,7 +290,8 @@ Status ProcessGroupTcp::BuildMesh(uint64_t resume_seq,
   // far below the round deadline lets a supervisor round chase the peer's
   // re-publication instead of camping on a dead port.
   for (int peer = 0; peer < rank(); ++peer) {
-    for (int channel = 0; channel < channels; ++channel) {
+    for (uint32_t channel = 0; channel < static_cast<uint32_t>(channels);
+         ++channel) {
       int ready_fd = -1;
       while (ready_fd < 0) {
         if (deadline.Expired()) {
@@ -301,90 +318,41 @@ Status ProcessGroupTcp::BuildMesh(uint64_t resume_seq,
         }
         const Deadline try_deadline = Deadline::After(
             std::min(0.3, std::max(0.01, RemainingSeconds(deadline))));
-        Result<int> fd =
-            shim != nullptr
-                ? shim->ConnectWithDeadline(peer, host, peer_port,
-                                            try_deadline, wake_rfd_)
-                : ConnectWithDeadline(host, peer_port, try_deadline,
-                                      wake_rfd_);
+        Result<int> fd = link_->ConnectWithDeadline(peer, host, peer_port,
+                                                    try_deadline, wake_rfd_);
         if (!fd.ok()) {
           if (fd.status().code() == StatusCode::kFailedPrecondition) {
             return fail(fd.status());  // abort pipe fired
           }
           continue;  // refused / blackholed / stale address: re-read, retry
         }
-        Hello mine{kHelloMagic,
-                   rank(),
-                   options_.generation,
-                   static_cast<uint32_t>(channel),
-                   0,
-                   resume_seq};
-        const Status sent =
-            shim != nullptr
-                ? shim->SendAll(peer, fd.value(), &mine, sizeof(mine),
-                                deadline, wake_rfd_)
-                : SendAll(fd.value(), &mine, sizeof(mine), deadline,
-                          wake_rfd_);
-        if (!sent.ok()) {
-          CloseFd(fd.value());
-          if (sent.code() == StatusCode::kFailedPrecondition) {
-            return fail(sent);
-          }
-          continue;
-        }
+        const Hello mine{
+            kHelloMagic, rank(), options_.generation, channel, 0, resume_seq};
         Hello theirs{};
-        const Status got = RecvAll(fd.value(), &theirs, sizeof(theirs),
-                                   deadline, wake_rfd_);
-        if (!got.ok()) {
-          CloseFd(fd.value());
-          if (got.code() == StatusCode::kFailedPrecondition) {
-            return fail(got);
-          }
-          continue;
+        Status status = link_->SendAll(peer, fd.value(), &mine, sizeof(mine),
+                                       deadline, wake_rfd_);
+        if (status.ok()) {
+          status = link_->RecvAll(peer, fd.value(), &theirs, sizeof(theirs),
+                                  deadline, wake_rfd_);
         }
-        if (theirs.magic != kHelloMagic || theirs.rank != peer ||
-            theirs.channel != static_cast<uint32_t>(channel)) {
-          CloseFd(fd.value());
-          continue;  // garbled / stale reply; reconnect
+        if (status.ok()) {
+          status = CheckHello(theirs, peer, peer + 1, channel, channel + 1,
+                              resume_seq);
         }
-        if (theirs.generation != options_.generation) {
+        if (!status.ok()) {
           CloseFd(fd.value());
-          return fail(Status::InvalidGeneration(
-              "peer rank " + std::to_string(peer) + " is at generation " +
-              std::to_string(theirs.generation) + ", this group is g" +
-              std::to_string(options_.generation)));
-        }
-        if (theirs.resume_seq != resume_seq) {
-          // The peer is replaying a different collective: byte-transparent
-          // resume is impossible on this pairing. Treated as transient at
-          // the handshake (a stale connection from the peer's previous
-          // round looks identical); genuine divergence persists every
-          // round until the reconnect budget runs out and the caller
-          // poisons the group, handing recovery to the step-level path.
-          EmitEvent("pg.resume_mismatch",
-                    "peer=" + std::to_string(peer) + " theirs=" +
-                        std::to_string(theirs.resume_seq) +
-                        " ours=" + std::to_string(resume_seq));
-          CloseFd(fd.value());
-          // The peer needs wall-clock time to drain its replay and reach
-          // our sequence; an immediate retry busy-spins the handshake
-          // thousands of times on localhost. The pause is bounded and the
-          // mesh is down anyway — stalling this round is the point; abort
-          // still cuts in at the next poll via the wake pipe.
-          // ddplint: allow(blocking-under-lock) reason: bounded 5ms pacing
-          // of a dead-mesh handshake retry; see above.
-          std::this_thread::sleep_for(std::chrono::milliseconds(5));
-          continue;
+          if (EndsMeshRound(status)) return fail(status);
+          continue;  // dropped: reconnect
         }
         ready_fd = fd.value();
       }
-      slot(peer, static_cast<uint32_t>(channel)) = ready_fd;
+      slot(peer, channel) = ready_fd;
     }
   }
 
   // Accept one connection per channel from every higher rank, identified
   // by its HELLO (accept order is arbitrary under contention). Connections
-  // that fail the handshake are dropped and the accept retried: a flaky
+  // the HELLO rule drops are closed and the accept retried: a flaky
   // accept, a garbled HELLO or a stale connection from a peer's failed
   // round must not burn the whole mesh.
   const int expected = (world() - rank() - 1) * channels;
@@ -396,10 +364,7 @@ Status ProcessGroupTcp::BuildMesh(uint64_t resume_seq,
           " higher-rank connection(s): mesh deadline elapsed"));
     }
     Result<int> fd =
-        shim != nullptr
-            ? shim->AcceptWithDeadline(listen_fd.value(), deadline,
-                                       wake_rfd_)
-            : AcceptWithDeadline(listen_fd.value(), deadline, wake_rfd_);
+        link_->AcceptWithDeadline(listen_fd.value(), deadline, wake_rfd_);
     if (!fd.ok()) {
       if (fd.status().code() == StatusCode::kInternal &&
           !deadline.Expired()) {
@@ -412,63 +377,34 @@ Status ProcessGroupTcp::BuildMesh(uint64_t resume_seq,
                              fd.status().message()));
     }
     Hello theirs{};
-    const Status got =
-        RecvAll(fd.value(), &theirs, sizeof(theirs), deadline, wake_rfd_);
-    if (!got.ok()) {
+    // The peer is unknown until its HELLO arrives; receives never consult
+    // the link's fault plan.
+    Status status = link_->RecvAll(/*peer=*/-1, fd.value(), &theirs,
+                                   sizeof(theirs), deadline, wake_rfd_);
+    if (status.ok()) {
+      status = CheckHello(theirs, rank() + 1, world(), 0,
+                          static_cast<uint32_t>(channels), resume_seq);
+    }
+    if (status.ok()) {
+      int& s = slot(theirs.rank, theirs.channel);
+      if (s != -1) {
+        // The peer retried this pairing; the newer connection supersedes
+        // the stale one.
+        CloseFd(s);
+        s = -1;
+        --accepted;
+      }
+      const Hello mine{kHelloMagic,    rank(), options_.generation,
+                       theirs.channel, 0,      resume_seq};
+      status = link_->SendAll(theirs.rank, fd.value(), &mine, sizeof(mine),
+                              deadline, wake_rfd_);
+    }
+    if (!status.ok()) {
       CloseFd(fd.value());
-      if (got.code() == StatusCode::kFailedPrecondition) return fail(got);
+      if (EndsMeshRound(status)) return fail(status);
       continue;
     }
-    if (theirs.magic != kHelloMagic || theirs.rank <= rank() ||
-        theirs.rank >= world() ||
-        theirs.channel >= static_cast<uint32_t>(channels)) {
-      CloseFd(fd.value());
-      continue;
-    }
-    if (theirs.generation != options_.generation) {
-      CloseFd(fd.value());
-      return fail(Status::InvalidGeneration(
-          "peer rank " + std::to_string(theirs.rank) + " is at generation " +
-          std::to_string(theirs.generation) + ", this group is g" +
-          std::to_string(options_.generation)));
-    }
-    if (theirs.resume_seq != resume_seq) {
-      EmitEvent("pg.resume_mismatch",
-                "peer=" + std::to_string(theirs.rank) + " theirs=" +
-                    std::to_string(theirs.resume_seq) +
-                    " ours=" + std::to_string(resume_seq));
-      // Pause before closing: the connector retries the instant its recv
-      // fails, so the accept side is the only place this rank can pace a
-      // divergent peer's handshake spin (the connect-side pause does not
-      // help rank 0, which never dials out). Bounded, and the mesh is
-      // down anyway.
-      // ddplint: allow(blocking-under-lock) reason: bounded 5ms pacing of
-      // a dead-mesh handshake retry; see above.
-      std::this_thread::sleep_for(std::chrono::milliseconds(5));
-      CloseFd(fd.value());
-      continue;
-    }
-    int& s = slot(theirs.rank, theirs.channel);
-    if (s != -1) {
-      // The peer retried this pairing; the newer connection supersedes the
-      // stale one.
-      CloseFd(s);
-      s = -1;
-      --accepted;
-    }
-    Hello mine{kHelloMagic, rank(),     options_.generation,
-               theirs.channel, 0,       resume_seq};
-    const Status sent =
-        shim != nullptr
-            ? shim->SendAll(theirs.rank, fd.value(), &mine, sizeof(mine),
-                            deadline, wake_rfd_)
-            : SendAll(fd.value(), &mine, sizeof(mine), deadline, wake_rfd_);
-    if (!sent.ok()) {
-      CloseFd(fd.value());
-      if (sent.code() == StatusCode::kFailedPrecondition) return fail(sent);
-      continue;
-    }
-    s = fd.value();
+    slot(theirs.rank, theirs.channel) = fd.value();
     ++accepted;
   }
   CloseFd(listen_fd.value());
@@ -490,9 +426,6 @@ Status ProcessGroupTcp::Bootstrap() {
   sup_stop_wfd_ = stop_fds[1];
 
   const Deadline deadline = Deadline::After(options_.connect_timeout_seconds);
-  std::vector<int> data_fds;
-  std::vector<int> hb_fds;
-  Status status;
   double backoff = options_.reconnect_backoff_seconds;
   for (int attempt = 0;; ++attempt) {
     // Unsupervised groups get one round with the whole budget (the legacy
@@ -502,8 +435,11 @@ Status ProcessGroupTcp::Bootstrap() {
         supervised() ? std::min(options_.reconnect_timeout_seconds,
                                 std::max(0.01, RemainingSeconds(deadline)))
                      : std::max(0.01, RemainingSeconds(deadline));
-    status = BuildMesh(/*resume_seq=*/0, Deadline::After(round), &data_fds,
-                       &hb_fds);
+    Status status;
+    {
+      MutexLock lock(&mu_);
+      status = RemeshLocked(/*resume_seq=*/0, Deadline::After(round));
+    }
     if (status.ok()) {
       if (attempt > 0) {
         reconnects_.fetch_add(1);
@@ -524,21 +460,14 @@ Status ProcessGroupTcp::Bootstrap() {
     backoff *= 2.0;
   }
 
-  {
-    MutexLock lock(&mu_);
-    peer_fds_ = std::move(data_fds);
-    hb_fds_ = std::move(hb_fds);
-    const auto now = SteadyClock::now();
-    hb_last_recv_.assign(static_cast<size_t>(world()), now);
-    hb_missing_.assign(static_cast<size_t>(world()), false);
-  }
   if (options_.heartbeat_interval_seconds > 0.0 && world() > 1) {
     hb_thread_ = std::thread([this] { SupervisorLoop(); });
   }
   return Status::OK();
 }
 
-Status ProcessGroupTcp::RemeshLocked(uint64_t resume_seq) {
+Status ProcessGroupTcp::RemeshLocked(uint64_t resume_seq,
+                                     const Deadline& deadline) {
   // Closing the old mesh first doubles as the failure signal to peers
   // still blocked inside the broken collective: their reads observe EOF,
   // classify transient, and join the re-mesh.
@@ -549,8 +478,6 @@ Status ProcessGroupTcp::RemeshLocked(uint64_t resume_seq) {
 
   std::vector<int> data_fds;
   std::vector<int> hb_fds;
-  const Deadline deadline =
-      Deadline::After(options_.reconnect_timeout_seconds);
   DDPKIT_RETURN_IF_ERROR(
       BuildMesh(resume_seq, deadline, &data_fds, &hb_fds));
   peer_fds_ = std::move(data_fds);
@@ -564,6 +491,8 @@ Status ProcessGroupTcp::RemeshLocked(uint64_t resume_seq) {
 ProcessGroupTcp::~ProcessGroupTcp() {
   if (hb_thread_.joinable()) {
     const char stop = 's';
+    // ddplint: allow(raw-wire-io) reason: wakes the supervisor's stop
+    // pipe, not a peer socket.
     (void)!write(sup_stop_wfd_, &stop, 1);
     hb_thread_.join();
   }
@@ -603,6 +532,8 @@ void ProcessGroupTcp::AbortGroup(uint64_t new_generation,
   // collective fails kInvalidGeneration and releases it — and tear the
   // mesh down so remote peers blocked on us see EOF, not a hang.
   const char wake = 'x';
+  // ddplint: allow(raw-wire-io) reason: wakes the group's abort pipe, not
+  // a peer socket.
   (void)!write(wake_wfd_, &wake, 1);
   (void)reason;
   MutexLock lock(&mu_);
@@ -639,17 +570,14 @@ void ProcessGroupTcp::SupervisorLoop() {
       const char ping = 'h';
       const Deadline send_deadline =
           Deadline::After(options_.heartbeat_interval_seconds);
-      if (options_.fault_injector != nullptr) {
-        (void)!options_.fault_injector
-                   ->Heartbeat(peer, fd, &ping, 1, send_deadline)
-                   .ok();
-      } else {
-        (void)!comm::SendAll(fd, &ping, 1, send_deadline).ok();
-      }
+      (void)!link_->Heartbeat(peer, fd, &ping, 1, send_deadline).ok();
       // Drain whatever the peer's probes delivered; any byte proves the
       // link alive. Nonblocking read keeps the tick bounded.
       char buf[64];
       bool alive = false;
+      // ddplint: allow(raw-wire-io) reason: nonblocking drain of heartbeat
+      // probe bytes, whose content is ignored; no fault plan acts on
+      // receives.
       while (recv(fd, buf, sizeof(buf), MSG_DONTWAIT) > 0) alive = true;
       if (alive) {
         hb_last_recv_[static_cast<size_t>(peer)] = now;
@@ -689,8 +617,9 @@ Status ProcessGroupTcp::ExchangeHeaders(const OpHeader& mine,
   const int next = (ctx.rank + 1) % ctx.world;
   const int prev = (ctx.rank + ctx.world - 1) % ctx.world;
   OpHeader from_prev{};
-  DDPKIT_RETURN_IF_ERROR(Exchange(ctx, next, &mine, sizeof(mine), prev,
-                                  &from_prev, sizeof(from_prev)));
+  DDPKIT_RETURN_IF_ERROR(ctx.link->SendRecvAll(
+      next, ctx.fd(next), &mine, sizeof(mine), prev, ctx.fd(prev), &from_prev,
+      sizeof(from_prev), ctx.deadline, ctx.abort_fd));
   auto mismatch = [&](const char* field, uint64_t ours, uint64_t theirs) {
     return Status::InvalidArgument(
         std::string("collective signature mismatch with rank ") +
@@ -730,12 +659,10 @@ Status ProcessGroupTcp::ExchangeHeaders(const OpHeader& mine,
   return Status::OK();
 }
 
-template <typename Body>
-WorkHandle ProcessGroupTcp::RunCollective(Collective kind, DType dtype,
-                                          int64_t numel, int root,
-                                          ReduceOp op,
-                                          std::vector<ByteSpan> payload,
-                                          Body body) {
+WorkHandle ProcessGroupTcp::Run(Collective kind, DType dtype, int64_t numel,
+                                int root, ReduceOp op, const Program& program,
+                                void* data, const void* input,
+                                size_t data_bytes) {
   auto work = std::make_shared<Work>();
   const uint64_t seq = next_seq_.fetch_add(1);
   const double issue_clock = clock_->Now();
@@ -744,9 +671,7 @@ WorkHandle ProcessGroupTcp::RunCollective(Collective kind, DType dtype,
     return std::chrono::duration<double>(SteadyClock::now() - wall_start)
         .count();
   };
-  if (options_.fault_injector != nullptr) {
-    options_.fault_injector->set_op_index(seq);
-  }
+  link_->set_op_index(seq);
 
   if (options_.metrics) {
     options_.metrics->counter(std::string("pg.ops.") + CollectiveName(kind))
@@ -779,13 +704,10 @@ WorkHandle ProcessGroupTcp::RunCollective(Collective kind, DType dtype,
 
   // Snapshot the bytes this collective mutates so a supervisor replay is
   // byte-transparent: every retry starts from the exact pre-op payload.
-  std::vector<std::vector<uint8_t>> snapshot;
-  if (supervised()) {
-    snapshot.reserve(payload.size());
-    for (const ByteSpan& span : payload) {
-      const uint8_t* p = static_cast<const uint8_t*>(span.first);
-      snapshot.emplace_back(p, p + span.second);
-    }
+  std::vector<uint8_t> snapshot;
+  if (supervised() && data_bytes > 0) {
+    const uint8_t* p = static_cast<const uint8_t*>(data);
+    snapshot.assign(p, p + data_bytes);
   }
 
   OpHeader header{kHeaderMagic,
@@ -803,12 +725,7 @@ WorkHandle ProcessGroupTcp::RunCollective(Collective kind, DType dtype,
     if (attempt > 0) {
       // Transient wire failure: restore the payload, back off, rebuild the
       // mesh at the same generation, and replay this same seq.
-      for (size_t i = 0; i < payload.size(); ++i) {
-        if (payload[i].second > 0) {
-          std::memcpy(payload[i].first, snapshot[i].data(),
-                      payload[i].second);
-        }
-      }
+      if (data_bytes > 0) std::memcpy(data, snapshot.data(), data_bytes);
       // ddplint: allow(blocking-under-lock) reason: the backoff is bounded
       // (reconnect_backoff doubled at most max_reconnect_attempts times)
       // and intentionally holds the collective lock — the mesh is down, so
@@ -817,7 +734,8 @@ WorkHandle ProcessGroupTcp::RunCollective(Collective kind, DType dtype,
       // the wake pipe at the next poll.
       std::this_thread::sleep_for(std::chrono::duration<double>(backoff));
       backoff *= 2.0;
-      const Status remesh = RemeshLocked(seq);
+      const Status remesh = RemeshLocked(
+          seq, Deadline::After(options_.reconnect_timeout_seconds));
       if (!remesh.ok()) {
         status = remesh;
         if (!IsTransientWire(remesh) ||
@@ -835,14 +753,14 @@ WorkHandle ProcessGroupTcp::RunCollective(Collective kind, DType dtype,
                 "seq=" + std::to_string(seq) + " attempt=" +
                     std::to_string(attempt) + " op=" + CollectiveName(kind));
     }
-    OpContext ctx{&peer_fds_,
-                  rank(),
-                  world(),
-                  Deadline::After(options_.collective_timeout_seconds),
-                  wake_rfd_,
-                  options_.fault_injector};
+    const OpContext ctx{&peer_fds_,
+                        rank(),
+                        world(),
+                        Deadline::After(options_.collective_timeout_seconds),
+                        wake_rfd_,
+                        link_};
     status = ExchangeHeaders(header, ctx);
-    if (status.ok()) status = body(ctx);
+    if (status.ok()) status = RunProgram(ctx, program, dtype, op, data, input);
     if (status.ok()) break;
     if (!supervised() || !IsTransientWire(status) ||
         attempt >= options_.max_reconnect_attempts ||
@@ -904,7 +822,7 @@ WorkHandle ProcessGroupTcp::RunCollective(Collective kind, DType dtype,
 
 // ---------------------------------------------------------------------------
 // Public collectives: validated at issue time, then this rank's step program
-// runs as RunCollective's body.
+// runs through Run.
 // ---------------------------------------------------------------------------
 
 WorkHandle ProcessGroupTcp::Issue(Collective kind, ReduceOp op, int root,
@@ -929,18 +847,11 @@ WorkHandle ProcessGroupTcp::Issue(Collective kind, ReduceOp op, int root,
       kind == Collective::kReduceScatter ? output.numel() : tensor.numel();
   spec.algorithm = options_.algorithm;
   spec.ranks_per_node = options_.ranks_per_node;
-  const Program program = BuildProgram(spec, rank());
-  void* data_ptr = data.defined() ? data.data<uint8_t>() : nullptr;
-  const void* input_ptr = in_place ? nullptr : tensor.data<uint8_t>();
-  std::vector<ByteSpan> payload;
-  if (data.defined() && data.numel() > 0) {
-    payload.push_back({data_ptr, static_cast<size_t>(data.nbytes())});
-  }
-  return RunCollective(kind, spec.dtype, spec.numel, root, op,
-                       std::move(payload), [&](const OpContext& ctx) {
-                         return RunProgram(ctx, program, spec.dtype, op,
-                                           data_ptr, input_ptr);
-                       });
+  return Run(kind, spec.dtype, spec.numel, root, op,
+             BuildProgram(spec, rank()),
+             data.defined() ? data.data<uint8_t>() : nullptr,
+             in_place ? nullptr : tensor.data<uint8_t>(),
+             data.defined() ? static_cast<size_t>(data.nbytes()) : 0);
 }
 
 WorkHandle ProcessGroupTcp::AllReduce(Tensor tensor, ReduceOp op) {
@@ -974,14 +885,11 @@ void ProcessGroupTcp::Barrier() {
   spec.kind = Collective::kBarrier;
   spec.dtype = DType::kUInt8;
   spec.world = world();
-  const Program program = BuildProgram(spec, rank());
   uint8_t token = 0;
-  WorkHandle work = RunCollective(
-      Collective::kBarrier, spec.dtype, 0, /*root=*/0, ReduceOp::kSum, {},
-      [&](const OpContext& ctx) {
-        return RunProgram(ctx, program, spec.dtype, ReduceOp::kSum, &token,
-                          nullptr);
-      });
+  WorkHandle work =
+      Run(Collective::kBarrier, spec.dtype, 0, /*root=*/0, ReduceOp::kSum,
+          BuildProgram(spec, rank()), &token, /*input=*/nullptr,
+          /*data_bytes=*/0);
   // Barrier has no error channel; a wire failure is logged rather than
   // aborted on (kill -9 chaos must surface as typed errors on the ops that
   // carry Work handles, never as a raw abort in a drain-path barrier).

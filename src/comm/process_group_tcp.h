@@ -9,7 +9,6 @@
 #include <memory>
 #include <string>
 #include <thread>
-#include <utility>
 #include <vector>
 
 #include "comm/algorithms.h"
@@ -30,7 +29,15 @@ namespace ddpkit::comm {
 /// Bootstrap: each rank binds port 0 (collision-proof), publishes
 /// `pgtcp/<name>/g<generation>/rank<r>` = host:port, connects to every
 /// lower rank and accepts from every higher one, then keeps the full mesh
-/// cached for the group's lifetime.
+/// cached for the group's lifetime. Both sides of a fresh connection apply
+/// one HELLO rule (CheckHello), and bootstrap and supervisor re-mesh run
+/// the same mesh round (RemeshLocked).
+///
+/// One link: every byte to and from a peer goes through a
+/// WireFaultInjector — Options::fault_injector, or a plan-less one the
+/// group owns, which forwards every call unchanged — so there is no
+/// raw-socket branch, and every collective (Barrier included) runs through
+/// one Run.
 ///
 /// Data plane: each collective runs this rank's step program from
 /// comm/algorithms.h — the same program ProcessGroupSim's in-memory
@@ -91,7 +98,7 @@ class ProcessGroupTcp : public ProcessGroup {
     /// Optional wire-fault shim. Owned by the caller and shared across
     /// group incarnations (one per *process*, so sticky fault state —
     /// activated partitions, heal hit counts — survives regeneration).
-    /// Null = raw sockets.
+    /// Null = the group's own plan-less link, which injects nothing.
     WireFaultInjector* fault_injector = nullptr;
     /// Connection supervisor: > 0 enables transient-failure self-healing
     /// (close + backoff + same-generation re-mesh + in-flight collective
@@ -171,8 +178,18 @@ class ProcessGroupTcp : public ProcessGroup {
   ProcessGroupTcp(Store* store, std::string name, int rank, int world,
                   const Options& options, sim::VirtualClock* clock);
 
-  /// Mutated-byte span a collective must snapshot for replay.
-  using ByteSpan = std::pair<void*, size_t>;
+  /// The connection handshake frame, defined in the .cc.
+  struct Hello;
+
+  /// The HELLO rule, the same on both sides of a fresh connection: a frame
+  /// that is not a HELLO from a peer in [peer_lo, peer_hi) on a channel in
+  /// [channel_lo, channel_hi) is dropped (kInternal); another generation is
+  /// fatal (kInvalidGeneration); another resume_seq emits
+  /// pg.resume_mismatch, paces 5 ms and is dropped (kInternal). The caller
+  /// closes a dropped connection and retries.
+  [[nodiscard]] Status CheckHello(const Hello& theirs, int peer_lo,
+                                  int peer_hi, uint32_t channel_lo,
+                                  uint32_t channel_hi, uint64_t resume_seq);
 
   /// Builds the full mesh (listen, publish, connect/accept + HELLO) into
   /// `*data_fds` (+ `*hb_fds` when heartbeats are enabled), re-usable for
@@ -181,14 +198,16 @@ class ProcessGroupTcp : public ProcessGroup {
                                  std::vector<int>* data_fds,
                                  std::vector<int>* hb_fds);
 
-  /// Initial bootstrap: abort pipe + mesh (with supervisor retries when
-  /// enabled) + heartbeat thread.
+  /// Initial bootstrap: abort pipe + mesh rounds (RemeshLocked at
+  /// resume_seq 0, retried when supervised) + heartbeat thread.
   [[nodiscard]] Status Bootstrap();
 
-  /// One supervisor re-mesh round at the current generation: closes the
-  /// old mesh, republishes this rank's address, rebuilds both channels and
-  /// re-handshakes with `resume_seq` consensus.
-  [[nodiscard]] Status RemeshLocked(uint64_t resume_seq) REQUIRES(mu_);
+  /// One mesh round at the current generation, within `deadline`: closes
+  /// the old mesh, republishes this rank's address, rebuilds both channels,
+  /// re-handshakes with `resume_seq` consensus and resets the heartbeat
+  /// state. Bootstrap and supervisor re-mesh rounds both run it.
+  [[nodiscard]] Status RemeshLocked(uint64_t resume_seq,
+                                    const Deadline& deadline) REQUIRES(mu_);
 
   /// Heartbeat thread body: probe every link each interval, drain pongs,
   /// count misses.
@@ -200,18 +219,19 @@ class ProcessGroupTcp : public ProcessGroup {
 
   void EmitEvent(const char* event, const std::string& detail);
 
-  /// Runs `body` as collective `kind`, wrapping it with the sequence-number
-  /// bump, the neighbour header exchange, wall-deadline setup, supervisor
-  /// retry (snapshotting `payload` so a replay starts from the original
-  /// bytes), error mapping, and Work termination.
-  template <typename Body>
-  [[nodiscard]] WorkHandle RunCollective(Collective kind, DType dtype,
-                                         int64_t numel, int root, ReduceOp op,
-                                         std::vector<ByteSpan> payload,
-                                         Body body);
+  /// Runs this rank's step `program` for collective `kind` over `data`
+  /// (mutated, `data_bytes` long) and `input` (read-only, may be null): the
+  /// sequence-number bump, the neighbour header exchange, wall-deadline
+  /// setup, supervisor retry (snapshotting `data` so a replay starts from
+  /// the original bytes), error mapping, and Work termination. Every
+  /// collective, Barrier included, runs through here.
+  [[nodiscard]] WorkHandle Run(Collective kind, DType dtype, int64_t numel,
+                               int root, ReduceOp op, const Program& program,
+                               void* data, const void* input,
+                               size_t data_bytes);
 
   /// Checks one collective at issue time, builds this rank's step program
-  /// and runs it through RunCollective. `tensor` and `output` follow
+  /// and runs it through Run. `tensor` and `output` follow
   /// RejectInvalidCollective.
   [[nodiscard]] WorkHandle Issue(Collective kind, ReduceOp op, int root,
                                  const Tensor& tensor, Tensor output);
@@ -223,6 +243,11 @@ class ProcessGroupTcp : public ProcessGroup {
   std::string name_;
   Store* store_;
   sim::VirtualClock* clock_;
+  /// The plan-less link a group owns when Options::fault_injector is null.
+  WireFaultInjector own_link_;
+  /// Every byte to and from a peer goes through this link: the caller's
+  /// fault injector, or own_link_. Never null.
+  WireFaultInjector* const link_;
 
   /// Serializes collectives and guards the socket mesh. AbortGroup writes
   /// the wake pipe *before* taking this lock, so an in-flight collective

@@ -94,8 +94,7 @@ Result<RendezvousResult> AbortAndRendezvous(Store* store,
 
   // 1. Publish liveness under the target generation's namespace.
   {
-    Status st = store->SetWithRetry(JoinKey(prefix, old_rank), "1",
-                                    options.retry);
+    Status st = store->SetWithRetry(JoinKey(prefix, old_rank), "1");
     if (!st.ok()) {
       return Status(st.code(), "rendezvous for generation " +
                                    std::to_string(generation) +
@@ -116,8 +115,7 @@ Result<RendezvousResult> AbortAndRendezvous(Store* store,
   for (int r = 0; r < old_world; ++r) {
     const double remaining = SecondsUntil(deadline);
     if (remaining > 0.0) {
-      auto got = store->GetWithRetry(JoinKey(prefix, r), remaining,
-                                     options.retry);
+      auto got = store->GetWithRetry(JoinKey(prefix, r), remaining);
       if (got.ok()) {
         joined.push_back(r);
         continue;
@@ -142,9 +140,8 @@ Result<RendezvousResult> AbortAndRendezvous(Store* store,
   // the seal key — not the snapshot — arbitrates.
   if (!joined.empty() && joined.front() == old_rank) {
     int64_t seal_count = 0;
-    Status st =
-        store->AddWithRetry(store_keys::RendezvousSealKey(prefix), 1,
-                            &seal_count, options.retry);
+    Status st = store->AddWithRetry(store_keys::RendezvousSealKey(prefix),
+                                    1, &seal_count);
     if (!st.ok()) {
       return Status(st.code(), "rendezvous for generation " +
                                    std::to_string(generation) +
@@ -153,7 +150,7 @@ Result<RendezvousResult> AbortAndRendezvous(Store* store,
     }
     if (seal_count == 1) {
       st = store->SetWithRetry(store_keys::RendezvousMembersKey(prefix),
-                               SerializeMembers(joined), options.retry);
+                               SerializeMembers(joined));
       if (!st.ok()) {
         return Status(st.code(), "rendezvous for generation " +
                                      std::to_string(generation) +
@@ -167,7 +164,7 @@ Result<RendezvousResult> AbortAndRendezvous(Store* store,
   // sealer may have entered the rendezvous almost `timeout_seconds` after
   // this rank and spends its own barrier wait before publishing.
   auto got = store->GetWithRetry(store_keys::RendezvousMembersKey(prefix),
-                                 options.timeout_seconds, options.retry);
+                                 options.timeout_seconds);
   if (!got.ok()) {
     return Status(got.status().code(),
                   "rendezvous for generation " + std::to_string(generation) +

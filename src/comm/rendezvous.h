@@ -22,8 +22,6 @@ struct RendezvousOptions {
   /// seals fewer members fails with kTimedOut on every participant — the
   /// lone-survivor case degrades to a typed error, not a 1-rank "world".
   int min_world = 2;
-  /// Backoff schedule for the underlying *WithRetry Store calls.
-  RetryPolicy retry;
 };
 
 /// Outcome of a sealed rendezvous: the survivors of `old_world`, renumbered

@@ -1,6 +1,10 @@
 #include "comm/store.h"
 
+#include <charconv>
 #include <chrono>
+#include <cmath>
+#include <limits>
+#include <system_error>
 #include <thread>
 
 #include "common/check.h"
@@ -35,6 +39,14 @@ constexpr double kLegacySliceSeconds = 0.05;
 /// Backoff between legacy-tier retries of a transport failure (a wire
 /// client reconnecting to a restarted server).
 constexpr double kLegacyRetryBackoffSeconds = 0.01;
+
+/// A request the store rejects as such — a counter that is not an integer,
+/// an Add that overflows, a bad timeout. Retrying cannot change the answer,
+/// so neither tier retries it and it is no transient failure.
+bool IsRequestError(const Status& status) {
+  return status.code() == StatusCode::kInvalidArgument ||
+         status.code() == StatusCode::kOutOfRange;
+}
 
 /// Elapsed/backoff accounting for the retryable tier, on the clock the
 /// policy selects. kVirtual never sleeps for real: backoff advances the
@@ -102,13 +114,38 @@ Status Store::DoTryGet(const std::string& key, std::string* value,
   return Status::OK();
 }
 
+Status Store::CheckBoundedTimeout(double timeout_seconds) {
+  if (!std::isfinite(timeout_seconds) || timeout_seconds < 0.0) {
+    return Status::InvalidArgument(
+        "store wait timeout must be finite and non-negative, got " +
+        std::to_string(timeout_seconds));
+  }
+  return Status::OK();
+}
+
 Result<int64_t> Store::DoAdd(const std::string& key, int64_t delta) {
   int64_t result;
   {
     MutexLock lock(&mutex_);
     int64_t current = 0;
     auto it = data_.find(key);
-    if (it != data_.end()) current = std::stoll(it->second);
+    if (it != data_.end()) {
+      // Store values are untrusted bytes: parse strictly, never throw.
+      const std::string& text = it->second;
+      const char* end = text.data() + text.size();
+      const auto [ptr, ec] = std::from_chars(text.data(), end, current);
+      if (ec != std::errc() || ptr != end) {
+        return Status::InvalidArgument(
+            "store Add('" + key + "'): value '" + text.substr(0, 32) +
+            "' is not an integer");
+      }
+    }
+    if ((delta > 0 && current > std::numeric_limits<int64_t>::max() - delta) ||
+        (delta < 0 && current < std::numeric_limits<int64_t>::min() - delta)) {
+      return Status::OutOfRange("store Add('" + key + "', " +
+                                std::to_string(delta) + ") overflows " +
+                                std::to_string(current));
+    }
     result = current + delta;
     data_[key] = std::to_string(result);
   }
@@ -118,6 +155,7 @@ Result<int64_t> Store::DoAdd(const std::string& key, int64_t delta) {
 
 Result<std::string> Store::DoGetBounded(const std::string& key,
                                         double timeout_seconds) {
+  DDPKIT_RETURN_IF_ERROR(CheckBoundedTimeout(timeout_seconds));
   const bool immediate = timeout_seconds <= 0.0;
   const auto deadline = DeadlineAfter(immediate ? 0.0 : timeout_seconds);
   MutexLock lock(&mutex_);
@@ -137,6 +175,7 @@ Result<std::string> Store::DoGetBounded(const std::string& key,
 
 Status Store::DoWaitBounded(const std::vector<std::string>& keys,
                             double timeout_seconds) {
+  DDPKIT_RETURN_IF_ERROR(CheckBoundedTimeout(timeout_seconds));
   const bool immediate = timeout_seconds <= 0.0;
   const auto deadline = DeadlineAfter(immediate ? 0.0 : timeout_seconds);
   MutexLock lock(&mutex_);
@@ -221,6 +260,11 @@ int64_t Store::Add(const std::string& key, int64_t delta) {
   for (;;) {
     Result<int64_t> result = DoAdd(key, delta);
     if (result.ok()) return result.value();
+    // ddplint: allow(check-in-comm) reason: this legacy op has no error
+    // channel and a rejected request fails the same way on every retry;
+    // AddWithRetry returns it as a Status.
+    DDPKIT_CHECK(!IsRequestError(result.status()))
+        << result.status().ToString();
     RecordTransientFailure();
     SleepReal(kLegacyRetryBackoffSeconds);
   }
@@ -347,6 +391,7 @@ Status Store::AddWithRetry(const std::string& key, int64_t delta,
         if (result != nullptr) *result = value.value();
         return Status::OK();
       }
+      if (IsRequestError(value.status())) return value.status();
       RecordTransientFailure();
     }
     if (attempt >= policy.max_attempts) {
@@ -363,6 +408,7 @@ Status Store::AddWithRetry(const std::string& key, int64_t delta,
 Result<std::string> Store::GetWithRetry(const std::string& key,
                                         double timeout_seconds,
                                         const RetryPolicy& policy) {
+  DDPKIT_RETURN_IF_ERROR(CheckBoundedTimeout(timeout_seconds));
   RetryClock clock(policy);
   double backoff = policy.initial_backoff_seconds;
   int failed_attempts = 0;
@@ -391,6 +437,7 @@ Result<std::string> Store::GetWithRetry(const std::string& key,
         backoff *= policy.backoff_multiplier;
         continue;
       }
+      if (IsRequestError(result.status())) return result.status();
       RecordTransientFailure();  // transport failure from a wire subclass
     }
     if (++failed_attempts >= policy.max_attempts) {

@@ -74,7 +74,9 @@ class Store {
   bool TryGet(const std::string& key, std::string* value);
 
   /// Atomically adds `delta` to an integer-valued key (creating it at 0)
-  /// and returns the new value.
+  /// and returns the new value. A value that is not an integer, or a sum
+  /// past int64, aborts the caller with the typed message: this tier has
+  /// no error channel (AddWithRetry returns those as a Status).
   int64_t Add(const std::string& key, int64_t delta);
 
   /// Blocks until all keys exist.
@@ -98,7 +100,8 @@ class Store {
                                     const RetryPolicy& policy = RetryPolicy());
 
   /// Retryable Add; on success stores the post-add value in `*result`
-  /// (which may be null).
+  /// (which may be null). A stored value that is not an integer fails
+  /// kInvalidArgument and a sum past int64 kOutOfRange, without retrying.
   [[nodiscard]] Status AddWithRetry(const std::string& key, int64_t delta,
                                     int64_t* result,
                                     const RetryPolicy& policy = RetryPolicy());
@@ -107,7 +110,7 @@ class Store {
   /// policy's clock) for the key to appear, retrying transient failures per
   /// `policy`. Returns kTimedOut if the key never appears — the
   /// caller-visible difference between "peer is slow" and the legacy Get's
-  /// silent hang.
+  /// silent hang. A non-finite or negative timeout is kInvalidArgument.
   [[nodiscard]] Result<std::string> GetWithRetry(
       const std::string& key, double timeout_seconds,
       const RetryPolicy& policy = RetryPolicy());
@@ -129,9 +132,12 @@ class Store {
   /// Primitive layer every public entry point funnels through. The base
   /// implementations are the in-memory store; a wire-backed subclass
   /// overrides them with RPCs and reports transport failures as non-OK
-  /// Status (anything but kTimedOut is treated as transient and retried by
-  /// the tiers above). `DoGetBounded`/`DoWaitBounded` with a non-positive
-  /// timeout are immediate lookups, never waits.
+  /// Status. The tiers above retry those as transient; kTimedOut is a
+  /// miss, and kInvalidArgument / kOutOfRange reject the request itself
+  /// (a non-integer counter, an overflowing Add, a bad timeout), which no
+  /// retry can change. `DoGetBounded`/`DoWaitBounded` with a zero timeout
+  /// are immediate lookups, never waits; a negative or non-finite one is
+  /// kInvalidArgument (CheckBoundedTimeout).
   [[nodiscard]] virtual Status DoSet(const std::string& key,
                                      const std::string& value);
   [[nodiscard]] virtual Status DoTryGet(const std::string& key,
@@ -146,6 +152,9 @@ class Store {
   [[nodiscard]] virtual Result<int64_t> DoDeleteKey(const std::string& key);
   [[nodiscard]] virtual Result<int64_t> DoDeletePrefix(
       const std::string& prefix);
+
+  /// kInvalidArgument unless `timeout_seconds` is finite and non-negative.
+  [[nodiscard]] static Status CheckBoundedTimeout(double timeout_seconds);
 
   /// Records a real transport failure against the transient counter so
   /// tests can assert on retried wire errors the same way as injected ones.

@@ -12,7 +12,6 @@
 //   reducer/rebuild/<inst>/v<epoch>/order     rank 0's ready-order broadcast
 //   rendezvous/<ns>/g<gen>/{join/rank<r>,seal,members}
 //   pgtcp/<group>/g<gen>/rank<r>              TCP address exchange
-//   pg/<group>/joined                         sim membership counter
 
 #ifndef DDPKIT_COMM_STORE_KEYS_H_
 #define DDPKIT_COMM_STORE_KEYS_H_
@@ -82,12 +81,6 @@ inline std::string PgTcpPrefix(const std::string& group, uint64_t generation) {
 
 inline std::string PgTcpRankKey(const std::string& prefix, int rank) {
   return prefix + "rank" + std::to_string(rank);
-}
-
-// --- pg/ — sim process-group membership ------------------------------------
-
-inline std::string PgJoinedCounter(const std::string& group) {
-  return "pg/" + group + "/joined";
 }
 
 }  // namespace ddpkit::comm::store_keys

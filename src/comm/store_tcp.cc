@@ -12,8 +12,6 @@
 // ddplint: allow-file(banned-nondeterminism) the TCP store is an
 // out-of-band wall-clock service shared by independent processes; its
 // waits and slices are real time by definition (DESIGN.md §11).
-// ddplint: allow-file(raw-wire-io) owns the server wake pipe; everything
-// socket-shaped goes through comm/net_socket.h helpers.
 
 namespace ddpkit::comm {
 
@@ -109,6 +107,7 @@ double ElapsedSeconds(SteadyClock::time_point since) {
 /// long condition-variable wait.
 class StoreServerTcp::ServerStore : public Store {
  public:
+  using Store::CheckBoundedTimeout;
   using Store::DoAdd;
   using Store::DoDeleteKey;
   using Store::DoDeletePrefix;
@@ -159,6 +158,8 @@ void StoreServerTcp::Stop() {
   // Wake every thread parked in poll(): one byte is enough, the pipe is
   // never drained.
   const char wake = 'x';
+  // ddplint: allow(raw-wire-io) reason: wakes the server's wake pipe, not a
+  // client socket.
   (void)!write(wake_wfd_, &wake, 1);
   if (accept_thread_.joinable()) accept_thread_.join();
   std::map<uint64_t, std::thread> conns;
@@ -226,8 +227,14 @@ void StoreServerTcp::ServeConnection(uint64_t conn_id, int fd) {
     Result<std::vector<uint8_t>> frame =
         RecvFrame(fd, Deadline::Never(), wake_rfd_);
     if (!frame.ok()) break;  // client gone, or Stop() woke us
-    std::vector<uint8_t> response;
-    if (!HandleRequest(frame.value(), &response)) break;
+    // Every response leads with its status code; a rejected request is
+    // answered with the code and message, and the connection stays up.
+    std::vector<uint8_t> response = {0};
+    const Status handled = HandleRequest(frame.value(), &response);
+    if (!handled.ok()) {
+      response = {static_cast<uint8_t>(handled.code())};
+      PutStr(&response, handled.message());
+    }
     const Status sent = SendFrame(fd, response.data(), response.size(),
                                   Deadline::After(kRpcGraceSeconds),
                                   wake_rfd_);
@@ -240,40 +247,42 @@ void StoreServerTcp::ServeConnection(uint64_t conn_id, int fd) {
   finished_conns_.push_back(conn_id);
 }
 
-bool StoreServerTcp::HandleRequest(const std::vector<uint8_t>& request,
-                                   std::vector<uint8_t>* response) {
+Status StoreServerTcp::HandleRequest(const std::vector<uint8_t>& request,
+                                     std::vector<uint8_t>* response) {
+  const Status malformed =
+      Status::InvalidArgument("malformed store request");
   Reader r{request};
   uint8_t op = 0;
-  if (!r.U8(&op)) return false;
+  if (!r.U8(&op)) return malformed;
   switch (op) {
     case kOpSet: {
       std::string key, value;
-      if (!r.Str(&key) || !r.Str(&value) || !r.Done()) return false;
-      const Status status = store_->DoSet(key, value);
-      return status.ok();  // in-memory DoSet cannot fail
+      if (!r.Str(&key) || !r.Str(&value) || !r.Done()) return malformed;
+      return store_->DoSet(key, value);
     }
     case kOpTryGet: {
       std::string key, value;
-      if (!r.Str(&key) || !r.Done()) return false;
+      if (!r.Str(&key) || !r.Done()) return malformed;
       bool found = false;
-      if (!store_->DoTryGet(key, &value, &found).ok()) return false;
+      DDPKIT_RETURN_IF_ERROR(store_->DoTryGet(key, &value, &found));
       PutU8(response, found ? 1 : 0);
       if (found) PutStr(response, value);
-      return true;
+      return Status::OK();
     }
     case kOpAdd: {
       std::string key;
       int64_t delta = 0;
-      if (!r.Str(&key) || !r.I64(&delta) || !r.Done()) return false;
+      if (!r.Str(&key) || !r.I64(&delta) || !r.Done()) return malformed;
       Result<int64_t> result = store_->DoAdd(key, delta);
-      if (!result.ok()) return false;
+      if (!result.ok()) return result.status();
       PutI64(response, result.value());
-      return true;
+      return Status::OK();
     }
     case kOpGetBounded: {
       std::string key;
       double timeout = 0.0;
-      if (!r.Str(&key) || !r.F64(&timeout) || !r.Done()) return false;
+      if (!r.Str(&key) || !r.F64(&timeout) || !r.Done()) return malformed;
+      DDPKIT_RETURN_IF_ERROR(store_->CheckBoundedTimeout(timeout));
       // Sliced wait: stays responsive to Stop() and bounds how long this
       // connection's channel is held.
       const auto start = SteadyClock::now();
@@ -285,24 +294,27 @@ bool StoreServerTcp::HandleRequest(const std::vector<uint8_t>& request,
         if (value.ok()) {
           PutU8(response, 1);
           PutStr(response, value.value());
-          return true;
+          return Status::OK();
         }
-        if (value.status().code() != StatusCode::kTimedOut) return false;
+        if (value.status().code() != StatusCode::kTimedOut) {
+          return value.status();
+        }
         if (shutdown_.load() || remaining <= 0.0) {
           PutU8(response, 0);
-          return true;
+          return Status::OK();
         }
       }
     }
     case kOpWaitBounded: {
       uint32_t count = 0;
       double timeout = 0.0;
-      if (!r.U32(&count) || count > 4096) return false;
+      if (!r.U32(&count) || count > 4096) return malformed;
       std::vector<std::string> keys(count);
       for (auto& key : keys) {
-        if (!r.Str(&key)) return false;
+        if (!r.Str(&key)) return malformed;
       }
-      if (!r.F64(&timeout) || !r.Done()) return false;
+      if (!r.F64(&timeout) || !r.Done()) return malformed;
+      DDPKIT_RETURN_IF_ERROR(store_->CheckBoundedTimeout(timeout));
       const auto start = SteadyClock::now();
       for (;;) {
         const double remaining = timeout - ElapsedSeconds(start);
@@ -311,43 +323,43 @@ bool StoreServerTcp::HandleRequest(const std::vector<uint8_t>& request,
         const Status status = store_->DoWaitBounded(keys, slice);
         if (status.ok()) {
           PutU8(response, 1);
-          return true;
+          return Status::OK();
         }
-        if (status.code() != StatusCode::kTimedOut) return false;
+        if (status.code() != StatusCode::kTimedOut) return status;
         if (shutdown_.load() || remaining <= 0.0) {
           PutU8(response, 0);
-          return true;
+          return Status::OK();
         }
       }
     }
     case kOpNumKeys: {
-      if (!r.Done()) return false;
+      if (!r.Done()) return malformed;
       Result<int64_t> n = store_->DoNumKeys();
-      if (!n.ok()) return false;
+      if (!n.ok()) return n.status();
       PutI64(response, n.value());
-      return true;
+      return Status::OK();
     }
     case kOpDeleteKey: {
       std::string key;
-      if (!r.Str(&key) || !r.Done()) return false;
+      if (!r.Str(&key) || !r.Done()) return malformed;
       Result<int64_t> n = store_->DoDeleteKey(key);
-      if (!n.ok()) return false;
+      if (!n.ok()) return n.status();
       PutI64(response, n.value());
-      return true;
+      return Status::OK();
     }
     case kOpDeletePrefix: {
       std::string prefix;
-      if (!r.Str(&prefix) || !r.Done()) return false;
+      if (!r.Str(&prefix) || !r.Done()) return malformed;
       Result<int64_t> n = store_->DoDeletePrefix(prefix);
-      if (!n.ok()) return false;
+      if (!n.ok()) return n.status();
       PutI64(response, n.value());
-      return true;
+      return Status::OK();
     }
     case kOpPing: {
-      return r.Done();
+      return r.Done() ? Status::OK() : malformed;
     }
     default:
-      return false;
+      return malformed;
   }
 }
 
@@ -394,8 +406,26 @@ Result<std::vector<uint8_t>> StoreClientTcp::Rpc(
     // ddplint: allow(blocking-under-lock) same serialized-RPC argument as
     // the SendFrame half of this exchange.
     Result<std::vector<uint8_t>> response = RecvFrame(fd_, deadline);
-    if (response.ok()) return response;
-    sent = response.status();
+    if (response.ok()) {
+      // The leading status code: 0 is the payload, anything else a request
+      // the server rejected, returned typed on a connection still in sync.
+      std::vector<uint8_t>& bytes = response.value();
+      Reader r{bytes};
+      uint8_t code = 0;
+      std::string message;
+      if (r.U8(&code) && code == 0) {
+        bytes.erase(bytes.begin());
+        return response;
+      }
+      if (code >= static_cast<uint8_t>(StatusCode::kInvalidArgument) &&
+          code <= static_cast<uint8_t>(StatusCode::kInvalidGeneration) &&
+          r.Str(&message) && r.Done()) {
+        return Status(static_cast<StatusCode>(code), message);
+      }
+      sent = Status::Internal("malformed response");
+    } else {
+      sent = response.status();
+    }
   }
   // Any failure leaves the stream unsynchronized; drop the connection so
   // the next attempt (the retry tiers re-call us) reconnects cleanly.

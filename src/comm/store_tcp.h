@@ -24,10 +24,14 @@ namespace ddpkit::comm {
 /// consumer built against the Store seam (process-group rendezvous, reducer
 /// layout validation, elastic recovery) runs unchanged over the wire.
 ///
-/// Wire protocol: length-prefixed frames (net_socket.h), payload = u8
+/// Wire protocol: length-prefixed frames (net_socket.h), request = u8
 /// opcode + operands (strings as u32 length + bytes, integers launcher and
-/// workers share one host so fixed-width native-endian). Blocking ops
-/// (bounded Get/Wait) are held server-side in short slices so a server
+/// workers share one host so fixed-width native-endian); response = u8
+/// StatusCode, then the payload when it is 0 or the error message when it
+/// is not. A rejected request (malformed, a non-integer or overflowing
+/// Add, a non-finite or negative wait timeout) is answered typed and the
+/// connection stays up, so one client cannot take the store down. Blocking
+/// ops (bounded Get/Wait) are held server-side in short slices so a server
 /// shutdown never strands a connection thread.
 class StoreServerTcp {
  public:
@@ -66,10 +70,11 @@ class StoreServerTcp {
   /// Joins every connection thread that has announced completion. The join
   /// is near-instant: a finished thread only has its epilogue left.
   void ReapFinishedConnections();
-  /// Handles one decoded request, appending the response payload.
-  /// Returns false on a malformed request (connection is dropped).
-  bool HandleRequest(const std::vector<uint8_t>& request,
-                     std::vector<uint8_t>* response);
+  /// Handles one decoded request, appending the response payload. A
+  /// malformed request, a non-integer or overflowing Add and a bad wait
+  /// timeout are typed errors the caller answers instead of the payload.
+  [[nodiscard]] Status HandleRequest(const std::vector<uint8_t>& request,
+                                     std::vector<uint8_t>* response);
 
   /// Store subclass that re-exposes the protected bounded primitives: the
   /// server loops them in short slices so shutdown stays responsive.

@@ -65,8 +65,7 @@ BucketAssignment AssignBuckets(const std::vector<ParamMeta>& params,
 
 BucketAssignment AssignBucketsFromOrder(const std::vector<ParamMeta>& params,
                                         const std::vector<size_t>& ready_order,
-                                        size_t bucket_cap_bytes,
-                                        size_t first_bucket_cap_bytes) {
+                                        size_t bucket_cap_bytes) {
   DDPKIT_CHECK_EQ(ready_order.size(), params.size())
       << "ready_order must be a permutation of all parameter indices";
   std::vector<uint8_t> seen(params.size(), 0);
@@ -76,7 +75,7 @@ BucketAssignment AssignBucketsFromOrder(const std::vector<ParamMeta>& params,
     seen[idx] = 1;
   }
   return PackInOrder(params, ready_order, bucket_cap_bytes,
-                     first_bucket_cap_bytes);
+                     /*first_bucket_cap_bytes=*/0);
 }
 
 size_t BucketBytes(const std::vector<ParamMeta>& params,

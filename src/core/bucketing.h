@@ -47,8 +47,7 @@ BucketAssignment AssignBuckets(const std::vector<ParamMeta>& params,
 /// then pack in exactly that order instead of reverse registration order.
 BucketAssignment AssignBucketsFromOrder(const std::vector<ParamMeta>& params,
                                         const std::vector<size_t>& ready_order,
-                                        size_t bucket_cap_bytes,
-                                        size_t first_bucket_cap_bytes = 0);
+                                        size_t bucket_cap_bytes);
 
 /// Total payload bytes of one bucket.
 size_t BucketBytes(const std::vector<ParamMeta>& params,

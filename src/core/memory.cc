@@ -21,8 +21,8 @@ MemoryEstimate EstimateDdpMemory(const std::vector<ParamMeta>& params,
   MemoryEstimate estimate;
   for (const ParamMeta& p : params) estimate.parameter_bytes += p.bytes;
 
-  BucketAssignment assignment = AssignBuckets(
-      params, options.bucket_cap_bytes, options.first_bucket_cap_bytes);
+  BucketAssignment assignment =
+      AssignBuckets(params, options.bucket_cap_bytes);
   size_t max_bucket = 0;
   for (const auto& bucket : assignment.buckets) {
     const size_t bytes = BucketBytes(params, bucket);

@@ -146,8 +146,7 @@ Reducer::Reducer(std::vector<Tensor> params,
   used_bitmap_ = Tensor::Zeros({static_cast<int64_t>(params_.size())},
                                DType::kUInt8);
 
-  InitBuckets(AssignBuckets(metas_, options_.bucket_cap_bytes,
-                            options_.first_bucket_cap_bytes));
+  InitBuckets(AssignBuckets(metas_, options_.bucket_cap_bytes));
   InstallHooks();
 
   // Pair up the Nth reducer on every rank: reducers are constructed in
@@ -859,9 +858,8 @@ bool Reducer::RebuildBucketsFromTrace() {
     }
   }
 
-  BucketAssignment rebuilt = AssignBucketsFromOrder(
-      metas_, order, options_.bucket_cap_bytes,
-      options_.first_bucket_cap_bytes);
+  BucketAssignment rebuilt =
+      AssignBucketsFromOrder(metas_, order, options_.bucket_cap_bytes);
   const bool changed = rebuilt.buckets != assignment_.buckets;
   if (changed) {
     InitBuckets(rebuilt);
@@ -958,8 +956,7 @@ Status Reducer::ResetAfterRecovery(
   // world' job started from the same checkpoint, and that job's freshly
   // constructed reducer uses the default layout; ring all-reduce chunking
   // (hence float summation order) follows the bucket partition.
-  InitBuckets(AssignBuckets(metas_, options_.bucket_cap_bytes,
-                            options_.first_bucket_cap_bytes));
+  InitBuckets(AssignBuckets(metas_, options_.bucket_cap_bytes));
   ResetIterationState();
 
   ValidateCrossRankLayout();

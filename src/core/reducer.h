@@ -38,8 +38,6 @@ struct ReducerOptions {
   /// Bucket capacity; 0 means one AllReduce per gradient (the paper's 0 MB
   /// baseline). Default 25 MB per the paper.
   size_t bucket_cap_bytes = 25u << 20;
-  /// Capacity of the first-launched bucket; 0 = same as bucket_cap_bytes.
-  size_t first_bucket_cap_bytes = 0;
   /// Traverse the autograd graph each forward to proactively mark
   /// parameters outside the iteration's sub-graph (paper §3.2.3) and track
   /// a globally-unused bitmap.

@@ -56,7 +56,7 @@ int ZeroRedundancyOptimizer::OwnerOf(size_t param_index) const {
   return owner_[param_index];
 }
 
-void ZeroRedundancyOptimizer::Step() {
+Status ZeroRedundancyOptimizer::Step() {
   // Local update on the owned shard only.
   if (!local_optimizer_->params().empty()) {
     local_optimizer_->Step();
@@ -68,7 +68,16 @@ void ZeroRedundancyOptimizer::Step() {
   for (size_t i = 0; i < params_.size(); ++i) {
     works.push_back(pg_->Broadcast(params_[i].Flatten(), owner_[i]));
   }
-  for (auto& work : works) work->Wait(pg_->clock());
+  // Drain them all, so no broadcast is still writing a parameter after
+  // Step returns. A zero timeout leaves the virtual-time watchdog off: this
+  // optimizer has no deadline to enforce, so only a failed broadcast is an
+  // error.
+  Status first_failure;
+  for (auto& work : works) {
+    const Status status = work->Wait(pg_->clock(), /*timeout_seconds=*/0.0);
+    if (first_failure.ok()) first_failure = status;
+  }
+  return first_failure;
 }
 
 void ZeroRedundancyOptimizer::ZeroGrad() {

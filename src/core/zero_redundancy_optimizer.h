@@ -35,7 +35,9 @@ class ZeroRedundancyOptimizer {
                           OptimizerFactory factory);
 
   /// Updates this rank's shard, then broadcasts every shard from its owner.
-  void Step();
+  /// Waits for every broadcast, and returns the first failure typed (for
+  /// example a crashed owner) instead of aborting.
+  [[nodiscard]] Status Step();
 
   /// Zeroes all gradients (shard-independent).
   void ZeroGrad();

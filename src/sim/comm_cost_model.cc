@@ -197,26 +197,45 @@ CommCostModel::ZooBandwidths NcclCostModel::ZooBandwidth(
 
 // ---- GlooCostModel -------------------------------------------------------------
 
-GlooCostModel::GlooCostModel(const Topology& topology)
-    : GlooCostModel(topology, Options()) {}
+namespace {
 
-GlooCostModel::GlooCostModel(const Topology& topology, const Options& options)
-    : CommCostModel(Backend::kGloo, topology, options.base_latency,
-                    options.step_overhead),
-      options_(options) {}
+constexpr double kGlooBaseLatency = 60e-6;
+constexpr double kGlooStepOverhead = 35e-6;
+/// Peak achievable bandwidth (already below any link limit: Gloo is
+/// CPU-bound).
+constexpr double kGlooMaxBandwidth = 3.0e9;
+/// Bandwidth saturates at this message size and then *declines* gradually
+/// (CPU copy pressure grows with buffer size): effective bandwidth is
+/// scaled by kGlooLargeMessageFactor^(1 + log8(bytes /
+/// kGlooLargeMessageBytes)) beyond the threshold. This yields the Fig 2(b)
+/// plateau past ~500K parameters and the Fig 7(b)/8(b) preference for
+/// ~5 MB buckets — "larger bucket sizes beyond 512KB with Gloo would only
+/// mean longer waiting time" (§5.2).
+constexpr size_t kGlooLargeMessageBytes = 1 << 20;
+constexpr double kGlooLargeMessageFactor = 0.8;
+/// Per-rank bandwidth degradation: bw /= (1 + kGlooWorldPenalty * world).
+constexpr double kGlooWorldPenalty = 0.006;
+/// Gloo is CPU-bound, so chunk pipelining only overlaps the copy with the
+/// send — a modest sustained-bandwidth gain, not link saturation.
+constexpr double kGlooChunkedPipelineGain = 1.25;
+
+}  // namespace
+
+GlooCostModel::GlooCostModel(const Topology& topology)
+    : CommCostModel(Backend::kGloo, topology, kGlooBaseLatency,
+                    kGlooStepOverhead) {}
 
 double GlooCostModel::Bandwidth(size_t bytes, int world,
                                 int concurrent_groups) const {
-  double bw = std::min(options_.max_bandwidth,
-                       topology().RingBandwidth(world));
-  if (bytes > options_.large_message_bytes) {
+  double bw = std::min(kGlooMaxBandwidth, topology().RingBandwidth(world));
+  if (bytes > kGlooLargeMessageBytes) {
     const double octaves =
         std::log2(static_cast<double>(bytes) /
-                  static_cast<double>(options_.large_message_bytes)) /
+                  static_cast<double>(kGlooLargeMessageBytes)) /
         3.0;  // log base 8
-    bw *= std::pow(options_.large_message_factor, 1.0 + octaves);
+    bw *= std::pow(kGlooLargeMessageFactor, 1.0 + octaves);
   }
-  bw /= 1.0 + options_.world_penalty * static_cast<double>(world);
+  bw /= 1.0 + kGlooWorldPenalty * static_cast<double>(world);
   // Gloo is CPU-bound, so concurrent groups contend for cores as well as
   // links; a mild penalty keeps rr>1 a modest win (Fig 12(b)).
   if (concurrent_groups > 1) {
@@ -230,25 +249,33 @@ CommCostModel::ZooBandwidths GlooCostModel::ZooBandwidth(
   const double ring = Bandwidth(bytes, world, concurrent_groups);
   const int per_host = std::min(world, topology().gpus_per_host());
   // The CPU/TCP path is the cap whether or not the hop crosses a NIC.
-  return {.chunked = ring * options_.chunked_pipeline_gain,
+  return {.chunked = ring * kGlooChunkedPipelineGain,
           .intra_host = Bandwidth(bytes, per_host, concurrent_groups),
           .net = ring};
 }
 
 // ---- MpiCostModel ----------------------------------------------------------------
 
-MpiCostModel::MpiCostModel(const Topology& topology)
-    : MpiCostModel(topology, Options()) {}
+namespace {
 
-MpiCostModel::MpiCostModel(const Topology& topology, const Options& options)
-    : CommCostModel(Backend::kMpi, topology, options.base_latency,
-                    options.step_overhead),
-      options_(options) {}
+constexpr double kMpiBaseLatency = 25e-6;
+constexpr double kMpiStepOverhead = 8e-6;
+/// Host-staging ceiling on achievable bandwidth.
+constexpr double kMpiMaxBandwidth = 2.0e9;
+/// Chunk pipelining overlaps the host staging copy with the fabric
+/// transfer; bounded well below NCCL-style link saturation.
+constexpr double kMpiChunkedPipelineGain = 1.2;
+
+}  // namespace
+
+MpiCostModel::MpiCostModel(const Topology& topology)
+    : CommCostModel(Backend::kMpi, topology, kMpiBaseLatency,
+                    kMpiStepOverhead) {}
 
 double MpiCostModel::Bandwidth(size_t /*bytes*/, int world,
                                int concurrent_groups) const {
   const double link =
-      std::min(options_.max_bandwidth, topology().RingBandwidth(world));
+      std::min(kMpiMaxBandwidth, topology().RingBandwidth(world));
   return link / static_cast<double>(std::max(1, concurrent_groups));
 }
 
@@ -256,9 +283,9 @@ CommCostModel::ZooBandwidths MpiCostModel::ZooBandwidth(
     size_t bytes, int world, int concurrent_groups) const {
   const int per_host = std::min(world, topology().gpus_per_host());
   return {.chunked = Bandwidth(bytes, world, concurrent_groups) *
-                     options_.chunked_pipeline_gain,
+                     kMpiChunkedPipelineGain,
           .intra_host = Bandwidth(bytes, per_host, concurrent_groups),
-          .net = std::min(options_.max_bandwidth,
+          .net = std::min(kMpiMaxBandwidth,
                           topology().Bandwidth(LinkType::kNet)) /
                  static_cast<double>(std::max(1, concurrent_groups))};
 }

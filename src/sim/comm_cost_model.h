@@ -146,39 +146,13 @@ class NcclCostModel : public CommCostModel {
 /// worlds (matching Fig 2(b) and Fig 9(b)/(d)).
 class GlooCostModel : public CommCostModel {
  public:
-  struct Options {
-    double base_latency = 60e-6;
-    double step_overhead = 35e-6;
-    /// Peak achievable bandwidth (already below any link limit: Gloo is
-    /// CPU-bound).
-    double max_bandwidth = 3.0e9;
-    /// Bandwidth saturates at this message size and then *declines*
-    /// gradually (CPU copy pressure grows with buffer size): effective
-    /// bandwidth is scaled by large_message_factor^(1 + log8(bytes /
-    /// large_message_bytes)) beyond the threshold. This yields the
-    /// Fig 2(b) plateau past ~500K parameters and the Fig 7(b)/8(b)
-    /// preference for ~5 MB buckets — "larger bucket sizes beyond 512KB
-    /// with Gloo would only mean longer waiting time" (§5.2).
-    size_t large_message_bytes = 1 << 20;
-    double large_message_factor = 0.8;
-    /// Per-rank bandwidth degradation: bw /= (1 + world_penalty * world).
-    double world_penalty = 0.006;
-    /// Gloo is CPU-bound, so chunk pipelining only overlaps the copy with
-    /// the send — a modest sustained-bandwidth gain, not link saturation.
-    double chunked_pipeline_gain = 1.25;
-  };
-
   explicit GlooCostModel(const Topology& topology);
-  GlooCostModel(const Topology& topology, const Options& options);
 
  protected:
   double Bandwidth(size_t bytes, int world,
                    int concurrent_groups) const override;
   ZooBandwidths ZooBandwidth(size_t bytes, int world,
                              int concurrent_groups) const override;
-
- private:
-  Options options_;
 };
 
 /// MPI-like: host-staged buffers over the fabric. Latency between NCCL and
@@ -186,27 +160,13 @@ class GlooCostModel : public CommCostModel {
 /// directly), bandwidth limited by the host staging copy.
 class MpiCostModel : public CommCostModel {
  public:
-  struct Options {
-    double base_latency = 25e-6;
-    double step_overhead = 8e-6;
-    /// Host-staging ceiling on achievable bandwidth.
-    double max_bandwidth = 2.0e9;
-    /// Chunk pipelining overlaps the host staging copy with the fabric
-    /// transfer; bounded well below NCCL-style link saturation.
-    double chunked_pipeline_gain = 1.2;
-  };
-
   explicit MpiCostModel(const Topology& topology);
-  MpiCostModel(const Topology& topology, const Options& options);
 
  protected:
   double Bandwidth(size_t bytes, int world,
                    int concurrent_groups) const override;
   ZooBandwidths ZooBandwidth(size_t bytes, int world,
                              int concurrent_groups) const override;
-
- private:
-  Options options_;
 };
 
 /// Factory keyed by backend flavor.

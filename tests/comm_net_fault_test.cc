@@ -240,20 +240,21 @@ TEST(WireFaultInjectorTest, TruncationCutsMidFrame) {
   SocketPair pair;
   WireFaultInjector shim(&plan, 0);
   const std::string payload(64, 'q');
-  const Status status = shim.SendFrame(1, pair.fds[0], payload.data(),
-                                       payload.size(), Deadline::After(1.0));
+  const Status status = shim.SendAll(1, pair.fds[0], payload.data(),
+                                     payload.size(), Deadline::After(1.0));
   EXPECT_EQ(status.code(), StatusCode::kInternal);
   EXPECT_NE(status.message().find("injected mid-frame truncation"),
             std::string::npos);
-  // The length prefix escaped but the payload was cut: the peer's framed
-  // read fails typed, mid-message.
-  Result<std::vector<uint8_t>> frame =
-      RecvFrame(pair.fds[1], Deadline::After(1.0));
-  ASSERT_FALSE(frame.ok());
-  EXPECT_EQ(frame.status().code(), StatusCode::kInternal);
-  EXPECT_NE(
-      frame.status().message().find("peer closed connection mid-message"),
-      std::string::npos);
+  // The first 3 bytes went out for real, then the stream was cut: the
+  // peer's read of the whole message fails typed, mid-message.
+  std::string got(payload.size(), 0);
+  const Status read =
+      RecvAll(pair.fds[1], got.data(), got.size(), Deadline::After(1.0));
+  EXPECT_EQ(read.code(), StatusCode::kInternal);
+  EXPECT_NE(read.message().find("peer closed connection mid-message"),
+            std::string::npos);
+  EXPECT_NE(read.message().find("(3/64 bytes)"), std::string::npos)
+      << read.ToString();
 }
 
 TEST(WireFaultInjectorTest, SlowLinkDelaysButDeliversIntact) {

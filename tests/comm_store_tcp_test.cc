@@ -7,10 +7,12 @@
 
 #include <algorithm>
 #include <chrono>
+#include <limits>
 #include <string>
 #include <thread>
 #include <vector>
 
+#include "comm/net_socket.h"
 #include "comm/store.h"
 #include "comm/store_tcp.h"
 #include "sim/virtual_clock.h"
@@ -293,6 +295,146 @@ TEST(StoreTcpTest, ConnectionChurnKeepsThreadCountBounded) {
   StoreClientTcp last("127.0.0.1", server->port());
   ASSERT_TRUE(last.Ping().ok());
   EXPECT_LE(server->tracked_connections(), 4u);
+}
+
+// --- Rejected requests: answered typed, and the server survives ----------
+
+/// Each case runs against the wire client and the in-memory store, which
+/// must give the same codes. Afterwards the wire server still answers and
+/// neither store counted the rejection as a transient failure.
+struct StorePair {
+  StoreServerHandle server = MustStart();
+  StoreClientTcp client{"127.0.0.1", server->port()};
+  Store memory;
+
+  std::vector<Store*> both() { return {&client, &memory}; }
+
+  void ExpectHealthy() {
+    EXPECT_TRUE(client.Ping().ok());
+    for (Store* store : both()) {
+      store->Set("health", "ok");
+      EXPECT_EQ("ok", store->Get("health"));
+      EXPECT_EQ(0u, store->transient_failures());
+    }
+  }
+};
+
+TEST(StoreTcpTest, AddOnNonIntegerValueIsInvalidArgument) {
+  StorePair stores;
+  for (Store* store : stores.both()) {
+    store->Set("k", "not-a-number");
+    int64_t result = -1;
+    const Status status = store->AddWithRetry("k", 1, &result);
+    EXPECT_EQ(StatusCode::kInvalidArgument, status.code())
+        << status.ToString();
+    EXPECT_EQ(-1, result);
+    EXPECT_EQ("not-a-number", store->Get("k"));
+  }
+  stores.ExpectHealthy();
+}
+
+TEST(StoreTcpTest, AddPastInt64IsOutOfRange) {
+  StorePair stores;
+  const int64_t max = std::numeric_limits<int64_t>::max();
+  const int64_t min = std::numeric_limits<int64_t>::min();
+  for (Store* store : stores.both()) {
+    store->Set("hi", std::to_string(max));
+    store->Set("lo", std::to_string(min));
+    const Status up = store->AddWithRetry("hi", 1, nullptr);
+    const Status down = store->AddWithRetry("lo", -1, nullptr);
+    EXPECT_EQ(StatusCode::kOutOfRange, up.code()) << up.ToString();
+    EXPECT_EQ(StatusCode::kOutOfRange, down.code()) << down.ToString();
+    EXPECT_EQ(std::to_string(max), store->Get("hi"));
+    EXPECT_EQ(std::to_string(min), store->Get("lo"));
+    // The edges themselves are reachable.
+    int64_t result = 0;
+    ASSERT_TRUE(store->AddWithRetry("hi", -1, &result).ok());
+    EXPECT_EQ(max - 1, result);
+    ASSERT_TRUE(store->AddWithRetry("hi", 1, &result).ok());
+    EXPECT_EQ(max, result);
+  }
+  stores.ExpectHealthy();
+}
+
+TEST(StoreTcpTest, BoundedGetRejectsNonFiniteOrNegativeTimeout) {
+  StorePair stores;
+  const double bad[] = {std::numeric_limits<double>::quiet_NaN(),
+                        std::numeric_limits<double>::infinity(), -1.0};
+  for (Store* store : stores.both()) {
+    // The key exists, so only the timeout can fail the request.
+    store->Set("k", "v");
+    for (double timeout : bad) {
+      SCOPED_TRACE(timeout);
+      Result<std::string> got = store->GetWithRetry("k", timeout);
+      EXPECT_EQ(StatusCode::kInvalidArgument, got.status().code())
+          << got.status().ToString();
+    }
+  }
+  stores.ExpectHealthy();
+}
+
+/// Raw request frames for the wire server, encoded as StoreClientTcp
+/// encodes them: u8 opcode, strings as u32 length + bytes, f64 native.
+struct Frame {
+  std::vector<uint8_t> bytes;
+  Frame& U8(uint8_t v) {
+    bytes.push_back(v);
+    return *this;
+  }
+  Frame& Raw(const void* p, size_t n) {
+    const auto* b = static_cast<const uint8_t*>(p);
+    bytes.insert(bytes.end(), b, b + n);
+    return *this;
+  }
+  Frame& U32(uint32_t v) { return Raw(&v, sizeof(v)); }
+  Frame& F64(double v) { return Raw(&v, sizeof(v)); }
+  Frame& Str(const std::string& s) {
+    U32(static_cast<uint32_t>(s.size()));
+    return Raw(s.data(), s.size());
+  }
+};
+
+constexpr uint8_t kOpGetBounded = 4;
+constexpr uint8_t kOpWaitBounded = 5;
+constexpr uint8_t kOpPing = 9;
+
+// A bounded Get or Wait frame with a NaN, infinite or negative timeout is
+// answered kInvalidArgument on the same connection, which then still
+// serves a Ping.
+TEST(StoreTcpTest, WireBoundedOpsRejectBadTimeoutTyped) {
+  StorePair stores;
+  Result<int> fd = ConnectWithDeadline("127.0.0.1", stores.server->port(),
+                                       Deadline::After(10.0));
+  ASSERT_TRUE(fd.ok()) << fd.status().ToString();
+  const double bad[] = {std::numeric_limits<double>::quiet_NaN(),
+                        std::numeric_limits<double>::infinity(), -1.0};
+  for (double timeout : bad) {
+    SCOPED_TRACE(timeout);
+    const Frame get = Frame().U8(kOpGetBounded).Str("never").F64(timeout);
+    const Frame wait =
+        Frame().U8(kOpWaitBounded).U32(1).Str("never").F64(timeout);
+    for (const Frame* frame : {&get, &wait}) {
+      ASSERT_TRUE(SendFrame(fd.value(), frame->bytes.data(),
+                            frame->bytes.size(), Deadline::After(5.0))
+                      .ok());
+      Result<std::vector<uint8_t>> response =
+          RecvFrame(fd.value(), Deadline::After(5.0));
+      ASSERT_TRUE(response.ok()) << response.status().ToString();
+      ASSERT_FALSE(response.value().empty());
+      EXPECT_EQ(static_cast<uint8_t>(StatusCode::kInvalidArgument),
+                response.value()[0]);
+    }
+    const Frame ping = Frame().U8(kOpPing);
+    ASSERT_TRUE(SendFrame(fd.value(), ping.bytes.data(), ping.bytes.size(),
+                          Deadline::After(5.0))
+                    .ok());
+    Result<std::vector<uint8_t>> pong =
+        RecvFrame(fd.value(), Deadline::After(5.0));
+    ASSERT_TRUE(pong.ok()) << pong.status().ToString();
+    EXPECT_EQ(std::vector<uint8_t>{0}, pong.value());
+  }
+  CloseFd(fd.value());
+  stores.ExpectHealthy();
 }
 
 }  // namespace

@@ -8,6 +8,15 @@
 namespace ddpkit::comm {
 namespace {
 
+// The legacy Add has no error channel: a value that is not an integer
+// aborts the caller with the typed message instead of retrying forever.
+TEST(StoreDeathTest, LegacyAddOnNonIntegerAbortsTyped) {
+  testing::GTEST_FLAG(death_test_style) = "threadsafe";
+  Store store;
+  store.Set("k", "not-a-number");
+  EXPECT_DEATH(store.Add("k", 1), "not an integer");
+}
+
 TEST(StoreTest, SetAndTryGet) {
   Store store;
   std::string value;

@@ -6,9 +6,11 @@
 
 #include <memory>
 #include <set>
+#include <string>
 #include <vector>
 
 #include "autograd/engine.h"
+#include "comm/fault_plan.h"
 #include "comm/sim_world.h"
 #include "common/rng.h"
 #include "core/distributed_data_parallel.h"
@@ -103,7 +105,7 @@ TEST(ZeroOptimizerTest, TrainingMatchesUnshardedOptimizer) {
         Tensor y = ys[s].Narrow(0, ctx.rank * per_rank, per_rank).Clone();
         autograd::Backward(nn::MSELoss()(ddp.Forward(x), y));
         if (sharded) {
-          zero->Step();
+          ASSERT_TRUE(zero->Step().ok());
         } else {
           plain->Step();
         }
@@ -129,6 +131,28 @@ TEST(ZeroOptimizerTest, TrainingMatchesUnshardedOptimizer) {
   }
 }
 
+// A peer that crashed before the step's broadcasts: Step returns the
+// failure typed, naming the crashed rank, instead of aborting the process.
+TEST(ZeroOptimizerTest, StepWithCrashedPeerReturnsTyped) {
+  auto plan = std::make_shared<comm::FaultPlan>();
+  plan->CrashRank(1, /*at_seq=*/0);
+  comm::SimWorldOptions options;
+  options.fault_plan = plan;
+  SimWorld::Run(2, options, [&](SimWorld::RankContext& ctx) {
+    if (ctx.rank == 1) return;  // crashed before its first collective
+    Rng rng(5);
+    auto model =
+        std::make_shared<nn::Mlp>(std::vector<int64_t>{4, 6, 2}, &rng);
+    ZeroRedundancyOptimizer zero(model->parameters(), ctx.process_group,
+                                 SgdFactory(0.1, 0.0));
+    ASSERT_FALSE(zero.ShardForRank(1).empty());
+    const Status status = zero.Step();
+    ASSERT_FALSE(status.ok());
+    EXPECT_NE(std::string::npos, status.message().find("rank 1"))
+        << status.ToString();
+  });
+}
+
 TEST(ZeroOptimizerTest, ReplicasStayIdentical) {
   constexpr int kWorld = 3;
   std::vector<std::vector<float>> params(kWorld);
@@ -145,7 +169,7 @@ TEST(ZeroOptimizerTest, ReplicasStayIdentical) {
       Tensor x = Tensor::Randn({2, 5}, &data_rng);
       Tensor y = Tensor::Randn({2, 2}, &data_rng);
       autograd::Backward(nn::MSELoss()(ddp.Forward(x), y));
-      zero.Step();
+      ASSERT_TRUE(zero.Step().ok());
     }
     std::vector<float> flat;
     for (const Tensor& p : model->parameters()) {

@@ -216,8 +216,11 @@ std::vector<SelfCase> Cases() {
       "int read;\nbool write = false;\n", 0, "");
   tok("socket layer itself may do raw I/O", "src/comm/net_socket.cc",
       "send(fd, p, n, MSG_NOSIGNAL);\n", 0, "");
-  tok("store_tcp and process_group_tcp are the wire layer",
-      "src/comm/process_group_tcp.cc", "recv(fd, p, n, 0);\n", 0, "");
+  tok("process_group_tcp is not the wire layer",
+      "src/comm/process_group_tcp.cc", "recv(fd, p, n, 0);\n", 1,
+      "raw-wire-io");
+  tok("store_tcp is not the wire layer", "src/comm/store_tcp.cc",
+      "send(fd, p, n, MSG_NOSIGNAL);\n", 1, "raw-wire-io");
   tok("raw-wire-io waiver with a reason honored", "tools/launcher.cc",
       "// ddplint: allow(raw-wire-io) reason: launcher log pipe, not wire\n"
       "ssize_t got = read(pipe_fd, buf, sizeof(buf));\n",

@@ -1,7 +1,7 @@
 // store-key-schema: Store keys are a cross-process wire protocol — every
 // rank must compute byte-identical keys or rendezvous and bucket-layout
 // exchange silently miss each other. comm/store_keys.h is the single
-// legal mint for key namespaces (reducer/, rendezvous/, pgtcp/, pg/);
+// legal mint for key namespaces (reducer/, rendezvous/, pgtcp/);
 // this pass flags any string literal shaped like a key-namespace prefix
 // (`lowercase_ident/`) in src/comm/ or src/core/ outside that header.
 //

@@ -233,11 +233,11 @@ bool LineHasRawWireIoCall(const std::string& code, std::string* which) {
 
 /// The socket layer itself — the only place raw wire I/O belongs. The
 /// fault shim (net_fault) sits directly on the socket surface by design:
-/// it must reach the real calls to corrupt them.
+/// it must reach the real calls to corrupt them. The store and the TCP
+/// process group are not in it: their peer bytes go through the helpers
+/// and the shim, and their few pipe and drain calls carry line waivers.
 bool IsWireIoLayer(const std::string& path) {
   return MentionsFile(path, "comm/net_socket") ||
-         MentionsFile(path, "comm/store_tcp") ||
-         MentionsFile(path, "comm/process_group_tcp") ||
          MentionsFile(path, "comm/net_fault");
 }
 
