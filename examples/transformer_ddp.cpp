@@ -11,6 +11,7 @@
 
 #include "autograd/engine.h"
 #include "comm/sim_world.h"
+#include "common/check.h"
 #include "core/distributed_data_parallel.h"
 #include "core/zero_redundancy_optimizer.h"
 #include "data/distributed_sampler.h"
@@ -85,7 +86,8 @@ int main(int argc, char** argv) {
       autograd::Backward(loss);
       optim::ClipGradNorm(model->parameters(), 5.0);
       if (use_zero) {
-        zero->Step();
+        const Status status = zero->Step();
+        DDPKIT_CHECK(status.ok()) << status.ToString();
       } else {
         adam->Step();
         scheduler->Step();

@@ -204,20 +204,16 @@ Status WireFaultInjector::SendAll(int peer, int fd, const void* data,
   return comm::SendAll(fd, data, len, deadline, abort_fd);
 }
 
-Status WireFaultInjector::RecvAll(int peer, int fd, void* data, size_t len,
+Status WireFaultInjector::RecvAll(int fd, void* data, size_t len,
                                   const Deadline& deadline, int abort_fd) {
-  // Receive-side faults manifest through the wire (the peer's shim did the
-  // damage); injecting here would desynchronize delivered byte streams.
-  (void)peer;
   return comm::RecvAll(fd, data, len, deadline, abort_fd);
 }
 
 Status WireFaultInjector::SendRecvAll(int send_peer, int send_fd,
                                       const void* send_buf, size_t send_len,
-                                      int recv_peer, int recv_fd,
-                                      void* recv_buf, size_t recv_len,
+                                      int recv_fd, void* recv_buf,
+                                      size_t recv_len,
                                       const Deadline& deadline, int abort_fd) {
-  (void)recv_peer;  // receive side never consults the plan; see RecvAll
   if (plan_ != nullptr) {
     // Send-side faults consume the whole exchange: once our half of the
     // duplex is dead the collective cannot complete, and the partial recv

@@ -65,18 +65,20 @@ class WireFaultInjector {
   bool SendPartitioned(int peer) const;
 
   // --- the net_socket surface, per-link ----------------------------------
-  // `peer` names the remote rank the fd is connected to; it keys the fault
-  // lookup, the fd still carries the bytes.
+  // A send's `peer` names the remote rank the fd is connected to; it keys
+  // the fault lookup, the fd still carries the bytes. Receives take no peer:
+  // they never consult the plan (the sender's shim did the damage, and
+  // injecting here would desynchronize delivered byte streams).
 
   [[nodiscard]] Status SendAll(int peer, int fd, const void* data, size_t len,
                                const Deadline& deadline, int abort_fd = -1);
 
-  [[nodiscard]] Status RecvAll(int peer, int fd, void* data, size_t len,
+  [[nodiscard]] Status RecvAll(int fd, void* data, size_t len,
                                const Deadline& deadline, int abort_fd = -1);
 
   [[nodiscard]] Status SendRecvAll(int send_peer, int send_fd,
                                    const void* send_buf, size_t send_len,
-                                   int recv_peer, int recv_fd, void* recv_buf,
+                                   int recv_fd, void* recv_buf,
                                    size_t recv_len, const Deadline& deadline,
                                    int abort_fd = -1);
 

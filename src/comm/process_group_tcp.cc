@@ -142,16 +142,15 @@ using OpContext = ProcessGroupTcp::OpContext;
                                    ctx.deadline, ctx.abort_fd);
         break;
       case Step::kRecv:
-        status = ctx.link->RecvAll(step.recv_peer, ctx.fd(step.recv_peer),
-                                   bufs.at(step.out), bufs.bytes(step.out),
-                                   ctx.deadline, ctx.abort_fd);
+        status = ctx.link->RecvAll(ctx.fd(step.recv_peer), bufs.at(step.out),
+                                   bufs.bytes(step.out), ctx.deadline,
+                                   ctx.abort_fd);
         break;
       case Step::kSendRecv:
         status = ctx.link->SendRecvAll(
             step.send_peer, ctx.fd(step.send_peer), bufs.at(step.in),
-            bufs.bytes(step.in), step.recv_peer, ctx.fd(step.recv_peer),
-            bufs.at(step.out), bufs.bytes(step.out), ctx.deadline,
-            ctx.abort_fd);
+            bufs.bytes(step.in), ctx.fd(step.recv_peer), bufs.at(step.out),
+            bufs.bytes(step.out), ctx.deadline, ctx.abort_fd);
         break;
       default:
         RunLocalStep(step, dtype, op, bufs);
@@ -332,7 +331,7 @@ Status ProcessGroupTcp::BuildMesh(uint64_t resume_seq,
         Status status = link_->SendAll(peer, fd.value(), &mine, sizeof(mine),
                                        deadline, wake_rfd_);
         if (status.ok()) {
-          status = link_->RecvAll(peer, fd.value(), &theirs, sizeof(theirs),
+          status = link_->RecvAll(fd.value(), &theirs, sizeof(theirs),
                                   deadline, wake_rfd_);
         }
         if (status.ok()) {
@@ -377,10 +376,8 @@ Status ProcessGroupTcp::BuildMesh(uint64_t resume_seq,
                              fd.status().message()));
     }
     Hello theirs{};
-    // The peer is unknown until its HELLO arrives; receives never consult
-    // the link's fault plan.
-    Status status = link_->RecvAll(/*peer=*/-1, fd.value(), &theirs,
-                                   sizeof(theirs), deadline, wake_rfd_);
+    Status status = link_->RecvAll(fd.value(), &theirs, sizeof(theirs),
+                                   deadline, wake_rfd_);
     if (status.ok()) {
       status = CheckHello(theirs, rank() + 1, world(), 0,
                           static_cast<uint32_t>(channels), resume_seq);
@@ -618,7 +615,7 @@ Status ProcessGroupTcp::ExchangeHeaders(const OpHeader& mine,
   const int prev = (ctx.rank + ctx.world - 1) % ctx.world;
   OpHeader from_prev{};
   DDPKIT_RETURN_IF_ERROR(ctx.link->SendRecvAll(
-      next, ctx.fd(next), &mine, sizeof(mine), prev, ctx.fd(prev), &from_prev,
+      next, ctx.fd(next), &mine, sizeof(mine), ctx.fd(prev), &from_prev,
       sizeof(from_prev), ctx.deadline, ctx.abort_fd));
   auto mismatch = [&](const char* field, uint64_t ours, uint64_t theirs) {
     return Status::InvalidArgument(

@@ -155,7 +155,6 @@ Result<int64_t> Store::DoAdd(const std::string& key, int64_t delta) {
 
 Result<std::string> Store::DoGetBounded(const std::string& key,
                                         double timeout_seconds) {
-  DDPKIT_RETURN_IF_ERROR(CheckBoundedTimeout(timeout_seconds));
   const bool immediate = timeout_seconds <= 0.0;
   const auto deadline = DeadlineAfter(immediate ? 0.0 : timeout_seconds);
   MutexLock lock(&mutex_);
@@ -175,7 +174,6 @@ Result<std::string> Store::DoGetBounded(const std::string& key,
 
 Status Store::DoWaitBounded(const std::vector<std::string>& keys,
                             double timeout_seconds) {
-  DDPKIT_RETURN_IF_ERROR(CheckBoundedTimeout(timeout_seconds));
   const bool immediate = timeout_seconds <= 0.0;
   const auto deadline = DeadlineAfter(immediate ? 0.0 : timeout_seconds);
   MutexLock lock(&mutex_);

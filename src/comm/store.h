@@ -135,9 +135,8 @@ class Store {
   /// Status. The tiers above retry those as transient; kTimedOut is a
   /// miss, and kInvalidArgument / kOutOfRange reject the request itself
   /// (a non-integer counter, an overflowing Add, a bad timeout), which no
-  /// retry can change. `DoGetBounded`/`DoWaitBounded` with a zero timeout
-  /// are immediate lookups, never waits; a negative or non-finite one is
-  /// kInvalidArgument (CheckBoundedTimeout).
+  /// retry can change. `DoGetBounded`/`DoWaitBounded` with a non-positive
+  /// timeout are immediate lookups, never waits.
   [[nodiscard]] virtual Status DoSet(const std::string& key,
                                      const std::string& value);
   [[nodiscard]] virtual Status DoTryGet(const std::string& key,
@@ -154,6 +153,7 @@ class Store {
       const std::string& prefix);
 
   /// kInvalidArgument unless `timeout_seconds` is finite and non-negative.
+  /// Checked where a timeout arrives: GetWithRetry and the TCP server.
   [[nodiscard]] static Status CheckBoundedTimeout(double timeout_seconds);
 
   /// Records a real transport failure against the transient counter so
