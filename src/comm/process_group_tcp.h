@@ -107,8 +107,8 @@ class ProcessGroupTcp : public ProcessGroup {
     int max_reconnect_attempts = 0;
     /// Wall budget for one re-mesh round (republish + full mesh + HELLO).
     double reconnect_timeout_seconds = 2.0;
-    /// Backoff before the first re-mesh round; doubles per round
-    /// (RetryPolicy-shaped, wall clock — peers live in other processes).
+    /// Backoff before the first re-mesh round; doubles per round (wall
+    /// clock — peers live in other processes).
     double reconnect_backoff_seconds = 0.05;
     /// > 0 starts a heartbeat thread probing every mesh link at this
     /// period over a dedicated socket channel. 0 disables probing.

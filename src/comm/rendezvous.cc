@@ -1,9 +1,7 @@
 #include "comm/rendezvous.h"
 
 #include <algorithm>
-#include <charconv>
 #include <chrono>
-#include <sstream>
 
 #include "comm/store_keys.h"
 
@@ -20,15 +18,6 @@ double SecondsUntil(Clock::time_point deadline) {
   return std::chrono::duration<double>(deadline - Clock::now()).count();
 }
 
-/// Strict integer parse of one ':'-separated field (untrusted Store bytes).
-bool ParseField(const std::string& field, int64_t* out) {
-  if (field.empty()) return false;
-  const char* begin = field.data();
-  const char* end = begin + field.size();
-  auto [ptr, ec] = std::from_chars(begin, end, *out);
-  return ec == std::errc() && ptr == end;
-}
-
 std::string JoinKey(const std::string& prefix, int rank) {
   return store_keys::RendezvousJoinKey(prefix, rank);
 }
@@ -36,35 +25,24 @@ std::string JoinKey(const std::string& prefix, int rank) {
 }  // namespace
 
 std::string SerializeMembers(const std::vector<int>& members) {
-  std::ostringstream out;
-  out << members.size();
-  for (int r : members) out << ':' << r;
-  return out.str();
+  return store_keys::EncodeInts({members.begin(), members.end()});
 }
 
 bool ParseMembers(const std::string& payload, int old_world,
                   std::vector<int>* members) {
   members->clear();
-  std::istringstream in(payload);
-  std::string field;
-  bool first = true;
-  int64_t declared = -1;
-  int previous = -1;
-  while (std::getline(in, field, ':')) {
-    int64_t value = 0;
-    if (!ParseField(field, &value)) return false;
-    if (first) {
-      first = false;
-      declared = value;
-      continue;
-    }
-    // Members must be strictly ascending old ranks within [0, old_world).
-    if (value <= previous || value >= old_world) return false;
-    previous = static_cast<int>(value);
-    members->push_back(previous);
+  std::vector<int64_t> values;
+  if (!store_keys::DecodeInts(payload, &values) || values.empty()) {
+    return false;
   }
-  return !first && declared == static_cast<int64_t>(members->size()) &&
-         !members->empty();
+  // Members must be strictly ascending old ranks within [0, old_world).
+  int64_t previous = -1;
+  for (int64_t value : values) {
+    if (value <= previous || value >= old_world) return false;
+    previous = value;
+    members->push_back(static_cast<int>(value));
+  }
+  return true;
 }
 
 std::string RendezvousPrefix(const std::string& ns, uint64_t generation) {
@@ -113,25 +91,17 @@ Result<RendezvousResult> AbortAndRendezvous(Store* store,
                          std::chrono::duration<double>(options.timeout_seconds));
   std::vector<int> joined;
   for (int r = 0; r < old_world; ++r) {
-    const double remaining = SecondsUntil(deadline);
-    if (remaining > 0.0) {
-      auto got = store->GetWithRetry(JoinKey(prefix, r), remaining);
-      if (got.ok()) {
-        joined.push_back(r);
-        continue;
-      }
-      if (got.status().code() != StatusCode::kTimedOut) {
-        return Status(got.status().code(),
-                      "rendezvous for generation " +
-                          std::to_string(generation) +
-                          " could not read the join barrier: " +
-                          got.status().message());
-      }
-      // Deadline elapsed waiting on r; fall through to snapshot mode for
-      // the remaining ranks.
+    // Past the deadline the wait is 0: one immediate lookup, the snapshot.
+    auto got = store->GetWithRetry(JoinKey(prefix, r),
+                                   std::max(SecondsUntil(deadline), 0.0));
+    if (got.ok()) {
+      joined.push_back(r);
+    } else if (got.status().code() != StatusCode::kTimedOut) {
+      return Status(got.status().code(),
+                    "rendezvous for generation " + std::to_string(generation) +
+                        " could not read the join barrier: " +
+                        got.status().message());
     }
-    std::string ignored;
-    if (store->TryGet(JoinKey(prefix, r), &ignored)) joined.push_back(r);
   }
 
   // 3. Seal. The lowest joined rank races an atomic counter; the winner
@@ -205,10 +175,11 @@ Result<RendezvousResult> AbortAndRendezvous(Store* store,
   return result;
 }
 
-void CleanupRendezvous(Store* store, const std::string& ns,
-                       uint64_t generation) {
-  if (store == nullptr) return;
-  store->DeletePrefix(RendezvousPrefix(ns, generation));
+Status CleanupRendezvous(Store* store, const std::string& ns,
+                         uint64_t generation) {
+  if (store == nullptr) return Status::OK();
+  return store->DeletePrefixWithRetry(RendezvousPrefix(ns, generation))
+      .status();
 }
 
 }  // namespace ddpkit::comm

@@ -79,8 +79,10 @@ std::string RendezvousPrefix(const std::string& ns, uint64_t generation);
 /// after itself — key count stays bounded across repeated recoveries).
 /// Safe once the replacement group's construction rendezvous has completed:
 /// every sealed member has finished reading this round's keys by then.
-void CleanupRendezvous(Store* store, const std::string& ns,
-                       uint64_t generation);
+/// Bounded like every typed Store op; a store that stays unreachable fails
+/// kInternal and leaves the keys in place.
+[[nodiscard]] Status CleanupRendezvous(Store* store, const std::string& ns,
+                                       uint64_t generation);
 
 }  // namespace ddpkit::comm
 

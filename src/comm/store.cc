@@ -1,5 +1,6 @@
 #include "comm/store.h"
 
+#include <algorithm>
 #include <charconv>
 #include <chrono>
 #include <cmath>
@@ -24,71 +25,27 @@ Clock::time_point DeadlineAfter(double seconds) {
              std::chrono::duration<double>(seconds));
 }
 
-void SleepReal(double seconds) {
-  if (seconds > 0.0) {
-    std::this_thread::sleep_for(std::chrono::duration<double>(seconds));
-  }
+void SleepFor(double seconds) {
+  std::this_thread::sleep_for(std::chrono::duration<double>(seconds));
 }
 
-/// How long each bounded slice of a legacy (block-forever) op waits before
-/// re-issuing. The in-memory primitives wake on notify regardless, so the
-/// slice only bounds how long a wire client's RPC channel stays occupied by
-/// one blocked waiter.
-constexpr double kLegacySliceSeconds = 0.05;
+/// Pause before a typed op's second try; it doubles for each further try.
+constexpr double kInitialBackoffSeconds = 0.0005;
 
-/// Backoff between legacy-tier retries of a transport failure (a wire
+/// Pause between a convenience's tries of a store that failed (a wire
 /// client reconnecting to a restarted server).
-constexpr double kLegacyRetryBackoffSeconds = 0.01;
+constexpr double kConveniencePauseSeconds = 0.01;
+
+/// How long one try of the blocking Get waits for its key before the
+/// attempt loop re-issues it.
+constexpr double kGetSliceSeconds = 0.05;
 
 /// A request the store rejects as such — a counter that is not an integer,
-/// an Add that overflows, a bad timeout. Retrying cannot change the answer,
-/// so neither tier retries it and it is no transient failure.
+/// an Add that overflows, a bad timeout. Retrying cannot change the answer.
 bool IsRequestError(const Status& status) {
   return status.code() == StatusCode::kInvalidArgument ||
          status.code() == StatusCode::kOutOfRange;
 }
-
-/// Elapsed/backoff accounting for the retryable tier, on the clock the
-/// policy selects. kVirtual never sleeps for real: backoff advances the
-/// supplied VirtualClock so sim tests walk the retry/timeout decision tree
-/// deterministically.
-class RetryClock {
- public:
-  explicit RetryClock(const RetryPolicy& policy)
-      : virtual_clock_(policy.clock_mode == RetryPolicy::ClockMode::kVirtual
-                           ? policy.virtual_clock
-                           : nullptr) {
-    if (virtual_clock_ != nullptr) {
-      virtual_start_ = virtual_clock_->Now();
-    } else {
-      real_start_ = Clock::now();
-    }
-  }
-
-  bool real() const { return virtual_clock_ == nullptr; }
-
-  double Elapsed() const {
-    if (virtual_clock_ != nullptr) {
-      return virtual_clock_->Now() - virtual_start_;
-    }
-    return std::chrono::duration<double>(Clock::now() - real_start_).count();
-  }
-
-  void SleepBackoff(double seconds) {
-    if (virtual_clock_ != nullptr) {
-      virtual_clock_->Advance(seconds);
-      // Let a concurrent setter run; costs no virtual time, decides nothing.
-      std::this_thread::yield();
-      return;
-    }
-    SleepReal(seconds);
-  }
-
- private:
-  sim::VirtualClock* virtual_clock_;
-  double virtual_start_ = 0.0;
-  Clock::time_point real_start_;
-};
 
 }  // namespace
 
@@ -102,24 +59,6 @@ Status Store::DoSet(const std::string& key, const std::string& value) {
     data_[key] = value;
   }
   cv_.NotifyAll();
-  return Status::OK();
-}
-
-Status Store::DoTryGet(const std::string& key, std::string* value,
-                       bool* found) {
-  MutexLock lock(&mutex_);
-  auto it = data_.find(key);
-  *found = it != data_.end();
-  if (*found) *value = it->second;
-  return Status::OK();
-}
-
-Status Store::CheckBoundedTimeout(double timeout_seconds) {
-  if (!std::isfinite(timeout_seconds) || timeout_seconds < 0.0) {
-    return Status::InvalidArgument(
-        "store wait timeout must be finite and non-negative, got " +
-        std::to_string(timeout_seconds));
-  }
   return Status::OK();
 }
 
@@ -172,35 +111,9 @@ Result<std::string> Store::DoGetBounded(const std::string& key,
   }
 }
 
-Status Store::DoWaitBounded(const std::vector<std::string>& keys,
-                            double timeout_seconds) {
-  const bool immediate = timeout_seconds <= 0.0;
-  const auto deadline = DeadlineAfter(immediate ? 0.0 : timeout_seconds);
-  MutexLock lock(&mutex_);
-  for (;;) {
-    bool all_present = true;
-    for (const auto& key : keys) {
-      if (data_.count(key) == 0) {
-        all_present = false;
-        break;
-      }
-    }
-    if (all_present) return Status::OK();
-    if (immediate || !cv_.WaitUntil(mutex_, deadline)) {
-      return Status::TimedOut("store keys not all set within " +
-                              std::to_string(timeout_seconds) + "s");
-    }
-  }
-}
-
 Result<int64_t> Store::DoNumKeys() {
   MutexLock lock(&mutex_);
   return static_cast<int64_t>(data_.size());
-}
-
-Result<int64_t> Store::DoDeleteKey(const std::string& key) {
-  MutexLock lock(&mutex_);
-  return static_cast<int64_t>(data_.erase(key));
 }
 
 Result<int64_t> Store::DoDeletePrefix(const std::string& prefix) {
@@ -216,113 +129,43 @@ Result<int64_t> Store::DoDeletePrefix(const std::string& prefix) {
 }
 
 // ---------------------------------------------------------------------------
-// Legacy blocking tier: assumes a healthy store, so primitive-layer
-// transport failures (only possible from a wire subclass) retry forever
-// with a small real backoff, and bounded-slice timeouts just re-issue.
+// The attempt loop and fault injection.
 // ---------------------------------------------------------------------------
 
-void Store::Set(const std::string& key, std::string value) {
-  for (;;) {
-    const Status status = DoSet(key, value);
-    if (status.ok()) return;
-    RecordTransientFailure();
-    SleepReal(kLegacyRetryBackoffSeconds);
-  }
-}
-
-std::string Store::Get(const std::string& key) {
-  for (;;) {
-    Result<std::string> result = DoGetBounded(key, kLegacySliceSeconds);
-    if (result.ok()) return std::move(result).value();
-    if (result.status().code() != StatusCode::kTimedOut) {
-      RecordTransientFailure();
-      SleepReal(kLegacyRetryBackoffSeconds);
+Status Store::Retry(const char* op, const std::string& key, Budget budget,
+                    const std::function<Status()>& attempt) {
+  double backoff = kInitialBackoffSeconds;
+  for (int failures = 0;;) {
+    const Status status = TakeInjectedFault()
+                              ? Status::Internal("injected transient fault")
+                              : attempt();
+    if (status.ok()) return status;
+    const bool miss = status.code() == StatusCode::kTimedOut;
+    if (budget == Budget::kBounded && (miss || IsRequestError(status))) {
+      return status;
     }
-  }
-}
-
-bool Store::TryGet(const std::string& key, std::string* value) {
-  // ddplint: allow(check-in-comm) API precondition on the out-parameter,
-  // not a runtime collective failure.
-  DDPKIT_CHECK(value != nullptr);
-  for (;;) {
-    bool found = false;
-    const Status status = DoTryGet(key, value, &found);
-    if (status.ok()) return found;
+    if (miss) continue;  // the blocking Get re-issues its wait at once
     RecordTransientFailure();
-    SleepReal(kLegacyRetryBackoffSeconds);
-  }
-}
-
-int64_t Store::Add(const std::string& key, int64_t delta) {
-  for (;;) {
-    Result<int64_t> result = DoAdd(key, delta);
-    if (result.ok()) return result.value();
-    // ddplint: allow(check-in-comm) reason: this legacy op has no error
-    // channel and a rejected request fails the same way on every retry;
-    // AddWithRetry returns it as a Status.
-    DDPKIT_CHECK(!IsRequestError(result.status()))
-        << result.status().ToString();
-    RecordTransientFailure();
-    SleepReal(kLegacyRetryBackoffSeconds);
-  }
-}
-
-void Store::Wait(const std::vector<std::string>& keys) {
-  for (;;) {
-    const Status status = DoWaitBounded(keys, kLegacySliceSeconds);
-    if (status.ok()) return;
-    if (status.code() != StatusCode::kTimedOut) {
-      RecordTransientFailure();
-      SleepReal(kLegacyRetryBackoffSeconds);
+    if (budget == Budget::kForever) {
+      SleepFor(kConveniencePauseSeconds);
+      continue;
     }
+    if (++failures == kMaxAttempts) {
+      return Status::Internal(std::string("store ") + op + "('" + key +
+                              "') failed transiently on all " +
+                              std::to_string(kMaxAttempts) +
+                              " attempts: " + status.message());
+    }
+    SleepFor(backoff);
+    backoff *= 2.0;
   }
 }
 
-size_t Store::NumKeys() {
-  for (;;) {
-    Result<int64_t> result = DoNumKeys();
-    if (result.ok()) return static_cast<size_t>(result.value());
-    RecordTransientFailure();
-    SleepReal(kLegacyRetryBackoffSeconds);
-  }
-}
-
-bool Store::DeleteKey(const std::string& key) {
-  for (;;) {
-    Result<int64_t> result = DoDeleteKey(key);
-    if (result.ok()) return result.value() > 0;
-    RecordTransientFailure();
-    SleepReal(kLegacyRetryBackoffSeconds);
-  }
-}
-
-size_t Store::DeletePrefix(const std::string& prefix) {
-  for (;;) {
-    Result<int64_t> result = DoDeletePrefix(prefix);
-    if (result.ok()) return static_cast<size_t>(result.value());
-    RecordTransientFailure();
-    SleepReal(kLegacyRetryBackoffSeconds);
-  }
-}
-
-// ---------------------------------------------------------------------------
-// Fault injection.
-// ---------------------------------------------------------------------------
-
-bool Store::MaybeInjectFault() {
+bool Store::TakeInjectedFault() {
   MutexLock lock(&fault_mutex_);
-  if (fault_budget_ > 0) {
-    --fault_budget_;
-    ++transient_failures_;
-    return true;
-  }
-  if (fault_probability_ > 0.0 && fault_rng_ != nullptr &&
-      fault_rng_->Uniform() < fault_probability_) {
-    ++transient_failures_;
-    return true;
-  }
-  return false;
+  if (fault_budget_ == 0) return false;
+  --fault_budget_;
+  return true;
 }
 
 void Store::RecordTransientFailure() {
@@ -338,120 +181,85 @@ void Store::InjectTransientFaults(int failure_budget) {
   fault_budget_ = failure_budget;
 }
 
-void Store::InjectTransientFaults(uint64_t seed, double probability) {
-  // ddplint: allow(check-in-comm) test-harness argument precondition, not a
-  // runtime collective failure.
-  DDPKIT_CHECK(probability >= 0.0 && probability < 1.0);
-  MutexLock lock(&fault_mutex_);
-  fault_probability_ = probability;
-  fault_rng_ = std::make_unique<Rng>(seed);
-}
-
 uint64_t Store::transient_failures() const {
   MutexLock lock(&fault_mutex_);
   return transient_failures_;
 }
 
 // ---------------------------------------------------------------------------
-// Retryable tier: bounded, typed, policy-clocked. Injected faults and real
-// primitive-layer transport failures share one attempt budget.
+// Public ops. Under the kForever budget Retry returns only OK, so the
+// conveniences have no status to check.
 // ---------------------------------------------------------------------------
 
-Status Store::SetWithRetry(const std::string& key, std::string value,
-                           const RetryPolicy& policy) {
-  RetryClock clock(policy);
-  double backoff = policy.initial_backoff_seconds;
-  for (int attempt = 1;; ++attempt) {
-    if (!MaybeInjectFault()) {
-      const Status status = DoSet(key, value);
-      if (status.ok()) return Status::OK();
-      RecordTransientFailure();
-    }
-    if (attempt >= policy.max_attempts) {
-      return Status::Internal("store Set('" + key +
-                              "') failed transiently on all " +
-                              std::to_string(policy.max_attempts) +
-                              " attempts");
-    }
-    clock.SleepBackoff(backoff);
-    backoff *= policy.backoff_multiplier;
-  }
+void Store::Set(const std::string& key, std::string value) {
+  (void)Retry("Set", key, Budget::kForever,
+              [&] { return DoSet(key, value); });
+}
+
+std::string Store::Get(const std::string& key) {
+  std::string value;
+  (void)Retry("Get", key, Budget::kForever, [&] {
+    Result<std::string> got = DoGetBounded(key, kGetSliceSeconds);
+    if (got.ok()) value = std::move(got).value();
+    return got.status();
+  });
+  return value;
+}
+
+size_t Store::NumKeys() {
+  int64_t count = 0;
+  (void)Retry("NumKeys", "", Budget::kForever, [&] {
+    Result<int64_t> n = DoNumKeys();
+    if (n.ok()) count = n.value();
+    return n.status();
+  });
+  return static_cast<size_t>(count);
+}
+
+Status Store::SetWithRetry(const std::string& key, std::string value) {
+  return Retry("Set", key, Budget::kBounded,
+               [&] { return DoSet(key, value); });
 }
 
 Status Store::AddWithRetry(const std::string& key, int64_t delta,
-                           int64_t* result, const RetryPolicy& policy) {
-  RetryClock clock(policy);
-  double backoff = policy.initial_backoff_seconds;
-  for (int attempt = 1;; ++attempt) {
-    if (!MaybeInjectFault()) {
-      Result<int64_t> value = DoAdd(key, delta);
-      if (value.ok()) {
-        if (result != nullptr) *result = value.value();
-        return Status::OK();
-      }
-      if (IsRequestError(value.status())) return value.status();
-      RecordTransientFailure();
-    }
-    if (attempt >= policy.max_attempts) {
-      return Status::Internal("store Add('" + key +
-                              "') failed transiently on all " +
-                              std::to_string(policy.max_attempts) +
-                              " attempts");
-    }
-    clock.SleepBackoff(backoff);
-    backoff *= policy.backoff_multiplier;
-  }
+                           int64_t* result) {
+  return Retry("Add", key, Budget::kBounded, [&] {
+    Result<int64_t> sum = DoAdd(key, delta);
+    if (sum.ok() && result != nullptr) *result = sum.value();
+    return sum.status();
+  });
 }
 
 Result<std::string> Store::GetWithRetry(const std::string& key,
-                                        double timeout_seconds,
-                                        const RetryPolicy& policy) {
-  DDPKIT_RETURN_IF_ERROR(CheckBoundedTimeout(timeout_seconds));
-  RetryClock clock(policy);
-  double backoff = policy.initial_backoff_seconds;
-  int failed_attempts = 0;
-  // One iteration = one attempt against the store. On the real clock a
-  // healthy attempt blocks server-side for the remaining budget, so a miss
-  // is final; on the virtual clock attempts are immediate polls and the
-  // deadline accrues through virtual backoff, so a miss costs backoff and
-  // polls again.
-  for (;;) {
-    const bool faulted = MaybeInjectFault();
-    if (!faulted) {
-      const double remaining = timeout_seconds - clock.Elapsed();
-      if (remaining <= 0.0) {
-        return Status::TimedOut("store key '" + key + "' not set within " +
-                                std::to_string(timeout_seconds) + "s");
-      }
-      Result<std::string> result =
-          DoGetBounded(key, clock.real() ? remaining : 0.0);
-      if (result.ok()) return result;
-      if (result.status().code() == StatusCode::kTimedOut) {
-        if (clock.real()) {
-          return Status::TimedOut("store key '" + key + "' not set within " +
-                                  std::to_string(timeout_seconds) + "s");
-        }
-        clock.SleepBackoff(backoff);
-        backoff *= policy.backoff_multiplier;
-        continue;
-      }
-      if (IsRequestError(result.status())) return result.status();
-      RecordTransientFailure();  // transport failure from a wire subclass
-    }
-    if (++failed_attempts >= policy.max_attempts) {
-      return Status::Internal("store Get('" + key +
-                              "') failed transiently on all " +
-                              std::to_string(policy.max_attempts) +
-                              " attempts");
-    }
-    if (clock.Elapsed() >= timeout_seconds) {
-      return Status::TimedOut("store Get('" + key + "') deadline (" +
-                              std::to_string(timeout_seconds) +
-                              "s) elapsed during transient-failure retries");
-    }
-    clock.SleepBackoff(backoff);
-    backoff *= policy.backoff_multiplier;
+                                        double timeout_seconds) {
+  if (!std::isfinite(timeout_seconds) || timeout_seconds < 0.0) {
+    return Status::InvalidArgument(
+        "store wait timeout must be finite and non-negative, got " +
+        std::to_string(timeout_seconds));
   }
+  // One deadline across every attempt: a retry after a transport failure
+  // waits only for what is left, and past the deadline an attempt is an
+  // immediate lookup.
+  const auto deadline = DeadlineAfter(timeout_seconds);
+  std::string value;
+  DDPKIT_RETURN_IF_ERROR(Retry("Get", key, Budget::kBounded, [&] {
+    const double remaining =
+        std::chrono::duration<double>(deadline - Clock::now()).count();
+    Result<std::string> got = DoGetBounded(key, std::max(remaining, 0.0));
+    if (got.ok()) value = std::move(got).value();
+    return got.status();
+  }));
+  return value;
+}
+
+Result<int64_t> Store::DeletePrefixWithRetry(const std::string& prefix) {
+  int64_t deleted = 0;
+  DDPKIT_RETURN_IF_ERROR(Retry("DeletePrefix", prefix, Budget::kBounded, [&] {
+    Result<int64_t> n = DoDeletePrefix(prefix);
+    if (n.ok()) deleted = n.value();
+    return n.status();
+  }));
+  return deleted;
 }
 
 }  // namespace ddpkit::comm

@@ -6,6 +6,10 @@
 // here makes a key-schema change a one-file diff and keeps the shape of
 // each namespace reviewable in one place.
 //
+// It also holds the one codec for integer-list values (EncodeInts /
+// DecodeInts), which the rendezvous members, the rebuild order and the
+// layout signature all use.
+//
 // Namespaces:
 //   reducer/instances/rank<r>                 per-rank reducer counter
 //   reducer/layout/<inst>/v<epoch>/rank<r>    bucket-layout signatures
@@ -16,8 +20,11 @@
 #ifndef DDPKIT_COMM_STORE_KEYS_H_
 #define DDPKIT_COMM_STORE_KEYS_H_
 
+#include <charconv>
 #include <cstdint>
 #include <string>
+#include <system_error>
+#include <vector>
 
 namespace ddpkit::comm::store_keys {
 
@@ -81,6 +88,43 @@ inline std::string PgTcpPrefix(const std::string& group, uint64_t generation) {
 
 inline std::string PgTcpRankKey(const std::string& prefix, int rank) {
   return prefix + "rank" + std::to_string(rank);
+}
+
+// --- integer-list values ---------------------------------------------------
+
+/// "<count>:<v0>:<v1>:..." in decimal.
+inline std::string EncodeInts(const std::vector<int64_t>& values) {
+  std::string out = std::to_string(values.size());
+  for (int64_t v : values) out += ':' + std::to_string(v);
+  return out;
+}
+
+/// Inverse of EncodeInts for untrusted Store bytes: true only when
+/// `payload` is exactly what EncodeInts writes for some list, so a count
+/// mismatch, an empty field, a sign, a leading zero, a value past int64, a
+/// trailing ':' or any other byte is rejected. Never throws. Callers check
+/// what the values mean.
+inline bool DecodeInts(const std::string& payload,
+                       std::vector<int64_t>* values) {
+  values->clear();
+  const char* p = payload.data();
+  const char* const end = p + payload.size();
+  int64_t count = 0;
+  for (bool first = true;; first = false) {
+    int64_t v = 0;
+    const auto [next, ec] = std::from_chars(p, end, v);
+    if (ec != std::errc()) return false;
+    if (first) {
+      count = v;
+    } else {
+      values->push_back(v);
+    }
+    p = next;
+    if (p == end) break;
+    if (*p++ != ':') return false;
+  }
+  return count == static_cast<int64_t>(values->size()) &&
+         EncodeInts(*values) == payload;
 }
 
 }  // namespace ddpkit::comm::store_keys

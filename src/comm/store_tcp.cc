@@ -4,6 +4,7 @@
 
 #include <algorithm>
 #include <chrono>
+#include <cmath>
 #include <cstring>
 #include <utility>
 
@@ -21,24 +22,23 @@ using SteadyClock = std::chrono::steady_clock;
 
 /// RPC opcodes. Integers cross the wire fixed-width native-endian: the
 /// launcher and its workers share one host by design (localhost runtime).
+/// The gaps are retired ops; a frame carrying one is answered
+/// kInvalidArgument.
 enum Op : uint8_t {
   kOpSet = 1,
-  kOpTryGet = 2,
   kOpAdd = 3,
   kOpGetBounded = 4,
-  kOpWaitBounded = 5,
   kOpNumKeys = 6,
-  kOpDeleteKey = 7,
   kOpDeletePrefix = 8,
-  kOpPing = 9,
 };
 
-/// Server-side granularity of a held bounded wait; bounds how long Stop()
-/// can lag behind a connection thread parked in a store wait.
-constexpr double kServerSliceSeconds = 0.05;
+/// Longest the server holds one GetBounded; bounds how long Stop() can lag
+/// behind a connection thread parked in a store wait.
+constexpr double kSliceSeconds = 0.05;
 
-/// Ceiling on one RPC round trip beyond its own wait budget; generous so
-/// it only fires on a genuinely wedged peer, not a slow CI machine.
+/// Ceiling on one RPC round trip, a GetBounded's held slice included;
+/// generous so it only fires on a genuinely wedged peer, not a slow CI
+/// machine.
 constexpr double kRpcGraceSeconds = 20.0;
 
 void PutU8(std::vector<uint8_t>* out, uint8_t v) { out->push_back(v); }
@@ -102,22 +102,6 @@ double ElapsedSeconds(SteadyClock::time_point since) {
 // Server.
 // ---------------------------------------------------------------------------
 
-/// Re-exposes the protected bounded primitives: the connection handlers
-/// loop them in short slices so a shutdown never strands a thread inside a
-/// long condition-variable wait.
-class StoreServerTcp::ServerStore : public Store {
- public:
-  using Store::CheckBoundedTimeout;
-  using Store::DoAdd;
-  using Store::DoDeleteKey;
-  using Store::DoDeletePrefix;
-  using Store::DoGetBounded;
-  using Store::DoNumKeys;
-  using Store::DoSet;
-  using Store::DoTryGet;
-  using Store::DoWaitBounded;
-};
-
 Result<std::unique_ptr<StoreServerTcp>> StoreServerTcp::Start(
     const std::string& host, int port) {
   Result<int> listen_fd = ListenTcp(host, port);
@@ -143,14 +127,13 @@ StoreServerTcp::StoreServerTcp(std::string host, int port, int listen_fd,
       port_(port),
       listen_fd_(listen_fd),
       wake_rfd_(wake_rfd),
-      wake_wfd_(wake_wfd),
-      store_(std::make_unique<ServerStore>()) {
+      wake_wfd_(wake_wfd) {
   accept_thread_ = std::thread(&StoreServerTcp::AcceptLoop, this);
 }
 
 StoreServerTcp::~StoreServerTcp() { Stop(); }
 
-Store& StoreServerTcp::backing() { return *store_; }
+Store& StoreServerTcp::backing() { return store_; }
 
 void StoreServerTcp::Stop() {
   bool expected = false;
@@ -258,105 +241,52 @@ Status StoreServerTcp::HandleRequest(const std::vector<uint8_t>& request,
     case kOpSet: {
       std::string key, value;
       if (!r.Str(&key) || !r.Str(&value) || !r.Done()) return malformed;
-      return store_->DoSet(key, value);
-    }
-    case kOpTryGet: {
-      std::string key, value;
-      if (!r.Str(&key) || !r.Done()) return malformed;
-      bool found = false;
-      DDPKIT_RETURN_IF_ERROR(store_->DoTryGet(key, &value, &found));
-      PutU8(response, found ? 1 : 0);
-      if (found) PutStr(response, value);
-      return Status::OK();
+      return store_.SetWithRetry(key, value);
     }
     case kOpAdd: {
       std::string key;
       int64_t delta = 0;
       if (!r.Str(&key) || !r.I64(&delta) || !r.Done()) return malformed;
-      Result<int64_t> result = store_->DoAdd(key, delta);
-      if (!result.ok()) return result.status();
-      PutI64(response, result.value());
+      int64_t result = 0;
+      DDPKIT_RETURN_IF_ERROR(store_.AddWithRetry(key, delta, &result));
+      PutI64(response, result);
       return Status::OK();
     }
     case kOpGetBounded: {
       std::string key;
       double timeout = 0.0;
       if (!r.Str(&key) || !r.F64(&timeout) || !r.Done()) return malformed;
-      DDPKIT_RETURN_IF_ERROR(store_->CheckBoundedTimeout(timeout));
-      // Sliced wait: stays responsive to Stop() and bounds how long this
-      // connection's channel is held.
-      const auto start = SteadyClock::now();
-      for (;;) {
-        const double remaining = timeout - ElapsedSeconds(start);
-        const double slice =
-            std::clamp(remaining, 0.0, kServerSliceSeconds);
-        Result<std::string> value = store_->DoGetBounded(key, slice);
-        if (value.ok()) {
-          PutU8(response, 1);
-          PutStr(response, value.value());
-          return Status::OK();
-        }
-        if (value.status().code() != StatusCode::kTimedOut) {
-          return value.status();
-        }
-        if (shutdown_.load() || remaining <= 0.0) {
-          PutU8(response, 0);
-          return Status::OK();
-        }
+      // Hold at most one slice. Only a finite timeout is clamped: a NaN,
+      // infinite or negative one reaches GetWithRetry as sent and is
+      // rejected there.
+      Result<std::string> value = store_.GetWithRetry(
+          key, std::isfinite(timeout) ? std::min(timeout, kSliceSeconds)
+                                      : timeout);
+      if (value.ok()) {
+        PutU8(response, 1);
+        PutStr(response, value.value());
+        return Status::OK();
       }
-    }
-    case kOpWaitBounded: {
-      uint32_t count = 0;
-      double timeout = 0.0;
-      if (!r.U32(&count) || count > 4096) return malformed;
-      std::vector<std::string> keys(count);
-      for (auto& key : keys) {
-        if (!r.Str(&key)) return malformed;
+      if (value.status().code() != StatusCode::kTimedOut) {
+        return value.status();
       }
-      if (!r.F64(&timeout) || !r.Done()) return malformed;
-      DDPKIT_RETURN_IF_ERROR(store_->CheckBoundedTimeout(timeout));
-      const auto start = SteadyClock::now();
-      for (;;) {
-        const double remaining = timeout - ElapsedSeconds(start);
-        const double slice =
-            std::clamp(remaining, 0.0, kServerSliceSeconds);
-        const Status status = store_->DoWaitBounded(keys, slice);
-        if (status.ok()) {
-          PutU8(response, 1);
-          return Status::OK();
-        }
-        if (status.code() != StatusCode::kTimedOut) return status;
-        if (shutdown_.load() || remaining <= 0.0) {
-          PutU8(response, 0);
-          return Status::OK();
-        }
-      }
+      PutU8(response, 0);
+      return Status::OK();
     }
     case kOpNumKeys: {
       if (!r.Done()) return malformed;
-      Result<int64_t> n = store_->DoNumKeys();
-      if (!n.ok()) return n.status();
-      PutI64(response, n.value());
-      return Status::OK();
-    }
-    case kOpDeleteKey: {
-      std::string key;
-      if (!r.Str(&key) || !r.Done()) return malformed;
-      Result<int64_t> n = store_->DoDeleteKey(key);
-      if (!n.ok()) return n.status();
-      PutI64(response, n.value());
+      // The in-memory store has no transport to fail, so this convenience
+      // returns at once.
+      PutI64(response, static_cast<int64_t>(store_.NumKeys()));
       return Status::OK();
     }
     case kOpDeletePrefix: {
       std::string prefix;
       if (!r.Str(&prefix) || !r.Done()) return malformed;
-      Result<int64_t> n = store_->DoDeletePrefix(prefix);
+      Result<int64_t> n = store_.DeletePrefixWithRetry(prefix);
       if (!n.ok()) return n.status();
       PutI64(response, n.value());
       return Status::OK();
-    }
-    case kOpPing: {
-      return r.Done() ? Status::OK() : malformed;
     }
     default:
       return malformed;
@@ -380,7 +310,7 @@ StoreClientTcp::~StoreClientTcp() {
 }
 
 Result<std::vector<uint8_t>> StoreClientTcp::Rpc(
-    const std::vector<uint8_t>& request, double deadline_seconds) {
+    const std::vector<uint8_t>& request) {
   MutexLock lock(&rpc_mutex_);
   if (fd_ < 0) {
     // ddplint: allow(blocking-under-lock) rpc_mutex_ exists to serialize
@@ -397,7 +327,7 @@ Result<std::vector<uint8_t>> StoreClientTcp::Rpc(
     }
     fd_ = fd.value();
   }
-  const Deadline deadline = Deadline::After(deadline_seconds);
+  const Deadline deadline = Deadline::After(kRpcGraceSeconds);
   // ddplint: allow(blocking-under-lock) serialized RPC frame exchange with
   // the store server; deadline-bounded, no lock-holder on the peer side
   // (see the ConnectWithDeadline waiver above).
@@ -428,18 +358,12 @@ Result<std::vector<uint8_t>> StoreClientTcp::Rpc(
     }
   }
   // Any failure leaves the stream unsynchronized; drop the connection so
-  // the next attempt (the retry tiers re-call us) reconnects cleanly.
+  // the next attempt (the attempt loop re-calls us) reconnects cleanly.
   CloseFd(fd_);
   fd_ = -1;
   return Status::Internal("store RPC to " + host_ + ":" +
                           std::to_string(port_) +
                           " failed: " + sent.message());
-}
-
-Status StoreClientTcp::Ping() {
-  std::vector<uint8_t> request;
-  PutU8(&request, kOpPing);
-  return Rpc(request, kRpcGraceSeconds).status();
 }
 
 Status StoreClientTcp::DoSet(const std::string& key,
@@ -448,24 +372,7 @@ Status StoreClientTcp::DoSet(const std::string& key,
   PutU8(&request, kOpSet);
   PutStr(&request, key);
   PutStr(&request, value);
-  return Rpc(request, kRpcGraceSeconds).status();
-}
-
-Status StoreClientTcp::DoTryGet(const std::string& key, std::string* value,
-                                bool* found) {
-  std::vector<uint8_t> request;
-  PutU8(&request, kOpTryGet);
-  PutStr(&request, key);
-  Result<std::vector<uint8_t>> response = Rpc(request, kRpcGraceSeconds);
-  if (!response.ok()) return response.status();
-  Reader r{response.value()};
-  uint8_t present = 0;
-  if (!r.U8(&present)) return Status::Internal("malformed TryGet response");
-  *found = present != 0;
-  if (*found && !r.Str(value)) {
-    return Status::Internal("malformed TryGet response");
-  }
-  return Status::OK();
+  return Rpc(request).status();
 }
 
 Result<int64_t> StoreClientTcp::DoAdd(const std::string& key, int64_t delta) {
@@ -473,7 +380,7 @@ Result<int64_t> StoreClientTcp::DoAdd(const std::string& key, int64_t delta) {
   PutU8(&request, kOpAdd);
   PutStr(&request, key);
   PutI64(&request, delta);
-  Result<std::vector<uint8_t>> response = Rpc(request, kRpcGraceSeconds);
+  Result<std::vector<uint8_t>> response = Rpc(request);
   if (!response.ok()) return response.status();
   Reader r{response.value()};
   int64_t result = 0;
@@ -483,24 +390,22 @@ Result<int64_t> StoreClientTcp::DoAdd(const std::string& key, int64_t delta) {
 
 Result<std::string> StoreClientTcp::DoGetBounded(const std::string& key,
                                                  double timeout_seconds) {
-  // Sliced client-side too: each RPC asks the server to hold the wait for
-  // at most slice_seconds, so one blocked Get never monopolizes the RPC
+  // The server answers after at most one slice; re-issue with what is left
+  // until the deadline, so one blocked Get never monopolizes the RPC
   // channel against concurrent threads sharing this client.
   const auto start = SteadyClock::now();
   for (;;) {
-    const double remaining = timeout_seconds - ElapsedSeconds(start);
-    const double slice = std::clamp(remaining, 0.0, options_.slice_seconds);
     std::vector<uint8_t> request;
     PutU8(&request, kOpGetBounded);
     PutStr(&request, key);
-    PutF64(&request, slice);
-    Result<std::vector<uint8_t>> response =
-        Rpc(request, slice + kRpcGraceSeconds);
+    PutF64(&request,
+           std::max(timeout_seconds - ElapsedSeconds(start), 0.0));
+    Result<std::vector<uint8_t>> response = Rpc(request);
     if (!response.ok()) return response.status();
     Reader r{response.value()};
-    uint8_t ok = 0;
-    if (!r.U8(&ok)) return Status::Internal("malformed Get response");
-    if (ok != 0) {
+    uint8_t found = 0;
+    if (!r.U8(&found)) return Status::Internal("malformed Get response");
+    if (found != 0) {
       std::string value;
       if (!r.Str(&value)) return Status::Internal("malformed Get response");
       return value;
@@ -512,35 +417,10 @@ Result<std::string> StoreClientTcp::DoGetBounded(const std::string& key,
   }
 }
 
-Status StoreClientTcp::DoWaitBounded(const std::vector<std::string>& keys,
-                                     double timeout_seconds) {
-  const auto start = SteadyClock::now();
-  for (;;) {
-    const double remaining = timeout_seconds - ElapsedSeconds(start);
-    const double slice = std::clamp(remaining, 0.0, options_.slice_seconds);
-    std::vector<uint8_t> request;
-    PutU8(&request, kOpWaitBounded);
-    PutU32(&request, static_cast<uint32_t>(keys.size()));
-    for (const std::string& key : keys) PutStr(&request, key);
-    PutF64(&request, slice);
-    Result<std::vector<uint8_t>> response =
-        Rpc(request, slice + kRpcGraceSeconds);
-    if (!response.ok()) return response.status();
-    Reader r{response.value()};
-    uint8_t ok = 0;
-    if (!r.U8(&ok)) return Status::Internal("malformed Wait response");
-    if (ok != 0) return Status::OK();
-    if (timeout_seconds - ElapsedSeconds(start) <= 0.0) {
-      return Status::TimedOut("store keys not all set within " +
-                              std::to_string(timeout_seconds) + "s (tcp)");
-    }
-  }
-}
-
 Result<int64_t> StoreClientTcp::DoNumKeys() {
   std::vector<uint8_t> request;
   PutU8(&request, kOpNumKeys);
-  Result<std::vector<uint8_t>> response = Rpc(request, kRpcGraceSeconds);
+  Result<std::vector<uint8_t>> response = Rpc(request);
   if (!response.ok()) return response.status();
   Reader r{response.value()};
   int64_t n = 0;
@@ -548,23 +428,11 @@ Result<int64_t> StoreClientTcp::DoNumKeys() {
   return n;
 }
 
-Result<int64_t> StoreClientTcp::DoDeleteKey(const std::string& key) {
-  std::vector<uint8_t> request;
-  PutU8(&request, kOpDeleteKey);
-  PutStr(&request, key);
-  Result<std::vector<uint8_t>> response = Rpc(request, kRpcGraceSeconds);
-  if (!response.ok()) return response.status();
-  Reader r{response.value()};
-  int64_t n = 0;
-  if (!r.I64(&n)) return Status::Internal("malformed DeleteKey response");
-  return n;
-}
-
 Result<int64_t> StoreClientTcp::DoDeletePrefix(const std::string& prefix) {
   std::vector<uint8_t> request;
   PutU8(&request, kOpDeletePrefix);
   PutStr(&request, prefix);
-  Result<std::vector<uint8_t>> response = Rpc(request, kRpcGraceSeconds);
+  Result<std::vector<uint8_t>> response = Rpc(request);
   if (!response.ok()) return response.status();
   Reader r{response.value()};
   int64_t n = 0;

@@ -28,11 +28,14 @@ namespace ddpkit::comm {
 /// opcode + operands (strings as u32 length + bytes, integers launcher and
 /// workers share one host so fixed-width native-endian); response = u8
 /// StatusCode, then the payload when it is 0 or the error message when it
-/// is not. A rejected request (malformed, a non-integer or overflowing
-/// Add, a non-finite or negative wait timeout) is answered typed and the
-/// connection stays up, so one client cannot take the store down. Blocking
-/// ops (bounded Get/Wait) are held server-side in short slices so a server
-/// shutdown never strands a connection thread.
+/// is not. Five ops, one per Store primitive: Set (1), Add (3), GetBounded
+/// (4), NumKeys (6) and DeletePrefix (8). Any other opcode, a malformed
+/// frame, a non-integer or overflowing Add and a non-finite or negative
+/// wait timeout are answered typed and the connection stays up, so one
+/// client cannot take the store down. The server holds a GetBounded for at
+/// most one 50 ms slice and the client re-issues it until its deadline —
+/// the one slice layer — so a server shutdown never strands a connection
+/// thread and no request occupies a connection for long.
 class StoreServerTcp {
  public:
   /// Binds `host:port` and starts serving. Port 0 picks a free port —
@@ -70,15 +73,12 @@ class StoreServerTcp {
   /// Joins every connection thread that has announced completion. The join
   /// is near-instant: a finished thread only has its epilogue left.
   void ReapFinishedConnections();
-  /// Handles one decoded request, appending the response payload. A
-  /// malformed request, a non-integer or overflowing Add and a bad wait
-  /// timeout are typed errors the caller answers instead of the payload.
+  /// Handles one decoded request through the backing store's public ops,
+  /// appending the response payload. A malformed request, a non-integer or
+  /// overflowing Add and a bad wait timeout are typed errors the caller
+  /// answers instead of the payload.
   [[nodiscard]] Status HandleRequest(const std::vector<uint8_t>& request,
                                      std::vector<uint8_t>* response);
-
-  /// Store subclass that re-exposes the protected bounded primitives: the
-  /// server loops them in short slices so shutdown stays responsive.
-  class ServerStore;
 
   std::string host_;
   int port_;
@@ -88,7 +88,7 @@ class StoreServerTcp {
   int wake_rfd_;
   int wake_wfd_;
   std::atomic<bool> shutdown_{false};
-  std::unique_ptr<ServerStore> store_;
+  Store store_;
   std::thread accept_thread_;
 
   Mutex conn_mutex_;
@@ -103,42 +103,30 @@ class StoreServerTcp {
   uint64_t next_conn_id_ GUARDED_BY(conn_mutex_) = 0;
 };
 
-/// Client half: a comm::Store whose primitive layer is framed RPCs to a
+/// Client half: a comm::Store whose five primitives are framed RPCs to a
 /// StoreServerTcp. One socket per client, one RPC in flight at a time
-/// (serialized by a mutex); bounded waits are sliced so no single RPC
-/// occupies the channel for long. Transport failures close the socket and
-/// surface as non-OK Status from the primitives — the base-class tiers
-/// translate that into retries (with reconnect-on-next-attempt) or typed
-/// errors per their contract.
+/// (serialized by a mutex). Transport failures close the socket and
+/// surface as non-OK Status from the primitives; the base class's attempt
+/// loop retries them, and the next attempt reconnects.
 class StoreClientTcp : public Store {
  public:
   struct Options {
     /// Budget for (re)establishing the connection within one primitive op.
     double connect_timeout_seconds = 10.0;
-    /// Server-side wait granularity for bounded Get/Wait slices.
-    double slice_seconds = 0.05;
   };
 
   StoreClientTcp(std::string host, int port);
   StoreClientTcp(std::string host, int port, Options options);
   ~StoreClientTcp() override;
 
-  /// One round-trip no-op RPC; OK means the server is reachable.
-  [[nodiscard]] Status Ping();
-
  protected:
   [[nodiscard]] Status DoSet(const std::string& key,
                              const std::string& value) override;
-  [[nodiscard]] Status DoTryGet(const std::string& key, std::string* value,
-                                bool* found) override;
   [[nodiscard]] Result<int64_t> DoAdd(const std::string& key,
                                       int64_t delta) override;
   [[nodiscard]] Result<std::string> DoGetBounded(
       const std::string& key, double timeout_seconds) override;
-  [[nodiscard]] Status DoWaitBounded(const std::vector<std::string>& keys,
-                                     double timeout_seconds) override;
   [[nodiscard]] Result<int64_t> DoNumKeys() override;
-  [[nodiscard]] Result<int64_t> DoDeleteKey(const std::string& key) override;
   [[nodiscard]] Result<int64_t> DoDeletePrefix(
       const std::string& prefix) override;
 
@@ -146,8 +134,7 @@ class StoreClientTcp : public Store {
   /// One framed round trip under the RPC lock; connects first when needed.
   /// Any transport failure closes the socket so the next call reconnects.
   [[nodiscard]] Result<std::vector<uint8_t>> Rpc(
-      const std::vector<uint8_t>& request, double deadline_seconds)
-      EXCLUDES(rpc_mutex_);
+      const std::vector<uint8_t>& request) EXCLUDES(rpc_mutex_);
 
   std::string host_;
   int port_;

@@ -5,6 +5,7 @@
 
 #include "autograd/engine.h"
 #include "common/check.h"
+#include "common/logging.h"
 
 namespace ddpkit::core {
 
@@ -191,9 +192,16 @@ Status DistributedDataParallel::AbortAndRendezvous(
   // Garbage-collect this generation's rendezvous keys. Safe now, not
   // earlier: group construction barriers on every member, so the factory
   // returning proves all survivors finished reading the membership.
-  // Idempotent across survivors.
-  comm::CleanupRendezvous(store, options.rendezvous_namespace,
-                          membership.generation);
+  // Idempotent across survivors. A failed sweep only leaks this round's
+  // keys: the new group is already formed, so recovery goes on.
+  const Status cleaned = comm::CleanupRendezvous(
+      store, options.rendezvous_namespace, membership.generation);
+  if (!cleaned.ok()) {
+    DDPKIT_LOG(Warning) << "elastic recovery (rank " << old_rank
+                        << ") left generation " << membership.generation
+                        << "'s rendezvous keys behind: "
+                        << cleaned.ToString();
+  }
 
   if (result != nullptr) *result = membership;
   return Status::OK();

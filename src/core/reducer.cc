@@ -1,7 +1,6 @@
 #include "core/reducer.h"
 
 #include <algorithm>
-#include <charconv>
 #include <chrono>
 #include <limits>
 #include <sstream>
@@ -61,23 +60,9 @@ double UnionLength(std::vector<std::pair<double, double>> intervals,
   return total;
 }
 
-/// Strict integer parse of one ':'-separated field. Untrusted input (the
-/// Store can serve corrupted/truncated values); never throws.
-bool ParseField(const std::string& field, int64_t* out) {
-  if (field.empty()) return false;
-  const char* begin = field.data();
-  const char* end = begin + field.size();
-  auto [ptr, ec] = std::from_chars(begin, end, *out);
-  return ec == std::errc() && ptr == end;
-}
-
-/// Gradient-ready order serialized for the Store rebuild broadcast:
-/// "<nparams>:<idx0>:<idx1>:...".
+/// Gradient-ready order serialized for the Store rebuild broadcast.
 std::string SerializeOrder(const std::vector<size_t>& order) {
-  std::ostringstream out;
-  out << order.size();
-  for (size_t idx : order) out << ':' << idx;
-  return out.str();
+  return comm::store_keys::EncodeInts({order.begin(), order.end()});
 }
 
 /// Defensive inverse of SerializeOrder: the result must be a permutation
@@ -85,26 +70,19 @@ std::string SerializeOrder(const std::vector<size_t>& order) {
 bool ParseOrder(const std::string& serialized, size_t num_params,
                 std::vector<size_t>* order) {
   order->clear();
-  std::istringstream in(serialized);
-  std::string field;
-  bool first = true;
-  int64_t declared = -1;
+  std::vector<int64_t> values;
+  if (!comm::store_keys::DecodeInts(serialized, &values) ||
+      values.size() != num_params) {
+    return false;
+  }
   std::vector<uint8_t> seen(num_params, 0);
-  while (std::getline(in, field, ':')) {
-    int64_t value = 0;
-    if (!ParseField(field, &value)) return false;
-    if (first) {
-      first = false;
-      declared = value;
-      continue;
-    }
+  for (int64_t value : values) {
     if (value < 0 || static_cast<size_t>(value) >= num_params) return false;
     if (seen[static_cast<size_t>(value)]) return false;
     seen[static_cast<size_t>(value)] = 1;
     order->push_back(static_cast<size_t>(value));
   }
-  return declared == static_cast<int64_t>(num_params) &&
-         order->size() == num_params;
+  return true;
 }
 
 /// Bounded excerpt of untrusted Store payloads for diagnostics.
@@ -148,28 +126,30 @@ Reducer::Reducer(std::vector<Tensor> params,
 
   InitBuckets(AssignBuckets(metas_, options_.bucket_cap_bytes));
   InstallHooks();
-
-  // Pair up the Nth reducer on every rank: reducers are constructed in
-  // program order, so the per-rank instance counter yields matching ids on
-  // ranks that are still in sync. The id keys both the layout-validation
-  // handshake and the rebuild-order broadcast.
-  if (comm::Store* store = pg_->store();
-      store != nullptr && pg_->world() > 1) {
-    int64_t count = 0;
-    // ddplint: allow(blocking-under-lock) constructor-held mu_ is
-    // uncontended (no other thread can see this reducer yet) and the
-    // retry loop is deadline-bounded, so nothing can wait on the lock.
-    Status st = store->AddWithRetry(
-        comm::store_keys::ReducerInstanceCounter(pg_->rank()), 1, &count);
-    if (st.ok()) {
-      store_instance_ = count - 1;
-    } else {
-      AbortSync(Status(st.code(),
-                       "bucket-layout validation could not reach the store: " +
-                           st.message()));
-    }
-  }
+  AllocateStoreInstance();
   ValidateCrossRankLayout();
+}
+
+void Reducer::AllocateStoreInstance() {
+  store_instance_ = -1;
+  comm::Store* store = pg_->store();
+  if (store == nullptr || pg_->world() <= 1) return;
+  // Reducers are constructed in program order, so the per-rank instance
+  // counter yields matching ids on ranks that are still in sync. The id
+  // keys both the layout-validation handshake and the rebuild-order
+  // broadcast. Holding mu_ here stalls no one: the constructor runs before
+  // any other thread can see this reducer, recovery runs with the backward
+  // quiesced, and the Add is bounded by the Store's attempt budget.
+  int64_t count = 0;
+  const Status st = store->AddWithRetry(
+      comm::store_keys::ReducerInstanceCounter(pg_->rank()), 1, &count);
+  if (st.ok()) {
+    store_instance_ = count - 1;
+    return;
+  }
+  AbortSync(Status(st.code(),
+                   "reducer instance-id allocation could not reach the "
+                   "store: " + st.message()));
 }
 
 Reducer::~Reducer() { *alive_ = false; }
@@ -654,39 +634,16 @@ void Reducer::DrainBucketWorks(Bucket& bucket) {
 
 namespace {
 
-/// Bucket-layout signature exchanged through the Store:
-/// "<nbuckets>:<numel0>:<numel1>:...". Two ranks whose reducers would issue
-/// different collective sequences necessarily differ in this string.
-std::string LayoutSignature(const std::vector<int64_t>& bucket_numels) {
-  std::ostringstream sig;
-  sig << bucket_numels.size();
-  for (int64_t n : bucket_numels) sig << ':' << n;
-  return sig.str();
-}
-
-/// Defensive inverse of LayoutSignature. The Store serves untrusted bytes
-/// (a corrupted peer, a stale key, an operator poking at the rendezvous
-/// service); a malformed signature must surface as a diagnostic, not as a
-/// std::stoll throw. Returns false on any structural problem.
+/// Defensive inverse of the bucket-layout signature (EncodeInts of the
+/// bucket sizes). The Store serves untrusted bytes (a corrupted peer, a
+/// stale key, an operator poking at the rendezvous service); a malformed
+/// signature must surface as a diagnostic, not as a throw. Returns false
+/// on any structural problem.
 bool ParseSignatureNumels(const std::string& sig,
                           std::vector<int64_t>* numels) {
-  numels->clear();
-  std::istringstream in(sig);
-  std::string field;
-  bool first = true;
-  int64_t declared = -1;
-  while (std::getline(in, field, ':')) {
-    int64_t value = 0;
-    if (!ParseField(field, &value)) return false;
-    if (first) {
-      first = false;  // leading bucket count
-      declared = value;
-      continue;
-    }
-    if (value < 0) return false;
-    numels->push_back(value);
-  }
-  return !first && declared == static_cast<int64_t>(numels->size());
+  if (!comm::store_keys::DecodeInts(sig, numels)) return false;
+  return std::all_of(numels->begin(), numels->end(),
+                     [](int64_t n) { return n >= 0; });
 }
 
 }  // namespace
@@ -711,7 +668,9 @@ void Reducer::ValidateCrossRankLayout() {
   for (const Bucket& bucket : buckets_) {
     bucket_numels.push_back(bucket.buffer.numel());
   }
-  const std::string own_sig = LayoutSignature(bucket_numels);
+  // Two ranks whose reducers would issue different collective sequences
+  // necessarily differ in this string.
+  const std::string own_sig = comm::store_keys::EncodeInts(bucket_numels);
   Status st = store->SetWithRetry(
       comm::store_keys::ReducerLayoutRankKey(store_instance_, epoch, rank),
       own_sig);
@@ -746,10 +705,13 @@ void Reducer::ValidateCrossRankLayout() {
   // loop above proves every rank published epoch e (= layout_epoch_ - 1),
   // and a rank publishes e only after finishing its reads of e-1 — so no
   // rank can still need any epoch below e. Without this sweep a
-  // rebuild-heavy job leaks world keys per epoch into the Store.
+  // rebuild-heavy job leaks world keys per epoch into the Store. A failed
+  // delete leaves the cursor in place for the next handshake to retry; it
+  // is no reason to disable sync.
   for (; layout_swept_ + 1 < layout_epoch_; ++layout_swept_) {
-    store->DeletePrefix(comm::store_keys::ReducerLayoutEpochPrefix(
-        store_instance_, layout_swept_));
+    const std::string prefix = comm::store_keys::ReducerLayoutEpochPrefix(
+        store_instance_, layout_swept_);
+    if (!store->DeletePrefixWithRetry(prefix).ok()) break;
   }
 
   for (int r = 1; r < world; ++r) {
@@ -877,11 +839,17 @@ bool Reducer::RebuildBucketsFromTrace() {
       // Garbage-collect the rebuild-order keys through the epoch just
       // consumed: peers read the order key before entering the validation
       // handshake, and this rank completing that handshake proves every
-      // peer got past its read. ("skip" epochs that returned early above
-      // are swept by the next rebuild that reaches this point.)
+      // peer got past its read. ("skip" epochs that returned early above,
+      // and epochs whose delete failed, are swept by the next rebuild that
+      // reaches this point.)
       for (; rebuild_swept_ < rebuild_epoch_; ++rebuild_swept_) {
-        store->DeletePrefix(comm::store_keys::ReducerRebuildEpochPrefix(
-            store_instance_, rebuild_swept_));
+        const std::string prefix =
+            comm::store_keys::ReducerRebuildEpochPrefix(store_instance_,
+                                                        rebuild_swept_);
+        // ddplint: allow(blocking-under-lock) mu_ is the outermost §8 level
+        // (see the SetWithRetry waiver above) and the delete is bounded by
+        // the Store's attempt budget.
+        if (!store->DeletePrefixWithRetry(prefix).ok()) break;
       }
     }
   }
@@ -932,24 +900,8 @@ Status Reducer::ResetAfterRecovery(
   rebuild_epoch_ = 0;
   layout_swept_ = 0;
   rebuild_swept_ = 0;
-  store_instance_ = -1;
-  if (comm::Store* store = pg_->store();
-      store != nullptr && pg_->world() > 1) {
-    int64_t count = 0;
-    // ddplint: allow(blocking-under-lock) recovery runs with the backward
-    // quiesced: nothing else can contend mu_ (DESIGN.md §8 outermost
-    // level), and the retry loop is deadline-bounded.
-    Status st = store->AddWithRetry(
-        comm::store_keys::ReducerInstanceCounter(pg_->rank()), 1, &count);
-    if (st.ok()) {
-      store_instance_ = count - 1;
-    } else {
-      AbortSync(Status(st.code(),
-                       "post-recovery instance-id allocation could not reach "
-                       "the store: " + st.message()));
-      return sync_status_;
-    }
-  }
+  AllocateStoreInstance();
+  if (!sync_status_.ok()) return sync_status_;
 
   // Rebuild from the DEFAULT assignment — NOT the last trace-driven one.
   // The reference a recovered run must stay bit-exact with is a fresh

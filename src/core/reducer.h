@@ -249,6 +249,11 @@ class Reducer {
   /// Allocates the buckets for `assignment` and moves every defined .grad
   /// into its new slot; undefined ones stay undefined.
   void InitBuckets(const BucketAssignment& assignment) REQUIRES(mu_);
+  /// Allocates store_instance_, the id that pairs this reducer with the
+  /// Nth reducer on every other rank, when the group has a Store and
+  /// world > 1 (else leaves it -1). A Store that cannot be reached
+  /// disables sync.
+  void AllocateStoreInstance() REQUIRES(mu_);
   /// Store-based cross-rank bucket-signature handshake, run at
   /// construction, after every coordinated rebuild and after recovery
   /// whenever the group has a Store and world > 1: every rank publishes its

@@ -471,25 +471,25 @@ TEST(DdpFaultTest, NoSyncIterationsUnaffectedByPlannedFault) {
 }
 
 // ---------------------------------------------------------------------------
-// Store retry tier
+// Store attempt loop
 // ---------------------------------------------------------------------------
 
 TEST(StoreRetryTest, TransientFaultsAreRetriedUntilSuccess) {
   Store store;
+  // Fewer faults than attempts: the first op absorbs all three and still
+  // succeeds within its budget.
+  static_assert(Store::kMaxAttempts > 3);
   store.InjectTransientFaults(/*failure_budget=*/3);
 
-  RetryPolicy policy;
-  policy.max_attempts = 5;
-  policy.initial_backoff_seconds = 1e-5;
-  EXPECT_TRUE(store.SetWithRetry("k", "v", policy).ok());
-  EXPECT_GE(store.transient_failures(), 1u);
+  EXPECT_TRUE(store.SetWithRetry("k", "v").ok());
+  EXPECT_EQ(store.transient_failures(), 3u);
 
-  auto got = store.GetWithRetry("k", /*timeout_seconds=*/1.0, policy);
+  auto got = store.GetWithRetry("k", /*timeout_seconds=*/1.0);
   ASSERT_TRUE(got.ok()) << got.status().ToString();
   EXPECT_EQ(got.value(), "v");
 
   int64_t counter = 0;
-  EXPECT_TRUE(store.AddWithRetry("n", 5, &counter, policy).ok());
+  EXPECT_TRUE(store.AddWithRetry("n", 5, &counter).ok());
   EXPECT_EQ(counter, 5);
 }
 
@@ -497,12 +497,10 @@ TEST(StoreRetryTest, ExhaustedAttemptsSurfaceInternalError) {
   Store store;
   store.InjectTransientFaults(/*failure_budget=*/100);
 
-  RetryPolicy policy;
-  policy.max_attempts = 3;
-  policy.initial_backoff_seconds = 1e-5;
-  Status st = store.SetWithRetry("k", "v", policy);
+  Status st = store.SetWithRetry("k", "v");
   EXPECT_EQ(st.code(), StatusCode::kInternal) << st.ToString();
-  EXPECT_EQ(store.transient_failures(), 3u);
+  EXPECT_EQ(store.transient_failures(),
+            static_cast<uint64_t>(Store::kMaxAttempts));
 }
 
 TEST(StoreRetryTest, BoundedGetTimesOutOnMissingKey) {
@@ -511,30 +509,6 @@ TEST(StoreRetryTest, BoundedGetTimesOutOnMissingKey) {
   ASSERT_FALSE(got.ok());
   EXPECT_EQ(got.status().code(), StatusCode::kTimedOut)
       << got.status().ToString();
-}
-
-TEST(StoreRetryTest, SeededInjectionIsDeterministic) {
-  RetryPolicy one_shot;
-  one_shot.max_attempts = 1;
-  one_shot.initial_backoff_seconds = 1e-6;
-
-  auto run = [&](uint64_t seed) {
-    Store store;
-    store.InjectTransientFaults(seed, /*probability=*/0.5);
-    std::vector<bool> ok;
-    for (int i = 0; i < 32; ++i) {
-      ok.push_back(
-          store.SetWithRetry("k" + std::to_string(i), "v", one_shot).ok());
-    }
-    return ok;
-  };
-  EXPECT_EQ(run(7), run(7));
-  // Legacy tier is never affected by injection.
-  Store store;
-  store.InjectTransientFaults(100);
-  store.Set("a", "1");
-  EXPECT_EQ(store.Get("a"), "1");
-  EXPECT_EQ(store.transient_failures(), 0u);
 }
 
 // ---------------------------------------------------------------------------

@@ -17,9 +17,12 @@
 #include "comm/rendezvous.h"
 #include "comm/sim_world.h"
 #include "comm/store.h"
+#include "tests/run_within.h"
 
 namespace ddpkit::comm {
 namespace {
+
+using testing_util::RunWithin;
 
 // ---------------------------------------------------------------------------
 // Membership payload plumbing
@@ -123,11 +126,14 @@ TEST(RendezvousTest, ShrinkRenumbersSurvivorsDensely) {
 
 TEST(RendezvousTest, LoneSurvivorGetsTypedTimeoutNotAHang) {
   Store store;
+  // ddplint: allow(banned-nondeterminism) the rendezvous timeout is real
+  // time by design, so only a wall clock can show it was honored.
   const auto start = std::chrono::steady_clock::now();
   auto got = AbortAndRendezvous(&store, "lone", /*old_rank=*/0,
                                 /*old_world=*/2, /*from_generation=*/0,
                                 FastOptions(0.3));
   const double elapsed =
+      // ddplint: allow(banned-nondeterminism) the same wall-clock bound.
       std::chrono::duration<double>(std::chrono::steady_clock::now() - start)
           .count();
   ASSERT_FALSE(got.ok());
@@ -186,6 +192,57 @@ TEST(RendezvousTest, SealedOutStragglerGetsTypedTimeout) {
       << results[2].status().ToString();
 }
 
+/// A store server that dies right after the join barrier's deadline: the
+/// first lookup that misses is answered, and every primitive after it fails
+/// like a dropped connection.
+class StoreDyingAfterFirstMiss : public Store {
+ protected:
+  Status DoSet(const std::string& key, const std::string& value) override {
+    if (dead_) return Dead();
+    return Store::DoSet(key, value);
+  }
+  Result<int64_t> DoAdd(const std::string& key, int64_t delta) override {
+    if (dead_) return Dead();
+    return Store::DoAdd(key, delta);
+  }
+  Result<std::string> DoGetBounded(const std::string& key,
+                                   double timeout_seconds) override {
+    if (dead_) return Dead();
+    Result<std::string> got = Store::DoGetBounded(key, timeout_seconds);
+    if (got.status().code() == StatusCode::kTimedOut) dead_ = true;
+    return got;
+  }
+  Result<int64_t> DoNumKeys() override {
+    if (dead_) return Dead();
+    return Store::DoNumKeys();
+  }
+  Result<int64_t> DoDeletePrefix(const std::string& prefix) override {
+    if (dead_) return Dead();
+    return Store::DoDeletePrefix(prefix);
+  }
+
+ private:
+  static Status Dead() { return Status::Internal("store server is gone"); }
+  std::atomic<bool> dead_{false};
+};
+
+TEST(RendezvousTest, StoreDyingAfterTheBarrierFailsTypedNotAHang) {
+  // Ranks 1 and 2 never join. Rank 0's wait on rank 1 uses up the barrier,
+  // the store dies, and the snapshot of rank 2 past the deadline must fail
+  // within the attempt budget like every other Store op.
+  StoreDyingAfterFirstMiss store;
+  RunWithin(5.0, [&] {
+    Result<RendezvousResult> got =
+        AbortAndRendezvous(&store, "dying", /*old_rank=*/0, /*old_world=*/3,
+                           /*from_generation=*/0, FastOptions(0.2));
+    ASSERT_FALSE(got.ok());
+    EXPECT_EQ(got.status().code(), StatusCode::kInternal)
+        << got.status().ToString();
+    EXPECT_NE(got.status().message().find("join barrier"), std::string::npos)
+        << got.status().message();
+  });
+}
+
 TEST(RendezvousTest, NullStoreAndBadArgsAreInvalid) {
   Store store;
   EXPECT_EQ(AbortAndRendezvous(nullptr, "ns", 0, 2, 0).status().code(),
@@ -211,7 +268,7 @@ TEST(RendezvousTest, CleanupDeletesTheGenerationsKeys) {
   ASSERT_TRUE(got.ok()) << got.status().ToString();
 
   EXPECT_GT(store.NumKeys(), 0u);  // join/seal/members keys exist
-  CleanupRendezvous(&store, "gc", got.value().generation);
+  EXPECT_TRUE(CleanupRendezvous(&store, "gc", got.value().generation).ok());
   EXPECT_EQ(store.NumKeys(), 0u);
 }
 
@@ -231,7 +288,8 @@ TEST(RendezvousTest, KeyCountStaysBoundedAcrossManyGenerations) {
     ASSERT_TRUE(a.ok()) << a.status().ToString();
     ASSERT_TRUE(b.ok()) << b.status().ToString();
     peak = std::max(peak, store.NumKeys());
-    CleanupRendezvous(&store, "epochs", b.value().generation);
+    ASSERT_TRUE(
+        CleanupRendezvous(&store, "epochs", b.value().generation).ok());
     ASSERT_LE(store.NumKeys(), 0u) << "generation " << gen << " leaked keys";
   }
   // One round in flight: 2 join keys + seal + members.

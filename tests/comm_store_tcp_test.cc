@@ -1,7 +1,7 @@
 // StoreServerTcp / StoreClientTcp: the wire store must be observably the
 // same Store as the in-memory base — same values, same typed timeouts,
-// same retry-tier semantics — plus transport-only behaviours (reconnect
-// after a server restart). All sockets bind port 0 (collision-proof).
+// same retry semantics — plus transport-only behaviours (reconnect after a
+// server restart). All sockets bind port 0 (collision-proof).
 
 #include <gtest/gtest.h>
 
@@ -15,7 +15,6 @@
 #include "comm/net_socket.h"
 #include "comm/store.h"
 #include "comm/store_tcp.h"
-#include "sim/virtual_clock.h"
 
 namespace ddpkit::comm {
 namespace {
@@ -35,12 +34,6 @@ double WallSeconds() {
   return std::chrono::duration<double>(now.time_since_epoch()).count();
 }
 
-TEST(StoreTcpTest, PingReachesServer) {
-  StoreServerHandle server = MustStart();
-  StoreClientTcp client("127.0.0.1", server->port());
-  EXPECT_TRUE(client.Ping().ok());
-}
-
 TEST(StoreTcpTest, SetGetTryGetParity) {
   StoreServerHandle server = MustStart();
   StoreClientTcp client("127.0.0.1", server->port());
@@ -52,16 +45,19 @@ TEST(StoreTcpTest, SetGetTryGetParity) {
     client.Set(key, value);
     reference.Set(key, value);
   }
+  // A zero-timeout GetWithRetry is one immediate lookup on both stores.
   for (const auto& [key, value] : entries) {
-    std::string via_wire, via_memory;
-    EXPECT_TRUE(client.TryGet(key, &via_wire));
-    EXPECT_TRUE(reference.TryGet(key, &via_memory));
-    EXPECT_EQ(via_wire, via_memory);
+    Result<std::string> via_wire = client.GetWithRetry(key, 0.0);
+    Result<std::string> via_memory = reference.GetWithRetry(key, 0.0);
+    ASSERT_TRUE(via_wire.ok()) << via_wire.status().ToString();
+    ASSERT_TRUE(via_memory.ok()) << via_memory.status().ToString();
+    EXPECT_EQ(via_wire.value(), via_memory.value());
+    EXPECT_EQ(via_wire.value(), value);
     EXPECT_EQ(client.Get(key), reference.Get(key));
   }
   EXPECT_EQ(client.NumKeys(), reference.NumKeys());
-  std::string missing;
-  EXPECT_FALSE(client.TryGet("absent", &missing));
+  EXPECT_EQ(client.GetWithRetry("absent", 0.0).status().code(),
+            StatusCode::kTimedOut);
 }
 
 TEST(StoreTcpTest, AddIsAtomicAcrossClients) {
@@ -72,12 +68,16 @@ TEST(StoreTcpTest, AddIsAtomicAcrossClients) {
   for (int t = 0; t < kClients; ++t) {
     threads.emplace_back([&] {
       StoreClientTcp client("127.0.0.1", server->port());
-      for (int i = 0; i < kIncrements; ++i) client.Add("counter", 1);
+      for (int i = 0; i < kIncrements; ++i) {
+        EXPECT_TRUE(client.AddWithRetry("counter", 1, nullptr).ok());
+      }
     });
   }
   for (auto& t : threads) t.join();
   StoreClientTcp reader("127.0.0.1", server->port());
-  EXPECT_EQ(reader.Add("counter", 0), kClients * kIncrements);
+  int64_t total = 0;
+  ASSERT_TRUE(reader.AddWithRetry("counter", 0, &total).ok());
+  EXPECT_EQ(total, kClients * kIncrements);
 }
 
 TEST(StoreTcpTest, TwoClientsShareOneNamespace) {
@@ -87,9 +87,10 @@ TEST(StoreTcpTest, TwoClientsShareOneNamespace) {
   writer.Set("shared", "value");
   EXPECT_EQ(reader.Get("shared"), "value");
   // And the launcher-side backing store sees the same data.
-  std::string via_backing;
-  EXPECT_TRUE(server->backing().TryGet("shared", &via_backing));
-  EXPECT_EQ(via_backing, "value");
+  Result<std::string> via_backing =
+      server->backing().GetWithRetry("shared", 0.0);
+  ASSERT_TRUE(via_backing.ok()) << via_backing.status().ToString();
+  EXPECT_EQ(via_backing.value(), "value");
 }
 
 TEST(StoreTcpTest, GetBlocksUntilAnotherClientSets) {
@@ -104,33 +105,17 @@ TEST(StoreTcpTest, GetBlocksUntilAnotherClientSets) {
   EXPECT_EQ(got, "arrived");
 }
 
-TEST(StoreTcpTest, WaitSeesKeysFromOtherClients) {
-  StoreServerHandle server = MustStart();
-  StoreClientTcp waiter("127.0.0.1", server->port());
-  std::thread setter([&] {
-    std::this_thread::sleep_for(std::chrono::milliseconds(20));
-    StoreClientTcp writer("127.0.0.1", server->port());
-    writer.Set("w1", "a");
-    writer.Set("w2", "b");
-  });
-  waiter.Wait({"w1", "w2"});  // returns only once both exist
-  setter.join();
-  std::string value;
-  EXPECT_TRUE(waiter.TryGet("w2", &value));
-}
-
 TEST(StoreTcpTest, DeleteKeyAndPrefixParity) {
   StoreServerHandle server = MustStart();
   StoreClientTcp client("127.0.0.1", server->port());
   client.Set("epoch0/a", "1");
   client.Set("epoch0/b", "2");
   client.Set("epoch1/a", "3");
-  EXPECT_TRUE(client.DeleteKey("epoch0/a"));
-  EXPECT_FALSE(client.DeleteKey("epoch0/a"));
-  EXPECT_EQ(client.DeletePrefix("epoch0/"), 1u);
+  Result<int64_t> deleted = client.DeletePrefixWithRetry("epoch0/");
+  ASSERT_TRUE(deleted.ok()) << deleted.status().ToString();
+  EXPECT_EQ(deleted.value(), 2);
   EXPECT_EQ(client.NumKeys(), 1u);
-  std::string value;
-  EXPECT_TRUE(client.TryGet("epoch1/a", &value));
+  EXPECT_TRUE(client.GetWithRetry("epoch1/a", 0.0).ok());
 }
 
 TEST(StoreTcpTest, BoundedGetTimesOutTyped) {
@@ -172,9 +157,9 @@ TEST(StoreTcpTest, ClientReconnectsAfterServerRestart) {
   // next retryable attempt reconnects transparently.
   server = MustStart(port);
   EXPECT_TRUE(client.SetWithRetry("after", "reconnect").ok());
-  std::string value;
-  EXPECT_TRUE(client.TryGet("after", &value));
-  EXPECT_EQ(value, "reconnect");
+  Result<std::string> value = client.GetWithRetry("after", 0.0);
+  ASSERT_TRUE(value.ok()) << value.status().ToString();
+  EXPECT_EQ(value.value(), "reconnect");
   // The restart counts as (at least one) observed transport failure.
   EXPECT_GE(client.transient_failures(), 1u);
 }
@@ -190,60 +175,20 @@ TEST(StoreTcpTest, UnreachableServerFailsTypedNotHangs) {
   StoreClientTcp::Options options;
   options.connect_timeout_seconds = 0.2;
   StoreClientTcp client("127.0.0.1", dead_port, options);
-  RetryPolicy policy;
-  policy.max_attempts = 2;
-  policy.initial_backoff_seconds = 0.01;
   const double start = WallSeconds();
-  const Status status = client.SetWithRetry("k", "v", policy);
+  const Status status = client.SetWithRetry("k", "v");
   ASSERT_FALSE(status.ok());
   EXPECT_EQ(status.code(), StatusCode::kInternal) << status.message();
+  EXPECT_EQ(client.transient_failures(),
+            static_cast<uint64_t>(Store::kMaxAttempts));
   EXPECT_LT(WallSeconds() - start, 30.0);
-}
-
-// Satellite: the retry tier's clock choice. The same decision tree that
-// wall-clock TCP waits exercise must be steerable onto a virtual clock so
-// sim tests replay it deterministically — backoff cost and deadline math
-// accrue on the virtual clock, with (almost) no real time spent.
-TEST(StoreTcpTest, VirtualClockRetryIsDeterministicAndFast) {
-  sim::VirtualClock clock;
-  Store store;  // in-memory: the sim configuration of the same tier
-  RetryPolicy policy;
-  policy.clock_mode = RetryPolicy::ClockMode::kVirtual;
-  policy.virtual_clock = &clock;
-  policy.initial_backoff_seconds = 0.25;
-  policy.backoff_multiplier = 2.0;
-
-  const double wall_start = WallSeconds();
-  Result<std::string> result = store.GetWithRetry("never", 1.0, policy);
-  const double wall_elapsed = WallSeconds() - wall_start;
-
-  ASSERT_FALSE(result.ok());
-  EXPECT_EQ(result.status().code(), StatusCode::kTimedOut);
-  // Poll misses cost doubling backoff on the virtual clock until the
-  // virtual deadline passes; the final timestamp is identical on every run.
-  EXPECT_GE(clock.Now(), 1.0);
-  EXPECT_LT(clock.Now(), 2.0);
-  // ...while wall time is a few yields, not a second of sleeping.
-  EXPECT_LT(wall_elapsed, 0.5);
-
-  // Injected transient faults consume the same budget deterministically.
-  sim::VirtualClock clock2;
-  Store flaky;
-  flaky.InjectTransientFaults(2);
-  RetryPolicy policy2 = policy;
-  policy2.virtual_clock = &clock2;
-  flaky.Set("key", "value");
-  Result<std::string> recovered = flaky.GetWithRetry("key", 1.0, policy2);
-  ASSERT_TRUE(recovered.ok()) << recovered.status().message();
-  EXPECT_EQ(recovered.value(), "value");
-  EXPECT_EQ(flaky.transient_failures(), 2u);
 }
 
 TEST(StoreTcpTest, WireRetryPolicyHonorsRealClock) {
   StoreServerHandle server = MustStart();
   StoreClientTcp client("127.0.0.1", server->port());
-  // kReal is the default; a healthy wire Get within deadline returns
-  // promptly once the key appears.
+  // A healthy wire Get within its deadline returns promptly once the key
+  // appears.
   client.Set("ready", "now");
   Result<std::string> result = client.GetWithRetry("ready", 1.0);
   ASSERT_TRUE(result.ok());
@@ -279,7 +224,7 @@ TEST(StoreTcpTest, ConnectionChurnKeepsThreadCountBounded) {
   size_t max_tracked = 0;
   for (int cycle = 0; cycle < kCycles; ++cycle) {
     StoreClientTcp client("127.0.0.1", server->port());
-    ASSERT_TRUE(client.Ping().ok()) << "cycle " << cycle;
+    ASSERT_TRUE(client.SetWithRetry("churn", "x").ok()) << "cycle " << cycle;
     // Client destructor closes the socket: a hard reset from the server
     // thread's point of view.
     max_tracked = std::max(max_tracked, server->tracked_connections());
@@ -293,7 +238,7 @@ TEST(StoreTcpTest, ConnectionChurnKeepsThreadCountBounded) {
   // (and any stragglers still in their epilogue).
   std::this_thread::sleep_for(std::chrono::milliseconds(100));
   StoreClientTcp last("127.0.0.1", server->port());
-  ASSERT_TRUE(last.Ping().ok());
+  ASSERT_TRUE(last.SetWithRetry("churn", "x").ok());
   EXPECT_LE(server->tracked_connections(), 4u);
 }
 
@@ -310,7 +255,6 @@ struct StorePair {
   std::vector<Store*> both() { return {&client, &memory}; }
 
   void ExpectHealthy() {
-    EXPECT_TRUE(client.Ping().ok());
     for (Store* store : both()) {
       store->Set("health", "ok");
       EXPECT_EQ("ok", store->Get("health"));
@@ -395,43 +339,44 @@ struct Frame {
 };
 
 constexpr uint8_t kOpGetBounded = 4;
-constexpr uint8_t kOpWaitBounded = 5;
-constexpr uint8_t kOpPing = 9;
+constexpr uint8_t kOpNumKeys = 6;
 
-// A bounded Get or Wait frame with a NaN, infinite or negative timeout is
-// answered kInvalidArgument on the same connection, which then still
-// serves a Ping.
+// A bounded Get frame with a NaN, infinite or negative timeout, and a
+// well-formed frame of each retired op (2 TryGet, 5 WaitBounded, 7
+// DeleteKey, 9 Ping), are answered kInvalidArgument on the same
+// connection, which then still serves a NumKeys.
 TEST(StoreTcpTest, WireBoundedOpsRejectBadTimeoutTyped) {
   StorePair stores;
   Result<int> fd = ConnectWithDeadline("127.0.0.1", stores.server->port(),
                                        Deadline::After(10.0));
   ASSERT_TRUE(fd.ok()) << fd.status().ToString();
-  const double bad[] = {std::numeric_limits<double>::quiet_NaN(),
-                        std::numeric_limits<double>::infinity(), -1.0};
-  for (double timeout : bad) {
-    SCOPED_TRACE(timeout);
-    const Frame get = Frame().U8(kOpGetBounded).Str("never").F64(timeout);
-    const Frame wait =
-        Frame().U8(kOpWaitBounded).U32(1).Str("never").F64(timeout);
-    for (const Frame* frame : {&get, &wait}) {
-      ASSERT_TRUE(SendFrame(fd.value(), frame->bytes.data(),
-                            frame->bytes.size(), Deadline::After(5.0))
-                      .ok());
-      Result<std::vector<uint8_t>> response =
-          RecvFrame(fd.value(), Deadline::After(5.0));
-      ASSERT_TRUE(response.ok()) << response.status().ToString();
-      ASSERT_FALSE(response.value().empty());
-      EXPECT_EQ(static_cast<uint8_t>(StatusCode::kInvalidArgument),
-                response.value()[0]);
-    }
-    const Frame ping = Frame().U8(kOpPing);
-    ASSERT_TRUE(SendFrame(fd.value(), ping.bytes.data(), ping.bytes.size(),
+  const auto round_trip = [&](const Frame& frame) {
+    EXPECT_TRUE(SendFrame(fd.value(), frame.bytes.data(), frame.bytes.size(),
                           Deadline::After(5.0))
                     .ok());
-    Result<std::vector<uint8_t>> pong =
+    Result<std::vector<uint8_t>> response =
         RecvFrame(fd.value(), Deadline::After(5.0));
-    ASSERT_TRUE(pong.ok()) << pong.status().ToString();
-    EXPECT_EQ(std::vector<uint8_t>{0}, pong.value());
+    EXPECT_TRUE(response.ok()) << response.status().ToString();
+    return response.ValueOr({});
+  };
+  std::vector<Frame> rejected;
+  for (double timeout : {std::numeric_limits<double>::quiet_NaN(),
+                         std::numeric_limits<double>::infinity(), -1.0}) {
+    rejected.push_back(Frame().U8(kOpGetBounded).Str("never").F64(timeout));
+  }
+  rejected.push_back(Frame().U8(2).Str("never"));
+  rejected.push_back(Frame().U8(5).U32(1).Str("never").F64(0.0));
+  rejected.push_back(Frame().U8(7).Str("never"));
+  rejected.push_back(Frame().U8(9));
+  for (const Frame& frame : rejected) {
+    SCOPED_TRACE("opcode " + std::to_string(frame.bytes[0]));
+    const std::vector<uint8_t> response = round_trip(frame);
+    ASSERT_FALSE(response.empty());
+    EXPECT_EQ(static_cast<uint8_t>(StatusCode::kInvalidArgument),
+              response[0]);
+    // Status 0, then the store's key count (still 0) as an int64.
+    const std::vector<uint8_t> count = round_trip(Frame().U8(kOpNumKeys));
+    EXPECT_EQ(std::vector<uint8_t>(1 + sizeof(int64_t), 0), count);
   }
   CloseFd(fd.value());
   stores.ExpectHealthy();

@@ -1,29 +1,32 @@
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <limits>
+#include <string>
 #include <thread>
 #include <vector>
 
 #include "comm/store.h"
+#include "comm/store_keys.h"
 
 namespace ddpkit::comm {
 namespace {
 
-// The legacy Add has no error channel: a value that is not an integer
-// aborts the caller with the typed message instead of retrying forever.
-TEST(StoreDeathTest, LegacyAddOnNonIntegerAbortsTyped) {
-  testing::GTEST_FLAG(death_test_style) = "threadsafe";
-  Store store;
-  store.Set("k", "not-a-number");
-  EXPECT_DEATH(store.Add("k", 1), "not an integer");
+/// A zero-timeout GetWithRetry: one immediate lookup.
+bool Present(Store& store, const std::string& key) {
+  return store.GetWithRetry(key, 0.0).ok();
 }
 
+// A zero timeout still looks the key up: a present key is returned, an
+// absent one is a miss.
 TEST(StoreTest, SetAndTryGet) {
   Store store;
-  std::string value;
-  EXPECT_FALSE(store.TryGet("k", &value));
+  EXPECT_EQ(store.GetWithRetry("k", 0.0).status().code(),
+            StatusCode::kTimedOut);
   store.Set("k", "v");
-  EXPECT_TRUE(store.TryGet("k", &value));
-  EXPECT_EQ(value, "v");
+  Result<std::string> got = store.GetWithRetry("k", 0.0);
+  ASSERT_TRUE(got.ok()) << got.status().ToString();
+  EXPECT_EQ(got.value(), "v");
   EXPECT_EQ(store.NumKeys(), 1u);
 }
 
@@ -51,28 +54,23 @@ TEST(StoreTest, AddIsAtomicAcrossThreads) {
   std::vector<std::thread> threads;
   for (int t = 0; t < kThreads; ++t) {
     threads.emplace_back([&] {
-      for (int i = 0; i < kIncrements; ++i) store.Add("counter", 1);
+      for (int i = 0; i < kIncrements; ++i) {
+        EXPECT_TRUE(store.AddWithRetry("counter", 1, nullptr).ok());
+      }
     });
   }
   for (auto& t : threads) t.join();
-  EXPECT_EQ(store.Add("counter", 0), kThreads * kIncrements);
+  int64_t total = 0;
+  ASSERT_TRUE(store.AddWithRetry("counter", 0, &total).ok());
+  EXPECT_EQ(total, kThreads * kIncrements);
 }
 
 TEST(StoreTest, AddNegativeDelta) {
   Store store;
-  store.Add("n", 10);
-  EXPECT_EQ(store.Add("n", -3), 7);
-}
-
-TEST(StoreTest, DeleteKeyReportsPresence) {
-  Store store;
-  store.Set("k", "v");
-  EXPECT_TRUE(store.DeleteKey("k"));
-  std::string value;
-  EXPECT_FALSE(store.TryGet("k", &value));
-  EXPECT_FALSE(store.DeleteKey("k"));  // already gone
-  EXPECT_FALSE(store.DeleteKey("never-set"));
-  EXPECT_EQ(store.NumKeys(), 0u);
+  ASSERT_TRUE(store.AddWithRetry("n", 10, nullptr).ok());
+  int64_t result = 0;
+  ASSERT_TRUE(store.AddWithRetry("n", -3, &result).ok());
+  EXPECT_EQ(result, 7);
 }
 
 TEST(StoreTest, DeletePrefixRemovesOnlyMatchingKeys) {
@@ -83,33 +81,60 @@ TEST(StoreTest, DeletePrefixRemovesOnlyMatchingKeys) {
   store.Set("epoch", "bare");         // equal to a prefix of the others
   store.Set("epoch/v00/rank0", "d");  // shares "epoch/v0" as a string prefix
 
-  EXPECT_EQ(store.DeletePrefix("epoch/v0/"), 2u);
+  const auto deleted = [&](const std::string& prefix) {
+    Result<int64_t> n = store.DeletePrefixWithRetry(prefix);
+    EXPECT_TRUE(n.ok()) << n.status().ToString();
+    return n.ValueOr(-1);
+  };
+  EXPECT_EQ(deleted("epoch/v0/"), 2);
   EXPECT_EQ(store.NumKeys(), 3u);
-  std::string value;
-  EXPECT_FALSE(store.TryGet("epoch/v0/rank0", &value));
-  EXPECT_TRUE(store.TryGet("epoch/v1/rank0", &value));
-  EXPECT_TRUE(store.TryGet("epoch", &value));
-  EXPECT_TRUE(store.TryGet("epoch/v00/rank0", &value));
+  EXPECT_FALSE(Present(store, "epoch/v0/rank0"));
+  EXPECT_TRUE(Present(store, "epoch/v1/rank0"));
+  EXPECT_TRUE(Present(store, "epoch"));
+  EXPECT_TRUE(Present(store, "epoch/v00/rank0"));
 
-  EXPECT_EQ(store.DeletePrefix("no-such-prefix/"), 0u);
-  EXPECT_EQ(store.DeletePrefix(""), 3u);  // empty prefix matches everything
+  EXPECT_EQ(deleted("no-such-prefix/"), 0);
+  EXPECT_EQ(deleted(""), 3);  // empty prefix matches everything
   EXPECT_EQ(store.NumKeys(), 0u);
 }
 
-TEST(StoreTest, WaitForMultipleKeys) {
-  Store store;
-  std::atomic<bool> done{false};
-  std::thread waiter([&] {
-    store.Wait({"a", "b", "c"});
-    done = true;
-  });
-  store.Set("a", "1");
-  store.Set("b", "2");
-  std::this_thread::sleep_for(std::chrono::milliseconds(10));
-  EXPECT_FALSE(done.load());
-  store.Set("c", "3");
-  waiter.join();
-  EXPECT_TRUE(done.load());
+// The one integer-list codec for Store values: every list round-trips, and
+// the decoder accepts nothing the encoder would not write.
+TEST(StoreKeysTest, DecodeIntsAcceptsOnlyWhatEncodeIntsWrites) {
+  const std::vector<std::vector<int64_t>> lists = {
+      {},
+      {0},
+      {5, -3, 0},
+      {std::numeric_limits<int64_t>::min(),
+       std::numeric_limits<int64_t>::max()}};
+  for (const std::vector<int64_t>& list : lists) {
+    const std::string payload = store_keys::EncodeInts(list);
+    std::vector<int64_t> decoded = {42};
+    ASSERT_TRUE(store_keys::DecodeInts(payload, &decoded)) << payload;
+    EXPECT_EQ(decoded, list) << payload;
+  }
+
+  const struct {
+    const char* payload;
+    const char* defect;
+  } rejected[] = {
+      {"2:1", "count mismatch (short)"},
+      {"1:1:2", "count mismatch (long)"},
+      {"", "empty payload"},
+      {"2:1::2", "empty field"},
+      {"1:+1", "plus sign"},
+      {"1:-", "lone minus"},
+      {"1:9223372036854775808", "value past int64"},
+      {"1:1:", "trailing colon"},
+      {"1:1a", "non-digit"},
+      {"1:01", "leading zero"},
+      {"1:-0", "negative zero"},
+  };
+  for (const auto& [payload, defect] : rejected) {
+    std::vector<int64_t> decoded;
+    EXPECT_FALSE(store_keys::DecodeInts(payload, &decoded))
+        << defect << ": \"" << payload << "\"";
+  }
 }
 
 }  // namespace

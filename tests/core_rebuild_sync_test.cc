@@ -5,18 +5,24 @@
 
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <memory>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "autograd/engine.h"
 #include "autograd/ops.h"
 #include "comm/fault_plan.h"
+#include "comm/process_group_sim.h"
 #include "comm/sim_world.h"
+#include "comm/store.h"
+#include "common/barrier.h"
 #include "common/rng.h"
 #include "core/distributed_data_parallel.h"
 #include "core/reducer.h"
 #include "nn/zoo.h"
+#include "tests/run_within.h"
 
 namespace ddpkit::core {
 namespace {
@@ -211,6 +217,63 @@ TEST(RebuildSyncTest, MalformedLayoutSignatureIsTypedNotFatal) {
       << statuses[0].message();
   EXPECT_NE(statuses[0].message().find("rank 1"), std::string::npos)
       << statuses[0].message();
+}
+
+/// A Store whose prefix deletes fail, as if the store server dropped each
+/// one, until Heal().
+class DeleteFailingStore : public comm::Store {
+ public:
+  void Heal() { failing_ = false; }
+
+ protected:
+  Result<int64_t> DoDeletePrefix(const std::string& prefix) override {
+    if (failing_) return Status::Internal("store server dropped the delete");
+    return Store::DoDeletePrefix(prefix);
+  }
+
+ private:
+  std::atomic<bool> failing_{true};
+};
+
+TEST(RebuildSyncTest, FailedSweepKeepsSyncAndRetriesNextRound) {
+  // Garbage collection is bounded and never disables sync: while deletes
+  // fail, the layout and rebuild sweeps leave their cursors in place, and
+  // the first round after the store heals deletes every stale epoch.
+  DeleteFailingStore store;
+  Barrier barrier(2);
+  size_t keys_after_construction = 0;
+  testing_util::RunWithin(30.0, [&] {
+    std::vector<std::thread> ranks;
+    for (int rank = 0; rank < 2; ++rank) {
+      ranks.emplace_back([&, rank] {
+        sim::VirtualClock clock;
+        auto pg = comm::ProcessGroupSim::Create(
+            &store, "rebuild_sweep_fails", rank, 2,
+            comm::ProcessGroupSim::Options(), &clock);
+        Rng rng(25);
+        auto model =
+            std::make_shared<nn::Mlp>(std::vector<int64_t>{4, 4}, &rng);
+        DistributedDataParallel ddp(model, pg);
+        const auto round = [&] {
+          autograd::Backward(
+              ops::MeanAll(ddp.Forward(Tensor::Full({2, 4}, 0.5))));
+          ddp.reducer().RebuildBucketsFromTrace();
+          EXPECT_TRUE(ddp.sync_status().ok())
+              << "rank " << rank << ": " << ddp.sync_status().ToString();
+        };
+        // Instance counters and layout epoch 0: what one live epoch keeps.
+        if (barrier.ArriveAndWait()) keys_after_construction = store.NumKeys();
+        barrier.ArriveAndWait();
+        for (int i = 0; i < 3; ++i) round();
+        if (barrier.ArriveAndWait()) store.Heal();
+        barrier.ArriveAndWait();
+        round();
+      });
+    }
+    for (std::thread& t : ranks) t.join();
+  });
+  EXPECT_GT(keys_after_construction, 0u);
+  EXPECT_EQ(store.NumKeys(), keys_after_construction);
 }
 
 TEST(RebuildSyncTest, AbortDrainsInFlightWorkAndClearsUsage) {
