@@ -17,18 +17,6 @@
 namespace ddpkit {
 namespace {
 
-void BM_MatMul(benchmark::State& state) {
-  const int64_t n = state.range(0);
-  Rng rng(1);
-  Tensor a = Tensor::Randn({n, n}, &rng);
-  Tensor b = Tensor::Randn({n, n}, &rng);
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(kernels::MatMul(a, b));
-  }
-  state.SetItemsProcessed(state.iterations() * n * n * n);
-}
-BENCHMARK(BM_MatMul)->Arg(32)->Arg(64)->Arg(128);
-
 void BM_Conv2d(benchmark::State& state) {
   const int64_t c = state.range(0);
   Rng rng(2);
@@ -325,6 +313,57 @@ BENCHMARK(BM_MatMulTransB)
     ->DDPKIT_SIMD_LEVEL_ARGS(8, 1024, 1024)
     ->DDPKIT_SIMD_LEVEL_ARGS(128, 64, 256)
     ->DDPKIT_SIMD_LEVEL_ARGS(128, 256, 64);
+
+// The backward products at the mlp_w2 (batch 8) and transformer_w2 (128
+// tokens) shapes: MatMul is Linear's grad_input and attention's dQ, and
+// MatMulTransA is Linear's grad_weight and attention's dK/dV, out [m, n]
+// over k terms. Each cell runs with a dense A and with a ReLU-sparse one
+// (about half zeros, as mlp_w2's gradients are): a quarter or more zeros
+// keeps the skip-zero row loop, fewer take the register tile.
+void BM_MatMul(benchmark::State& state) {
+  SimdLevelSweep sweep(state, static_cast<int>(state.range(0)));
+  const int64_t m = state.range(1), k = state.range(2), n = state.range(3);
+  Rng rng(13);
+  Tensor a = Tensor::Randn({m, k}, &rng);
+  if (state.range(4) != 0) a = kernels::Relu(a);
+  Tensor b = Tensor::Randn({k, n}, &rng);
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(kernels::MatMul(a, b));
+  }
+  state.SetItemsProcessed(state.iterations() * m * k * n);
+}
+
+void BM_MatMulTransA(benchmark::State& state) {
+  SimdLevelSweep sweep(state, static_cast<int>(state.range(0)));
+  const int64_t m = state.range(1), k = state.range(2), n = state.range(3);
+  Rng rng(14);
+  Tensor a = Tensor::Randn({k, m}, &rng);
+  if (state.range(4) != 0) a = kernels::Relu(a);
+  Tensor b = Tensor::Randn({k, n}, &rng);
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(kernels::MatMulTransA(a, b));
+  }
+  state.SetItemsProcessed(state.iterations() * m * k * n);
+}
+
+// Both products over the same {m, k, n} cells, each dense and ReLU-sparse.
+void BackwardShapes(benchmark::internal::Benchmark* b,
+                    const std::vector<std::vector<int64_t>>& shapes) {
+  b->ArgNames({"level", "m", "k", "n", "relu"});
+  for (const auto& s : shapes) {
+    for (const long relu : {0, 1}) {
+      b->DDPKIT_SIMD_LEVEL_ARGS(s[0], s[1], s[2], relu);
+    }
+  }
+}
+BENCHMARK(BM_MatMul)->Apply([](benchmark::internal::Benchmark* b) {
+  BackwardShapes(b, {{8, 1024, 784}, {8, 1024, 1024}, {128, 64, 64},
+                     {128, 256, 64}, {128, 64, 256}});
+});
+BENCHMARK(BM_MatMulTransA)->Apply([](benchmark::internal::Benchmark* b) {
+  BackwardShapes(b, {{1024, 8, 784}, {1024, 8, 1024}, {64, 128, 64},
+                     {256, 128, 64}, {64, 128, 256}});
+});
 
 void BM_Fp16Conversion(benchmark::State& state) {
   const int64_t n = state.range(0);

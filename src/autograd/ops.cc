@@ -39,6 +39,10 @@ class LambdaNode : public Node {
   Fn fn_;
 };
 
+/// PyTorch's needs_input_grad: whether `t` gets a valid edge in Record, so
+/// a node can skip computing a gradient the engine would drop.
+bool NeedsGrad(const Tensor& t) { return t.defined() && t.requires_grad(); }
+
 bool AnyRequiresGrad(std::initializer_list<const Tensor*> inputs) {
   if (!GradModeEnabled()) return false;
   for (const Tensor* t : inputs) {
@@ -246,14 +250,16 @@ Tensor Linear(const Tensor& input, const Tensor& weight, const Tensor& bias) {
   if (bias.defined()) out = kernels::AddRowBroadcast(out, bias);
   if (AnyRequiresGrad({&input, &weight, &bias})) {
     Tensor sin = input, sw = weight;
-    const bool has_bias = bias.defined();
+    const bool need_input = NeedsGrad(input), need_weight = NeedsGrad(weight),
+               need_bias = NeedsGrad(bias);
     Record(&out, "LinearBackward", {&input, &weight, &bias},
-           [sin, sw, has_bias](std::vector<Tensor> grads) {
+           [sin, sw, need_input, need_weight,
+            need_bias](std::vector<Tensor> grads) {
              Tensor g = FirstGrad(grads);
-             Tensor grad_input = kernels::MatMul(g, sw);
-             Tensor grad_weight = kernels::MatMulTransA(g, sin);
-             Tensor grad_bias = has_bias ? kernels::SumRows(g) : Tensor();
-             return std::vector<Tensor>{grad_input, grad_weight, grad_bias};
+             return std::vector<Tensor>{
+                 need_input ? kernels::MatMul(g, sw) : Tensor(),
+                 need_weight ? kernels::MatMulTransA(g, sin) : Tensor(),
+                 need_bias ? kernels::SumRows(g) : Tensor()};
            });
   }
   return out;
@@ -263,11 +269,13 @@ Tensor MatMul(const Tensor& a, const Tensor& b) {
   Tensor out = kernels::MatMul(a, b);
   if (AnyRequiresGrad({&a, &b})) {
     Tensor sa = a, sb = b;
+    const bool need_a = NeedsGrad(a), need_b = NeedsGrad(b);
     Record(&out, "MatMulBackward", {&a, &b},
-           [sa, sb](std::vector<Tensor> grads) {
+           [sa, sb, need_a, need_b](std::vector<Tensor> grads) {
              Tensor g = FirstGrad(grads);
-             return std::vector<Tensor>{kernels::MatMulTransB(g, sb),
-                                        kernels::MatMulTransA(sa, g)};
+             return std::vector<Tensor>{
+                 need_a ? kernels::MatMulTransB(g, sb) : Tensor(),
+                 need_b ? kernels::MatMulTransA(sa, g) : Tensor()};
            });
   }
   return out;
@@ -447,19 +455,22 @@ Tensor Conv2d(const Tensor& input, const Tensor& weight, const Tensor& bias,
   if (bias.defined()) AddChannelBiasInPlace(&out, bias);
   if (AnyRequiresGrad({&input, &weight, &bias})) {
     Tensor sin = input, sw = weight;
-    const bool has_bias = bias.defined();
+    const bool need_input = NeedsGrad(input), need_weight = NeedsGrad(weight),
+               need_bias = NeedsGrad(bias);
     std::vector<int64_t> in_shape = input.shape();
     std::vector<int64_t> w_shape = weight.shape();
     Record(&out, "Conv2dBackward", {&input, &weight, &bias},
-           [sin, sw, has_bias, in_shape, w_shape,
+           [sin, sw, need_input, need_weight, need_bias, in_shape, w_shape,
             args](std::vector<Tensor> grads) {
              Tensor g = FirstGrad(grads);
-             Tensor grad_input =
-                 kernels::Conv2dBackwardInput(g, sw, in_shape, args);
-             Tensor grad_weight =
-                 kernels::Conv2dBackwardWeight(g, sin, w_shape, args);
-             Tensor grad_bias = has_bias ? ChannelBiasGrad(g) : Tensor();
-             return std::vector<Tensor>{grad_input, grad_weight, grad_bias};
+             return std::vector<Tensor>{
+                 need_input
+                     ? kernels::Conv2dBackwardInput(g, sw, in_shape, args)
+                     : Tensor(),
+                 need_weight
+                     ? kernels::Conv2dBackwardWeight(g, sin, w_shape, args)
+                     : Tensor(),
+                 need_bias ? ChannelBiasGrad(g) : Tensor()};
            });
   }
   return out;

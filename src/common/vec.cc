@@ -115,29 +115,35 @@ void AccumMaxF64ScalarImpl(double* dst, const double* src, int64_t n) {
     return decltype(x)::Max(x, y);
   });
 }
+int64_t CountZerosScalarImpl(const float* a, int64_t n) {
+  int64_t zeros = 0;
+  for (int64_t i = 0; i < n; ++i) zeros += a[i] == 0.0f ? 1 : 0;
+  return zeros;
+}
 void PackPanelScalarImpl(const float* b, int64_t ldb, int cols, int64_t k,
                          float* panel) {
   for (int64_t p = 0; p < k; ++p) {
-    for (int c = 0; c < kTileCols; ++c) {
-      panel[p * kTileCols + c] = c < cols ? b[c * ldb + p] : 0.0f;
-    }
+    for (int c = 0; c < cols; ++c) panel[p * kTileCols + c] = b[c * ldb + p];
   }
 }
-void MatMulTransBTileScalarImpl(const float* a, int64_t lda, int rows,
-                                const float* panel, int64_t k, float* out,
-                                int64_t ldo, int cols) {
+void MatMulTileScalarImpl(const float* a, int64_t a_row, int64_t a_p,
+                          int rows, const float* b, int64_t ldb, int64_t k,
+                          float* out, int64_t ldo, int cols, bool skip_zero) {
   using V = Vec<float, kTileCols>;
+  const size_t row_bytes = static_cast<size_t>(cols) * sizeof(float);
   V acc[kTileRows];
   for (V& v : acc) v = V::Broadcast(0.0f);
   for (int64_t p = 0; p < k; ++p) {
-    const V bp = V::Load(panel + p * kTileCols);
+    V bp = V::Broadcast(0.0f);
+    std::memcpy(bp.lane, b + p * ldb, row_bytes);
     for (int r = 0; r < rows; ++r) {
-      acc[r] = acc[r] + V::Broadcast(a[r * lda + p]) * bp;
+      const float av = a[r * a_row + p * a_p];
+      if (skip_zero && av == 0.0f) continue;
+      acc[r] = acc[r] + V::Broadcast(av) * bp;
     }
   }
   for (int r = 0; r < rows; ++r) {
-    std::memcpy(out + r * ldo, acc[r].lane,
-                static_cast<size_t>(cols) * sizeof(float));
+    std::memcpy(out + r * ldo, acc[r].lane, row_bytes);
   }
 }
 
@@ -295,6 +301,16 @@ DDPKIT_TARGET_AVX2 void AccumMaxF64Avx2(double* dst, const double* src,
   }
   for (; i < n; ++i) dst[i] = dst[i] > src[i] ? dst[i] : src[i];
 }
+DDPKIT_TARGET_AVX2 int64_t CountZerosAvx2(const float* a, int64_t n) {
+  const __m256 zero = _mm256_setzero_ps();
+  int64_t zeros = 0;
+  int64_t i = 0;
+  for (; i + 8 <= n; i += 8) {
+    const __m256 eq = _mm256_cmp_ps(_mm256_loadu_ps(a + i), zero, _CMP_EQ_OQ);
+    zeros += __builtin_popcount(static_cast<unsigned>(_mm256_movemask_ps(eq)));
+  }
+  return zeros + CountZerosScalarImpl(a + i, n - i);
+}
 // dst[i * kTileCols + c] = src[c * ld + i] for c, i < 8: one 8×8 block of
 // B rows into eight columns of eight panel rows, in registers.
 DDPKIT_TARGET_AVX2 void Transpose8x8Avx2(const float* src, int64_t ld,
@@ -346,40 +362,51 @@ DDPKIT_TARGET_AVX2 void PackPanelAvx2(const float* b, int64_t ldb, int cols,
   }
   PackPanelScalarImpl(b + p0, ldb, cols, k - p0, panel + p0 * kTileCols);
 }
+// One term of a tile row: cl:ch += av · bl:bh, mul then add. With
+// kSkipZero the product of a zero av is masked to +0, which leaves the
+// accumulator unchanged (see the contract in vec.h).
+template <bool kSkipZero>
+DDPKIT_TARGET_AVX2 inline void AddTermAvx2(float av, __m256 bl, __m256 bh,
+                                           __m256* cl, __m256* ch) {
+  const __m256 x = _mm256_set1_ps(av);
+  __m256 pl = _mm256_mul_ps(x, bl);
+  __m256 ph = _mm256_mul_ps(x, bh);
+  if constexpr (kSkipZero) {
+    const __m256 keep = _mm256_cmp_ps(x, _mm256_setzero_ps(), _CMP_NEQ_UQ);
+    pl = _mm256_and_ps(pl, keep);
+    ph = _mm256_and_ps(ph, keep);
+  }
+  *cl = _mm256_add_ps(*cl, pl);
+  *ch = _mm256_add_ps(*ch, ph);
+}
 // Eight accumulators (4 rows × 2 halves). Rows past `rows` re-read row 0
 // and are never stored, so the loop body has no row branches.
-DDPKIT_TARGET_AVX2 void MatMulTransBTileAvx2(const float* a, int64_t lda,
-                                             int rows, const float* panel,
-                                             int64_t k, float* out,
-                                             int64_t ldo, int cols) {
+template <bool kSkipZero>
+DDPKIT_TARGET_AVX2 void MatMulTileAvx2(const float* a, int64_t a_row,
+                                       int64_t a_p, int rows, const float* b,
+                                       int64_t ldb, int64_t k, float* out,
+                                       int64_t ldo, int cols) {
   const float* a0 = a;
-  const float* a1 = rows > 1 ? a + lda : a;
-  const float* a2 = rows > 2 ? a + 2 * lda : a;
-  const float* a3 = rows > 3 ? a + 3 * lda : a;
+  const float* a1 = rows > 1 ? a + a_row : a;
+  const float* a2 = rows > 2 ? a + 2 * a_row : a;
+  const float* a3 = rows > 3 ? a + 3 * a_row : a;
+  // Lane c of a half is loaded and stored iff c < cols - half offset.
+  const __m256i lane = _mm256_setr_epi32(0, 1, 2, 3, 4, 5, 6, 7);
+  const __m256i ml = _mm256_cmpgt_epi32(_mm256_set1_epi32(cols), lane);
+  const __m256i mh = _mm256_cmpgt_epi32(_mm256_set1_epi32(cols - 8), lane);
   __m256 c0l = _mm256_setzero_ps(), c0h = _mm256_setzero_ps();
   __m256 c1l = _mm256_setzero_ps(), c1h = _mm256_setzero_ps();
   __m256 c2l = _mm256_setzero_ps(), c2h = _mm256_setzero_ps();
   __m256 c3l = _mm256_setzero_ps(), c3h = _mm256_setzero_ps();
   for (int64_t p = 0; p < k; ++p) {
-    const __m256 bl = _mm256_loadu_ps(panel + p * kTileCols);
-    const __m256 bh = _mm256_loadu_ps(panel + p * kTileCols + 8);
-    __m256 x = _mm256_set1_ps(a0[p]);
-    c0l = _mm256_add_ps(c0l, _mm256_mul_ps(x, bl));
-    c0h = _mm256_add_ps(c0h, _mm256_mul_ps(x, bh));
-    x = _mm256_set1_ps(a1[p]);
-    c1l = _mm256_add_ps(c1l, _mm256_mul_ps(x, bl));
-    c1h = _mm256_add_ps(c1h, _mm256_mul_ps(x, bh));
-    x = _mm256_set1_ps(a2[p]);
-    c2l = _mm256_add_ps(c2l, _mm256_mul_ps(x, bl));
-    c2h = _mm256_add_ps(c2h, _mm256_mul_ps(x, bh));
-    x = _mm256_set1_ps(a3[p]);
-    c3l = _mm256_add_ps(c3l, _mm256_mul_ps(x, bl));
-    c3h = _mm256_add_ps(c3h, _mm256_mul_ps(x, bh));
+    const __m256 bl = _mm256_maskload_ps(b + p * ldb, ml);
+    const __m256 bh = _mm256_maskload_ps(b + p * ldb + 8, mh);
+    const int64_t ap = p * a_p;
+    AddTermAvx2<kSkipZero>(a0[ap], bl, bh, &c0l, &c0h);
+    AddTermAvx2<kSkipZero>(a1[ap], bl, bh, &c1l, &c1h);
+    AddTermAvx2<kSkipZero>(a2[ap], bl, bh, &c2l, &c2h);
+    AddTermAvx2<kSkipZero>(a3[ap], bl, bh, &c3l, &c3h);
   }
-  // Lane c of a half is stored iff c < cols - half offset.
-  const __m256i lane = _mm256_setr_epi32(0, 1, 2, 3, 4, 5, 6, 7);
-  const __m256i ml = _mm256_cmpgt_epi32(_mm256_set1_epi32(cols), lane);
-  const __m256i mh = _mm256_cmpgt_epi32(_mm256_set1_epi32(cols - 8), lane);
   _mm256_maskstore_ps(out, ml, c0l);
   _mm256_maskstore_ps(out + 8, mh, c0h);
   if (rows > 1) {
@@ -399,7 +426,7 @@ DDPKIT_TARGET_AVX2 void MatMulTransBTileAvx2(const float* a, int64_t lda,
 // ---------------------------------------------------------------------------
 // AVX-512 kernels: 16 float / 8 double lanes per register. Only the
 // bandwidth-bound accumulate/copy/axpy family and the compute-bound
-// A·Bᵀ tile get dedicated 512-bit bodies; the rest reuse the AVX2 bodies
+// matmul tile get dedicated 512-bit bodies; the rest reuse the AVX2 bodies
 // at this level (same bit-exact results, and 256-bit ops avoid
 // license-based downclocking on older parts for the short kernels).
 // ---------------------------------------------------------------------------
@@ -471,26 +498,53 @@ DDPKIT_TARGET_AVX512 void AccumMaxF64Avx512(double* dst, const double* src,
   }
   for (; i < n; ++i) dst[i] = dst[i] > src[i] ? dst[i] : src[i];
 }
+DDPKIT_TARGET_AVX512 int64_t CountZerosAvx512(const float* a, int64_t n) {
+  const __m512 zero = _mm512_setzero_ps();
+  int64_t zeros = 0;
+  int64_t i = 0;
+  for (; i + 16 <= n; i += 16) {
+    zeros += __builtin_popcount(
+        _mm512_cmp_ps_mask(_mm512_loadu_ps(a + i), zero, _CMP_EQ_OQ));
+  }
+  return zeros + CountZerosScalarImpl(a + i, n - i);
+}
+// acc += av · bp, mul then add. With kSkipZero the lanes of a zero av
+// keep acc as it was: the term is skipped, not added.
+template <bool kSkipZero>
+DDPKIT_TARGET_AVX512 inline __m512 AddTermAvx512(__m512 acc, float av,
+                                                 __m512 bp) {
+  const __m512 x = _mm512_set1_ps(av);
+  if constexpr (kSkipZero) {
+    const __mmask16 keep =
+        _mm512_cmp_ps_mask(x, _mm512_setzero_ps(), _CMP_NEQ_UQ);
+    return _mm512_mask_add_ps(acc, keep, acc, _mm512_mul_ps(x, bp));
+  }
+  return _mm512_add_ps(acc, _mm512_mul_ps(x, bp));
+}
 // One register per tile row. Four independent add chains cover the add
 // latency, so the loop runs at the two vector ports' mul+add throughput.
-DDPKIT_TARGET_AVX512 void MatMulTransBTileAvx512(const float* a, int64_t lda,
-                                                 int rows, const float* panel,
-                                                 int64_t k, float* out,
-                                                 int64_t ldo, int cols) {
+template <bool kSkipZero>
+DDPKIT_TARGET_AVX512 void MatMulTileAvx512(const float* a, int64_t a_row,
+                                           int64_t a_p, int rows,
+                                           const float* b, int64_t ldb,
+                                           int64_t k, float* out, int64_t ldo,
+                                           int cols) {
   const float* a0 = a;
-  const float* a1 = rows > 1 ? a + lda : a;
-  const float* a2 = rows > 2 ? a + 2 * lda : a;
-  const float* a3 = rows > 3 ? a + 3 * lda : a;
+  const float* a1 = rows > 1 ? a + a_row : a;
+  const float* a2 = rows > 2 ? a + 2 * a_row : a;
+  const float* a3 = rows > 3 ? a + 3 * a_row : a;
+  // Lanes past `cols` are neither loaded nor stored.
+  const __mmask16 mask = static_cast<__mmask16>((1u << cols) - 1u);
   __m512 c0 = _mm512_setzero_ps(), c1 = _mm512_setzero_ps();
   __m512 c2 = _mm512_setzero_ps(), c3 = _mm512_setzero_ps();
   for (int64_t p = 0; p < k; ++p) {
-    const __m512 bp = _mm512_loadu_ps(panel + p * kTileCols);
-    c0 = _mm512_add_ps(c0, _mm512_mul_ps(_mm512_set1_ps(a0[p]), bp));
-    c1 = _mm512_add_ps(c1, _mm512_mul_ps(_mm512_set1_ps(a1[p]), bp));
-    c2 = _mm512_add_ps(c2, _mm512_mul_ps(_mm512_set1_ps(a2[p]), bp));
-    c3 = _mm512_add_ps(c3, _mm512_mul_ps(_mm512_set1_ps(a3[p]), bp));
+    const __m512 bp = _mm512_maskz_loadu_ps(mask, b + p * ldb);
+    const int64_t ap = p * a_p;
+    c0 = AddTermAvx512<kSkipZero>(c0, a0[ap], bp);
+    c1 = AddTermAvx512<kSkipZero>(c1, a1[ap], bp);
+    c2 = AddTermAvx512<kSkipZero>(c2, a2[ap], bp);
+    c3 = AddTermAvx512<kSkipZero>(c3, a3[ap], bp);
   }
-  const __mmask16 mask = static_cast<__mmask16>((1u << cols) - 1u);
   _mm512_mask_storeu_ps(out, mask, c0);
   if (rows > 1) _mm512_mask_storeu_ps(out + ldo, mask, c1);
   if (rows > 2) _mm512_mask_storeu_ps(out + 2 * ldo, mask, c2);
@@ -574,14 +628,14 @@ Level SetLevelForTesting(Level level) {
     switch (ActiveLevel()) {                                     \
       case Level::kAvx512:                                       \
         avx512_call;                                             \
-        return;                                                  \
+        break;                                                   \
       case Level::kAvx2:                                         \
         avx2_call;                                               \
-        return;                                                  \
+        break;                                                   \
       case Level::kScalar:                                       \
+        scalar_call;                                             \
         break;                                                   \
     }                                                            \
-    scalar_call;                                                 \
   } while (0)
 #else
 #define DDPKIT_VEC_DISPATCH(avx512_call, avx2_call, scalar_call) \
@@ -659,6 +713,13 @@ void AccumulateMax(double* dst, const double* src, int64_t n) {
                       AccumMaxF64Avx2(dst, src, n),
                       AccumMaxF64ScalarImpl(dst, src, n));
 }
+int64_t CountZeros(const float* a, int64_t n) {
+  int64_t zeros = 0;
+  DDPKIT_VEC_DISPATCH(zeros = CountZerosAvx512(a, n),
+                      zeros = CountZerosAvx2(a, n),
+                      zeros = CountZerosScalarImpl(a, n));
+  return zeros;
+}
 
 void PackPanel(const float* b, int64_t ldb, int cols, int64_t k,
                float* panel) {
@@ -668,13 +729,16 @@ void PackPanel(const float* b, int64_t ldb, int cols, int64_t k,
                       PackPanelAvx2(b, ldb, cols, k, panel),
                       PackPanelScalarImpl(b, ldb, cols, k, panel));
 }
-void MatMulTransBTile(const float* a, int64_t lda, int rows,
-                      const float* panel, int64_t k, float* out, int64_t ldo,
-                      int cols) {
+void MatMulTile(const float* a, int64_t a_row, int64_t a_p, int rows,
+                const float* b, int64_t ldb, int64_t k, float* out,
+                int64_t ldo, int cols, bool skip_zero) {
   DDPKIT_VEC_DISPATCH(
-      MatMulTransBTileAvx512(a, lda, rows, panel, k, out, ldo, cols),
-      MatMulTransBTileAvx2(a, lda, rows, panel, k, out, ldo, cols),
-      MatMulTransBTileScalarImpl(a, lda, rows, panel, k, out, ldo, cols));
+      (skip_zero ? MatMulTileAvx512<true> : MatMulTileAvx512<false>)(
+          a, a_row, a_p, rows, b, ldb, k, out, ldo, cols),
+      (skip_zero ? MatMulTileAvx2<true> : MatMulTileAvx2<false>)(
+          a, a_row, a_p, rows, b, ldb, k, out, ldo, cols),
+      MatMulTileScalarImpl(a, a_row, a_p, rows, b, ldb, k, out, ldo, cols,
+                           skip_zero));
 }
 
 #undef DDPKIT_VEC_DISPATCH

@@ -25,11 +25,14 @@ namespace ddpkit::vec {
 /// deterministic run: results are identical across machines with different
 /// ISA extensions, across DDPKIT_SIMD overrides, and across pool sizes.
 /// A reduction is offered only when each lane owns one output and runs
-/// that output's serial order unchanged (MatMulTransBTile: lane c sums
-/// its p terms in ascending p, exactly like the scalar loop). Reductions
-/// that reassociate — splitting one sum across lanes, then folding the
-/// lanes — are deliberately NOT offered; use ParallelReduce's chunked
-/// combine for those.
+/// that output's serial order unchanged: MatMulTile, the one matmul tile,
+/// where lane c of row r sums its p terms in ascending p, exactly like the
+/// scalar loop. Its zero skip is exact too. A skipped term adds nothing,
+/// and where a level masks the product to +0 instead, adding +0 is a no-op
+/// because an accumulator that starts at +0.0f is never −0 (x + y is −0
+/// only when both are −0). Reductions that reassociate — splitting one sum
+/// across lanes, then folding the lanes — are deliberately NOT offered;
+/// use ParallelReduce's chunked combine for those.
 
 // ---------------------------------------------------------------------------
 // Dispatch levels.
@@ -146,10 +149,14 @@ void AccumulateMax(float* dst, const float* src, int64_t n);
 void AccumulateAdd(double* dst, const double* src, int64_t n);
 void AccumulateMax(double* dst, const double* src, int64_t n);
 
+/// The number of a[i] equal to zero (+0 or −0): an exact count at every
+/// level.
+int64_t CountZeros(const float* a, int64_t n);
+
 // ---------------------------------------------------------------------------
-// The A·Bᵀ tile (the Linear forward). B is packed once into column panels
-// of kTileCols lanes, then every kTileRows-row tile of A runs against the
-// packed panel.
+// The matmul tile. Every product kernel runs kTileRows × kTileCols output
+// tiles through MatMulTile: MatMulTransB against a packed panel of B,
+// MatMul and MatMulTransA against B's rows in place.
 // ---------------------------------------------------------------------------
 
 inline constexpr int kTileRows = 4;
@@ -157,18 +164,24 @@ inline constexpr int kTileCols = 16;
 
 /// Packs `cols` (1..kTileCols) rows of a row-major B, each `k` floats long
 /// and `ldb` floats apart, into a k × kTileCols panel:
-/// panel[p * kTileCols + c] = b[c * ldb + p], and +0.0f for c >= cols.
-/// Pure data movement.
+/// panel[p * kTileCols + c] = b[c * ldb + p] for c < cols; lanes past
+/// `cols` are not written (MatMulTile reads only `cols` lanes). Pure data
+/// movement.
 void PackPanel(const float* b, int64_t ldb, int cols, int64_t k, float* panel);
 
-/// out[r * ldo + c] = Σ_p a[r * lda + p] * panel[p * kTileCols + c] for
-/// r < rows (1..kTileRows) and c < cols (1..kTileCols); nothing else in
-/// `out` is written. Each lane is one output element: it starts at +0.0f
-/// and adds the rounded product for p = 0, 1, …, k-1 in that order, never
-/// fused — the roundings of `acc += a[p] * b[p]`, at every level.
-void MatMulTransBTile(const float* a, int64_t lda, int rows,
-                      const float* panel, int64_t k, float* out, int64_t ldo,
-                      int cols);
+/// out[r * ldo + c] = Σ_p A(r, p) · b[p * ldb + c] for r < rows
+/// (1..kTileRows) and c < cols (1..kTileCols), where
+/// A(r, p) = a[r * a_row + p * a_p]. Only the first `cols` floats of each
+/// B row are read, and nothing else in `out` is written. Each lane is one
+/// output element: it starts at +0.0f and adds the rounded product for
+/// p = 0, 1, …, k-1 in that order, never fused — the roundings of
+/// `acc += a[p] * b[p]`, at every level. With `skip_zero`, a term whose
+/// A(r, p) is ±0 is left out of row r, like the row loop's
+/// `if (a == 0) continue;` (it differs from adding the term only where
+/// B holds an infinity or NaN).
+void MatMulTile(const float* a, int64_t a_row, int64_t a_p, int rows,
+                const float* b, int64_t ldb, int64_t k, float* out,
+                int64_t ldo, int cols, bool skip_zero);
 
 }  // namespace ddpkit::vec
 

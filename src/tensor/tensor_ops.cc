@@ -220,6 +220,66 @@ Tensor Tanh(const Tensor& a) {
 
 // ---- Linear algebra -------------------------------------------------------------
 
+namespace {
+
+// Rows [rb, re) of out[m, n] = A · B for a row-major B[k, n], where
+// A(i, p) = a[i * a_row + p * a_p]: each row starts at +0.0f and takes one
+// vec::Axpy of B's row p per nonzero A(i, p), in ascending p. The strides
+// arrive by value, so they stay in registers across the Axpy calls and
+// the unpredictable zero test resolves early.
+void RowLoopMatMul(const float* a, int64_t a_row, int64_t a_p, const float* b,
+                   int64_t k, int64_t n, float* out, int64_t rb, int64_t re) {
+  for (int64_t i = rb; i < re; ++i) {
+    float* orow = out + i * n;
+    std::fill(orow, orow + n, 0.0f);
+    const float* arow = a + i * a_row;
+    for (int64_t p = 0; p < k; ++p) {
+      const float av = arow[p * a_p];
+      if (av == 0.0f) continue;
+      vec::Axpy(av, b + p * n, orow, n);
+    }
+  }
+}
+
+// out[m, n] = A · B as above, where A spans m·k contiguous floats
+// (MatMul's A, or MatMulTransA's A read transposed). Both paths give every
+// output the row loop's bits: +0.0f, then av · B[p, j] added for every
+// nonzero av = A(i, p) in ascending p, mul then add. A's zero count only
+// picks the faster one:
+// - a quarter or more zeros (ReLU gradients): the row loop, which skips a
+//   whole row of B per zero and streams B's rows in order;
+// - fewer: the register tile over 16-column strips of B read in place,
+//   with the zero skip as a lane mask only if A holds any zero at all.
+// Each output has one writer (a row, or a tile lane), so results do not
+// depend on the pool size either.
+void StridedMatMul(const float* a, int64_t a_row, int64_t a_p,
+                   const float* b, int64_t m, int64_t k, int64_t n,
+                   float* out) {
+  const int64_t zeros = vec::CountZeros(a, m * k);
+  if (4 * zeros >= m * k) {
+    ParallelFor(0, m, GrainFromCost(k * n), [&](int64_t rb, int64_t re) {
+      RowLoopMatMul(a, a_row, a_p, b, k, n, out, rb, re);
+    });
+    return;
+  }
+  constexpr int64_t kCols = vec::kTileCols, kRows = vec::kTileRows;
+  const int64_t strips = (n + kCols - 1) / kCols;
+  const int64_t grain = GrainFromCost(m * k * kCols);
+  ParallelFor(0, strips, grain, [&](int64_t sb, int64_t se) {
+    for (int64_t s = sb; s < se; ++s) {
+      const int64_t j0 = s * kCols;
+      const int cols = static_cast<int>(std::min(kCols, n - j0));
+      for (int64_t i = 0; i < m; i += kRows) {
+        vec::MatMulTile(a + i * a_row, a_row, a_p,
+                        static_cast<int>(std::min(kRows, m - i)), b + j0, n,
+                        k, out + i * n + j0, n, cols, /*skip_zero=*/zeros > 0);
+      }
+    }
+  });
+}
+
+}  // namespace
+
 Tensor MatMul(const Tensor& a, const Tensor& b) {
   CheckFloatContiguous(a, "a");
   CheckFloatContiguous(b, "b");
@@ -227,26 +287,9 @@ Tensor MatMul(const Tensor& a, const Tensor& b) {
   DDPKIT_CHECK_EQ(b.dim(), 2);
   const int64_t m = a.size(0), k = a.size(1), n = b.size(1);
   DDPKIT_CHECK_EQ(k, b.size(0));
-  // Empty + per-row zeroing inside the kernel: one pass over the output
-  // instead of a full memset followed by the accumulation pass.
   Tensor out = Tensor::Empty({m, n}, DType::kFloat32, a.device_id());
-  const float* pa = a.data<float>();
-  const float* pb = b.data<float>();
-  float* po = out.data<float>();
-  ParallelFor(0, m, GrainFromCost(k * n), [&](int64_t rb, int64_t re) {
-    for (int64_t i = rb; i < re; ++i) {
-      float* orow = po + i * n;
-      std::fill(orow, orow + n, 0.0f);
-      const float* arow = pa + i * k;
-      for (int64_t p = 0; p < k; ++p) {
-        const float av = arow[p];
-        if (av == 0.0f) continue;
-        // vec::Axpy is explicit mul-then-add at every dispatch level, the
-        // same rounding as the scalar `orow[j] += av * brow[j]` it replaces.
-        vec::Axpy(av, pb + p * n, orow, n);
-      }
-    }
-  });
+  StridedMatMul(a.data<float>(), k, 1, b.data<float>(), m, k, n,
+                out.data<float>());
   return out;
 }
 
@@ -258,24 +301,8 @@ Tensor MatMulTransA(const Tensor& a, const Tensor& b) {
   const int64_t k = a.size(0), m = a.size(1), n = b.size(1);
   DDPKIT_CHECK_EQ(k, b.size(0));
   Tensor out = Tensor::Empty({m, n}, DType::kFloat32, a.device_id());
-  const float* pa = a.data<float>();
-  const float* pb = b.data<float>();
-  float* po = out.data<float>();
-  // i-outer so each output row has exactly one writer; the seed's k-outer
-  // loop would race when rows are split across threads. Per-element
-  // accumulation order (ascending p) is unchanged, so results stay
-  // bit-exact with the serial version.
-  ParallelFor(0, m, GrainFromCost(k * n), [&](int64_t rb, int64_t re) {
-    for (int64_t i = rb; i < re; ++i) {
-      float* orow = po + i * n;
-      std::fill(orow, orow + n, 0.0f);
-      for (int64_t p = 0; p < k; ++p) {
-        const float av = pa[p * m + i];
-        if (av == 0.0f) continue;
-        vec::Axpy(av, pb + p * n, orow, n);
-      }
-    }
-  });
+  StridedMatMul(a.data<float>(), 1, m, b.data<float>(), m, k, n,
+                out.data<float>());
   return out;
 }
 
@@ -308,9 +335,10 @@ Tensor MatMulTransB(const Tensor& a, const Tensor& b) {
       const int cols = static_cast<int>(std::min(kCols, n - j0));
       vec::PackPanel(pb + j0 * k, k, cols, k, panel.data());
       for (int64_t i = 0; i < m; i += kRows) {
-        vec::MatMulTransBTile(pa + i * k, k,
-                              static_cast<int>(std::min(kRows, m - i)),
-                              panel.data(), k, po + i * n + j0, n, cols);
+        vec::MatMulTile(pa + i * k, k, 1,
+                        static_cast<int>(std::min(kRows, m - i)),
+                        panel.data(), kCols, k, po + i * n + j0, n, cols,
+                        /*skip_zero=*/false);
       }
     }
   });

@@ -104,6 +104,50 @@ TEST(AutogradTest, SequenceNumbersIncrease) {
 
 // ---- GradAccumulator post-hooks (the DDP interception mechanism) ------------
 
+// A node computes a gradient only for an input that requires one (PyTorch's
+// needs_input_grad): the slot of a data input comes back undefined rather
+// than computed and then dropped by the engine.
+TEST(AutogradTest, NodesSkipGradientsOfDataInputs) {
+  Rng rng(17);
+  const auto apply = [](const Tensor& out) {
+    const auto& node = autograd::MaybeMeta(out)->grad_fn;
+    return node->Apply({Tensor::Ones(out.shape())});
+  };
+  Tensor data = Tensor::Randn({3, 4}, &rng);
+  Tensor weight = Tensor::Randn({5, 4}, &rng);
+  weight.set_requires_grad(true);
+  Tensor bias = Tensor::Randn({5}, &rng);
+  std::vector<Tensor> g = apply(ops::Linear(data, weight, bias));
+  ASSERT_EQ(g.size(), 3u);
+  EXPECT_FALSE(g[0].defined());
+  EXPECT_TRUE(g[1].defined());
+  EXPECT_FALSE(g[2].defined());
+
+  Tensor right = Tensor::Randn({4, 2}, &rng);
+  right.set_requires_grad(true);
+  g = apply(ops::MatMul(data, right));
+  ASSERT_EQ(g.size(), 2u);
+  EXPECT_FALSE(g[0].defined());
+  EXPECT_TRUE(g[1].defined());
+  Tensor left = Tensor::Randn({2, 3}, &rng);
+  left.set_requires_grad(true);
+  g = apply(ops::MatMul(left, data));
+  ASSERT_EQ(g.size(), 2u);
+  EXPECT_TRUE(g[0].defined());
+  EXPECT_FALSE(g[1].defined());
+
+  Tensor image = Tensor::Randn({1, 2, 5, 5}, &rng);
+  Tensor kernel = Tensor::Randn({3, 2, 3, 3}, &rng);
+  kernel.set_requires_grad(true);
+  Tensor channel_bias = Tensor::Randn({3}, &rng);
+  channel_bias.set_requires_grad(true);
+  g = apply(ops::Conv2d(image, kernel, channel_bias, 1, 1));
+  ASSERT_EQ(g.size(), 3u);
+  EXPECT_FALSE(g[0].defined());
+  EXPECT_TRUE(g[1].defined());
+  EXPECT_TRUE(g[2].defined());
+}
+
 TEST(AutogradHookTest, PostHookFiresOncePerBackward) {
   Tensor x = Leaf({1}, 2.0);
   int fired = 0;

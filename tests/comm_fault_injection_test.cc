@@ -541,15 +541,21 @@ TEST(RoundRobinFailoverTest, UnhealthyChildIsDrainedAndSkipped) {
     // Collective 0 -> healthy child, collective 1 -> faulty child.
     Tensor a = Tensor::Full({8}, 1.0);
     Tensor b = Tensor::Full({8}, 1.0);
-    rr.AllReduce(a, ReduceOp::kSum);
-    rr.AllReduce(b, ReduceOp::kSum);
+    const WorkHandle healthy = rr.AllReduce(a, ReduceOp::kSum);
+    const WorkHandle faulty = rr.AllReduce(b, ReduceOp::kSum);
 
     Status st = rr.DrainAndFailover(/*timeout_seconds=*/5.0);
     ASSERT_FALSE(st.ok());
     EXPECT_EQ(st.code(), StatusCode::kTimedOut) << st.ToString();
     EXPECT_NE(st.message().find("rank 1"), std::string::npos) << st.message();
     EXPECT_EQ(rr.num_healthy_groups(), 1u);
-    EXPECT_DOUBLE_EQ(a.FlatAt(0), 2.0);  // healthy child's op completed
+    // The drain left both ops terminal: the healthy child's completed, the
+    // faulty child's failed.
+    EXPECT_TRUE(healthy->IsCompleted());
+    EXPECT_TRUE(healthy->status().ok()) << healthy->status().ToString();
+    EXPECT_TRUE(faulty->Poll());
+    EXPECT_FALSE(faulty->status().ok());
+    EXPECT_DOUBLE_EQ(a.FlatAt(0), 2.0);
 
     // Every post-failover collective lands on the surviving child.
     for (int i = 0; i < 3; ++i) {

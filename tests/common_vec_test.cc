@@ -44,6 +44,42 @@ void ExpectBitEqual(const std::vector<T>& a, const std::vector<T>& b) {
 // AVX-512 lane, lane + tail, and a large buffer with every tail residue.
 const int64_t kLengths[] = {0, 1, 3, 7, 8, 9, 15, 16, 17, 31, 64, 1000, 4097};
 
+// MatMulTile's three address forms: A's rows k apart with B a packed panel
+// (MatMulTransB), A's rows k apart with B's rows `cols` apart (MatMul), and
+// A's rows adjacent with its p terms kTileRows apart (MatMulTransA).
+enum class TileForm { kPanel, kRows, kTransA };
+
+// Runs one tile of k = n / kTileCols terms over A = x and B = y into a
+// kTileRows × kTileCols block of 99s; rows and cols vary with n. B is
+// copied into an allocation that ends with the tile's last B float, so
+// ASan catches a read past `cols`. With kSkipZero, every third p has a ±0
+// coefficient in every row and an infinity or NaN in its B row, which the
+// skip must leave out of every lane.
+template <TileForm kForm, bool kSkipZero>
+void RunTile(const std::vector<float>& x, const std::vector<float>& y,
+             std::vector<float>* d) {
+  const int64_t k = static_cast<int64_t>(x.size()) / vec::kTileCols;
+  const int rows = 1 + static_cast<int>(x.size() % vec::kTileRows);
+  const int cols = 1 + static_cast<int>(x.size() % vec::kTileCols);
+  const int64_t a_row = kForm == TileForm::kTransA ? 1 : k;
+  const int64_t a_p = kForm == TileForm::kTransA ? vec::kTileRows : 1;
+  const int64_t ldb = kForm == TileForm::kPanel ? vec::kTileCols : cols;
+  std::vector<float> a = x;
+  std::vector<float> b(y.end() - (k == 0 ? 0 : (k - 1) * ldb + cols), y.end());
+  const float specials[] = {std::numeric_limits<float>::infinity(),
+                            -std::numeric_limits<float>::infinity(),
+                            std::numeric_limits<float>::quiet_NaN()};
+  for (int64_t p = 1; kSkipZero && p < k; p += 3) {
+    for (int r = 0; r < vec::kTileRows; ++r) {
+      a[static_cast<size_t>(r * a_row + p * a_p)] = r % 2 == 0 ? 0.0f : -0.0f;
+    }
+    b[static_cast<size_t>(p * ldb + p % cols)] = specials[(p / 3) % 3];
+  }
+  d->assign(static_cast<size_t>(vec::kTileRows * vec::kTileCols), 99.0f);
+  vec::MatMulTile(a.data(), a_row, a_p, rows, b.data(), ldb, k, d->data(),
+                  vec::kTileCols, cols, kSkipZero);
+}
+
 TEST(VecDispatchTest, SetLevelClampsToDetected) {
   VecLevelGuard guard;
   const vec::Level detected = vec::DetectedLevel();
@@ -159,17 +195,12 @@ TEST(VecBitExactTest, AllFloatKernelsMatchScalarAtEveryLevel) {
            d->assign(static_cast<size_t>(k * vec::kTileCols), 99.0f);
            vec::PackPanel(x.data(), k, cols, k, d->data());
          }},
-        {"MatMulTransBTile",
-         [](const std::vector<float>& x, const std::vector<float>& y,
-            std::vector<float>* d) {
-           const int64_t k = static_cast<int64_t>(x.size()) / vec::kTileCols;
-           const int rows = 1 + static_cast<int>(x.size() % vec::kTileRows);
-           const int cols = 1 + static_cast<int>(x.size() % vec::kTileCols);
-           d->assign(static_cast<size_t>(vec::kTileRows * vec::kTileCols),
-                     99.0f);
-           vec::MatMulTransBTile(x.data(), k, rows, y.data(), k, d->data(),
-                                 vec::kTileCols, cols);
-         }},
+        {"MatMulTile/panel", RunTile<TileForm::kPanel, false>},
+        {"MatMulTile/panel+skip", RunTile<TileForm::kPanel, true>},
+        {"MatMulTile/rows", RunTile<TileForm::kRows, false>},
+        {"MatMulTile/rows+skip", RunTile<TileForm::kRows, true>},
+        {"MatMulTile/trans_a", RunTile<TileForm::kTransA, false>},
+        {"MatMulTile/trans_a+skip", RunTile<TileForm::kTransA, true>},
     };
     for (const Case& c : cases) {
       vec::SetLevelForTesting(vec::Level::kScalar);
@@ -269,6 +300,35 @@ TEST(VecSemanticsTest, ReluMapsNegativeZeroAndNanToPositiveZero) {
   }
 }
 
+// CountZeros counts +0 and -0 and nothing else (not NaN, not the smallest
+// denormals), over every tail length at every level.
+TEST(VecSemanticsTest, CountZerosCountsSignedZerosOnly) {
+  VecLevelGuard guard;
+  const float values[] = {0.0f,
+                          -0.0f,
+                          std::numeric_limits<float>::quiet_NaN(),
+                          std::numeric_limits<float>::denorm_min(),
+                          -std::numeric_limits<float>::denorm_min(),
+                          1.0f,
+                          -std::numeric_limits<float>::infinity()};
+  for (const int64_t n : kLengths) {
+    std::vector<float> a(static_cast<size_t>(n));
+    int64_t want = 0;
+    for (int64_t i = 0; i < n; ++i) {
+      const float v = values[(i * i + n) % 7];
+      uint32_t bits = 0;
+      std::memcpy(&bits, &v, sizeof(bits));
+      want += (bits & 0x7fffffffu) == 0 ? 1 : 0;
+      a[static_cast<size_t>(i)] = v;
+    }
+    for (const vec::Level level : AvailableLevels()) {
+      vec::SetLevelForTesting(level);
+      EXPECT_EQ(want, vec::CountZeros(a.data(), n))
+          << "n=" << n << " level=" << vec::LevelName(level);
+    }
+  }
+}
+
 // Axpy must never round like an FMA: pick operands where fma(a, x, y)
 // and a*x + y differ in the last bit, and require the mul-then-add result.
 TEST(VecSemanticsTest, AxpyIsMulThenAddNotFused) {
@@ -294,25 +354,44 @@ TEST(VecSemanticsTest, AxpyIsMulThenAddNotFused) {
   }
 }
 
-// The same probe for the A·Bᵀ tile: p = 0 sets every lane to 1 · -1 = -1,
-// then p = 1 adds alpha · alpha, which must be rounded before the add.
+// The same probe for the matmul tile in each address form, with the skip
+// on and off: p = 0 sets every lane to 1 · -1 = -1, then p = 1 adds
+// alpha · alpha, which must be rounded before the add.
 TEST(VecSemanticsTest, MatMulTransBTileIsMulThenAddNotFused) {
   VecLevelGuard guard;
   const float alpha = 1.0f + std::ldexp(1.0f, -12);
-  std::vector<float> a;
-  for (int r = 0; r < vec::kTileRows; ++r) a.insert(a.end(), {1.0f, alpha});
-  std::vector<float> panel(vec::kTileCols, -1.0f);
-  panel.resize(2 * vec::kTileCols, alpha);
   const float want = -1.0f + alpha * alpha;
   ASSERT_NE(want, std::fma(alpha, alpha, -1.0f));
-  for (const vec::Level level : AvailableLevels()) {
-    vec::SetLevelForTesting(level);
-    std::vector<float> out(vec::kTileRows * vec::kTileCols, 99.0f);
-    vec::MatMulTransBTile(a.data(), 2, vec::kTileRows, panel.data(), 2,
-                          out.data(), vec::kTileCols, vec::kTileCols);
-    SCOPED_TRACE(vec::LevelName(level));
-    for (size_t i = 0; i < out.size(); ++i) {
-      EXPECT_EQ(want, out[i]) << "lane " << i;
+  // A(r, p) = a[r * a_row + p * a_p] is 1 at p = 0 and alpha at p = 1.
+  struct Form {
+    int64_t a_row, a_p, ldb;
+  };
+  const Form forms[] = {{2, 1, vec::kTileCols},     // packed panel
+                        {2, 1, vec::kTileCols + 3},  // B rows in place
+                        {1, vec::kTileRows, vec::kTileCols + 3}};  // A^T
+  for (const Form& f : forms) {
+    std::vector<float> a(2 * vec::kTileRows);
+    for (int r = 0; r < vec::kTileRows; ++r) {
+      a[static_cast<size_t>(r * f.a_row)] = 1.0f;
+      a[static_cast<size_t>(r * f.a_row + f.a_p)] = alpha;
+    }
+    std::vector<float> b(static_cast<size_t>(f.ldb), -1.0f);
+    b.resize(static_cast<size_t>(f.ldb + vec::kTileCols), alpha);
+    for (const bool skip_zero : {false, true}) {
+      for (const vec::Level level : AvailableLevels()) {
+        vec::SetLevelForTesting(level);
+        std::vector<float> out(vec::kTileRows * vec::kTileCols, 99.0f);
+        vec::MatMulTile(a.data(), f.a_row, f.a_p, vec::kTileRows, b.data(),
+                        f.ldb, 2, out.data(), vec::kTileCols, vec::kTileCols,
+                        skip_zero);
+        SCOPED_TRACE("a_p=" + std::to_string(f.a_p) + " ldb=" +
+                     std::to_string(f.ldb) + " skip=" +
+                     std::to_string(skip_zero) + " " +
+                     vec::LevelName(level));
+        for (size_t i = 0; i < out.size(); ++i) {
+          EXPECT_EQ(want, out[i]) << "lane " << i;
+        }
+      }
     }
   }
 }

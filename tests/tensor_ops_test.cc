@@ -1,11 +1,14 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <array>
 #include <cmath>
 #include <cstring>
 #include <limits>
 #include <string>
 
 #include "common/rng.h"
+#include "common/vec.h"
 #include "tensor/tensor_ops.h"
 #include "tests/vec_levels.h"
 
@@ -163,6 +166,116 @@ TEST(KernelsTest, MatMulTransBNonFiniteInBPropagates) {
     }
     EXPECT_EQ(non_finite, 4 * 6);  // four columns, every row
   }
+}
+
+/// The seed's row loops for MatMul and MatMulTransA, which both paths must
+/// match: each output row starts at +0.0f and takes one vec::Axpy per
+/// nonzero coefficient, in ascending p. With trans_a, a is [k, m] and read
+/// transposed.
+Tensor ReferenceRowLoopMatMul(const Tensor& a, const Tensor& b,
+                              bool trans_a) {
+  const int64_t m = a.size(trans_a ? 1 : 0), k = a.size(trans_a ? 0 : 1);
+  const int64_t n = b.size(1);
+  Tensor out = Tensor::Empty({m, n});
+  const float* pa = a.data<float>();
+  const float* pb = b.data<float>();
+  float* po = out.data<float>();
+  for (int64_t i = 0; i < m; ++i) {
+    float* orow = po + i * n;
+    std::fill(orow, orow + n, 0.0f);
+    for (int64_t p = 0; p < k; ++p) {
+      const float av = trans_a ? pa[p * m + i] : pa[i * k + p];
+      if (av == 0.0f) continue;
+      vec::Axpy(av, pb + p * n, orow, n);
+    }
+  }
+  return out;
+}
+
+/// Memcmp equality for every finite and infinite element, and NaN in the
+/// same positions; a NaN's sign and payload are left open.
+void ExpectSameBitsOrBothNan(const Tensor& want, const Tensor& got) {
+  ASSERT_EQ(want.shape(), got.shape());
+  int64_t mismatches = 0, first = -1;
+  for (int64_t i = 0; i < want.numel(); ++i) {
+    const float w = want.data<float>()[i], g = got.data<float>()[i];
+    const bool same = std::isnan(w) ? std::isnan(g)
+                                    : std::memcmp(&w, &g, sizeof(float)) == 0;
+    if (!same && mismatches++ == 0) first = i;
+  }
+  EXPECT_EQ(mismatches, 0) << "first at " << first;
+}
+
+// {m, k, n} beyond kMatMulTransBShapes: the mlp backward (grad_input
+// 8×1024·1024×{784, 1024}; grad_weight to 1024×{784, 1024} at k = 8) and
+// the transformer backward (128 tokens; 64 <-> 256 features).
+const int64_t kBackwardShapes[][3] = {
+    {8, 1024, 784}, {1024, 8, 784}, {1024, 8, 1024}, {128, 64, 64},
+    {128, 256, 64}, {64, 128, 64},  {256, 128, 64},  {64, 128, 256},
+};
+
+// Both MatMul paths against the row loops, at every level: A with no
+// zeros, ≈16% and ≈60% zeros (so the tile, the masked tile and the row
+// loop each run), signed zeros and denormals throughout; B finite, or with
+// ±inf and NaN in rows whose coefficient in A's row 0 is zero (in one
+// middle row when A has no zeros).
+TEST(KernelsTest, MatMulAndTransAMatchRowLoopAtEveryLevel) {
+  VecLevelGuard guard;
+  std::vector<std::array<int64_t, 3>> shapes;
+  for (const auto& s : kMatMulTransBShapes) {
+    shapes.push_back({s[0], s[1], s[2]});
+  }
+  for (const auto& s : kBackwardShapes) shapes.push_back({s[0], s[1], s[2]});
+  const float specials[] = {std::numeric_limits<float>::infinity(),
+                            -std::numeric_limits<float>::infinity(),
+                            std::numeric_limits<float>::quiet_NaN()};
+  int tile_runs = 0, masked_runs = 0, row_loop_runs = 0;
+  for (const auto& [m, k, n] : shapes) {
+    for (const bool trans_a : {false, true}) {
+      for (const int density : {0, 1, 2}) {
+        for (const bool non_finite : {false, true}) {
+          Tensor a = trans_a ? MatrixWithSpecials(k, m, 500 + m)
+                             : MatrixWithSpecials(m, k, 500 + m);
+          Tensor b = MatrixWithSpecials(k, n, 600 + n);
+          float* pa = a.data<float>();
+          int64_t zeros = 0;
+          for (int64_t i = 0; i < a.numel(); ++i) {
+            if (density == 0 && pa[i] == 0.0f) pa[i] = 0.75f;
+            if (density == 1 && i % 11 == 5) pa[i] = 0.75f;
+            if (density == 2 && i % 9 < 4) pa[i] = i % 2 == 0 ? 0.0f : -0.0f;
+            zeros += pa[i] == 0.0f ? 1 : 0;
+          }
+          for (int64_t p = 0; non_finite && m > 0 && p < k; ++p) {
+            const bool zero_in_row0 = pa[trans_a ? p * m : p] == 0.0f;
+            if (!zero_in_row0 && !(density == 0 && p == k / 2)) continue;
+            b.data<float>()[p * n + p % n] = specials[p % 3];
+          }
+          if (m * k >= 64) {
+            const double frac = static_cast<double>(zeros) / (m * k);
+            EXPECT_EQ(density == 2, frac >= 0.25) << frac;
+          }
+          tile_runs += zeros == 0 && m * k > 0 ? 1 : 0;
+          masked_runs += zeros > 0 && 4 * zeros < m * k ? 1 : 0;
+          row_loop_runs += 4 * zeros >= m * k && m * k > 0 ? 1 : 0;
+          const Tensor want = ReferenceRowLoopMatMul(a, b, trans_a);
+          for (const vec::Level level : AvailableLevels()) {
+            vec::SetLevelForTesting(level);
+            const Tensor got = trans_a ? MatMulTransA(a, b) : MatMul(a, b);
+            SCOPED_TRACE(std::string(trans_a ? "MatMulTransA " : "MatMul ") +
+                         std::to_string(m) + "x" + std::to_string(k) + "->" +
+                         std::to_string(n) + " density=" +
+                         std::to_string(density) + " non_finite=" +
+                         std::to_string(non_finite) +
+                         " level=" + vec::LevelName(level));
+            ExpectSameBitsOrBothNan(want, got);
+          }
+        }
+      }
+    }
+  }
+  EXPECT_GT(tile_runs, 20);
+  EXPECT_GT(masked_runs, 20);
+  EXPECT_GT(row_loop_runs, 20);
 }
 
 TEST(KernelsTest, Transpose2D) {
