@@ -317,15 +317,28 @@ BENCHMARK(BM_MatMulTransB)
 // The backward products at the mlp_w2 (batch 8) and transformer_w2 (128
 // tokens) shapes: MatMul is Linear's grad_input and attention's dQ, and
 // MatMulTransA is Linear's grad_weight and attention's dK/dV, out [m, n]
-// over k terms. Each cell runs with a dense A and with a ReLU-sparse one
-// (about half zeros, as mlp_w2's gradients are): a quarter or more zeros
-// keeps the skip-zero row loop, fewer take the register tile.
+// over k terms. A quarter or more zeros in A keeps the skip-zero row loop,
+// fewer take the register tile (masked if A holds any zero), so the
+// `zeros` percentages straddle that constant:
+// - 0: dense, as most of transformer_w2's gradients are (unmasked tile);
+// - 20: the masked tile just below a quarter;
+// - 30: the row loop just above it;
+// - 50: ReLU-sparse, as every large mlp_w2 gradient is (row loop).
+Tensor RandnWithZeros(std::vector<int64_t> shape, int64_t zeros_pct,
+                      Rng* rng) {
+  Tensor t = Tensor::Randn(std::move(shape), rng);
+  float* p = t.data<float>();
+  for (int64_t i = 0; i < t.numel(); ++i) {
+    if (rng->Uniform() * 100.0 < static_cast<double>(zeros_pct)) p[i] = 0.0f;
+  }
+  return t;
+}
+
 void BM_MatMul(benchmark::State& state) {
   SimdLevelSweep sweep(state, static_cast<int>(state.range(0)));
   const int64_t m = state.range(1), k = state.range(2), n = state.range(3);
   Rng rng(13);
-  Tensor a = Tensor::Randn({m, k}, &rng);
-  if (state.range(4) != 0) a = kernels::Relu(a);
+  Tensor a = RandnWithZeros({m, k}, state.range(4), &rng);
   Tensor b = Tensor::Randn({k, n}, &rng);
   for (auto _ : state) {
     benchmark::DoNotOptimize(kernels::MatMul(a, b));
@@ -337,8 +350,7 @@ void BM_MatMulTransA(benchmark::State& state) {
   SimdLevelSweep sweep(state, static_cast<int>(state.range(0)));
   const int64_t m = state.range(1), k = state.range(2), n = state.range(3);
   Rng rng(14);
-  Tensor a = Tensor::Randn({k, m}, &rng);
-  if (state.range(4) != 0) a = kernels::Relu(a);
+  Tensor a = RandnWithZeros({k, m}, state.range(4), &rng);
   Tensor b = Tensor::Randn({k, n}, &rng);
   for (auto _ : state) {
     benchmark::DoNotOptimize(kernels::MatMulTransA(a, b));
@@ -346,13 +358,13 @@ void BM_MatMulTransA(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() * m * k * n);
 }
 
-// Both products over the same {m, k, n} cells, each dense and ReLU-sparse.
+// Both products over the same {m, k, n} cells, at each zero share.
 void BackwardShapes(benchmark::internal::Benchmark* b,
                     const std::vector<std::vector<int64_t>>& shapes) {
-  b->ArgNames({"level", "m", "k", "n", "relu"});
+  b->ArgNames({"level", "m", "k", "n", "zeros"});
   for (const auto& s : shapes) {
-    for (const long relu : {0, 1}) {
-      b->DDPKIT_SIMD_LEVEL_ARGS(s[0], s[1], s[2], relu);
+    for (const long zeros_pct : {0, 20, 30, 50}) {
+      b->DDPKIT_SIMD_LEVEL_ARGS(s[0], s[1], s[2], zeros_pct);
     }
   }
 }

@@ -14,7 +14,6 @@ std::unordered_set<const void*> FindReachableParams(
   std::vector<Node*> stack;
 
   for (const Tensor& out : outputs) {
-    if (!out.defined() || !out.requires_grad()) continue;
     Edge edge = GradEdge(out);
     if (edge.valid() && seen.insert(edge.node.get()).second) {
       stack.push_back(edge.node.get());

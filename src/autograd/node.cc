@@ -32,8 +32,10 @@ bool IsLeaf(const Tensor& t) {
   return meta == nullptr || meta->grad_fn == nullptr;
 }
 
+bool NeedsGrad(const Tensor& t) { return t.defined() && t.requires_grad(); }
+
 Edge GradEdge(const Tensor& t) {
-  if (!t.defined() || !t.requires_grad()) return Edge{};
+  if (!NeedsGrad(t)) return Edge{};
   AutogradMeta* meta = MaybeMeta(t);
   if (meta != nullptr && meta->grad_fn != nullptr) {
     return Edge{meta->grad_fn, meta->output_nr};

@@ -89,9 +89,13 @@ AutogradMeta* MaybeMeta(const Tensor& t);
 /// True if the tensor is a graph leaf (requires grad but has no grad_fn).
 bool IsLeaf(const Tensor& t);
 
+/// PyTorch's needs_input_grad: whether GradEdge gives `t` a valid edge, so
+/// a node can skip computing a gradient the engine would drop.
+bool NeedsGrad(const Tensor& t);
+
 /// The edge gradient should follow out of tensor `t`: its accumulator edge
 /// for leaves, its grad_fn edge for interior tensors, or an invalid edge if
-/// `t` does not require grad.
+/// `t` does not need a gradient.
 Edge GradEdge(const Tensor& t);
 
 /// Marks `out` as produced by `node` (output_nr = index among outputs).

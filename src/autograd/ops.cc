@@ -17,6 +17,7 @@ namespace {
 using autograd::Edge;
 using autograd::GradEdge;
 using autograd::GradModeEnabled;
+using autograd::NeedsGrad;
 using autograd::Node;
 using autograd::SetHistory;
 
@@ -39,14 +40,10 @@ class LambdaNode : public Node {
   Fn fn_;
 };
 
-/// PyTorch's needs_input_grad: whether `t` gets a valid edge in Record, so
-/// a node can skip computing a gradient the engine would drop.
-bool NeedsGrad(const Tensor& t) { return t.defined() && t.requires_grad(); }
-
 bool AnyRequiresGrad(std::initializer_list<const Tensor*> inputs) {
   if (!GradModeEnabled()) return false;
   for (const Tensor* t : inputs) {
-    if (t->defined() && t->requires_grad()) return true;
+    if (NeedsGrad(*t)) return true;
   }
   return false;
 }
