@@ -377,6 +377,53 @@ BENCHMARK(BM_MatMulTransA)->Apply([](benchmark::internal::Benchmark* b) {
                      {256, 128, 64}, {64, 128, 256}});
 });
 
+// GELU forward and backward at transformer_w2's feed-forward shape [128
+// tokens, 256], and the row softmax at attention's [16, 16] score block and
+// at [128, 256]; items are elements.
+void BM_Gelu(benchmark::State& state) {
+  SimdLevelSweep sweep(state, static_cast<int>(state.range(0)));
+  const int64_t m = state.range(1), n = state.range(2);
+  Rng rng(15);
+  Tensor x = Tensor::Randn({m, n}, &rng);
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(kernels::Gelu(x));
+  }
+  state.SetItemsProcessed(state.iterations() * m * n);
+}
+BENCHMARK(BM_Gelu)
+    ->ArgNames({"level", "m", "n"})
+    ->DDPKIT_SIMD_LEVEL_ARGS(128, 256);
+
+void BM_GeluBackward(benchmark::State& state) {
+  SimdLevelSweep sweep(state, static_cast<int>(state.range(0)));
+  const int64_t m = state.range(1), n = state.range(2);
+  Rng rng(16);
+  Tensor x = Tensor::Randn({m, n}, &rng);
+  Tensor g = Tensor::Randn({m, n}, &rng);
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(kernels::GeluBackward(g, x));
+  }
+  state.SetItemsProcessed(state.iterations() * m * n);
+}
+BENCHMARK(BM_GeluBackward)
+    ->ArgNames({"level", "m", "n"})
+    ->DDPKIT_SIMD_LEVEL_ARGS(128, 256);
+
+void BM_Softmax(benchmark::State& state) {
+  SimdLevelSweep sweep(state, static_cast<int>(state.range(0)));
+  const int64_t m = state.range(1), n = state.range(2);
+  Rng rng(17);
+  Tensor x = Tensor::Randn({m, n}, &rng);
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(kernels::Softmax(x));
+  }
+  state.SetItemsProcessed(state.iterations() * m * n);
+}
+BENCHMARK(BM_Softmax)
+    ->ArgNames({"level", "m", "n"})
+    ->DDPKIT_SIMD_LEVEL_ARGS(16, 16)
+    ->DDPKIT_SIMD_LEVEL_ARGS(128, 256);
+
 void BM_Fp16Conversion(benchmark::State& state) {
   const int64_t n = state.range(0);
   Rng rng(7);
