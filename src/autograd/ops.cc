@@ -59,6 +59,18 @@ void Record(Tensor* out, const char* name,
   SetHistory(out, std::move(node));
 }
 
+/// What a node keeps of a tensor for backward: an alias of its data
+/// (storage, offset, shape, strides) without its grad or autograd meta.
+/// A node that kept its own output whole would be owned by that output's
+/// meta and own it back, a cycle that frees neither.
+Tensor SavedData(const Tensor& t) {
+  auto alias = std::make_shared<internal::TensorImpl>(*GetTensorImpl(t));
+  alias->requires_grad = false;
+  alias->grad = nullptr;
+  alias->autograd_meta = nullptr;
+  return MakeTensorFromImpl(std::move(alias));
+}
+
 Tensor FirstGrad(std::vector<Tensor>& grads) {
   DDPKIT_CHECK(!grads.empty() && grads[0].defined());
   return grads[0].Contiguous();
@@ -132,7 +144,7 @@ Tensor Scale(const Tensor& a, double s) {
 Tensor Exp(const Tensor& a) {
   Tensor out = kernels::Exp(a);
   if (AnyRequiresGrad({&a})) {
-    Tensor sout = out;
+    Tensor sout = SavedData(out);
     Record(&out, "ExpBackward", {&a}, [sout](std::vector<Tensor> grads) {
       return std::vector<Tensor>{kernels::Mul(FirstGrad(grads), sout)};
     });
@@ -154,7 +166,7 @@ Tensor Log(const Tensor& a) {
 Tensor Sqrt(const Tensor& a) {
   Tensor out = kernels::Sqrt(a);
   if (AnyRequiresGrad({&a})) {
-    Tensor sout = out;
+    Tensor sout = SavedData(out);
     Record(&out, "SqrtBackward", {&a}, [sout](std::vector<Tensor> grads) {
       // d sqrt(a)/da = 1 / (2 sqrt(a)).
       return std::vector<Tensor>{
@@ -211,7 +223,7 @@ Tensor Gelu(const Tensor& a) {
 Tensor Sigmoid(const Tensor& a) {
   Tensor out = kernels::Sigmoid(a);
   if (AnyRequiresGrad({&a})) {
-    Tensor sout = out;
+    Tensor sout = SavedData(out);
     Record(&out, "SigmoidBackward", {&a}, [sout](std::vector<Tensor> grads) {
       // d sigma/dx = sigma (1 - sigma).
       Tensor g = FirstGrad(grads);
@@ -226,7 +238,7 @@ Tensor Sigmoid(const Tensor& a) {
 Tensor Tanh(const Tensor& a) {
   Tensor out = kernels::Tanh(a);
   if (AnyRequiresGrad({&a})) {
-    Tensor sout = out;
+    Tensor sout = SavedData(out);
     Record(&out, "TanhBackward", {&a}, [sout](std::vector<Tensor> grads) {
       // d tanh/dx = 1 - tanh^2.
       Tensor g = FirstGrad(grads);
@@ -790,7 +802,7 @@ Tensor Embedding(const Tensor& indices, const Tensor& table) {
 Tensor Softmax(const Tensor& a) {
   Tensor out = kernels::Softmax(a);
   if (AnyRequiresGrad({&a})) {
-    Tensor sout = out;
+    Tensor sout = SavedData(out);
     Record(&out, "SoftmaxBackward", {&a}, [sout](std::vector<Tensor> grads) {
       Tensor g = FirstGrad(grads);
       const int64_t m = g.size(0), n = g.size(1);
@@ -955,13 +967,12 @@ Tensor CrossEntropyLoss(const Tensor& logits, const Tensor& targets) {
     Record(&out, "CrossEntropyLossBackward", {&logits},
            [slp, st, m, n](std::vector<Tensor> grads) {
              const double g = FirstGrad(grads).Item() / m;
-             Tensor grad_logits = Tensor::Empty({m, n});
-             const float* plp = slp.data<float>();
+             Tensor grad_logits = kernels::Exp(slp);
              const int64_t* pt = st.data<int64_t>();
              float* pg = grad_logits.data<float>();
              for (int64_t i = 0; i < m; ++i) {
                for (int64_t j = 0; j < n; ++j) {
-                 double p = std::exp(plp[i * n + j]);
+                 double p = pg[i * n + j];
                  if (j == pt[i]) p -= 1.0;
                  pg[i * n + j] = static_cast<float>(p * g);
                }

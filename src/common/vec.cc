@@ -147,11 +147,213 @@ void MatMulTileScalarImpl(const float* a, int64_t a_row, int64_t a_p,
   }
 }
 
+// ---------------------------------------------------------------------------
+// Transcendentals. Each one is written once, as a static Apply over a GCC
+// vector of kLanes floats: 4 lanes (the baseline ISA's register) at the
+// scalar level, 8 for AVX2, 16 for AVX-512. The bodies use only lanewise
+// IEEE add, sub, mul and div, lanewise compares and selects, and integer
+// ops on the float bits, so lane i's result does not depend on kLanes and
+// every level returns the same bits. They are always inlined into the
+// level's target-attributed loop, which picks the instructions. A vector
+// crosses a call only inside the Lanes struct, by reference or as a
+// return, never as a bare wide vector, whose calling convention would
+// depend on the target. Coefficients are Cephes' expf, tanhf and logf.
+// ---------------------------------------------------------------------------
+
+#define DDPKIT_LANES_INLINE inline __attribute__((always_inline))
+
+template <int kLanes>
+struct Lanes {
+  typedef float F __attribute__((vector_size(4 * kLanes)));
+  typedef int32_t I __attribute__((vector_size(4 * kLanes)));
+  F v;
+
+  static DDPKIT_LANES_INLINE Lanes Load(const float* p, int64_t count) {
+    Lanes l{};
+    std::memcpy(&l.v, p, static_cast<size_t>(count) * sizeof(float));
+    return l;
+  }
+  DDPKIT_LANES_INLINE void Store(float* p, int64_t count) const {
+    std::memcpy(p, &v, static_cast<size_t>(count) * sizeof(float));
+  }
+};
+
+constexpr int32_t kSignBit = INT32_MIN;
+
+// e^x = 2^n · e^r with n = round(x / ln 2), by adding and subtracting
+// 1.5·2^23, and r = x − n·ln 2 in two Cody-Waite steps (n·C1 is exact).
+// e^r is a degree-7 polynomial. 2^n is built in the exponent bits as
+// 2^(n/2) · 2^(n − n/2), two normal factors whose product rounds once, so
+// results below 2^-126 underflow gradually. x is first clamped to
+// [−112, 100], where e^x already rounds to +0 and +inf.
+struct ExpLanes {
+  template <class L>
+  static DDPKIT_LANES_INLINE L Apply(const L& in) {
+    using F = typename L::F;
+    using I = typename L::I;
+    const F x = in.v;
+    const F lo = F{} - 112.0f, hi = F{} + 100.0f;
+    F xc = x > lo ? x : lo;  // NaN takes lo, so n stays in range
+    xc = xc < hi ? xc : hi;
+    const float kRound = 12582912.0f;  // 1.5·2^23
+    const F t = xc * 1.44269504088896341f + kRound;
+    const F nf = t - kRound;
+    const I n = (I)t - 0x4b400000;  // minus the bits of 1.5·2^23
+    F r = xc - nf * 0.693359375f;
+    r = r - nf * -2.12194440e-4f;
+    const F z = r * r;
+    F p = 1.9875691500e-4f * r + 1.3981999507e-3f;
+    p = p * r + 8.3334519073e-3f;
+    p = p * r + 4.1665795894e-2f;
+    p = p * r + 1.6666665459e-1f;
+    p = p * r + 5.0000001201e-1f;
+    p = p * z + r + 1.0f;
+    const I n1 = n >> 1;
+    const F scale1 = (F)((n1 + 127) << 23);
+    const F scale2 = (F)((n - n1 + 127) << 23);
+    const F y = p * scale1 * scale2;
+    return {x != x ? x : y};
+  }
+};
+
+// tanh|x| is 1 − 2/(e^{2|x|} + 1), which rounds to 1 from |x| ≈ 9.01 on,
+// except below 0.625, where that form cancels and an odd polynomial takes
+// over. The sign is x's, so tanh(−0) = −0.
+struct TanhLanes {
+  template <class L>
+  static DDPKIT_LANES_INLINE L Apply(const L& in) {
+    using F = typename L::F;
+    using I = typename L::I;
+    const F x = in.v;
+    const F z = (F)((I)x & ~kSignBit);
+    const F s = ExpLanes::Apply(L{z + z}).v;
+    const F big = 1.0f - 2.0f / (s + 1.0f);
+    const F z2 = z * z;
+    F p = -5.70498872745e-3f * z2 + 2.06390887954e-2f;
+    p = p * z2 - 5.37397155531e-2f;
+    p = p * z2 + 1.33314422036e-1f;
+    p = p * z2 - 3.33332819422e-1f;
+    const F small = p * z2 * z + z;
+    const F t = z < 0.625f ? small : big;
+    const F y = (F)((I)t | ((I)x & kSignBit));
+    return {x != x ? x : y};
+  }
+};
+
+// ln x = e·ln 2 + ln(1 + m) for x = (1 + m)·2^e with 1 + m in [√½, √2):
+// ln(1 + m) is m − m²/2 + m³·P(m) with P of degree 8, and ln 2 is split
+// like exp's. A denormal x is scaled by 2^23 first.
+struct LogLanes {
+  template <class L>
+  static DDPKIT_LANES_INLINE L Apply(const L& in) {
+    using F = typename L::F;
+    using I = typename L::I;
+    const F x = in.v;
+    const I tiny = x < 1.17549435e-38f;  // below the smallest normal
+    const I bits = (I)(tiny ? x * 8388608.0f : x);
+    // m0 in [0.5, 1); where it is below √½, m is 2·m0 and e one lower.
+    const F m0 = (F)((bits & 0x007fffff) | 0x3f000000);
+    const I low = m0 < 0.707106781186547524f;
+    const I e = ((bits >> 23) & 0xff) - 126 - (tiny & 23) + low;
+    const F fe = __builtin_convertvector(e, F);
+    const F m = (low ? m0 + m0 : m0) - 1.0f;
+    const F z = m * m;
+    F y = 7.0376836292e-2f * m - 1.1514610310e-1f;
+    y = y * m + 1.1676998740e-1f;
+    y = y * m - 1.2420140846e-1f;
+    y = y * m + 1.4249322787e-1f;
+    y = y * m - 1.6668057665e-1f;
+    y = y * m + 2.0000714765e-1f;
+    y = y * m - 2.4999993993e-1f;
+    y = y * m + 3.3333331174e-1f;
+    y = y * m * z;
+    y = y + fe * -2.12194440e-4f;
+    y = y - 0.5f * z;
+    F r = m + y;
+    r = r + fe * 0.693359375f;
+    const F inf = F{} + __builtin_inff();
+    r = x == 0.0f ? -inf : r;
+    r = x < 0.0f ? F{} + __builtin_nanf("") : r;
+    r = x == inf ? inf : r;
+    return {x != x ? x : r};
+  }
+};
+
+struct SigmoidLanes {
+  template <class L>
+  static DDPKIT_LANES_INLINE L Apply(const L& in) {
+    return {1.0f / (1.0f + ExpLanes::Apply(L{-in.v}).v)};
+  }
+};
+
+// The tanh-approximation GELU (BERT's) and its derivative times g, each in
+// the operation order of the scalar formula it replaced.
+constexpr float kGeluK = 0.7978845608028654f;  // √(2/π)
+
+struct GeluLanes {
+  template <class L>
+  static DDPKIT_LANES_INLINE L Apply(const L& in) {
+    const typename L::F x = in.v;
+    const typename L::F inner = kGeluK * (x + 0.044715f * x * x * x);
+    return {0.5f * x * (1.0f + TanhLanes::Apply(L{inner}).v)};
+  }
+};
+
+struct GeluBackwardLanes {
+  template <class L>
+  static DDPKIT_LANES_INLINE L Apply(const L& g, const L& in) {
+    using F = typename L::F;
+    const F x = in.v;
+    const F x3 = x * x * x;
+    const F inner = kGeluK * (x + 0.044715f * x3);
+    const F t = TanhLanes::Apply(L{inner}).v;
+    const F sech2 = 1.0f - t * t;
+    return {g.v * (0.5f * (1.0f + t) + 0.5f * x * sech2 * kGeluK *
+                                           (1.0f + 3.0f * 0.044715f * x * x))};
+  }
+};
+
+// dst[i] = Op(a[i]), or Op(a[i], b[i]), over whole kLanes blocks and then
+// once over the tail, zero-padded to a block.
+template <class Op, int kLanes>
+DDPKIT_LANES_INLINE void MapLanes(const float* a, float* dst, int64_t n) {
+  using L = Lanes<kLanes>;
+  int64_t i = 0;
+  for (; i + kLanes <= n; i += kLanes) {
+    Op::Apply(L::Load(a + i, kLanes)).Store(dst + i, kLanes);
+  }
+  if (i < n) Op::Apply(L::Load(a + i, n - i)).Store(dst + i, n - i);
+}
+template <class Op, int kLanes>
+DDPKIT_LANES_INLINE void MapLanes(const float* a, const float* b, float* dst,
+                                  int64_t n) {
+  using L = Lanes<kLanes>;
+  int64_t i = 0;
+  for (; i + kLanes <= n; i += kLanes) {
+    Op::Apply(L::Load(a + i, kLanes), L::Load(b + i, kLanes))
+        .Store(dst + i, kLanes);
+  }
+  if (i < n) {
+    Op::Apply(L::Load(a + i, n - i), L::Load(b + i, n - i))
+        .Store(dst + i, n - i);
+  }
+}
+
+template <class Op, class... Args>
+void MapScalarImpl(Args... args) {
+  MapLanes<Op, 4>(args...);
+}
+
 #if defined(DDPKIT_VEC_X86)
 
 // ---------------------------------------------------------------------------
 // AVX2 kernels: 8 float / 4 double lanes per register.
 // ---------------------------------------------------------------------------
+
+template <class Op, class... Args>
+DDPKIT_TARGET_AVX2 void MapAvx2(Args... args) {
+  MapLanes<Op, 8>(args...);
+}
 
 DDPKIT_TARGET_AVX2 void AddAvx2(const float* a, const float* b, float* dst,
                                 int64_t n) {
@@ -426,10 +628,16 @@ DDPKIT_TARGET_AVX2 void MatMulTileAvx2(const float* a, int64_t a_row,
 // ---------------------------------------------------------------------------
 // AVX-512 kernels: 16 float / 8 double lanes per register. Only the
 // bandwidth-bound accumulate/copy/axpy family and the compute-bound
-// matmul tile get dedicated 512-bit bodies; the rest reuse the AVX2 bodies
-// at this level (same bit-exact results, and 256-bit ops avoid
-// license-based downclocking on older parts for the short kernels).
+// matmul tile and transcendentals get dedicated 512-bit bodies; the rest
+// reuse the AVX2 bodies at this level (same bit-exact results, and 256-bit
+// ops avoid license-based downclocking on older parts for the short
+// kernels).
 // ---------------------------------------------------------------------------
+
+template <class Op, class... Args>
+DDPKIT_TARGET_AVX512 void MapAvx512(Args... args) {
+  MapLanes<Op, 16>(args...);
+}
 
 DDPKIT_TARGET_AVX512 void AddAvx512(const float* a, const float* b, float* dst,
                                     int64_t n) {
@@ -719,6 +927,37 @@ int64_t CountZeros(const float* a, int64_t n) {
                       zeros = CountZerosAvx2(a, n),
                       zeros = CountZerosScalarImpl(a, n));
   return zeros;
+}
+
+void Exp(const float* a, float* dst, int64_t n) {
+  DDPKIT_VEC_DISPATCH(MapAvx512<ExpLanes>(a, dst, n),
+                      MapAvx2<ExpLanes>(a, dst, n),
+                      MapScalarImpl<ExpLanes>(a, dst, n));
+}
+void Tanh(const float* a, float* dst, int64_t n) {
+  DDPKIT_VEC_DISPATCH(MapAvx512<TanhLanes>(a, dst, n),
+                      MapAvx2<TanhLanes>(a, dst, n),
+                      MapScalarImpl<TanhLanes>(a, dst, n));
+}
+void Log(const float* a, float* dst, int64_t n) {
+  DDPKIT_VEC_DISPATCH(MapAvx512<LogLanes>(a, dst, n),
+                      MapAvx2<LogLanes>(a, dst, n),
+                      MapScalarImpl<LogLanes>(a, dst, n));
+}
+void Sigmoid(const float* a, float* dst, int64_t n) {
+  DDPKIT_VEC_DISPATCH(MapAvx512<SigmoidLanes>(a, dst, n),
+                      MapAvx2<SigmoidLanes>(a, dst, n),
+                      MapScalarImpl<SigmoidLanes>(a, dst, n));
+}
+void Gelu(const float* a, float* dst, int64_t n) {
+  DDPKIT_VEC_DISPATCH(MapAvx512<GeluLanes>(a, dst, n),
+                      MapAvx2<GeluLanes>(a, dst, n),
+                      MapScalarImpl<GeluLanes>(a, dst, n));
+}
+void GeluBackward(const float* g, const float* x, float* dst, int64_t n) {
+  DDPKIT_VEC_DISPATCH(MapAvx512<GeluBackwardLanes>(g, x, dst, n),
+                      MapAvx2<GeluBackwardLanes>(g, x, dst, n),
+                      MapScalarImpl<GeluBackwardLanes>(g, x, dst, n));
 }
 
 void PackPanel(const float* b, int64_t ldb, int cols, int64_t k,

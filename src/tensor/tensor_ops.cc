@@ -24,43 +24,8 @@ void CheckSameShape(const Tensor& a, const Tensor& b) {
       << " (elementwise kernels do not broadcast)";
 }
 
-/// Scalar fallback for kernels with no vec.h mapping: transcendentals
-/// (exp/log/tanh and friends) stay scalar by design — libm gives no
-/// cross-width bit-exactness guarantee, so vectorizing them would break
-/// the SIMD layer's contract (common/vec.h).
-template <typename F>
-Tensor Unary(const Tensor& a, F f) {
-  CheckFloatContiguous(a, "input");
-  Tensor out = Tensor::Empty(a.shape(), DType::kFloat32, a.device_id());
-  const float* pa = a.data<float>();
-  float* po = out.data<float>();
-  ParallelFor(0, a.numel(), kParallelGrain, [&](int64_t b, int64_t e) {
-    // ddplint: allow(raw-elementwise-loop) transcendental fallback; libm
-    // has no cross-width bit-exactness, so these stay scalar by contract
-    for (int64_t i = b; i < e; ++i) po[i] = f(pa[i]);
-  });
-  return out;
-}
-
-template <typename F>
-Tensor Binary(const Tensor& a, const Tensor& b, F f) {
-  CheckFloatContiguous(a, "lhs");
-  CheckFloatContiguous(b, "rhs");
-  CheckSameShape(a, b);
-  Tensor out = Tensor::Empty(a.shape(), DType::kFloat32, a.device_id());
-  const float* pa = a.data<float>();
-  const float* pb = b.data<float>();
-  float* po = out.data<float>();
-  ParallelFor(0, a.numel(), kParallelGrain, [&](int64_t lo, int64_t hi) {
-    // ddplint: allow(raw-elementwise-loop) transcendental fallback; libm
-    // has no cross-width bit-exactness, so these stay scalar by contract
-    for (int64_t i = lo; i < hi; ++i) po[i] = f(pa[i], pb[i]);
-  });
-  return out;
-}
-
-/// SIMD-path helpers: the batch fn receives whole [lo, hi) spans and is
-/// expected to forward to a vec.h entry point.
+/// The elementwise helpers: the batch fn receives whole [lo, hi) spans and
+/// forwards them to a vec.h entry point.
 template <typename BatchFn>
 Tensor UnaryBatch(const Tensor& a, BatchFn fn) {
   CheckFloatContiguous(a, "input");
@@ -132,16 +97,16 @@ Tensor Neg(const Tensor& a) {
 }
 
 Tensor Exp(const Tensor& a) {
-  return Unary(a, [](float x) { return std::exp(x); });
+  return UnaryBatch(
+      a, [](const float* x, float* d, int64_t n) { vec::Exp(x, d, n); });
 }
 
 Tensor Log(const Tensor& a) {
-  return Unary(a, [](float x) { return std::log(x); });
+  return UnaryBatch(
+      a, [](const float* x, float* d, int64_t n) { vec::Log(x, d, n); });
 }
 
 Tensor Sqrt(const Tensor& a) {
-  // sqrtps is correctly rounded per IEEE-754, so unlike the transcendentals
-  // this one is safe to vectorize without breaking bit-exactness.
   return UnaryBatch(
       a, [](const float* x, float* d, int64_t n) { vec::Sqrt(x, d, n); });
 }
@@ -185,37 +150,26 @@ Tensor ReluBackward(const Tensor& grad_out, const Tensor& input) {
                      });
 }
 
-namespace {
-// tanh-approximation GELU, matching BERT.
-inline float GeluScalar(float x) {
-  const float k = 0.7978845608028654f;  // sqrt(2/pi)
-  const float inner = k * (x + 0.044715f * x * x * x);
-  return 0.5f * x * (1.0f + std::tanh(inner));
+Tensor Gelu(const Tensor& a) {
+  return UnaryBatch(
+      a, [](const float* x, float* d, int64_t n) { vec::Gelu(x, d, n); });
 }
-inline float GeluGradScalar(float x) {
-  const float k = 0.7978845608028654f;
-  const float x3 = x * x * x;
-  const float inner = k * (x + 0.044715f * x3);
-  const float t = std::tanh(inner);
-  const float sech2 = 1.0f - t * t;
-  return 0.5f * (1.0f + t) +
-         0.5f * x * sech2 * k * (1.0f + 3.0f * 0.044715f * x * x);
-}
-}  // namespace
-
-Tensor Gelu(const Tensor& a) { return Unary(a, GeluScalar); }
 
 Tensor GeluBackward(const Tensor& grad_out, const Tensor& input) {
-  return Binary(grad_out, input,
-                [](float g, float x) { return g * GeluGradScalar(x); });
+  return BinaryBatch(grad_out, input,
+                     [](const float* g, const float* x, float* d, int64_t n) {
+                       vec::GeluBackward(g, x, d, n);
+                     });
 }
 
 Tensor Sigmoid(const Tensor& a) {
-  return Unary(a, [](float x) { return 1.0f / (1.0f + std::exp(-x)); });
+  return UnaryBatch(
+      a, [](const float* x, float* d, int64_t n) { vec::Sigmoid(x, d, n); });
 }
 
 Tensor Tanh(const Tensor& a) {
-  return Unary(a, [](float x) { return std::tanh(x); });
+  return UnaryBatch(
+      a, [](const float* x, float* d, int64_t n) { vec::Tanh(x, d, n); });
 }
 
 // ---- Linear algebra -------------------------------------------------------------
@@ -715,6 +669,26 @@ Tensor MeanAll(const Tensor& a) {
   return s;
 }
 
+namespace {
+
+float RowMax(const float* row, int64_t n) {
+  float mx = row[0];
+  for (int64_t j = 1; j < n; ++j) mx = std::max(mx, row[j]);
+  return mx;
+}
+
+// e[j] = exp(row[j] - shift) for j < n; returns their sum, added in
+// ascending j. x - c and x + (-c) round identically in IEEE arithmetic.
+float ExpShiftedRowSum(const float* row, float shift, int64_t n, float* e) {
+  vec::AddScalar(row, -shift, e, n);
+  vec::Exp(e, e, n);
+  float sum = 0.0f;
+  for (int64_t j = 0; j < n; ++j) sum += e[j];
+  return sum;
+}
+
+}  // namespace
+
 Tensor Softmax(const Tensor& a) {
   CheckFloatContiguous(a, "a");
   DDPKIT_CHECK_EQ(a.dim(), 2);
@@ -726,17 +700,8 @@ Tensor Softmax(const Tensor& a) {
     for (int64_t i = rb; i < re; ++i) {
       const float* row = pa + i * n;
       float* orow = po + i * n;
-      float mx = row[0];
-      for (int64_t j = 1; j < n; ++j) mx = std::max(mx, row[j]);
-      float denom = 0.0f;
-      for (int64_t j = 0; j < n; ++j) {
-        // ddplint: allow(raw-elementwise-loop) fused exp + horizontal sum;
-        // transcendentals stay scalar per the vec.h bit-exactness contract
-        orow[j] = std::exp(row[j] - mx);
-        denom += orow[j];
-      }
-      const float inv = 1.0f / denom;
-      vec::ScaleInPlace(orow, inv, n);
+      const float denom = ExpShiftedRowSum(row, RowMax(row, n), n, orow);
+      vec::ScaleInPlace(orow, 1.0f / denom, n);
     }
   });
   return out;
@@ -753,12 +718,11 @@ Tensor LogSoftmax(const Tensor& a) {
     for (int64_t i = rb; i < re; ++i) {
       const float* row = pa + i * n;
       float* orow = po + i * n;
-      float mx = row[0];
-      for (int64_t j = 1; j < n; ++j) mx = std::max(mx, row[j]);
-      float denom = 0.0f;
-      for (int64_t j = 0; j < n; ++j) denom += std::exp(row[j] - mx);
-      const float log_denom = std::log(denom) + mx;
-      // x - c and x + (-c) round identically in IEEE arithmetic.
+      // orow holds exp(row - mx) until the last line overwrites it.
+      const float mx = RowMax(row, n);
+      float log_denom = ExpShiftedRowSum(row, mx, n, orow);
+      vec::Log(&log_denom, &log_denom, 1);
+      log_denom += mx;
       vec::AddScalar(row, -log_denom, orow, n);
     }
   });

@@ -1,5 +1,7 @@
 #include <gtest/gtest.h>
 
+#include <memory>
+#include <utility>
 #include <vector>
 
 #include "autograd/engine.h"
@@ -146,6 +148,29 @@ TEST(AutogradTest, NodesSkipGradientsOfDataInputs) {
   EXPECT_FALSE(g[0].defined());
   EXPECT_TRUE(g[1].defined());
   EXPECT_TRUE(g[2].defined());
+}
+
+// The ops whose backward reads their own output must not keep it alive:
+// once backward has run and the caller drops its handles, the output (and
+// with it its node and storage) is freed.
+TEST(AutogradTest, OutputsSavedForBackwardAreFreed) {
+  using Op = Tensor (*)(const Tensor&);
+  const std::pair<const char*, Op> cases[] = {{"Exp", ops::Exp},
+                                              {"Sqrt", ops::Sqrt},
+                                              {"Sigmoid", ops::Sigmoid},
+                                              {"Tanh", ops::Tanh},
+                                              {"Softmax", ops::Softmax}};
+  for (const auto& [name, op] : cases) {
+    std::weak_ptr<internal::TensorImpl> out_impl;
+    {
+      Tensor x = Leaf({2, 3}, 0.5);
+      Tensor out = op(x);
+      out_impl = GetTensorImpl(out);
+      Backward(ops::SumAll(out));
+      ASSERT_TRUE(x.grad().defined()) << name;
+    }
+    EXPECT_TRUE(out_impl.expired()) << name;
+  }
 }
 
 TEST(AutogradHookTest, PostHookFiresOncePerBackward) {

@@ -7,13 +7,16 @@
 // associative, so a change to what lands in a bucket, to the reduction or
 // averaging order, or to which gradients DDP touches flips some bit and
 // with it the hash. Parameters and inputs come from Rng::Uniform, never
-// Randn, so no libm result reaches a hash.
+// Randn, whose Box-Muller draw calls libm, and the transcendentals on the
+// training path are the vec layer's own, so no libm result reaches a hash
+// and each hash is the same on every host and at every SIMD level.
 //
 // Cases, each at world {2, 3}: Mlp + MSELoss at the default bucket cap; a
 // 256 B cap (several buckets); no_sync on every other step; the fp16
 // compression hook; BranchyNet with find_unused_parameters where the branch
-// depends on the rank, and where every rank skips branch B; and one
-// RebuildBucketsFromTrace after step 2.
+// depends on the rank, and where every rank skips branch B; one
+// RebuildBucketsFromTrace after step 2; and TransformerTiny + CrossEntropy
+// (softmax, GELU, LayerNorm and log-softmax, forward and backward).
 
 #include <gtest/gtest.h>
 
@@ -32,6 +35,7 @@
 #include "nn/losses.h"
 #include "nn/zoo.h"
 #include "optim/sgd.h"
+#include "tests/vec_levels.h"
 
 namespace ddpkit::core {
 namespace {
@@ -72,7 +76,24 @@ Tensor UniformTensor(const std::vector<int64_t>& shape, Rng* rng) {
   return t;
 }
 
-enum class Model { kMlp, kBranchy };
+enum class Model { kMlp, kBranchy, kTransformer };
+
+const nn::TransformerTiny::Config kTransformer = {.vocab_size = 16,
+                                                  .seq_len = 4,
+                                                  .dim = 16,
+                                                  .ff_dim = 32,
+                                                  .num_layers = 2,
+                                                  .num_heads = 2,
+                                                  .num_classes = 4};
+
+/// Class or token ids in [0, n), drawn like UniformTensor's values.
+Tensor UniformIds(const std::vector<int64_t>& shape, int64_t n, Rng* rng) {
+  std::vector<int64_t> ids(static_cast<size_t>(ShapeNumel(shape)));
+  for (int64_t& id : ids) {
+    id = static_cast<int64_t>(rng->Uniform() * static_cast<double>(n));
+  }
+  return Tensor::FromVectorInt64(ids, shape);
+}
 enum class Branch { kByRank, kAlwaysA };
 
 struct Case {
@@ -101,6 +122,7 @@ std::vector<Case> Cases() {
   cases.push_back({.name = "mlp_cap256_rebuild",
                    .bucket_cap_bytes = 256,
                    .rebuild_after_step_2 = true});
+  cases.push_back({.name = "transformer_ce", .model = Model::kTransformer});
   return cases;
 }
 
@@ -120,6 +142,8 @@ uint64_t RunCase(const Case& c, int world) {
     if (c.model == Model::kBranchy) {
       branchy = std::make_shared<nn::BranchyNet>(kDim, &init_rng);
       model = branchy;
+    } else if (c.model == Model::kTransformer) {
+      model = std::make_shared<nn::TransformerTiny>(kTransformer, &init_rng);
     } else {
       model = std::make_shared<nn::Mlp>(std::vector<int64_t>{kDim, 8, 8, 3},
                                         &init_rng);
@@ -149,15 +173,25 @@ uint64_t RunCase(const Case& c, int world) {
                                   (ctx.rank + step) % 2 == 0);
       }
       Rng data_rng(Seed(world, ctx.rank, step, 1));
-      Tensor x = UniformTensor({kBatch, kDim}, &data_rng);
-      Tensor y = UniformTensor({kBatch, out_dim}, &data_rng);
+      const auto loss = [&] {
+        if (c.model == Model::kTransformer) {
+          Tensor tokens = UniformIds({kBatch, kTransformer.seq_len},
+                                     kTransformer.vocab_size, &data_rng);
+          Tensor labels =
+              UniformIds({kBatch}, kTransformer.num_classes, &data_rng);
+          return nn::CrossEntropyLoss()(ddp.Forward(tokens), labels);
+        }
+        Tensor x = UniformTensor({kBatch, kDim}, &data_rng);
+        Tensor y = UniformTensor({kBatch, out_dim}, &data_rng);
+        return nn::MSELoss()(ddp.Forward(x), y);
+      };
       if (sync) {
-        autograd::Backward(nn::MSELoss()(ddp.Forward(x), y));
+        autograd::Backward(loss());
         ASSERT_TRUE(ddp.sync_status().ok()) << ddp.sync_status().ToString();
         opt.Step(ddp.globally_used_mask());
       } else {
         auto guard = ddp.no_sync();
-        autograd::Backward(nn::MSELoss()(ddp.Forward(x), y));
+        autograd::Backward(loss());
       }
       if (c.rebuild_after_step_2 && step == 1) {
         // The 256 B layout differs from the observed ready order, so the
@@ -213,20 +247,28 @@ const Golden kDdpGolden[] = {
     {"mlp_fp16_hook/w3", 0x73d36fc8b3302cb1ull},
     {"mlp_no_sync_every_other_step/w2", 0x1aeabfdff8bf0025ull},
     {"mlp_no_sync_every_other_step/w3", 0x03ac5378610c1d4dull},
+    {"transformer_ce/w2", 0x671aff674993e785ull},
+    {"transformer_ce/w3", 0xbece63279aa0379cull},
 };
 // clang-format on
 
+// The same pinned hashes at every SIMD level the host runs.
 TEST(DdpGoldenTest, TrainingDigestsPinned) {
-  const std::map<std::string, uint64_t> got = ComputeDigests();
-  EXPECT_EQ(std::size(kDdpGolden), got.size())
-      << "golden table and computed cases differ";
-  for (const Golden& g : kDdpGolden) {
-    auto it = got.find(g.key);
-    ASSERT_NE(it, got.end()) << "no case computed for " << g.key;
-    char actual[32];
-    std::snprintf(actual, sizeof(actual), "0x%016llx",
-                  static_cast<unsigned long long>(it->second));
-    EXPECT_EQ(g.hash, it->second) << g.key << " now hashes to " << actual;
+  ddpkit::testing::VecLevelGuard guard;
+  for (const vec::Level level : ddpkit::testing::AvailableLevels()) {
+    vec::SetLevelForTesting(level);
+    SCOPED_TRACE(vec::LevelName(level));
+    const std::map<std::string, uint64_t> got = ComputeDigests();
+    EXPECT_EQ(std::size(kDdpGolden), got.size())
+        << "golden table and computed cases differ";
+    for (const Golden& g : kDdpGolden) {
+      auto it = got.find(g.key);
+      ASSERT_NE(it, got.end()) << "no case computed for " << g.key;
+      char actual[32];
+      std::snprintf(actual, sizeof(actual), "0x%016llx",
+                    static_cast<unsigned long long>(it->second));
+      EXPECT_EQ(g.hash, it->second) << g.key << " now hashes to " << actual;
+    }
   }
 }
 

@@ -42,9 +42,9 @@ struct Pass {
 
 /// All passes in execution order:
 ///   token-rules        unannotated-mutex, check-in-comm, throw-boundary,
-///                      banned-nondeterminism, nodiscard-status,
-///                      nodiscard-workhandle, raw-elementwise-loop,
-///                      raw-wire-io (the v1 rule set)
+///                      banned-nondeterminism, libm-transcendental,
+///                      nodiscard-status, nodiscard-workhandle,
+///                      raw-elementwise-loop, raw-wire-io
 ///   lock-order         nested acquisitions vs the declared hierarchy
 ///   blocking-under-lock  blocking calls while a MutexLock is live
 ///   include-dag        module layering of #include edges

@@ -197,7 +197,21 @@ std::vector<SelfCase> Cases() {
       "for (int64_t i = 0; i < n; ++i) po[i] = pa[i] + pb[i];\n", 0, "");
   tok("raw-elementwise-loop waiver honored", "src/tensor/ops.cc",
       "// ddplint: allow(raw-elementwise-loop) transcendental stays scalar\n"
+      "// ddplint: allow(libm-transcendental) reference loop, not training\n"
       "for (int64_t i = 0; i < n; ++i) po[i] = std::exp(pa[i]);\n",
+      0, "");
+  tok("libm transcendental in tensor flagged", "src/tensor/ops.cc",
+      "const float t = std::tanh(inner);\n", 1, "libm-transcendental");
+  tok("bare expf in autograd flagged", "src/autograd/ops.cc",
+      "const double p = expf(log_prob);\n", 1, "libm-transcendental");
+  tok("libm-transcendental waiver honored", "src/autograd/ops.cc",
+      "// ddplint: allow(libm-transcendental) diagnostic only\n"
+      "const double want = std::log(x);\n",
+      0, "");
+  tok("libm outside tensor and autograd is not flagged", "src/optim/adam.cc",
+      "const double correction = 1.0 - std::pow(beta1, step);\n", 0, "");
+  tok("correctly rounded sqrt is not a libm transcendental",
+      "src/autograd/ops.cc", "const double is = 1.0 / std::sqrt(v + eps);\n",
       0, "");
   tok("raw send() outside the socket layer flagged", "src/core/x.cc",
       "send(fd, buf.data(), buf.size(), 0);\n", 1, "raw-wire-io");

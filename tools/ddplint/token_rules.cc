@@ -288,6 +288,33 @@ const std::vector<Rule>& Rules() {
        "draw randomness from a seeded ddpkit::Rng and time from the "
        "rank's sim::VirtualClock; waive real-time control paths with "
        "// ddplint: allow(banned-nondeterminism) <reason>"},
+      {"libm-transcendental",
+       {{"std::exp", false},
+        {"std::exp2", false},
+        {"std::expm1", false},
+        {"std::log", false},
+        {"std::log1p", false},
+        {"std::log2", false},
+        {"std::tanh", false},
+        {"std::sinh", false},
+        {"std::cosh", false},
+        {"std::pow", false},
+        {"std::erf", false},
+        {"expf", false},
+        {"logf", false},
+        {"tanhf", false},
+        {"powf", false}},
+       [](const std::string& path) {
+         return InDir(path, "tensor/") || InDir(path, "autograd/");
+       },
+       "libm's transcendentals are not correctly rounded, so their bits "
+       "differ between glibc versions and between scalar and vector "
+       "widths; on the training path they make digests host-dependent "
+       "(sqrt is correctly rounded and stays allowed)",
+       "use the vec layer's Exp/Tanh/Log/Sigmoid/Gelu (common/vec.h), "
+       "which return the same bits everywhere; waive a call whose result "
+       "never reaches training state with "
+       "// ddplint: allow(libm-transcendental) <reason>"},
   };
   return *rules;
 }
@@ -374,8 +401,8 @@ void RunTokenRules(const PassContext& ctx, std::vector<Violation>* out) {
           "'dst[i] = ...src[i]' — a hand-rolled elementwise loop on a "
           "kernel hot path bypasses the SIMD layer and silently runs scalar",
           "route the loop through a common/vec.h batch helper (Add, Axpy, "
-          "AccumulateAdd, Copy, ...); waive loops the vec layer cannot "
-          "express — transcendentals, integer fallbacks, dot products — "
+          "AccumulateAdd, Exp, ...); waive loops the vec layer cannot "
+          "express — gathers, integer fallbacks, dot products — "
           "with // ddplint: allow(raw-elementwise-loop) <reason>"});
     }
   }
