@@ -584,7 +584,7 @@ TEST(VecAccuracyTest, ExpTanhLogWithinTwoUlpOfDoubleLibm) {
   ExpectWithinTwoUlp(kSweepStride);
 }
 
-// Every float, at every level: about 22 minutes on a 4-vCPU Xeon. Run it
+// Every float, at every level: about 20 minutes on a 4-vCPU Xeon. Run it
 // with --gtest_also_run_disabled_tests after a change to the bodies.
 TEST(VecAccuracyTest, DISABLED_EveryFloatAgreesAcrossLevelsWithinTwoUlp) {
   ExpectLevelsAgree(1);
