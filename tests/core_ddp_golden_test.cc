@@ -1,7 +1,7 @@
 // Golden training digests for DistributedDataParallel.
 //
-// Every case trains a small model for four SGD-momentum steps on each rank
-// of a SimWorld, then hashes (FNV-1a-64), rank by rank, every parameter,
+// Every case trains a small model for four SGD steps on each rank of a
+// SimWorld, then hashes (FNV-1a-64), rank by rank, every parameter,
 // every gradient (an undefined gradient hashes a marker instead) and every
 // momentum buffer, and compares against a pinned value. Float sums are not
 // associative, so a change to what lands in a bucket, to the reduction or
@@ -15,8 +15,10 @@
 // 256 B cap (several buckets); no_sync on every other step; the fp16
 // compression hook; BranchyNet with find_unused_parameters where the branch
 // depends on the rank, and where every rank skips branch B; one
-// RebuildBucketsFromTrace after step 2; and TransformerTiny + CrossEntropy
-// (softmax, GELU, LayerNorm and log-softmax, forward and backward).
+// RebuildBucketsFromTrace after step 2; TransformerTiny + CrossEntropy
+// (softmax, GELU, LayerNorm and log-softmax, forward and backward); and
+// the Mlp under SGD with weight decay, and under SGD without momentum.
+// Every other case steps SGD with momentum 0.9 and no weight decay.
 
 #include <gtest/gtest.h>
 
@@ -104,6 +106,7 @@ struct Case {
   bool fp16_hook = false;
   Branch branch = Branch::kAlwaysA;
   bool rebuild_after_step_2 = false;
+  optim::Sgd::Options sgd = {.lr = 0.05, .momentum = 0.9};
 };
 
 std::vector<Case> Cases() {
@@ -123,6 +126,10 @@ std::vector<Case> Cases() {
                    .bucket_cap_bytes = 256,
                    .rebuild_after_step_2 = true});
   cases.push_back({.name = "transformer_ce", .model = Model::kTransformer});
+  cases.push_back(
+      {.name = "mlp_weight_decay",
+       .sgd = {.lr = 0.05, .momentum = 0.9, .weight_decay = 0.01}});
+  cases.push_back({.name = "mlp_sgd_plain", .sgd = {.lr = 0.05}});
   return cases;
 }
 
@@ -160,8 +167,7 @@ uint64_t RunCase(const Case& c, int world) {
       options.comm_hook = std::make_shared<Fp16CompressionHook>();
     }
     DistributedDataParallel ddp(model, ctx.process_group, options);
-    optim::Sgd opt(model->parameters(),
-                   optim::Sgd::Options{.lr = 0.05, .momentum = 0.9});
+    optim::Sgd opt(model->parameters(), c.sgd);
     const int64_t out_dim = c.model == Model::kBranchy ? kDim : 3;
 
     for (int step = 0; step < kSteps; ++step) {
@@ -247,6 +253,10 @@ const Golden kDdpGolden[] = {
     {"mlp_fp16_hook/w3", 0x73d36fc8b3302cb1ull},
     {"mlp_no_sync_every_other_step/w2", 0x1aeabfdff8bf0025ull},
     {"mlp_no_sync_every_other_step/w3", 0x03ac5378610c1d4dull},
+    {"mlp_sgd_plain/w2", 0x036ea98cfd5eb875ull},
+    {"mlp_sgd_plain/w3", 0xe8d59baf7a949c77ull},
+    {"mlp_weight_decay/w2", 0x950cedbeded880a5ull},
+    {"mlp_weight_decay/w3", 0x1353cf5d633f0a68ull},
     {"transformer_ce/w2", 0x671aff674993e785ull},
     {"transformer_ce/w3", 0xbece63279aa0379cull},
 };
