@@ -12,6 +12,7 @@
 #include "common/rng.h"
 #include "common/vec.h"
 #include "core/bucketing.h"
+#include "optim/sgd.h"
 #include "tensor/tensor_ops.h"
 
 namespace ddpkit {
@@ -423,6 +424,40 @@ BENCHMARK(BM_Softmax)
     ->ArgNames({"level", "m", "n"})
     ->DDPKIT_SIMD_LEVEL_ARGS(16, 16)
     ->DDPKIT_SIMD_LEVEL_ARGS(128, 256);
+
+// One optimizer step of mlp_w2 (2.9 M parameters in its eight tensors,
+// 1024×784 … 10) as training runs it: ZeroGrad, the one AccumulateGrad per
+// parameter that backward leaves, then SGD with momentum 0.9. Items are
+// parameter elements.
+void BM_SgdStep(benchmark::State& state) {
+  SimdLevelSweep sweep(state, static_cast<int>(state.range(0)));
+  const std::vector<std::vector<int64_t>> shapes = {
+      {1024, 784}, {1024}, {1024, 1024}, {1024},
+      {1024, 1024}, {1024}, {10, 1024}, {10}};
+  Rng rng(18);
+  std::vector<Tensor> params, grads;
+  int64_t elements = 0;
+  for (const auto& shape : shapes) {
+    params.push_back(Tensor::Rand(shape, &rng, -1.0, 1.0));
+    grads.push_back(Tensor::Rand(shape, &rng, -1.0, 1.0));
+    elements += params.back().numel();
+  }
+  optim::Sgd opt(params, optim::Sgd::Options{.lr = 1e-3, .momentum = 0.9});
+  for (auto _ : state) {
+    opt.ZeroGrad();
+    for (size_t i = 0; i < params.size(); ++i) {
+      params[i].AccumulateGrad(grads[i]);
+    }
+    opt.Step();
+    benchmark::ClobberMemory();
+  }
+  state.SetItemsProcessed(state.iterations() * elements);
+}
+BENCHMARK(BM_SgdStep)
+    ->ArgNames({"level"})
+    ->Arg(static_cast<long>(vec::Level::kScalar))
+    ->Arg(static_cast<long>(vec::Level::kAvx2))
+    ->Arg(static_cast<long>(vec::Level::kAvx512));
 
 void BM_Fp16Conversion(benchmark::State& state) {
   const int64_t n = state.range(0);
