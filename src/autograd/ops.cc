@@ -64,11 +64,7 @@ void Record(Tensor* out, const char* name,
 /// A node that kept its own output whole would be owned by that output's
 /// meta and own it back, a cycle that frees neither.
 Tensor SavedData(const Tensor& t) {
-  auto alias = std::make_shared<internal::TensorImpl>(*GetTensorImpl(t));
-  alias->requires_grad = false;
-  alias->grad = nullptr;
-  alias->autograd_meta = nullptr;
-  return MakeTensorFromImpl(std::move(alias));
+  return MakeTensorFromImpl(internal::DataAlias(*GetTensorImpl(t)));
 }
 
 Tensor FirstGrad(std::vector<Tensor>& grads) {

@@ -344,6 +344,57 @@ void MapScalarImpl(Args... args) {
   MapLanes<Op, 4>(args...);
 }
 
+// One SGD step (the sequence is in vec.h) over elements [i, i + count).
+// Weight decay and the momentum mode are template arguments, so each of
+// the six loops below has no per-block branch.
+enum class Momentum { kNone, kFirst, kLater };
+
+template <int kLanes, bool kDecay, Momentum kMomentum>
+DDPKIT_LANES_INLINE void SgdBlock(float* p, const float* g, float* m,
+                                  int64_t i, int64_t count,
+                                  const SgdCoefficients& c) {
+  using L = Lanes<kLanes>;
+  const typename L::F pv = L::Load(p + i, count).v;
+  typename L::F d = L::Load(g + i, count).v;
+  if constexpr (kDecay) d = d + c.weight_decay * pv;
+  if constexpr (kMomentum == Momentum::kLater) {
+    d = L::Load(m + i, count).v * c.momentum + d;
+  }
+  if constexpr (kMomentum != Momentum::kNone) L{d}.Store(m + i, count);
+  L{pv + c.neg_lr * d}.Store(p + i, count);
+}
+
+template <int kLanes, bool kDecay, Momentum kMomentum>
+DDPKIT_LANES_INLINE void SgdLoop(float* p, const float* g, float* m,
+                                 int64_t n, const SgdCoefficients& c) {
+  int64_t i = 0;
+  for (; i + kLanes <= n; i += kLanes) {
+    SgdBlock<kLanes, kDecay, kMomentum>(p, g, m, i, kLanes, c);
+  }
+  if (i < n) SgdBlock<kLanes, kDecay, kMomentum>(p, g, m, i, n - i, c);
+}
+
+template <int kLanes>
+DDPKIT_LANES_INLINE void SgdLanes(float* p, const float* g, float* m,
+                                  int64_t n, const SgdCoefficients& c) {
+  const bool decay = c.weight_decay != 0.0f;
+  if (m == nullptr) {
+    decay ? SgdLoop<kLanes, true, Momentum::kNone>(p, g, m, n, c)
+          : SgdLoop<kLanes, false, Momentum::kNone>(p, g, m, n, c);
+  } else if (c.first_step) {
+    decay ? SgdLoop<kLanes, true, Momentum::kFirst>(p, g, m, n, c)
+          : SgdLoop<kLanes, false, Momentum::kFirst>(p, g, m, n, c);
+  } else {
+    decay ? SgdLoop<kLanes, true, Momentum::kLater>(p, g, m, n, c)
+          : SgdLoop<kLanes, false, Momentum::kLater>(p, g, m, n, c);
+  }
+}
+
+void SgdStepScalarImpl(float* p, const float* g, float* m, int64_t n,
+                       const SgdCoefficients& c) {
+  SgdLanes<4>(p, g, m, n, c);
+}
+
 #if defined(DDPKIT_VEC_X86)
 
 // ---------------------------------------------------------------------------
@@ -353,6 +404,10 @@ void MapScalarImpl(Args... args) {
 template <class Op, class... Args>
 DDPKIT_TARGET_AVX2 void MapAvx2(Args... args) {
   MapLanes<Op, 8>(args...);
+}
+DDPKIT_TARGET_AVX2 void SgdStepAvx2(float* p, const float* g, float* m,
+                                    int64_t n, const SgdCoefficients& c) {
+  SgdLanes<8>(p, g, m, n, c);
 }
 
 DDPKIT_TARGET_AVX2 void AddAvx2(const float* a, const float* b, float* dst,
@@ -627,16 +682,20 @@ DDPKIT_TARGET_AVX2 void MatMulTileAvx2(const float* a, int64_t a_row,
 
 // ---------------------------------------------------------------------------
 // AVX-512 kernels: 16 float / 8 double lanes per register. Only the
-// bandwidth-bound accumulate/copy/axpy family and the compute-bound
-// matmul tile and transcendentals get dedicated 512-bit bodies; the rest
-// reuse the AVX2 bodies at this level (same bit-exact results, and 256-bit
-// ops avoid license-based downclocking on older parts for the short
-// kernels).
+// bandwidth-bound accumulate/copy/axpy family and SGD step, and the
+// compute-bound matmul tile and transcendentals, get dedicated 512-bit
+// bodies; the rest reuse the AVX2 bodies at this level (same bit-exact
+// results, and 256-bit ops avoid license-based downclocking on older parts
+// for the short kernels).
 // ---------------------------------------------------------------------------
 
 template <class Op, class... Args>
 DDPKIT_TARGET_AVX512 void MapAvx512(Args... args) {
   MapLanes<Op, 16>(args...);
+}
+DDPKIT_TARGET_AVX512 void SgdStepAvx512(float* p, const float* g, float* m,
+                                        int64_t n, const SgdCoefficients& c) {
+  SgdLanes<16>(p, g, m, n, c);
 }
 
 DDPKIT_TARGET_AVX512 void AddAvx512(const float* a, const float* b, float* dst,
@@ -900,6 +959,11 @@ void Axpy(float alpha, const float* x, float* y, int64_t n) {
 void ScaleInPlace(float* y, float s, int64_t n) {
   DDPKIT_VEC_DISPATCH(ScaleInPlaceAvx2(y, s, n), ScaleInPlaceAvx2(y, s, n),
                       ScaleInPlaceScalarImpl(y, s, n));
+}
+void SgdStep(float* p, const float* g, float* m, int64_t n,
+             const SgdCoefficients& c) {
+  DDPKIT_VEC_DISPATCH(SgdStepAvx512(p, g, m, n, c), SgdStepAvx2(p, g, m, n, c),
+                      SgdStepScalarImpl(p, g, m, n, c));
 }
 void AccumulateAdd(float* dst, const float* src, int64_t n) {
   DDPKIT_VEC_DISPATCH(AccumAddF32Avx512(dst, src, n),

@@ -165,6 +165,27 @@ void GeluBackward(const float* g, const float* x, float* dst, int64_t n);
 void Axpy(float alpha, const float* x, float* y, int64_t n);
 void ScaleInPlace(float* y, float s, int64_t n);
 
+/// SgdStep's constants, each already rounded to float.
+struct SgdCoefficients {
+  float neg_lr = 0.0f;        // −lr
+  float weight_decay = 0.0f;  // 0 leaves the decay term out
+  float momentum = 0.0f;      // μ; read only when there is a buffer
+  bool first_step = false;    // the buffer has no history yet
+};
+
+/// One SGD step in place over n elements of a parameter p, its gradient g
+/// and, unless m is nullptr, its momentum buffer m. Element i, every
+/// product and sum rounded on its own (never fused):
+///   u = g[i], then u = u + wd·p[i] when weight_decay != 0;
+///   with m: m[i] = u on the first step, else m[i] = m[i]·μ + u; d = m[i];
+///   without m: d = u;
+///   p[i] = p[i] + (−lr)·d.
+/// These are the roundings of the Axpy / ScaleInPlace / Axpy passes it
+/// replaced (m·μ + 1·u there; multiplying by 1 is exact), at every level.
+/// One read of g and p (and m), one write of p (and m).
+void SgdStep(float* p, const float* g, float* m, int64_t n,
+             const SgdCoefficients& c);
+
 /// The all-reduce combine primitives: dst[i] = dst[i] (+|max) src[i].
 void AccumulateAdd(float* dst, const float* src, int64_t n);
 void AccumulateMax(float* dst, const float* src, int64_t n);

@@ -33,28 +33,24 @@ void Sgd::Step(const std::vector<uint8_t>& used_mask) {
 
 void Sgd::StepImpl(const std::vector<uint8_t>* used_mask) {
   autograd::NoGradGuard guard;
+  vec::SgdCoefficients c{
+      .neg_lr = static_cast<float>(-options_.lr),
+      .weight_decay = static_cast<float>(options_.weight_decay),
+      .momentum = static_cast<float>(options_.momentum)};
   for (size_t i = 0; i < params_.size(); ++i) {
     if (used_mask != nullptr && (*used_mask)[i] == 0) continue;
     Tensor p = params_[i];
     Tensor g = p.grad();
     if (!g.defined()) continue;
-
-    Tensor update = g;
-    if (options_.weight_decay != 0.0) {
-      update = update.Clone();
-      kernels::Axpy(options_.weight_decay, p, &update);
-    }
+    Tensor* buf = nullptr;
     if (options_.momentum != 0.0) {
-      Tensor& buf = momentum_buffers_[i];
-      if (!buf.defined()) {
-        buf = update.Clone();
-      } else {
-        kernels::ScaleInPlace(&buf, options_.momentum);
-        kernels::AddInPlace(&buf, update);
+      buf = &momentum_buffers_[i];
+      c.first_step = !buf->defined();
+      if (c.first_step) {
+        *buf = Tensor::Empty(p.shape(), p.dtype(), p.device_id());
       }
-      update = buf;
     }
-    kernels::Axpy(-options_.lr, update, &p);
+    kernels::SgdStep(&p, g, buf, c);
   }
 }
 

@@ -45,6 +45,15 @@ std::vector<int64_t> ContiguousStrides(const std::vector<int64_t>& shape) {
   return strides;
 }
 
+std::shared_ptr<TensorImpl> internal::DataAlias(const TensorImpl& impl) {
+  auto alias = std::make_shared<TensorImpl>(impl);
+  alias->requires_grad = false;
+  alias->grad = nullptr;
+  alias->grad_stale = false;
+  alias->autograd_meta = nullptr;
+  return alias;
+}
+
 Tensor MakeTensorFromImpl(std::shared_ptr<TensorImpl> impl) {
   Tensor t;
   t.impl_ = std::move(impl);
@@ -252,12 +261,9 @@ void Tensor::FlatSet(int64_t i, double value) {
 Tensor Tensor::Reshape(std::vector<int64_t> new_shape) const {
   DDPKIT_CHECK(is_contiguous()) << "Reshape requires a contiguous tensor";
   DDPKIT_CHECK_EQ(ShapeNumel(new_shape), numel());
-  auto view = std::make_shared<TensorImpl>(impl());
+  auto view = internal::DataAlias(impl());
   view->shape = std::move(new_shape);
   view->strides = ContiguousStrides(view->shape);
-  view->grad = nullptr;
-  view->autograd_meta = nullptr;
-  view->requires_grad = false;
   return MakeTensorFromImpl(std::move(view));
 }
 
@@ -266,14 +272,11 @@ Tensor Tensor::Flatten() const { return Reshape({numel()}); }
 Tensor Tensor::Narrow(int64_t d, int64_t start, int64_t length) const {
   DDPKIT_CHECK(d >= 0 && d < dim());
   DDPKIT_CHECK(start >= 0 && length >= 0 && start + length <= size(d));
-  auto view = std::make_shared<TensorImpl>(impl());
+  auto view = internal::DataAlias(impl());
   view->byte_offset +=
       static_cast<size_t>(start * impl().strides[static_cast<size_t>(d)]) *
       ItemSize(impl().dtype);
   view->shape[static_cast<size_t>(d)] = length;
-  view->grad = nullptr;
-  view->autograd_meta = nullptr;
-  view->requires_grad = false;
   return MakeTensorFromImpl(std::move(view));
 }
 
@@ -341,30 +344,43 @@ bool Tensor::requires_grad() const { return impl().requires_grad; }
 void Tensor::set_requires_grad(bool value) { impl().requires_grad = value; }
 
 Tensor Tensor::grad() const {
-  if (!impl().grad) return Tensor();
-  return MakeTensorFromImpl(impl().grad);
+  const TensorImpl& self = impl();
+  if (!self.grad) return Tensor();
+  Tensor g = MakeTensorFromImpl(self.grad);
+  if (self.grad_stale) {
+    g.Zero();
+    self.grad_stale = false;
+  }
+  return g;
 }
 
 void Tensor::set_grad(const Tensor& g) {
   impl().grad = g.defined() ? GetTensorImpl(g) : nullptr;
+  impl().grad_stale = false;
 }
 
 void Tensor::AccumulateGrad(const Tensor& g) {
   DDPKIT_CHECK(g.defined());
   DDPKIT_CHECK_EQ(g.numel(), numel());
-  if (!impl().grad) {
-    Tensor fresh = Tensor::Zeros(shape(), dtype(), device_id());
-    impl().grad = GetTensorImpl(fresh);
+  TensorImpl& self = impl();
+  if (!self.grad) {
+    self.grad = GetTensorImpl(Tensor::Empty(shape(), dtype(), device_id()));
+    self.grad_stale = true;
   }
-  Tensor grad_tensor = MakeTensorFromImpl(impl().grad);
+  Tensor grad_tensor = MakeTensorFromImpl(self.grad);
   DDPKIT_CHECK(grad_tensor.is_contiguous() && g.is_contiguous());
   DDPKIT_CHECK(grad_tensor.dtype() == DType::kFloat32 &&
                g.dtype() == DType::kFloat32);
-  vec::AccumulateAdd(grad_tensor.data<float>(), g.data<float>(), numel());
+  if (self.grad_stale) {
+    vec::AddScalar(g.data<float>(), 0.0f, grad_tensor.data<float>(), numel());
+    self.grad_stale = false;
+  } else {
+    vec::AccumulateAdd(grad_tensor.data<float>(), g.data<float>(), numel());
+  }
 }
 
 void Tensor::ZeroGrad() {
-  if (impl().grad) MakeTensorFromImpl(impl().grad).Zero();
+  if (impl().grad) impl().grad_stale = true;
 }
 
 std::shared_ptr<AutogradMetaBase> Tensor::autograd_meta() const {

@@ -34,8 +34,15 @@ struct TensorImpl {
   DType dtype = DType::kFloat32;
   bool requires_grad = false;
   std::shared_ptr<TensorImpl> grad;  // lazily allocated
+  /// Set by ZeroGrad: grad's values count as zeros but were not written.
+  /// The one field a const Tensor may change (grad() clears it).
+  mutable bool grad_stale = false;
   std::shared_ptr<AutogradMetaBase> autograd_meta;
 };
+
+/// A new impl over `impl`'s data (storage, offset, shape, strides, dtype)
+/// and none of its autograd state: no grad, stale mark or autograd meta.
+std::shared_ptr<TensorImpl> DataAlias(const TensorImpl& impl);
 
 }  // namespace internal
 
@@ -135,11 +142,21 @@ class Tensor {
 
   bool requires_grad() const;
   void set_requires_grad(bool value);
-  /// The accumulated gradient, or an undefined tensor if none.
+  /// The accumulated gradient, or an undefined tensor if none. A gradient
+  /// marked stale by ZeroGrad is zero-filled here first, once, in its own
+  /// storage, so every reader sees zeros after ZeroGrad.
   Tensor grad() const;
+  /// Replaces the gradient (undefined drops it) and clears the stale mark.
   void set_grad(const Tensor& g);
-  /// Adds `g` into grad, allocating it (zeros) on first use.
+  /// Adds `g` into grad. Into a stale gradient, or a first one (allocated
+  /// here), it stores +0.0f + g instead, which has the bits of adding into
+  /// zeros (−0 lands as +0, a NaN propagates alike) with one write and no
+  /// read of the old values; that clears the mark.
   void AccumulateGrad(const Tensor& g);
+  /// Marks an existing gradient stale in O(1), writing no memory; without
+  /// a gradient, a no-op. A handle to the gradient taken before ZeroGrad
+  /// keeps its old values until the gradient is next read through grad()
+  /// or written by AccumulateGrad.
   void ZeroGrad();
 
   std::shared_ptr<AutogradMetaBase> autograd_meta() const;

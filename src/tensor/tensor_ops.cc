@@ -136,6 +136,26 @@ void ScaleInPlace(Tensor* y, double s) {
 
 void AddInPlace(Tensor* dst, const Tensor& src) { Axpy(1.0, src, dst); }
 
+void SgdStep(Tensor* p, const Tensor& g, Tensor* m,
+             const vec::SgdCoefficients& c) {
+  DDPKIT_CHECK(p != nullptr);
+  CheckFloatContiguous(*p, "param");
+  CheckFloatContiguous(g, "grad");
+  CheckSameShape(g, *p);
+  float* pm = nullptr;
+  if (m != nullptr) {
+    CheckFloatContiguous(*m, "momentum");
+    CheckSameShape(*m, *p);
+    pm = m->data<float>();
+  }
+  float* pp = p->data<float>();
+  const float* pg = g.data<float>();
+  ParallelFor(0, p->numel(), kParallelGrain, [&](int64_t lo, int64_t hi) {
+    vec::SgdStep(pp + lo, pg + lo, pm == nullptr ? nullptr : pm + lo,
+                 hi - lo, c);
+  });
+}
+
 // ---- Activations -------------------------------------------------------------
 
 Tensor Relu(const Tensor& a) {

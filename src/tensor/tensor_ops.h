@@ -4,6 +4,7 @@
 #include <cstdint>
 #include <vector>
 
+#include "common/vec.h"
 #include "tensor/tensor.h"
 
 namespace ddpkit::kernels {
@@ -31,6 +32,10 @@ void Axpy(double alpha, const Tensor& x, Tensor* y);
 void ScaleInPlace(Tensor* y, double s);
 /// In-place elementwise sum into `dst`: dst += src.
 void AddInPlace(Tensor* dst, const Tensor& src);
+/// One SGD step on parameter `p` with gradient `g` and, unless `m` is
+/// nullptr, momentum buffer `m` (vec::SgdStep's sequence, in place).
+void SgdStep(Tensor* p, const Tensor& g, Tensor* m,
+             const vec::SgdCoefficients& c);
 
 // ---- Activations ----------------------------------------------------------
 

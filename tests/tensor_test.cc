@@ -1,6 +1,9 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
+#include <limits>
+#include <vector>
 
 #include "common/rng.h"
 #include "tensor/tensor.h"
@@ -142,6 +145,109 @@ TEST(TensorTest, GradLifecycle) {
   EXPECT_DOUBLE_EQ(p.grad().FlatAt(0), 5.0);
   p.ZeroGrad();
   EXPECT_DOUBLE_EQ(p.grad().FlatAt(0), 0.0);
+}
+
+// ---- Write-first accumulation after ZeroGrad -------------------------------
+
+// A gradient of ±0, denormals, ±inf, NaNs of both signs and plain values.
+Tensor SpecialGrad() {
+  const float nan = std::numeric_limits<float>::quiet_NaN();
+  const float inf = std::numeric_limits<float>::infinity();
+  return Tensor::FromVector({-0.0f, 0.0f, 1e-40f, -3e-39f, inf, -inf, nan,
+                             -nan, 1.5f, -2.25f, 3e38f, -1e-30f},
+                            {12});
+}
+
+void ExpectBitEqual(const Tensor& want, const Tensor& got) {
+  ASSERT_EQ(want.numel(), got.numel());
+  for (int64_t i = 0; i < want.numel(); ++i) {
+    EXPECT_EQ(0, std::memcmp(want.data<float>() + i, got.data<float>() + i,
+                             sizeof(float)))
+        << "i=" << i << " want " << want.data<float>()[i] << " got "
+        << got.data<float>()[i];
+  }
+}
+
+// What the fill-then-add ZeroGrad left: explicit zeros, then an add.
+Tensor ZeroThenAdd(const Tensor& g) {
+  Tensor q = Tensor::Zeros({g.numel()});
+  q.AccumulateGrad(Tensor::Full({g.numel()}, 9.0));
+  q.grad().Zero();
+  q.AccumulateGrad(g);
+  return q.grad();
+}
+
+TEST(TensorGradTest, AccumulateAfterZeroGradHasTheBitsOfAddingIntoZeros) {
+  const Tensor g = SpecialGrad();
+  const Tensor want = ZeroThenAdd(g);
+  EXPECT_TRUE(std::signbit(g.data<float>()[0]));
+  EXPECT_FALSE(std::signbit(want.data<float>()[0]));  // −0 lands as +0
+  Tensor p = Tensor::Zeros({12});
+  p.AccumulateGrad(Tensor::Full({12}, 7.0));
+  p.ZeroGrad();
+  p.AccumulateGrad(g);
+  ExpectBitEqual(want, p.grad());
+  // A parameter's first gradient is stored the same way.
+  Tensor fresh = Tensor::Zeros({12});
+  fresh.AccumulateGrad(g);
+  ExpectBitEqual(want, fresh.grad());
+}
+
+TEST(TensorGradTest, SecondAccumulateAdds) {
+  Tensor p = Tensor::Zeros({3});
+  p.AccumulateGrad(Tensor::Full({3}, 7.0));
+  p.ZeroGrad();
+  p.AccumulateGrad(Tensor::FromVector({1.0f, -0.0f, 2.0f}, {3}));
+  p.AccumulateGrad(Tensor::FromVector({0.5f, -0.0f, -2.0f}, {3}));
+  ExpectBitEqual(Tensor::FromVector({1.5f, 0.0f, 0.0f}, {3}), p.grad());
+}
+
+TEST(TensorGradTest, ReadingAStaleGradientZeroFillsItsStorage) {
+  Tensor p = Tensor::Zeros({4});
+  p.AccumulateGrad(Tensor::Full({4}, 5.0));
+  Tensor held = p.grad();
+  p.ZeroGrad();
+  // The held handle keeps its values until the gradient is next read or
+  // written (the ZeroGrad contract; the fill-then-add ZeroGrad zeroed it).
+  for (int64_t i = 0; i < 4; ++i) EXPECT_EQ(held.FlatAt(i), 5.0);
+  Tensor read = p.grad();
+  EXPECT_TRUE(read.data<float>() == held.data<float>());
+  for (int64_t i = 0; i < 4; ++i) {
+    EXPECT_EQ(read.FlatAt(i), 0.0);
+    EXPECT_EQ(held.FlatAt(i), 0.0);  // the zeros are in the shared storage
+  }
+  // Once filled, the gradient is live: the next accumulation adds.
+  p.AccumulateGrad(Tensor::Full({4}, 2.0));
+  EXPECT_EQ(p.grad().FlatAt(0), 2.0);
+}
+
+TEST(TensorGradTest, SetGradClearsTheStaleMark) {
+  Tensor p = Tensor::Zeros({2});
+  p.AccumulateGrad(Tensor::Full({2}, 5.0));
+  p.ZeroGrad();
+  p.set_grad(Tensor::Full({2}, 3.0));
+  EXPECT_EQ(p.grad().FlatAt(0), 3.0);  // not zero-filled
+  p.AccumulateGrad(Tensor::Full({2}, 1.0));
+  EXPECT_EQ(p.grad().FlatAt(1), 4.0);  // added, not stored
+}
+
+TEST(TensorGradTest, ZeroGradWithoutAGradientIsANoOp) {
+  Tensor p = Tensor::Zeros({2});
+  p.ZeroGrad();
+  EXPECT_FALSE(p.grad().defined());
+  p.AccumulateGrad(Tensor::Full({2}, 1.5));
+  EXPECT_EQ(p.grad().FlatAt(0), 1.5);
+}
+
+TEST(TensorGradTest, ViewsCarryNoGradientState) {
+  Tensor p = Tensor::Zeros({2, 2});
+  p.AccumulateGrad(Tensor::Full({2, 2}, 5.0));
+  p.ZeroGrad();
+  Tensor view = p.Reshape({4});
+  EXPECT_FALSE(view.grad().defined());
+  view.AccumulateGrad(Tensor::Full({4}, 1.0));
+  EXPECT_EQ(view.grad().FlatAt(0), 1.0);
+  EXPECT_EQ(p.grad().FlatAt(0), 0.0);  // p's own gradient is untouched
 }
 
 TEST(TensorTest, ShapeString) {
