@@ -12,7 +12,6 @@
 
 #include <algorithm>
 #include <cstring>
-#include <thread>
 
 // ddplint: allow-file(banned-nondeterminism) wire I/O deadlines are real
 // wall-clock time by definition: the peers live in other processes, which
@@ -179,53 +178,44 @@ Result<int> ConnectWithDeadline(const std::string& host, int port,
                                 const Deadline& deadline, int abort_fd) {
   Result<sockaddr_in> addr = MakeAddr(host, port);
   if (!addr.ok()) return addr.status();
-  for (;;) {
-    const int fd = socket(AF_INET, SOCK_STREAM, 0);
-    if (fd < 0) return Status::Internal(Errno("socket"));
-    Status setup = SetNonBlocking(fd);
-    if (!setup.ok()) {
-      CloseFd(fd);
-      return setup;
-    }
-    SetNoDelay(fd);
-
-    int err = 0;
-    if (connect(fd, reinterpret_cast<const sockaddr*>(&addr.value()),
-                sizeof(sockaddr_in)) == 0) {
-      return fd;
-    }
-    if (errno == EINPROGRESS) {
-      pollfd fds[2] = {{fd, POLLOUT, 0}, {}};
-      const Status ready = PollFds(fds, 1, deadline, abort_fd);
-      if (!ready.ok()) {
-        CloseFd(fd);
-        return ready;
-      }
-      socklen_t len = sizeof(err);
-      if (getsockopt(fd, SOL_SOCKET, SO_ERROR, &err, &len) < 0) {
-        const Status st = Status::Internal(Errno("getsockopt(SO_ERROR)"));
-        CloseFd(fd);
-        return st;
-      }
-      if (err == 0) return fd;
-    } else {
-      err = errno;
-    }
+  const int fd = socket(AF_INET, SOCK_STREAM, 0);
+  if (fd < 0) return Status::Internal(Errno("socket"));
+  Status setup = SetNonBlocking(fd);
+  if (!setup.ok()) {
     CloseFd(fd);
-    // The listener may not be up yet (bootstrap publishes the port before
-    // some peers reach accept); refused/reset connects retry until the
-    // deadline, anything else is a hard failure.
-    if (err != ECONNREFUSED && err != ECONNRESET && err != ETIMEDOUT) {
-      errno = err;
-      return Status::Internal(Errno("connect"));
-    }
-    if (deadline.Expired()) {
-      return Status::TimedOut("connect to " + host + ":" +
-                              std::to_string(port) +
-                              " timed out (connection refused)");
-    }
-    std::this_thread::sleep_for(std::chrono::milliseconds(5));
+    return setup;
   }
+  SetNoDelay(fd);
+
+  int err = 0;
+  if (connect(fd, reinterpret_cast<const sockaddr*>(&addr.value()),
+              sizeof(sockaddr_in)) == 0) {
+    return fd;
+  }
+  if (errno == EINPROGRESS) {
+    pollfd fds[2] = {{fd, POLLOUT, 0}, {}};
+    const Status ready = PollFds(fds, 1, deadline, abort_fd);
+    if (!ready.ok()) {
+      CloseFd(fd);
+      return ready;
+    }
+    socklen_t len = sizeof(err);
+    if (getsockopt(fd, SOL_SOCKET, SO_ERROR, &err, &len) < 0) {
+      const Status st = Status::Internal(Errno("getsockopt(SO_ERROR)"));
+      CloseFd(fd);
+      return st;
+    }
+    if (err == 0) return fd;
+  } else {
+    err = errno;
+  }
+  CloseFd(fd);
+  // One attempt: a refused or reset connect fails at once, and the
+  // caller's own loop decides whether to try again.
+  const std::string what = "connect to " + host + ":" + std::to_string(port);
+  errno = err;
+  if (err == ETIMEDOUT) return Status::TimedOut(Errno(what.c_str()));
+  return Status::Internal(Errno(what.c_str()));
 }
 
 Status SendAll(int fd, const void* data, size_t len, const Deadline& deadline,

@@ -58,9 +58,11 @@ struct Deadline {
                                              const Deadline& deadline,
                                              int abort_fd = -1);
 
-/// Connects to `host:port` (numeric address only). Retries refused
-/// connections until the deadline — the listener may not have published
-/// yet during bootstrap.
+/// Connects to `host:port` (numeric address only), one attempt. The
+/// deadline bounds a connect in progress (kTimedOut); a refused or reset
+/// connect fails at once with kInternal, so a dead listener costs no wait.
+/// Callers that expect a listener to come up retry themselves: the Store's
+/// attempt loop, and the mesh, which re-reads the peer's address.
 [[nodiscard]] Result<int> ConnectWithDeadline(const std::string& host,
                                               int port,
                                               const Deadline& deadline,

@@ -323,7 +323,10 @@ Status ProcessGroupTcp::BuildMesh(uint64_t resume_seq,
           if (fd.status().code() == StatusCode::kFailedPrecondition) {
             return fail(fd.status());  // abort pipe fired
           }
-          continue;  // refused / blackholed / stale address: re-read, retry
+          // Refused, blackholed or a stale address: pause so that the
+          // re-read does not spin Store Gets, then retry.
+          std::this_thread::sleep_for(std::chrono::milliseconds(5));
+          continue;
         }
         const Hello mine{
             kHelloMagic, rank(), options_.generation, channel, 0, resume_seq};

@@ -32,7 +32,8 @@ class Optimizer {
   /// scenario is an optimizer that cannot make this distinction.
   virtual void Step(const std::vector<uint8_t>& used_mask) = 0;
 
-  /// Zeroes (not deallocates) all parameter gradients.
+  /// Zeroes all parameter gradients through Tensor::ZeroGrad (an O(1) stale
+  /// mark; the gradients stay allocated).
   void ZeroGrad();
 
   /// Learning-rate access for schedulers (see optim/lr_scheduler.h).

@@ -182,6 +182,9 @@ TEST(StoreTcpTest, UnreachableServerFailsTypedNotHangs) {
   EXPECT_EQ(client.transient_failures(),
             static_cast<uint64_t>(Store::kMaxAttempts));
   EXPECT_LT(WallSeconds() - start, 30.0);
+  // A refused connect fails each attempt at once, so all of them together
+  // take less than one attempt's connect timeout.
+  EXPECT_LT(WallSeconds() - start, options.connect_timeout_seconds);
 }
 
 TEST(StoreTcpTest, WireRetryPolicyHonorsRealClock) {
