@@ -173,7 +173,6 @@ TEST(FaultInjectionTest, DroppedRankFailsCollectiveWithoutDeadlock) {
     ASSERT_EQ(st.code(), StatusCode::kTimedOut) << st.ToString();
     EXPECT_NE(st.message().find("rank 2"), std::string::npos) << st.message();
     EXPECT_NE(st.message().find("dropped"), std::string::npos) << st.message();
-    EXPECT_EQ(work->error(), WorkError::kTimeout);
     EXPECT_TRUE(work->Poll());
     EXPECT_FALSE(work->IsCompleted());
     // The failure is stamped collective_timeout after the last live arrival.
@@ -202,7 +201,6 @@ TEST(FaultInjectionTest, CrashedRankFailsAllRanksNamingIt) {
         << st1.message();
     EXPECT_NE(st1.message().find("crashed"), std::string::npos)
         << st1.message();
-    EXPECT_EQ(work->error(), WorkError::kRankFailure);
   });
 }
 
@@ -256,7 +254,6 @@ TEST(FaultInjectionTest, MismatchedCollectivesFailInsteadOfAborting) {
     ASSERT_EQ(st.code(), StatusCode::kFailedPrecondition) << st.ToString();
     EXPECT_NE(st.message().find("diverged"), std::string::npos)
         << st.message();
-    EXPECT_EQ(work->error(), WorkError::kShapeMismatch);
   });
 }
 

@@ -421,9 +421,9 @@ TEST(ProcessGroupTcpTest, UnsupportedCollectivesFailTypedOnBothBackends) {
     for (const auto& [name, issue] : cases) {
       WorkHandle work = issue(pg);
       ASSERT_TRUE(work->Poll()) << backend << " " << name;
-      EXPECT_EQ(WorkError::kShapeMismatch, work->error())
+      EXPECT_EQ(StatusCode::kFailedPrecondition, work->status().code())
           << backend << " rank " << rank << " " << name << ": "
-          << work->error_message();
+          << work->status().ToString();
     }
     Tensor ok = Tensor::Full({3}, rank + 1.0);
     WorkHandle work = pg.AllReduce(ok, ReduceOp::kSum);
@@ -488,14 +488,13 @@ TEST(ProcessGroupTcpTest, MissingPeerTimesOutTypedThenPoisons) {
       if (rank == 0) {
         Tensor tensor = Tensor::Ones({16});
         WorkHandle work = group.value()->AllReduce(tensor, ReduceOp::kSum);
-        EXPECT_EQ(WorkError::kTimeout, work->error())
-            << work->error_message();
-        EXPECT_EQ(StatusCode::kTimedOut, work->status().code());
+        EXPECT_EQ(StatusCode::kTimedOut, work->status().code())
+            << work->status().ToString();
 
         WorkHandle after = group.value()->AllReduce(tensor, ReduceOp::kSum);
-        EXPECT_EQ(WorkError::kRankFailure, after->error())
+        EXPECT_EQ(StatusCode::kInternal, after->status().code())
             << "poisoned group must fail fast, got: "
-            << after->error_message();
+            << after->status().ToString();
       }
       // Rank 1 issues nothing; both wait so destructors don't race the
       // timing-out collective.
@@ -523,8 +522,8 @@ TEST(ProcessGroupTcpTest, ShapeMismatchIsTypedOnBothSides) {
       ASSERT_TRUE(group.ok()) << group.status().ToString();
       Tensor tensor = Tensor::Ones({rank == 0 ? 8 : 9});
       WorkHandle work = group.value()->AllReduce(tensor, ReduceOp::kSum);
-      EXPECT_EQ(WorkError::kShapeMismatch, work->error())
-          << "rank " << rank << ": " << work->error_message();
+      EXPECT_EQ(StatusCode::kFailedPrecondition, work->status().code())
+          << "rank " << rank << ": " << work->status().ToString();
       done.CountDown();
       done.Wait();
     });
@@ -556,12 +555,12 @@ TEST(ProcessGroupTcpTest, AbortUnblocksInflightCollectiveTyped) {
       if (rank == 0) {
         Tensor tensor = Tensor::Ones({16});
         WorkHandle work = groups[0]->AllReduce(tensor, ReduceOp::kSum);
-        EXPECT_EQ(WorkError::kInvalidGeneration, work->error())
-            << work->error_message();
+        EXPECT_EQ(StatusCode::kInvalidGeneration, work->status().code())
+            << work->status().ToString();
         EXPECT_EQ(1u, groups[0]->superseded_by());
 
         WorkHandle after = groups[0]->AllReduce(tensor, ReduceOp::kSum);
-        EXPECT_EQ(WorkError::kInvalidGeneration, after->error());
+        EXPECT_EQ(StatusCode::kInvalidGeneration, after->status().code());
       }
       done.CountDown();
       done.Wait();
@@ -749,14 +748,14 @@ TEST(ProcessGroupTcpSupervisorTest, PersistentPartitionExhaustsThenPoisons) {
         Tensor tensor = Tensor::Ones({8});
         WorkHandle work = group->AllReduce(tensor, ReduceOp::kSum);
         EXPECT_FALSE(work->status().ok()) << "rank " << rank;
-        EXPECT_TRUE(work->error() == WorkError::kTimeout ||
-                    work->error() == WorkError::kRankFailure)
-            << "rank " << rank << ": " << work->error_message();
+        EXPECT_TRUE(work->status().code() == StatusCode::kTimedOut ||
+                    work->status().code() == StatusCode::kInternal)
+            << "rank " << rank << ": " << work->status().ToString();
 
         WorkHandle after = group->AllReduce(tensor, ReduceOp::kSum);
-        EXPECT_EQ(WorkError::kRankFailure, after->error())
+        EXPECT_EQ(StatusCode::kInternal, after->status().code())
             << "poisoned group must fail fast on rank " << rank << ", got: "
-            << after->error_message();
+            << after->status().ToString();
         EXPECT_GE(group->reconnects(), 0u);  // attempts were made, all vain
       });
 }

@@ -323,7 +323,7 @@ TEST(GenerationGateTest, AbortFailsInflightAndSubsequentCollectives) {
     // Blocks until the abort fails the work — typed, no watchdog needed.
     Status st = work->Wait(ctx.clock, 1000.0);
     ASSERT_EQ(st.code(), StatusCode::kInvalidGeneration) << st.ToString();
-    EXPECT_EQ(work->error(), WorkError::kInvalidGeneration);
+    EXPECT_EQ(work->status().code(), StatusCode::kInvalidGeneration);
     EXPECT_NE(st.message().find("superseded by generation 1"),
               std::string::npos)
         << st.message();

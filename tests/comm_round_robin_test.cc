@@ -133,7 +133,7 @@ TEST(RoundRobinTest, GenerationRetirementAlignsChildrenWithoutFailover) {
     WorkHandle work = rr.AllReduce(late, ReduceOp::kSum);
     Status st = work->Wait(ctx.clock, 5.0);
     EXPECT_EQ(st.code(), StatusCode::kInvalidGeneration) << st.ToString();
-    EXPECT_EQ(work->error(), WorkError::kInvalidGeneration);
+    EXPECT_EQ(work->status().code(), StatusCode::kInvalidGeneration);
   });
 }
 

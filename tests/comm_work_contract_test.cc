@@ -96,7 +96,7 @@ TEST(WorkContractTest, InvalidArgumentsYieldPreFailedHandle) {
     ASSERT_NE(bad, nullptr);
     EXPECT_TRUE(bad->Poll());
     EXPECT_FALSE(bad->IsCompleted());
-    EXPECT_EQ(bad->error(), WorkError::kShapeMismatch);
+    EXPECT_EQ(bad->status().code(), StatusCode::kFailedPrecondition);
     EXPECT_FALSE(bad->status().ok());
 
     // Out-of-range root on broadcast: same contract.
@@ -104,7 +104,7 @@ TEST(WorkContractTest, InvalidArgumentsYieldPreFailedHandle) {
     WorkHandle bad_root = ctx.process_group->Broadcast(t, /*root=*/7);
     ASSERT_NE(bad_root, nullptr);
     EXPECT_TRUE(bad_root->Poll());
-    EXPECT_EQ(bad_root->error(), WorkError::kShapeMismatch);
+    EXPECT_EQ(bad_root->status().code(), StatusCode::kFailedPrecondition);
   });
 }
 
