@@ -17,6 +17,7 @@
 #include "comm/store.h"
 #include "comm/store_tcp.h"
 #include "common/rng.h"
+#include "common/status.h"
 #include "sim/virtual_clock.h"
 #include "tensor/tensor.h"
 
@@ -26,7 +27,9 @@ namespace {
 /// A persistent loopback mesh: rank 0 lives in the benchmark thread, the
 /// helper ranks loop { broadcast go-flag; if stopped, exit; allreduce }.
 /// The collectives themselves are the synchronization, so the timed loop
-/// measures exactly one full-mesh all-reduce per iteration.
+/// measures exactly one full-mesh all-reduce per iteration. A failed
+/// collective poisons the group, so a helper leaves its loop on the first
+/// one and rank 0 reports it through Step.
 class WireMesh {
  public:
   WireMesh(int world, comm::Algorithm algorithm, int64_t numel)
@@ -42,10 +45,12 @@ class WireMesh {
         Rng rng(static_cast<uint64_t>(rank));
         Tensor data = Tensor::Randn({numel}, &rng);
         Tensor flag = Tensor::Ones({1});
-        while (true) {
-          group.value()->Broadcast(flag, 0)->Wait(&clock);
-          if (flag.data<float>()[0] == 0.0f) break;
-          group.value()->AllReduce(data, comm::ReduceOp::kSum)->Wait(&clock);
+        comm::ProcessGroupTcp& pg = *group.value();
+        while (pg.Broadcast(flag, 0)->Wait(&clock, 0.0).ok() &&
+               flag.data<float>()[0] != 0.0f) {
+          const Status st =
+              pg.AllReduce(data, comm::ReduceOp::kSum)->Wait(&clock, 0.0);
+          if (!st.ok()) break;
         }
       });
     }
@@ -57,17 +62,21 @@ class WireMesh {
   ~WireMesh() {
     if (group_ != nullptr) {
       Tensor stop = Tensor::Zeros({1});
-      group_->Broadcast(stop, 0)->Wait(&clock_);
+      // A helper that already left on a failed collective never reads the
+      // stop flag, and Step reported that failure; nothing is left to say.
+      (void)group_->Broadcast(stop, 0)->Wait(&clock_, 0.0);
     }
     for (auto& t : helpers_) t.join();
   }
 
   bool ok() const { return group_ != nullptr; }
 
-  void Step(Tensor& data) {
+  /// One timed iteration; returns the first failed collective's Status.
+  [[nodiscard]] Status Step(Tensor& data) {
     Tensor go = Tensor::Ones({1});
-    group_->Broadcast(go, 0)->Wait(&clock_);
-    group_->AllReduce(data, comm::ReduceOp::kSum)->Wait(&clock_);
+    const Status st = group_->Broadcast(go, 0)->Wait(&clock_, 0.0);
+    if (!st.ok()) return st;
+    return group_->AllReduce(data, comm::ReduceOp::kSum)->Wait(&clock_, 0.0);
   }
 
   int world() const { return world_; }
@@ -92,7 +101,11 @@ void BM_TcpAllReduce(benchmark::State& state) {
   Rng rng(0);
   Tensor data = Tensor::Randn({n}, &rng);
   for (auto _ : state) {
-    mesh.Step(data);
+    const Status st = mesh.Step(data);
+    if (!st.ok()) {
+      state.SkipWithError(st.ToString().c_str());
+      break;
+    }
   }
   state.SetBytesProcessed(state.iterations() * static_cast<int64_t>(world) *
                           n * 4);

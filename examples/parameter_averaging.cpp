@@ -21,6 +21,7 @@
 
 #include "autograd/engine.h"
 #include "comm/sim_world.h"
+#include "common/status.h"
 #include "core/distributed_data_parallel.h"
 #include "nn/losses.h"
 #include "nn/zoo.h"
@@ -102,6 +103,7 @@ int main(int argc, char** argv) {
 
   // (3) Parameter averaging every `avg_every` local steps.
   std::vector<float> avg_params;
+  std::vector<Status> avg_status(kWorld);
   comm::SimWorld::Run(kWorld, [&](comm::SimWorld::RankContext& ctx) {
     Rng rng(200);
     nn::Mlp model({kInDim, 16, kOutDim}, &rng);
@@ -114,13 +116,22 @@ int main(int argc, char** argv) {
       if ((s + 1) % avg_every == 0) {
         autograd::NoGradGuard guard;
         for (Tensor& p : model.parameters()) {
-          ctx.process_group->AllReduce(p.Flatten())->Wait(ctx.clock);
+          Status& st = avg_status[static_cast<size_t>(ctx.rank)];
+          st = ctx.process_group->AllReduce(p.Flatten())->Wait(ctx.clock, 0.0);
+          if (!st.ok()) return;
           kernels::ScaleInPlace(&p, 1.0 / kWorld);
         }
       }
     }
     if (ctx.rank == 0) avg_params = Flatten(model);
   });
+  for (const Status& st : avg_status) {
+    if (!st.ok()) {
+      std::fprintf(stderr, "parameter averaging failed: %s\n",
+                   st.ToString().c_str());
+      return 1;
+    }
+  }
 
   const double ddp_drift = MaxDiff(ddp_params, reference_params);
   const double avg_drift = MaxDiff(avg_params, reference_params);

@@ -12,7 +12,7 @@
 
 // ddplint: allow-file(check-in-comm) program-builder and executor internal
 // invariants: both backends reject invalid calls at issue time (typed
-// kShapeMismatch via RejectInvalidCollective), so these checks guard
+// kFailedPrecondition via RejectInvalidCollective), so these checks guard
 // unreachable-by-contract states (memory-safety bounds, a deadlocked
 // program), not recoverable runtime conditions. Direct callers of the Run*
 // entries get the same issue-time check as a CHECK.
@@ -121,14 +121,12 @@ WorkHandle RejectInvalidCollective(Collective kind, ReduceOp op, int root,
   const Status status =
       CheckCollective(kind, op, root, rank, world, tensor, output);
   if (status.ok()) return nullptr;
-  auto work = std::make_shared<Work>();
-  work->MarkFailed(WorkError::kShapeMismatch,
-                   std::string(CollectiveName(kind)) + ": rank " +
-                       std::to_string(rank) +
-                       " issued invalid collective arguments: " +
-                       status.message(),
-                   now);
-  return work;
+  return FailedWork(Status::FailedPrecondition(
+                        std::string(CollectiveName(kind)) + ": rank " +
+                        std::to_string(rank) +
+                        " issued invalid collective arguments: " +
+                        status.message()),
+                    now);
 }
 
 // ---------------------------------------------------------------------------

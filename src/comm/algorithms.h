@@ -56,7 +56,7 @@ Algorithm ResolveAlgorithm(Algorithm algorithm, size_t bytes, int world,
 /// the input (AllGather, ReduceScatter, Gather); `output` is the latter
 /// three's output and may be undefined on Gather's non-root ranks. Returns
 /// null for a valid call, else a Work already failed with
-/// WorkError::kShapeMismatch at `now`. A rejected call consumes no sequence
+/// kFailedPrecondition at `now`. A rejected call consumes no sequence
 /// number, so the rank's next valid collective still pairs with its peers.
 [[nodiscard]] WorkHandle RejectInvalidCollective(Collective kind, ReduceOp op,
                                                  int root, int rank, int world,

@@ -53,7 +53,7 @@ class FaultPlan {
   void DropRank(int rank, uint64_t from_seq);
 
   /// Rank `rank` crashes at collective `at_seq` (its own call fails with
-  /// kRankFailure) and never joins any later collective.
+  /// kInternal) and never joins any later collective.
   void CrashRank(int rank, uint64_t at_seq);
 
   /// Seeded random stalls: every (rank, seq) pair with rank < world and

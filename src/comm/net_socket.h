@@ -17,8 +17,8 @@ namespace ddpkit::comm {
 
 /// A wall-clock deadline for a socket operation. All the I/O helpers below
 /// take one and convert overruns into Status::TimedOut, which the process
-/// group maps to WorkError::kTimeout — the "peer never showed up" arm of
-/// the failure taxonomy.
+/// group's Work keeps as kTimedOut — the "peer never showed up" arm of the
+/// failure taxonomy.
 struct Deadline {
   /// Expires `seconds` from now; non-positive seconds is already expired.
   static Deadline After(double seconds);
@@ -35,12 +35,13 @@ struct Deadline {
   std::chrono::steady_clock::time_point at{};
 };
 
-/// All helpers return typed Status:
-///  - Status::TimedOut      — deadline elapsed (→ WorkError::kTimeout);
+/// All helpers return typed Status (ProcessGroupTcp maps each to the code
+/// its caller sees):
+///  - Status::TimedOut      — deadline elapsed (→ kTimedOut);
 ///  - Status::FailedPrecondition("aborted...") — `abort_fd` became readable
-///    (→ WorkError::kInvalidGeneration: AbortGroup wrote the wake pipe);
+///    (→ kInvalidGeneration: AbortGroup wrote the wake pipe);
 ///  - Status::Internal      — connection failure / peer closed the socket
-///    (→ WorkError::kRankFailure).
+///    (→ kInternal).
 /// `abort_fd` is the read end of the owner's wake pipe, or -1 for none.
 
 /// Creates a nonblocking listening socket bound to `host:port` (port 0 asks

@@ -22,7 +22,7 @@ const char* ReduceOpName(ReduceOp op);
 /// (paper §3.3): "DDP takes the APIs from the three libraries and wraps
 /// them into the same ProcessGroup API". All ranks must issue the same
 /// sequence of collectives with matching sizes and dtypes; a mismatch fails
-/// the collective with WorkError::kShapeMismatch instead of the paper's
+/// the collective with kFailedPrecondition instead of the paper's
 /// "incorrect reduction result or program crash".
 class ProcessGroup {
  public:

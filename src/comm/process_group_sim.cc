@@ -188,10 +188,10 @@ void ProcessGroupSim::AbortGroup(uint64_t new_generation,
   const double now = clock_->Now();
   for (auto& inst : pending) {
     inst->work->MarkFailed(
-        WorkError::kInvalidGeneration,
-        "group generation " + std::to_string(state_->generation) +
+        Status::InvalidGeneration(
+            "group generation " + std::to_string(state_->generation) +
             " superseded by generation " + std::to_string(new_generation) +
-            " (" + reason + ")",
+            " (" + reason + ")"),
         now);
   }
   if (state_->metrics != nullptr) {
@@ -210,20 +210,17 @@ namespace {
 WorkHandle AbsentRankWork(const FaultPlan& plan, GroupState* state,
                           uint64_t seq, int rank, Collective kind,
                           sim::VirtualClock* clock) {
-  auto work = std::make_shared<Work>();
   std::ostringstream msg;
   if (plan.IsCrashed(rank, seq)) {
     msg << CollectiveName(kind) << " seq " << seq << ": rank " << rank
         << " crashed (fault plan, " << plan.AbsenceReason(rank, seq) << ")";
-    work->MarkFailed(WorkError::kRankFailure, msg.str(), clock->Now());
-  } else {
-    msg << CollectiveName(kind) << " seq " << seq << " timed out after "
-        << state->collective_timeout << "s (virtual): rank " << rank
-        << " " << plan.AbsenceReason(rank, seq);
-    work->MarkFailed(WorkError::kTimeout, msg.str(),
-                     clock->Now() + state->collective_timeout);
+    return FailedWork(Status::Internal(msg.str()), clock->Now());
   }
-  return work;
+  msg << CollectiveName(kind) << " seq " << seq << " timed out after "
+      << state->collective_timeout << "s (virtual): rank " << rank << " "
+      << plan.AbsenceReason(rank, seq);
+  return FailedWork(Status::TimedOut(msg.str()),
+                    clock->Now() + state->collective_timeout);
 }
 
 /// Modeled duration of one collective of `bytes` (the in-place tensor or
@@ -294,18 +291,15 @@ WorkHandle Contribute(GroupState* state, uint64_t seq, int rank,
     // fast failure here instead of registering a contribution its peers
     // will never match.
     if (state->superseded_by != 0) {
-      auto work = std::make_shared<Work>();
       std::ostringstream msg;
       msg << CollectiveName(kind) << " seq " << seq << ": rank " << rank
           << " issued a collective on group generation " << state->generation
           << ", which was superseded by generation " << state->superseded_by
           << " (" << state->abort_reason << ")";
-      work->MarkFailed(WorkError::kInvalidGeneration, msg.str(),
-                       arrival_clock);
       if (state->metrics != nullptr) {
         state->metrics->counter("pg.collectives_failed").Increment();
       }
-      return work;
+      return FailedWork(Status::InvalidGeneration(msg.str()), arrival_clock);
     }
     auto it = state->inflight.find(seq);
     if (it == state->inflight.end()) {
@@ -335,7 +329,7 @@ WorkHandle Contribute(GroupState* state, uint64_t seq, int rank,
             << CollectiveName(inst->kind) << " (numel " << inst->numel
             << ", root " << inst->root << ", op " << ReduceOpName(inst->op)
             << ")";
-        inst->work->MarkFailed(WorkError::kShapeMismatch, msg.str(),
+        inst->work->MarkFailed(Status::FailedPrecondition(msg.str()),
                                arrival_clock);
         if (state->metrics != nullptr) {
           state->metrics->counter("pg.collectives_failed").Increment();
@@ -371,9 +365,9 @@ WorkHandle Contribute(GroupState* state, uint64_t seq, int rank,
         MutexLock lock(&state->mutex);
         state->queue_tail = std::max(state->queue_tail, fail_time);
       }
-      inst->work->MarkFailed(
-          any_crashed ? WorkError::kRankFailure : WorkError::kTimeout,
-          msg.str(), fail_time);
+      inst->work->MarkFailed(any_crashed ? Status::Internal(msg.str())
+                                         : Status::TimedOut(msg.str()),
+                             fail_time);
       if (state->metrics != nullptr) {
         state->metrics->counter("pg.collectives_failed").Increment();
       }

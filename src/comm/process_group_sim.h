@@ -47,7 +47,7 @@ class ProcessGroupSim : public ProcessGroup {
     /// the same plan to every rank's Create). Null = fault-free.
     std::shared_ptr<const FaultPlan> fault_plan;
     /// Virtual-time watchdog: when a fault plan makes a rank miss a
-    /// collective, peers' Work fails kTimeout/kRankFailure this many
+    /// collective, peers' Work fails kTimedOut/kInternal this many
     /// virtual seconds after the last live participant arrived.
     double collective_timeout_seconds = 30.0;
     /// Optional metrics sink (pg.* namespace): per-rank op/byte counters at

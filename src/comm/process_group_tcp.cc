@@ -93,7 +93,7 @@ struct ProcessGroupTcp::Hello {
 };
 
 /// Exchanged with both ring neighbours before any payload moves; all
-/// fields must agree or the collective fails kShapeMismatch — the typed
+/// fields must agree or the collective fails kFailedPrecondition — the typed
 /// version of the paper's "incorrect reduction result or program crash"
 /// when ranks desynchronize.
 struct ProcessGroupTcp::OpHeader {
@@ -663,7 +663,6 @@ WorkHandle ProcessGroupTcp::Run(Collective kind, DType dtype, int64_t numel,
                                 int root, ReduceOp op, const Program& program,
                                 void* data, const void* input,
                                 size_t data_bytes) {
-  auto work = std::make_shared<Work>();
   const uint64_t seq = next_seq_.fetch_add(1);
   const double issue_clock = clock_->Now();
   const auto wall_start = SteadyClock::now();
@@ -687,19 +686,17 @@ WorkHandle ProcessGroupTcp::Run(Collective kind, DType dtype, int64_t numel,
   MutexLock lock(&mu_);
   const uint64_t superseded = superseded_by_.load();
   if (superseded != 0) {
-    work->MarkFailed(WorkError::kInvalidGeneration,
-                     "group generation " +
-                         std::to_string(options_.generation) +
-                         " superseded by " + std::to_string(superseded),
-                     issue_clock);
-    return work;
+    return FailedWork(Status::InvalidGeneration(
+                          "group generation " +
+                          std::to_string(options_.generation) +
+                          " superseded by " + std::to_string(superseded)),
+                      issue_clock);
   }
   if (wire_failed_) {
-    work->MarkFailed(WorkError::kRankFailure,
-                     "group wire poisoned by earlier failure: " +
-                         wire_failure_reason_,
-                     issue_clock);
-    return work;
+    return FailedWork(Status::Internal(
+                          "group wire poisoned by earlier failure: " +
+                          wire_failure_reason_),
+                      issue_clock);
   }
 
   // Snapshot the bytes this collective mutates so a supervisor replay is
@@ -772,36 +769,21 @@ WorkHandle ProcessGroupTcp::Run(Collective kind, DType dtype, int64_t numel,
                   status.message());
   }
 
+  auto work = std::make_shared<Work>();
   if (status.ok()) {
     // Track wall time on the virtual clock so Work/telemetry semantics
     // stay uniform with the sim backends.
     work->MarkCompleted(issue_clock + elapsed());
     return work;
   }
-
-  WorkError error = WorkError::kRankFailure;
-  switch (status.code()) {
-    case StatusCode::kTimedOut:
-      error = WorkError::kTimeout;
-      break;
-    case StatusCode::kInvalidArgument:  // header/shape disagreement
-      error = WorkError::kShapeMismatch;
-      break;
-    case StatusCode::kFailedPrecondition:  // abort pipe fired
-      error = WorkError::kInvalidGeneration;
-      break;
-    default:  // incl. kInvalidGeneration from a re-mesh HELLO: rank failure
-      error = WorkError::kRankFailure;
-      break;
-  }
-  if (error == WorkError::kInvalidGeneration) {
-    const uint64_t new_gen = superseded_by_.load();
-    work->MarkFailed(error,
-                     "collective " + std::string(CollectiveName(kind)) +
+  if (status.code() == StatusCode::kFailedPrecondition) {  // abort pipe fired
+    work->MarkFailed(Status::InvalidGeneration(
+                         "collective " + std::string(CollectiveName(kind)) +
                          " seq " + std::to_string(seq) +
                          " aborted: generation " +
                          std::to_string(options_.generation) +
-                         " superseded by " + std::to_string(new_gen),
+                         " superseded by " +
+                         std::to_string(superseded_by_.load())),
                      issue_clock + elapsed());
     return work;
   }
@@ -812,10 +794,19 @@ WorkHandle ProcessGroupTcp::Run(Collective kind, DType dtype, int64_t numel,
   if (options_.metrics) {
     options_.metrics->counter("pg.collectives_failed").Increment();
   }
-  work->MarkFailed(error,
-                   "collective " + std::string(CollectiveName(kind)) + " seq " +
-                       std::to_string(seq) + " failed (" +
-                       status.message() + ")",
+  // The one mapping from the wire's Status to the caller's code: a deadline
+  // stays kTimedOut, a header disagreement is the caller's precondition,
+  // and everything else (peer EOF or reset, a re-mesh HELLO's generation
+  // mismatch) is a rank failure.
+  const StatusCode code =
+      status.code() == StatusCode::kTimedOut ? StatusCode::kTimedOut
+      : status.code() == StatusCode::kInvalidArgument
+          ? StatusCode::kFailedPrecondition
+          : StatusCode::kInternal;
+  work->MarkFailed(Status(code, "collective " +
+                                    std::string(CollectiveName(kind)) +
+                                    " seq " + std::to_string(seq) +
+                                    " failed (" + status.message() + ")"),
                    issue_clock + elapsed());
   return work;
 }

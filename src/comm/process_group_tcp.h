@@ -50,11 +50,13 @@ namespace ddpkit::comm {
 /// complexity here); the returned Work is already terminal and carries the
 /// typed verdict.
 ///
-/// Failure taxonomy, mapped from socket-layer Status:
-///   deadline elapsed      → WorkError::kTimeout
-///   peer closed / reset   → WorkError::kRankFailure
-///   header mismatch       → WorkError::kShapeMismatch
-///   abort pipe fired      → WorkError::kInvalidGeneration
+/// Failure taxonomy: Run maps the wire's Status once to the caller's code.
+///   deadline elapsed (kTimedOut)           → kTimedOut
+///   header mismatch (kInvalidArgument)     → kFailedPrecondition
+///   abort pipe fired (kFailedPrecondition) → kInvalidGeneration
+///   peer closed / reset, failed re-mesh    → kInternal
+/// Every failure but the abort poisons the group: later collectives fail
+/// fast with kInternal.
 ///
 /// Self-healing (DESIGN.md §14): with `max_reconnect_attempts` > 0 a
 /// connection supervisor classifies wire failures. Transient ones (peer
@@ -69,10 +71,10 @@ namespace ddpkit::comm {
 /// rounds feed `pg.reconnects`.
 ///
 /// After an unrecovered wire failure the group is poisoned (streams may
-/// be desynchronized): later collectives fail fast with kRankFailure.
+/// be desynchronized): later collectives fail fast with kInternal.
 /// AbortGroup(new_gen) wakes any in-flight poll via the abort pipe and
 /// closes all peer sockets, which unblocks stranded remote peers with
-/// kRankFailure on their side.
+/// kInternal on their side.
 class ProcessGroupTcp : public ProcessGroup {
  public:
   struct Options {
@@ -154,7 +156,7 @@ class ProcessGroupTcp : public ProcessGroup {
 
   /// Retires this group: wakes any in-flight socket poll (abort pipe),
   /// then closes every peer socket so remote peers blocked on us observe
-  /// EOF (kRankFailure) instead of hanging. Idempotent.
+  /// EOF (kInternal) instead of hanging. Idempotent.
   void AbortGroup(uint64_t new_generation, const std::string& reason) override;
 
   /// Total number of collectives this rank has issued.
@@ -167,7 +169,7 @@ class ProcessGroupTcp : public ProcessGroup {
   uint64_t heartbeat_misses() const { return heartbeat_misses_.load(); }
 
   /// Per-collective wire header, exchanged with the ring neighbours before
-  /// payload bytes move; disagreement is the typed kShapeMismatch arm.
+  /// payload bytes move; disagreement is the typed kFailedPrecondition arm.
   /// Defined in the .cc.
   struct OpHeader;
   /// Everything the socket executor (free functions in the .cc) needs for

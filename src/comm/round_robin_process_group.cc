@@ -25,65 +25,68 @@ RoundRobinProcessGroup::RoundRobinProcessGroup(
   }
 }
 
-ProcessGroup* RoundRobinProcessGroup::Next() {
+template <typename Issue>
+WorkHandle RoundRobinProcessGroup::Dispatch(Issue issue) {
   // Skip unhealthy children; rotation state advances identically on every
   // rank because health flags are derived from shared Work outcomes.
   for (size_t hops = 0; hops < children_.size(); ++hops) {
     Child& c = children_[next_];
-    const size_t picked = next_;
     next_ = (next_ + 1) % children_.size();
-    if (c.healthy) {
-      last_dispatched_ = picked;
-      return c.group.get();
-    }
+    if (!c.healthy) continue;
+    // Opportunistic prune: drop works that already completed successfully
+    // so the in-flight list tracks only live or failed handles.
+    std::erase_if(c.inflight,
+                  [](const WorkHandle& w) { return w->IsCompleted(); });
+    c.inflight.push_back(issue(*c.group));
+    return c.inflight.back();
   }
-  // ddplint: allow(check-in-comm) documented API contract: dispatching with
-  // zero healthy children means failover already exhausted every replica
-  // (DrainAndFailover surfaces the Status-typed errors first).
-  DDPKIT_CHECK(false) << "RoundRobinProcessGroup: no healthy child group "
-                         "left to dispatch to";
-  return nullptr;
-}
-
-WorkHandle RoundRobinProcessGroup::Track(WorkHandle work) {
-  Child& c = children_[last_dispatched_];
-  // Opportunistic prune: drop works that already completed successfully so
-  // the in-flight list tracks only live or failed handles.
-  c.inflight.erase(
-      std::remove_if(c.inflight.begin(), c.inflight.end(),
-                     [](const WorkHandle& w) { return w->IsCompleted(); }),
-      c.inflight.end());
-  c.inflight.push_back(work);
-  return work;
+  // Failover already exhausted every child (DrainAndFailover returned each
+  // typed error first): fail typed, issuing nothing.
+  return FailedWork(Status::Internal(backend_name() +
+                                     ": no healthy child group left to "
+                                     "dispatch to"),
+                    clock()->Now());
 }
 
 WorkHandle RoundRobinProcessGroup::AllReduce(Tensor tensor, ReduceOp op) {
-  return Track(Next()->AllReduce(std::move(tensor), op));
+  return Dispatch([&](ProcessGroup& g) {
+    return g.AllReduce(std::move(tensor), op);
+  });
 }
 
 WorkHandle RoundRobinProcessGroup::Broadcast(Tensor tensor, int root) {
-  return Track(Next()->Broadcast(std::move(tensor), root));
+  return Dispatch([&](ProcessGroup& g) {
+    return g.Broadcast(std::move(tensor), root);
+  });
 }
 
 WorkHandle RoundRobinProcessGroup::AllGather(const Tensor& input,
                                              Tensor output) {
-  return Track(Next()->AllGather(input, std::move(output)));
+  return Dispatch([&](ProcessGroup& g) {
+    return g.AllGather(input, std::move(output));
+  });
 }
 
 WorkHandle RoundRobinProcessGroup::Reduce(Tensor tensor, int root,
                                           ReduceOp op) {
-  return Track(Next()->Reduce(std::move(tensor), root, op));
+  return Dispatch([&](ProcessGroup& g) {
+    return g.Reduce(std::move(tensor), root, op);
+  });
 }
 
 WorkHandle RoundRobinProcessGroup::ReduceScatter(const Tensor& input,
                                                  Tensor output,
                                                  ReduceOp op) {
-  return Track(Next()->ReduceScatter(input, std::move(output), op));
+  return Dispatch([&](ProcessGroup& g) {
+    return g.ReduceScatter(input, std::move(output), op);
+  });
 }
 
 WorkHandle RoundRobinProcessGroup::Gather(const Tensor& input, Tensor output,
                                           int root) {
-  return Track(Next()->Gather(input, std::move(output), root));
+  return Dispatch([&](ProcessGroup& g) {
+    return g.Gather(input, std::move(output), root);
+  });
 }
 
 void RoundRobinProcessGroup::Barrier() {
@@ -102,11 +105,9 @@ Status RoundRobinProcessGroup::DrainAndFailover(double timeout_seconds) {
       if (!st.ok()) {
         // A generation retirement is not a child fault: the child fails
         // fast and typed rather than hanging, so excluding it from the
-        // rotation (and eventually CHECK-failing with zero healthy
+        // rotation (and eventually failing every dispatch with zero healthy
         // children) would be wrong. Alignment happens below.
-        if (work->error() != WorkError::kInvalidGeneration) {
-          c.healthy = false;
-        }
+        if (st.code() != StatusCode::kInvalidGeneration) c.healthy = false;
         if (first_error.ok()) first_error = st;
       }
     }
@@ -128,15 +129,7 @@ Status RoundRobinProcessGroup::DrainAndFailover(double timeout_seconds) {
           "round-robin composite retired: a child group was superseded by "
           "generation " + std::to_string(superseding));
     }
-    return first_error;
   }
-
-  // ddplint: allow(check-in-comm) documented API contract: with every child
-  // failed there is nothing left to fail over to (callers saw each typed
-  // error via the drained Status first).
-  DDPKIT_CHECK_GT(num_healthy_groups(), 0u)
-      << "RoundRobinProcessGroup: every child group failed; last error: "
-      << first_error.ToString();
   return first_error;
 }
 

@@ -26,7 +26,9 @@ namespace ddpkit::comm {
 /// dispatch, so a transient child-group fault degrades bandwidth instead
 /// of killing the job. Health transitions are driven purely by observed
 /// Work outcomes (deterministic under a shared FaultPlan), so every rank
-/// reaches the same healthy set and rotation stays aligned.
+/// reaches the same healthy set and rotation stays aligned. Once every
+/// child has failed, each collective returns a Work already failed with
+/// kInternal and issues nothing on any child.
 class RoundRobinProcessGroup : public ProcessGroup {
  public:
   explicit RoundRobinProcessGroup(
@@ -52,8 +54,7 @@ class RoundRobinProcessGroup : public ProcessGroup {
   /// with `timeout_seconds` (virtual) per work. Children that produced a
   /// failed or timed-out Work are marked unhealthy and excluded from
   /// future dispatch. Returns OK when everything drained clean, else the
-  /// first error observed (dispatch continues on the survivors). Aborts
-  /// only if every child failed — there is nothing left to fail over to.
+  /// first error observed (dispatch continues on the survivors, if any).
   ///
   /// Generation alignment: kInvalidGeneration failures are generation
   /// retirements, not child faults — the child stays "healthy" (it fails
@@ -90,13 +91,14 @@ class RoundRobinProcessGroup : public ProcessGroup {
     std::vector<WorkHandle> inflight;
   };
 
-  /// Next healthy child in rotation; records `work` bookkeeping via Track.
-  ProcessGroup* Next();
-  [[nodiscard]] WorkHandle Track(WorkHandle work);
+  /// Issues `issue(child)` on the next healthy child in rotation and
+  /// records its Work for DrainAndFailover; with no healthy child left,
+  /// returns a Work already failed with kInternal.
+  template <typename Issue>
+  [[nodiscard]] WorkHandle Dispatch(Issue issue);
 
   std::vector<Child> children_;
   size_t next_ = 0;
-  size_t last_dispatched_ = 0;
 };
 
 }  // namespace ddpkit::comm

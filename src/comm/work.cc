@@ -6,41 +6,13 @@
 
 namespace ddpkit::comm {
 
-const char* WorkErrorName(WorkError error) {
-  switch (error) {
-    case WorkError::kNone:
-      return "none";
-    case WorkError::kTimeout:
-      return "timeout";
-    case WorkError::kRankFailure:
-      return "rank_failure";
-    case WorkError::kShapeMismatch:
-      return "shape_mismatch";
-    case WorkError::kInvalidGeneration:
-      return "invalid_generation";
-  }
-  return "unknown";
-}
-
-void Work::Wait(sim::VirtualClock* clock) {
-  MutexLock lock(&mutex_);
-  while (!done_) cv_.Wait(mutex_);
-  // ddplint: allow(check-in-comm) documented legacy API contract: callers
-  // that can recover must use the Status-returning Wait(clock, timeout).
-  DDPKIT_CHECK(error_ == WorkError::kNone)
-      << "Work::Wait on failed collective (" << WorkErrorName(error_)
-      << "): " << error_message_
-      << " — use Wait(clock, timeout) to handle failures";
-  if (clock != nullptr) clock->AdvanceTo(completion_time_);
-}
-
 Status Work::Wait(sim::VirtualClock* clock, double timeout_seconds) {
   const double entry = clock != nullptr ? clock->Now() : 0.0;
   MutexLock lock(&mutex_);
   while (!done_) cv_.Wait(mutex_);
-  if (error_ != WorkError::kNone) {
+  if (!status_.ok()) {
     if (clock != nullptr) clock->AdvanceTo(completion_time_);
-    return StatusLocked();
+    return status_;
   }
   if (clock != nullptr && timeout_seconds > 0.0 &&
       completion_time_ - entry > timeout_seconds) {
@@ -64,38 +36,12 @@ bool Work::Poll() const {
 
 bool Work::IsCompleted() const {
   MutexLock lock(&mutex_);
-  return done_ && error_ == WorkError::kNone;
-}
-
-WorkError Work::error() const {
-  MutexLock lock(&mutex_);
-  return error_;
-}
-
-std::string Work::error_message() const {
-  MutexLock lock(&mutex_);
-  return error_message_;
-}
-
-Status Work::StatusLocked() const {
-  switch (error_) {
-    case WorkError::kNone:
-      return Status::OK();
-    case WorkError::kTimeout:
-      return Status::TimedOut(error_message_);
-    case WorkError::kRankFailure:
-      return Status::Internal(error_message_);
-    case WorkError::kShapeMismatch:
-      return Status::FailedPrecondition(error_message_);
-    case WorkError::kInvalidGeneration:
-      return Status::InvalidGeneration(error_message_);
-  }
-  return Status::Internal(error_message_);
+  return done_ && status_.ok();
 }
 
 Status Work::status() const {
   MutexLock lock(&mutex_);
-  return StatusLocked();
+  return status_;
 }
 
 double Work::completion_time() const {
@@ -118,20 +64,24 @@ void Work::MarkCompleted(double completion_time, std::string note) {
   cv_.NotifyAll();
 }
 
-void Work::MarkFailed(WorkError error, std::string message,
-                      double failure_time) {
-  // ddplint: allow(check-in-comm) API precondition on the error taxonomy
-  // (kNone is not a failure), not a runtime collective failure.
-  DDPKIT_CHECK(error != WorkError::kNone);
+void Work::MarkFailed(Status status, double failure_time) {
+  // ddplint: allow(check-in-comm) API precondition (an OK Status is not a
+  // failure), not a runtime collective failure.
+  DDPKIT_CHECK(!status.ok());
   {
     MutexLock lock(&mutex_);
     if (done_) return;  // first terminal state wins
     done_ = true;
-    error_ = error;
-    error_message_ = std::move(message);
+    status_ = std::move(status);
     completion_time_ = failure_time;
   }
   cv_.NotifyAll();
+}
+
+WorkHandle FailedWork(Status status, double failure_time) {
+  auto work = std::make_shared<Work>();
+  work->MarkFailed(std::move(status), failure_time);
+  return work;
 }
 
 }  // namespace ddpkit::comm

@@ -11,45 +11,29 @@
 
 namespace ddpkit::comm {
 
-/// Typed failure states for a collective, mirroring the error taxonomy the
-/// paper's Discussion section leaves open: a peer that never shows up
-/// (kTimeout), a peer known dead (kRankFailure), ranks issuing structurally
-/// different collectives (kShapeMismatch), or a collective issued against a
-/// process-group generation that elastic recovery has superseded
-/// (kInvalidGeneration).
-enum class WorkError {
-  kNone = 0,
-  kTimeout,
-  kRankFailure,
-  kShapeMismatch,
-  kInvalidGeneration,
-};
-const char* WorkErrorName(WorkError error);
-
 /// Handle to an asynchronously-launched collective, mirroring c10d's Work.
 /// The launching rank keeps computing (overlap!); Wait() blocks the real
 /// thread until every participant has contributed and then advances the
 /// rank's virtual clock to the modeled completion time.
 ///
 /// A Work terminates exactly once, either successfully (MarkCompleted) or
-/// with a typed error (MarkFailed). The timeout-aware Wait overload turns a
-/// late completion or a terminal error into a Status instead of blocking
-/// forever — the NCCL-watchdog behaviour the paper's design lacks.
+/// with the Status its caller sees (MarkFailed), closing the error
+/// taxonomy the paper's Discussion section leaves open: a peer that never
+/// shows up (kTimedOut), a peer known dead (kInternal), ranks issuing
+/// structurally different or invalid collectives (kFailedPrecondition), or
+/// a collective issued against a process-group generation that elastic
+/// recovery has superseded (kInvalidGeneration). Wait turns a late
+/// completion or a failure into a Status instead of blocking forever — the
+/// NCCL-watchdog behaviour the paper's design lacks.
 class Work {
  public:
   Work() = default;
   Work(const Work&) = delete;
   Work& operator=(const Work&) = delete;
 
-  /// Legacy blocking wait: blocks until terminal; advances `clock` to
-  /// max(now, completion). Aborts with a diagnostic if the work failed —
-  /// callers that can recover use the timeout-aware overload.
-  void Wait(sim::VirtualClock* clock);
-
-  /// Timeout-aware wait. Blocks the real thread until the work is terminal,
-  /// then:
+  /// Blocks the real thread until the work is terminal, then:
   ///  - failed work: advances `clock` to the failure time and returns the
-  ///    failure as a Status (kTimedOut / kInternal / kFailedPrecondition);
+  ///    failure's Status as stored;
   ///  - completed later than `timeout_seconds` of virtual time after this
   ///    rank's arrival: advances `clock` by exactly the timeout and returns
   ///    TimedOut (per-rank watchdog semantics — the collective itself may
@@ -65,14 +49,8 @@ class Work {
   /// True once the work completed successfully.
   bool IsCompleted() const;
 
-  /// Error state; kNone while pending or after success.
-  WorkError error() const;
-
-  /// Diagnostic for a failed work (names the offending rank and sequence
-  /// number when known). Empty while pending or after success.
-  std::string error_message() const;
-
-  /// The failure rendered as a Status; OK while pending or after success.
+  /// The failure (its message names the offending rank and sequence number
+  /// when known); OK while pending or after success.
   [[nodiscard]] Status status() const;
 
   /// Virtual terminal time. Precondition: Poll().
@@ -86,24 +64,25 @@ class Work {
   /// is a no-op, never an abort — the failure verdict stands.
   void MarkCompleted(double completion_time, std::string note = "");
 
-  /// Marks the collective failed at virtual time `failure_time`. The first
-  /// terminal state wins: failing an already-terminal work is a no-op, so
-  /// concurrent detectors don't race.
-  void MarkFailed(WorkError error, std::string message, double failure_time);
+  /// Marks the collective failed with the non-OK `status` at virtual time
+  /// `failure_time`. The first terminal state wins: failing an
+  /// already-terminal work is a no-op, so concurrent detectors don't race.
+  void MarkFailed(Status status, double failure_time);
 
  private:
-  [[nodiscard]] Status StatusLocked() const REQUIRES(mutex_);
-
   mutable Mutex mutex_;
   CondVar cv_;
   bool done_ GUARDED_BY(mutex_) = false;
-  WorkError error_ GUARDED_BY(mutex_) = WorkError::kNone;
-  std::string error_message_ GUARDED_BY(mutex_);
+  Status status_ GUARDED_BY(mutex_);
   std::string completion_note_ GUARDED_BY(mutex_);
   double completion_time_ GUARDED_BY(mutex_) = 0.0;
 };
 
 using WorkHandle = std::shared_ptr<Work>;
+
+/// A Work already failed with the non-OK `status` at `failure_time`: the
+/// handle of a collective that fails before it runs.
+[[nodiscard]] WorkHandle FailedWork(Status status, double failure_time);
 
 }  // namespace ddpkit::comm
 

@@ -26,6 +26,7 @@
 #include "common/rng.h"
 #include "tensor/dtype.h"
 #include "tensor/tensor.h"
+#include "tests/wait_ok.h"
 
 namespace ddpkit::comm {
 namespace {
@@ -170,8 +171,7 @@ std::map<std::string, uint64_t> ComputeOtherCollectives() {
         SimWorld::Run(world, [&](SimWorld::RankContext& ctx) {
           WorkHandle work = ctx.process_group->Reduce(
               tensors[static_cast<size_t>(ctx.rank)], root, ReduceOp::kSum);
-          work->Wait(ctx.clock);
-          EXPECT_TRUE(work->status().ok()) << work->error_message();
+          EXPECT_WAIT_OK(work, ctx.clock);
         });
         out[Key("reduce_f32_sum", world, n)] = HashTensors(tensors);
       }

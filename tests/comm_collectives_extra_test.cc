@@ -8,6 +8,7 @@
 #include "comm/sim_world.h"
 #include "common/rng.h"
 #include "tensor/tensor_ops.h"
+#include "tests/wait_ok.h"
 
 namespace ddpkit::comm {
 namespace {
@@ -90,7 +91,7 @@ TEST(ReducePgTest, RootGetsSumOthersKeepLocal) {
   std::vector<double> values(kWorld);
   SimWorld::Run(kWorld, [&](SimWorld::RankContext& ctx) {
     Tensor t = Tensor::Full({4}, ctx.rank + 1.0);
-    ctx.process_group->Reduce(t, /*root=*/2)->Wait(ctx.clock);
+    EXPECT_WAIT_OK(ctx.process_group->Reduce(t, /*root=*/2), ctx.clock);
     values[static_cast<size_t>(ctx.rank)] = t.FlatAt(0);
   });
   EXPECT_DOUBLE_EQ(values[0], 1.0);
@@ -107,7 +108,7 @@ TEST(ReduceScatterPgTest, DistributedChunks) {
                       : std::vector<float>{10, 20, 30, 40},
         {4});
     Tensor output = Tensor::Zeros({2});
-    ctx.process_group->ReduceScatter(input, output)->Wait(ctx.clock);
+    EXPECT_WAIT_OK(ctx.process_group->ReduceScatter(input, output), ctx.clock);
     for (int64_t i = 0; i < 2; ++i) {
       chunks[static_cast<size_t>(ctx.rank)].push_back(output.FlatAt(i));
     }
@@ -123,7 +124,8 @@ TEST(GatherPgTest, OnlyRootHasResult) {
     Tensor input = Tensor::Full({2}, 10.0 * (ctx.rank + 1));
     Tensor output;  // undefined on non-roots
     if (ctx.rank == 1) output = Tensor::Zeros({6});
-    ctx.process_group->Gather(input, output, /*root=*/1)->Wait(ctx.clock);
+    EXPECT_WAIT_OK(ctx.process_group->Gather(input, output, /*root=*/1),
+                   ctx.clock);
     if (ctx.rank == 1) {
       EXPECT_DOUBLE_EQ(output.FlatAt(0), 10.0);
       EXPECT_DOUBLE_EQ(output.FlatAt(2), 20.0);
@@ -135,12 +137,12 @@ TEST(GatherPgTest, OnlyRootHasResult) {
 TEST(ExtraCollectivesTest, AdvanceVirtualClocks) {
   SimWorld::Run(2, [&](SimWorld::RankContext& ctx) {
     Tensor t = Tensor::Full({1 << 16}, 1.0);
-    ctx.process_group->Reduce(t, 0)->Wait(ctx.clock);
+    EXPECT_WAIT_OK(ctx.process_group->Reduce(t, 0), ctx.clock);
     const double after_reduce = ctx.clock->Now();
     EXPECT_GT(after_reduce, 0.0);
     Tensor input = Tensor::Full({1 << 16}, 1.0);
     Tensor output = Tensor::Zeros({1 << 15});
-    ctx.process_group->ReduceScatter(input, output)->Wait(ctx.clock);
+    EXPECT_WAIT_OK(ctx.process_group->ReduceScatter(input, output), ctx.clock);
     EXPECT_GT(ctx.clock->Now(), after_reduce);
   });
 }
@@ -150,12 +152,12 @@ TEST(ExtraCollectivesTest, ReduceScatterCheaperThanAllReduce) {
   SimWorld::Run(2, [&](SimWorld::RankContext& ctx) {
     Tensor input = Tensor::Full({1 << 20}, 1.0);
     Tensor output = Tensor::Zeros({1 << 19});
-    ctx.process_group->ReduceScatter(input, output)->Wait(ctx.clock);
+    EXPECT_WAIT_OK(ctx.process_group->ReduceScatter(input, output), ctx.clock);
     rs_time[static_cast<size_t>(ctx.rank)] = ctx.clock->Now();
   });
   SimWorld::Run(2, [&](SimWorld::RankContext& ctx) {
     Tensor t = Tensor::Full({1 << 20}, 1.0);
-    ctx.process_group->AllReduce(t)->Wait(ctx.clock);
+    EXPECT_WAIT_OK(ctx.process_group->AllReduce(t), ctx.clock);
     ar_time[static_cast<size_t>(ctx.rank)] = ctx.clock->Now();
   });
   EXPECT_LT(rs_time[0], ar_time[0]);

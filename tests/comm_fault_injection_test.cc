@@ -9,11 +9,13 @@
 #include "comm/fault_plan.h"
 #include "comm/round_robin_process_group.h"
 #include "comm/sim_world.h"
+#include "common/metrics.h"
 #include "common/parallel.h"
 #include "common/rng.h"
 #include "core/distributed_data_parallel.h"
 #include "nn/zoo.h"
 #include "tensor/tensor_ops.h"
+#include "tests/wait_ok.h"
 
 namespace ddpkit::comm {
 namespace {
@@ -226,7 +228,7 @@ TEST(FaultInjectionTest, DelayedCompletionAddsVirtualTime) {
   double baseline = 0.0;
   SimWorld::Run(2, [&](SimWorld::RankContext& ctx) {
     Tensor t = Tensor::Full({1024}, 1.0);
-    ctx.process_group->AllReduce(t)->Wait(ctx.clock);
+    EXPECT_WAIT_OK(ctx.process_group->AllReduce(t), ctx.clock);
     if (ctx.rank == 0) baseline = ctx.clock->Now();
   });
 
@@ -564,6 +566,48 @@ TEST(RoundRobinFailoverTest, UnhealthyChildIsDrainedAndSkipped) {
     EXPECT_TRUE(rr.DrainAndFailover(/*timeout_seconds=*/5.0).ok());
     EXPECT_EQ(rr.num_healthy_groups(), 1u);
   });
+}
+
+TEST(RoundRobinFailoverTest, EveryChildFailedFailsTypedInsteadOfAborting) {
+  // Both children drop rank 1 from their first collective, so the drain
+  // leaves no healthy child. The drain and every later dispatch must
+  // return typed errors, and the process must survive.
+  auto plan = std::make_shared<FaultPlan>();
+  plan->DropRank(1, /*from_seq=*/0);
+  auto metrics = std::make_shared<MetricsRegistry>();
+
+  SimWorld::Run(2, [&](SimWorld::RankContext& ctx) {
+    ProcessGroupSim::Options opts;
+    opts.fault_plan = plan;
+    opts.collective_timeout_seconds = 2.0;
+    opts.metrics = metrics;
+    std::vector<std::shared_ptr<ProcessGroup>> children;
+    for (const char* name : {"rr_exhausted_0", "rr_exhausted_1"}) {
+      children.push_back(ProcessGroupSim::Create(ctx.store, name, ctx.rank,
+                                                 ctx.world, opts, ctx.clock));
+    }
+    RoundRobinProcessGroup rr(std::move(children));
+
+    Tensor a = Tensor::Full({8}, 1.0);
+    Tensor b = Tensor::Full({8}, 1.0);
+    const WorkHandle first = rr.AllReduce(a, ReduceOp::kSum);
+    const WorkHandle second = rr.AllReduce(b, ReduceOp::kSum);
+    const Status drained = rr.DrainAndFailover(/*timeout_seconds=*/5.0);
+    EXPECT_EQ(drained.code(), StatusCode::kTimedOut) << drained.ToString();
+    EXPECT_EQ(rr.num_healthy_groups(), 0u);
+    EXPECT_FALSE(first->status().ok());
+    EXPECT_FALSE(second->status().ok());
+
+    Tensor late = Tensor::Full({8}, 1.0);
+    const Status st =
+        rr.AllReduce(late, ReduceOp::kSum)->Wait(ctx.clock, /*timeout=*/5.0);
+    EXPECT_EQ(st.code(), StatusCode::kInternal) << st.ToString();
+    EXPECT_NE(st.message().find(rr.backend_name()), std::string::npos)
+        << st.message();
+    EXPECT_DOUBLE_EQ(late.FlatAt(0), 1.0);
+  });
+  // Two dispatches per rank reached a child; the third issued nothing.
+  EXPECT_EQ(metrics->counter("pg.ops.all_reduce").value(), 4u);
 }
 
 }  // namespace

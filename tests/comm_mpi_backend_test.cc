@@ -9,6 +9,7 @@
 #include "core/distributed_data_parallel.h"
 #include "nn/zoo.h"
 #include "sim/comm_cost_model.h"
+#include "tests/wait_ok.h"
 
 namespace ddpkit {
 namespace {
@@ -52,7 +53,7 @@ TEST(MpiBackendTest, AllReduceDataCorrect) {
   SimWorld::Run(3, options, [&](SimWorld::RankContext& ctx) {
     EXPECT_EQ(ctx.process_group->backend_name(), "mpi");
     Tensor t = Tensor::Full({8}, ctx.rank + 1.0);
-    ctx.process_group->AllReduce(t)->Wait(ctx.clock);
+    EXPECT_WAIT_OK(ctx.process_group->AllReduce(t), ctx.clock);
     results[static_cast<size_t>(ctx.rank)] = t.FlatAt(0);
     EXPECT_GT(ctx.clock->Now(), 0.0);
   });

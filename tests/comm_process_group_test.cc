@@ -5,6 +5,7 @@
 
 #include "comm/sim_world.h"
 #include "tensor/tensor_ops.h"
+#include "tests/wait_ok.h"
 
 namespace ddpkit::comm {
 namespace {
@@ -14,7 +15,7 @@ TEST(ProcessGroupTest, AllReduceSumsAcrossRanks) {
   std::vector<double> results(kWorld, 0.0);
   SimWorld::Run(kWorld, [&](SimWorld::RankContext& ctx) {
     Tensor t = Tensor::Full({8}, ctx.rank + 1.0);
-    ctx.process_group->AllReduce(t)->Wait(ctx.clock);
+    EXPECT_WAIT_OK(ctx.process_group->AllReduce(t), ctx.clock);
     results[static_cast<size_t>(ctx.rank)] = t.FlatAt(0);
   });
   for (double r : results) {
@@ -28,7 +29,7 @@ TEST(ProcessGroupTest, BroadcastFromEachRoot) {
     std::vector<double> results(kWorld, -1.0);
     SimWorld::Run(kWorld, [&, root](SimWorld::RankContext& ctx) {
       Tensor t = Tensor::Full({4}, 100.0 * ctx.rank);
-      ctx.process_group->Broadcast(t, root)->Wait(ctx.clock);
+      EXPECT_WAIT_OK(ctx.process_group->Broadcast(t, root), ctx.clock);
       results[static_cast<size_t>(ctx.rank)] = t.FlatAt(0);
     });
     for (double r : results) {
@@ -43,7 +44,7 @@ TEST(ProcessGroupTest, AllGatherCollectsRankOrder) {
   SimWorld::Run(kWorld, [&](SimWorld::RankContext& ctx) {
     Tensor mine = Tensor::Full({2}, ctx.rank * 10.0);
     Tensor all = Tensor::Zeros({2 * kWorld});
-    ctx.process_group->AllGather(mine, all)->Wait(ctx.clock);
+    EXPECT_WAIT_OK(ctx.process_group->AllGather(mine, all), ctx.clock);
     for (int64_t i = 0; i < all.numel(); ++i) {
       gathered[static_cast<size_t>(ctx.rank)].push_back(all.FlatAt(i));
     }
@@ -73,8 +74,8 @@ TEST(ProcessGroupTest, AsyncWorkOverlapsAndWaitsLater) {
     WorkHandle wa = ctx.process_group->AllReduce(a);
     WorkHandle wb = ctx.process_group->AllReduce(b);
     // Waiting out of launch order is fine; data is still correct.
-    wb->Wait(ctx.clock);
-    wa->Wait(ctx.clock);
+    EXPECT_WAIT_OK(wb, ctx.clock);
+    EXPECT_WAIT_OK(wa, ctx.clock);
     EXPECT_DOUBLE_EQ(a.FlatAt(0), 2.0);
     EXPECT_DOUBLE_EQ(b.FlatAt(0), 4.0);
   });
@@ -85,7 +86,7 @@ TEST(ProcessGroupTest, VirtualClockAdvancesOnWait) {
   std::vector<double> times(kWorld, 0.0);
   SimWorld::Run(kWorld, [&](SimWorld::RankContext& ctx) {
     Tensor t = Tensor::Full({1 << 18}, 1.0);  // 1 MB
-    ctx.process_group->AllReduce(t)->Wait(ctx.clock);
+    EXPECT_WAIT_OK(ctx.process_group->AllReduce(t), ctx.clock);
     times[static_cast<size_t>(ctx.rank)] = ctx.clock->Now();
   });
   for (double t : times) {
@@ -104,7 +105,7 @@ TEST(ProcessGroupTest, CommQueueSerializesCollectives) {
   std::vector<double> one(kWorld), two(kWorld);
   SimWorld::Run(kWorld, [&](SimWorld::RankContext& ctx) {
     Tensor t = Tensor::Full({1 << 20}, 1.0);
-    ctx.process_group->AllReduce(t)->Wait(ctx.clock);
+    EXPECT_WAIT_OK(ctx.process_group->AllReduce(t), ctx.clock);
     one[static_cast<size_t>(ctx.rank)] = ctx.clock->Now();
   });
   SimWorld::Run(kWorld, [&](SimWorld::RankContext& ctx) {
@@ -112,8 +113,8 @@ TEST(ProcessGroupTest, CommQueueSerializesCollectives) {
     Tensor b = Tensor::Full({1 << 20}, 1.0);
     WorkHandle wa = ctx.process_group->AllReduce(a);
     WorkHandle wb = ctx.process_group->AllReduce(b);
-    wa->Wait(ctx.clock);
-    wb->Wait(ctx.clock);
+    EXPECT_WAIT_OK(wa, ctx.clock);
+    EXPECT_WAIT_OK(wb, ctx.clock);
     two[static_cast<size_t>(ctx.rank)] = ctx.clock->Now();
   });
   EXPECT_NEAR(two[0] / one[0], 2.0, 0.2);
@@ -125,14 +126,14 @@ TEST(ProcessGroupTest, GlooFlavorIsSlower) {
   nccl_opts.backend = sim::Backend::kNccl;
   SimWorld::Run(2, nccl_opts, [&](SimWorld::RankContext& ctx) {
     Tensor t = Tensor::Full({1 << 20}, 1.0);
-    ctx.process_group->AllReduce(t)->Wait(ctx.clock);
+    EXPECT_WAIT_OK(ctx.process_group->AllReduce(t), ctx.clock);
     nccl_time[static_cast<size_t>(ctx.rank)] = ctx.clock->Now();
   });
   SimWorldOptions gloo_opts;
   gloo_opts.backend = sim::Backend::kGloo;
   SimWorld::Run(2, gloo_opts, [&](SimWorld::RankContext& ctx) {
     Tensor t = Tensor::Full({1 << 20}, 1.0);
-    ctx.process_group->AllReduce(t)->Wait(ctx.clock);
+    EXPECT_WAIT_OK(ctx.process_group->AllReduce(t), ctx.clock);
     gloo_time[static_cast<size_t>(ctx.rank)] = ctx.clock->Now();
   });
   EXPECT_GT(gloo_time[0], nccl_time[0]);
@@ -146,7 +147,7 @@ TEST(ProcessGroupTest, RingAndNaiveAlgorithmsAgreeNumerically) {
     options.algorithm = algo;
     SimWorld::Run(3, options, [&](SimWorld::RankContext& ctx) {
       Tensor t = Tensor::Full({7}, static_cast<double>(ctx.rank));
-      ctx.process_group->AllReduce(t)->Wait(ctx.clock);
+      EXPECT_WAIT_OK(ctx.process_group->AllReduce(t), ctx.clock);
       result[static_cast<size_t>(ctx.rank)] = t.FlatAt(3);
     });
     EXPECT_DOUBLE_EQ(result[0], 3.0) << AlgorithmName(algo);
@@ -163,7 +164,7 @@ TEST(ProcessGroupTest, ManySmallOpsStress) {
       tensors.push_back(Tensor::Full({3}, 1.0));
       works.push_back(ctx.process_group->AllReduce(tensors.back()));
     }
-    for (auto& w : works) w->Wait(ctx.clock);
+    for (auto& w : works) EXPECT_WAIT_OK(w, ctx.clock);
     for (const Tensor& t : tensors) {
       EXPECT_DOUBLE_EQ(t.FlatAt(0), kWorld);
     }

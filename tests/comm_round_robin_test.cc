@@ -4,6 +4,7 @@
 
 #include "comm/sim_world.h"
 #include "tensor/tensor_ops.h"
+#include "tests/wait_ok.h"
 
 namespace ddpkit::comm {
 namespace {
@@ -20,7 +21,7 @@ TEST(RoundRobinTest, DataCorrectAcrossDispatchedGroups) {
       tensors.push_back(Tensor::Full({5}, ctx.rank + 1.0));
       works.push_back(ctx.process_group->AllReduce(tensors.back()));
     }
-    for (auto& w : works) w->Wait(ctx.clock);
+    for (auto& w : works) EXPECT_WAIT_OK(w, ctx.clock);
     for (const Tensor& t : tensors) {
       EXPECT_DOUBLE_EQ(t.FlatAt(0), 6.0);  // 1+2+3
     }
@@ -41,7 +42,7 @@ TEST(RoundRobinTest, ParallelQueuesReduceLatencyForManyOps) {
         tensors.push_back(Tensor::Full({4 << 20}, 1.0));  // 16 MB each
         works.push_back(ctx.process_group->AllReduce(tensors.back()));
       }
-      for (auto& w : works) w->Wait(ctx.clock);
+      for (auto& w : works) EXPECT_WAIT_OK(w, ctx.clock);
       if (ctx.rank == 0) total = ctx.clock->Now();
     });
     return total;
@@ -63,8 +64,8 @@ TEST(RoundRobinTest, BarrierFlushesAllQueues) {
     // After the barrier both collectives' data must be complete.
     EXPECT_TRUE(wa->IsCompleted());
     EXPECT_TRUE(wb->IsCompleted());
-    wa->Wait(ctx.clock);
-    wb->Wait(ctx.clock);
+    EXPECT_WAIT_OK(wa, ctx.clock);
+    EXPECT_WAIT_OK(wb, ctx.clock);
     EXPECT_DOUBLE_EQ(a.FlatAt(0), 2.0);
     EXPECT_DOUBLE_EQ(b.FlatAt(0), 4.0);
   });
@@ -75,7 +76,7 @@ TEST(RoundRobinTest, SingleChildBehavesLikePlainGroup) {
   options.round_robin_groups = 1;
   SimWorld::Run(2, options, [&](SimWorld::RankContext& ctx) {
     Tensor t = Tensor::Full({4}, 1.0);
-    ctx.process_group->AllReduce(t)->Wait(ctx.clock);
+    EXPECT_WAIT_OK(ctx.process_group->AllReduce(t), ctx.clock);
     EXPECT_DOUBLE_EQ(t.FlatAt(0), 2.0);
   });
 }

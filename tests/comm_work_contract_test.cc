@@ -8,9 +8,12 @@
 //     first one stands, from any interleaving.
 //
 //  2. Collective entry points never abort on bad arguments: an undefined
-//     tensor or an out-of-range root yields a pre-failed kShapeMismatch
-//     handle that consumes NO sequence number, so a subsequent valid
-//     collective still pairs correctly with the peers.
+//     tensor or an out-of-range root yields a handle pre-failed with
+//     kFailedPrecondition that consumes NO sequence number, so a subsequent
+//     valid collective still pairs correctly with the peers.
+//
+// A Work carries one Status: Wait and status() return it as MarkFailed
+// stored it.
 
 #include "comm/work.h"
 
@@ -30,35 +33,33 @@ namespace {
 
 TEST(WorkContractTest, FailedThenCompletedStaysFailed) {
   Work work;
-  work.MarkFailed(WorkError::kTimeout, "rank 2 never arrived", 3.0);
+  work.MarkFailed(Status::TimedOut("rank 2 never arrived"), 3.0);
   // The racing completion must be swallowed, not abort the process.
   work.MarkCompleted(5.0);
   EXPECT_TRUE(work.Poll());
   EXPECT_FALSE(work.IsCompleted());
-  EXPECT_EQ(work.error(), WorkError::kTimeout);
   EXPECT_EQ(work.status().code(), StatusCode::kTimedOut);
-  EXPECT_NE(work.error_message().find("rank 2"), std::string::npos);
+  EXPECT_EQ(work.status().message(), "rank 2 never arrived");
   EXPECT_DOUBLE_EQ(work.completion_time(), 3.0);
 }
 
 TEST(WorkContractTest, CompletedThenFailedStaysCompleted) {
   Work work;
   work.MarkCompleted(2.0);
-  work.MarkFailed(WorkError::kRankFailure, "late watchdog verdict", 4.0);
+  work.MarkFailed(Status::Internal("late watchdog verdict"), 4.0);
   EXPECT_TRUE(work.Poll());
   EXPECT_TRUE(work.IsCompleted());
-  EXPECT_EQ(work.error(), WorkError::kNone);
   EXPECT_TRUE(work.status().ok());
   EXPECT_DOUBLE_EQ(work.completion_time(), 2.0);
 }
 
 TEST(WorkContractTest, WaitSurfacesFailureAsStatus) {
   Work work;
-  work.MarkFailed(WorkError::kShapeMismatch, "divergent collective", 1.5);
+  work.MarkFailed(Status::FailedPrecondition("divergent collective"), 1.5);
   sim::VirtualClock clock;
   const Status st = work.Wait(&clock, /*timeout_seconds=*/10.0);
-  EXPECT_FALSE(st.ok());
-  EXPECT_NE(st.message().find("divergent collective"), std::string::npos);
+  EXPECT_EQ(st.code(), StatusCode::kFailedPrecondition);
+  EXPECT_EQ(st.message(), "divergent collective");
   EXPECT_DOUBLE_EQ(clock.Now(), 1.5);
 }
 
@@ -72,17 +73,17 @@ TEST(WorkContractTest, ConcurrentTerminalRaceYieldsOneVerdict) {
     threads.emplace_back([&] { work.MarkCompleted(1.0); });
     for (int d = 0; d < 3; ++d) {
       threads.emplace_back([&work, d] {
-        work.MarkFailed(WorkError::kTimeout,
-                        "watchdog " + std::to_string(d), 2.0 + d);
+        work.MarkFailed(Status::TimedOut("watchdog " + std::to_string(d)),
+                        2.0 + d);
       });
     }
     for (auto& th : threads) th.join();
     ASSERT_TRUE(work.Poll());
     if (work.IsCompleted()) {
-      EXPECT_EQ(work.error(), WorkError::kNone);
+      EXPECT_TRUE(work.status().ok());
       EXPECT_DOUBLE_EQ(work.completion_time(), 1.0);
     } else {
-      EXPECT_EQ(work.error(), WorkError::kTimeout);
+      EXPECT_EQ(work.status().code(), StatusCode::kTimedOut);
       EXPECT_GE(work.completion_time(), 2.0);
     }
   }

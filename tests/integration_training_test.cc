@@ -14,6 +14,7 @@
 #include "optim/adam.h"
 #include "optim/sgd.h"
 #include "tensor/tensor_ops.h"
+#include "tests/wait_ok.h"
 
 namespace ddpkit {
 namespace {
@@ -234,7 +235,7 @@ TEST(IntegrationTest, ParameterAveragingDivergesFromDdpWithMomentum) {
       if ((s + 1) % kAverageEvery == 0) {
         autograd::NoGradGuard guard;
         for (Tensor& p : model.parameters()) {
-          ctx.process_group->AllReduce(p.Flatten())->Wait(ctx.clock);
+          EXPECT_WAIT_OK(ctx.process_group->AllReduce(p.Flatten()), ctx.clock);
           kernels::ScaleInPlace(&p, 1.0 / kWorld);
         }
       }
