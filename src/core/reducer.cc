@@ -222,8 +222,7 @@ void Reducer::ResetIterationState() {
     b.pending = assignment_.buckets[i].size();
     b.ready = false;
     b.launched = false;
-    b.work.reset();
-    b.hook_launched = CommHook::Launched{};
+    b.comm = CommHook::Launched{};
   }
   next_bucket_ = 0;
   ready_order_.clear();
@@ -377,19 +376,20 @@ void Reducer::LaunchBucket(size_t bucket_id) {
     frame_.buckets.push_back(BucketTelemetry{bucket_id, bucket.bytes,
                                              bucket.launch_clock, 0.0, 0.0});
   }
-  uint64_t bytes_raw = bucket.bytes;
-  uint64_t bytes_compressed = bucket.bytes;
   if (options_.comm_hook != nullptr) {
-    bucket.hook_launched =
-        options_.comm_hook->Launch(*pg_, bucket.buffer, bucket_id);
-    DDPKIT_CHECK(!bucket.hook_launched.works.empty())
+    bucket.comm = options_.comm_hook->Launch(*pg_, bucket.buffer, bucket_id);
+    DDPKIT_CHECK(!bucket.comm.works.empty())
         << "comm hook " << options_.comm_hook->name()
         << " returned no collective handles";
-    bytes_raw = bucket.hook_launched.bytes_raw;
-    bytes_compressed = bucket.hook_launched.bytes_compressed;
   } else {
-    bucket.work = pg_->AllReduce(bucket.buffer, comm::ReduceOp::kSum);
+    bucket.comm = {
+        .works = {pg_->AllReduce(bucket.buffer, comm::ReduceOp::kSum)},
+        .finalize = nullptr,
+        .bytes_raw = bucket.bytes,
+        .bytes_compressed = bucket.bytes};
   }
+  const uint64_t bytes_raw = bucket.comm.bytes_raw;
+  const uint64_t bytes_compressed = bucket.comm.bytes_compressed;
   ++stats_.allreduces_launched;
   stats_.bytes_reduced += bucket.bytes;
   stats_.bytes_wire_raw += bytes_raw;
@@ -443,19 +443,12 @@ void Reducer::FinalizeBackward() {
     // one in the stock bucket all-reduce.
     Status wait_status = Status::OK();
     double completion = 0.0;
-    if (hooked) {
-      for (const comm::WorkHandle& work : bucket.hook_launched.works) {
-        DDPKIT_CHECK(work != nullptr);
-        wait_status =
-            work->Wait(pg_->clock(), options_.collective_timeout_seconds);
-        if (!wait_status.ok()) break;
-        completion = std::max(completion, work->completion_time());
-      }
-    } else {
-      DDPKIT_CHECK(bucket.work != nullptr);
+    for (const comm::WorkHandle& work : bucket.comm.works) {
+      DDPKIT_CHECK(work != nullptr);
       wait_status =
-          bucket.work->Wait(pg_->clock(), options_.collective_timeout_seconds);
-      if (wait_status.ok()) completion = bucket.work->completion_time();
+          work->Wait(pg_->clock(), options_.collective_timeout_seconds);
+      if (!wait_status.ok()) break;
+      completion = std::max(completion, work->completion_time());
     }
     const std::string where =
         "gradient bucket " + std::to_string(b) + " (rank " +
@@ -469,8 +462,8 @@ void Reducer::FinalizeBackward() {
                        where + ": " + wait_status.message()));
       return;
     }
-    if (bucket.hook_launched.finalize) {
-      const Status finalize_status = bucket.hook_launched.finalize();
+    if (bucket.comm.finalize) {
+      const Status finalize_status = bucket.comm.finalize();
       if (!finalize_status.ok()) {
         AbortSync(Status(finalize_status.code(),
                          where + " finalize: " + finalize_status.message()));
@@ -620,16 +613,12 @@ void Reducer::AbortSync(Status status) {
 }
 
 void Reducer::DrainBucketWorks(Bucket& bucket) {
-  const auto drain = [this](const comm::WorkHandle& work) {
-    if (work == nullptr) return;
-    if (work->Poll() && work->IsCompleted()) {
+  for (const comm::WorkHandle& work : bucket.comm.works) {
+    if (work != nullptr && work->IsCompleted()) {
       pg_->clock()->AdvanceTo(work->completion_time());
     }
-  };
-  drain(bucket.work);
-  for (const comm::WorkHandle& work : bucket.hook_launched.works) drain(work);
-  bucket.work.reset();
-  bucket.hook_launched = CommHook::Launched{};
+  }
+  bucket.comm = CommHook::Launched{};
 }
 
 namespace {

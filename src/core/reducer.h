@@ -240,8 +240,9 @@ class Reducer {
     bool ready = false;
     bool launched = false;
     size_t bytes = 0;
-    comm::WorkHandle work;
-    CommHook::Launched hook_launched;
+    /// The bucket's collectives: the comm hook's, or the default path's
+    /// single AllReduce with no finalize.
+    CommHook::Launched comm;
     double launch_clock = 0.0;  // for trace spans
   };
 
@@ -277,10 +278,9 @@ class Reducer {
   /// disables future syncs, and unwinds per-iteration state so the replica
   /// survives to read the diagnostic.
   void AbortSync(Status status) REQUIRES(mu_);
-  /// Releases every collective handle a bucket holds (the default-path
-  /// AllReduce and all comm-hook works) non-throwingly: a handle whose work
-  /// did complete still advances the clock to its completion, everything
-  /// else is simply dropped.
+  /// Releases every collective handle a bucket holds non-throwingly: a
+  /// handle whose work did complete still advances the clock to its
+  /// completion, everything else is simply dropped.
   void DrainBucketWorks(Bucket& bucket) REQUIRES(mu_);
   /// The parameter's slot in its bucket, shaped like the parameter: the
   /// tensor its .grad is a view of once attached.
