@@ -794,10 +794,10 @@ WorkHandle ProcessGroupTcp::Run(Collective kind, DType dtype, int64_t numel,
   if (options_.metrics) {
     options_.metrics->counter("pg.collectives_failed").Increment();
   }
-  // The one mapping from the wire's Status to the caller's code: a deadline
-  // stays kTimedOut, a header disagreement is the caller's precondition,
-  // and everything else (peer EOF or reset, a re-mesh HELLO's generation
-  // mismatch) is a rank failure.
+  // The wire's Status becomes the caller's code: a deadline stays
+  // kTimedOut, a header disagreement (kInvalidArgument) is the caller's
+  // failed precondition, and anything else (peer EOF or reset, a re-mesh
+  // HELLO's generation mismatch) is a rank failure, kInternal.
   const StatusCode code =
       status.code() == StatusCode::kTimedOut ? StatusCode::kTimedOut
       : status.code() == StatusCode::kInvalidArgument
