@@ -599,8 +599,8 @@ TEST(RoundRobinFailoverTest, EveryChildFailedFailsTypedInsteadOfAborting) {
     EXPECT_FALSE(second->status().ok());
 
     Tensor late = Tensor::Full({8}, 1.0);
-    const Status st =
-        rr.AllReduce(late, ReduceOp::kSum)->Wait(ctx.clock, /*timeout=*/5.0);
+    const Status st = rr.AllReduce(late, ReduceOp::kSum)
+                          ->Wait(ctx.clock, /*timeout_seconds=*/5.0);
     EXPECT_EQ(st.code(), StatusCode::kInternal) << st.ToString();
     EXPECT_NE(st.message().find(rr.backend_name()), std::string::npos)
         << st.message();
