@@ -769,23 +769,22 @@ WorkHandle ProcessGroupTcp::Run(Collective kind, DType dtype, int64_t numel,
                   status.message());
   }
 
-  auto work = std::make_shared<Work>();
   if (status.ok()) {
     // Track wall time on the virtual clock so Work/telemetry semantics
     // stay uniform with the sim backends.
+    auto work = std::make_shared<Work>();
     work->MarkCompleted(issue_clock + elapsed());
     return work;
   }
   if (status.code() == StatusCode::kFailedPrecondition) {  // abort pipe fired
-    work->MarkFailed(Status::InvalidGeneration(
-                         "collective " + std::string(CollectiveName(kind)) +
-                         " seq " + std::to_string(seq) +
-                         " aborted: generation " +
-                         std::to_string(options_.generation) +
-                         " superseded by " +
-                         std::to_string(superseded_by_.load())),
-                     issue_clock + elapsed());
-    return work;
+    return FailedWork(Status::InvalidGeneration(
+                          "collective " + std::string(CollectiveName(kind)) +
+                          " seq " + std::to_string(seq) +
+                          " aborted: generation " +
+                          std::to_string(options_.generation) +
+                          " superseded by " +
+                          std::to_string(superseded_by_.load())),
+                      issue_clock + elapsed());
   }
   // The wire can be mid-message anywhere in the mesh; poison the group so
   // no later collective reads another op's bytes as its payload.
@@ -803,12 +802,11 @@ WorkHandle ProcessGroupTcp::Run(Collective kind, DType dtype, int64_t numel,
       : status.code() == StatusCode::kInvalidArgument
           ? StatusCode::kFailedPrecondition
           : StatusCode::kInternal;
-  work->MarkFailed(Status(code, "collective " +
-                                    std::string(CollectiveName(kind)) +
-                                    " seq " + std::to_string(seq) +
-                                    " failed (" + status.message() + ")"),
-                   issue_clock + elapsed());
-  return work;
+  return FailedWork(Status(code, "collective " +
+                                     std::string(CollectiveName(kind)) +
+                                     " seq " + std::to_string(seq) +
+                                     " failed (" + status.message() + ")"),
+                    issue_clock + elapsed());
 }
 
 // ---------------------------------------------------------------------------
