@@ -384,27 +384,27 @@ void Reducer::LaunchBucket(size_t bucket_id) {
   } else {
     bucket.comm = {
         .works = {pg_->AllReduce(bucket.buffer, comm::ReduceOp::kSum)},
-        .finalize = nullptr,
+        .finalize = nullptr,  // -Wmissing-field-initializers if omitted
         .bytes_raw = bucket.bytes,
         .bytes_compressed = bucket.bytes};
   }
-  const uint64_t bytes_raw = bucket.comm.bytes_raw;
-  const uint64_t bytes_compressed = bucket.comm.bytes_compressed;
+  const CommHook::Launched& launched = bucket.comm;
   ++stats_.allreduces_launched;
   stats_.bytes_reduced += bucket.bytes;
-  stats_.bytes_wire_raw += bytes_raw;
-  stats_.bytes_wire_compressed += bytes_compressed;
+  stats_.bytes_wire_raw += launched.bytes_raw;
+  stats_.bytes_wire_compressed += launched.bytes_compressed;
   if (options_.metrics != nullptr) {
     options_.metrics->counter("reducer.bytes_reduced").Increment(bucket.bytes);
-    options_.metrics->counter("ddp.comm.bytes_raw").Increment(bytes_raw);
+    options_.metrics->counter("ddp.comm.bytes_raw")
+        .Increment(launched.bytes_raw);
     options_.metrics->counter("ddp.comm.bytes_compressed")
-        .Increment(bytes_compressed);
+        .Increment(launched.bytes_compressed);
   }
   if (options_.trace != nullptr) {
     options_.trace->AddInstant(
         "bucket " + std::to_string(bucket_id) + " wire " +
-            std::to_string(bytes_compressed) + "/" +
-            std::to_string(bytes_raw) + " B",
+            std::to_string(launched.bytes_compressed) + "/" +
+            std::to_string(launched.bytes_raw) + " B",
         "comm", pg_->rank(), bucket.launch_clock);
   }
 }
