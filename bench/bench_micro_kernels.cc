@@ -7,6 +7,8 @@
 
 #include <vector>
 
+#include "autograd/engine.h"
+#include "autograd/ops.h"
 #include "comm/algorithms.h"
 #include "common/parallel.h"
 #include "common/rng.h"
@@ -424,6 +426,41 @@ BENCHMARK(BM_Softmax)
     ->ArgNames({"level", "m", "n"})
     ->DDPKIT_SIMD_LEVEL_ARGS(16, 16)
     ->DDPKIT_SIMD_LEVEL_ARGS(128, 256);
+
+// Multi-head attention forward plus backward at transformer_w2's shape:
+// batch 8, 16 tokens, model width 64 in 4 heads of 16. q, k and v are
+// leaves, so their gradient accumulation is part of the cell; items are
+// the multiply-adds of the six products (two forward, four backward).
+Tensor MultiHeadAttention(const Tensor& q, const Tensor& k, const Tensor& v,
+                          int64_t heads) {
+  const int64_t head_dim = q.size(2) / heads;
+  std::vector<Tensor> outs;
+  for (int64_t h = 0; h < heads; ++h) {
+    const int64_t start = h * head_dim;
+    outs.push_back(ops::Attention(ops::SliceLastDim(q, start, head_dim),
+                                  ops::SliceLastDim(k, start, head_dim),
+                                  ops::SliceLastDim(v, start, head_dim)));
+  }
+  return ops::ConcatLastDim(outs);
+}
+
+void BM_Attention(benchmark::State& state) {
+  SimdLevelSweep sweep(state, static_cast<int>(state.range(0)));
+  const int64_t b = state.range(1), s = state.range(2), d = state.range(3);
+  Rng rng(19);
+  Tensor q = Tensor::Randn({b, s, d}, &rng);
+  Tensor k = Tensor::Randn({b, s, d}, &rng);
+  Tensor v = Tensor::Randn({b, s, d}, &rng);
+  const Tensor g = Tensor::Randn({b, s, d}, &rng);
+  for (Tensor* t : {&q, &k, &v}) t->set_requires_grad(true);
+  for (auto _ : state) {
+    autograd::Backward(MultiHeadAttention(q, k, v, state.range(4)), g);
+  }
+  state.SetItemsProcessed(state.iterations() * 6 * b * s * s * d);
+}
+BENCHMARK(BM_Attention)
+    ->ArgNames({"level", "b", "s", "d", "heads"})
+    ->DDPKIT_SIMD_LEVEL_ARGS(8, 16, 64, 4);
 
 // One optimizer step of mlp_w2 (2.9 M parameters in its eight tensors,
 // 1024×784 … 10) as training runs it: ZeroGrad, the one AccumulateGrad per
