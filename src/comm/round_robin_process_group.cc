@@ -3,6 +3,7 @@
 #include <algorithm>
 
 #include "common/check.h"
+#include "common/logging.h"
 
 namespace ddpkit::comm {
 
@@ -92,8 +93,17 @@ WorkHandle RoundRobinProcessGroup::Gather(const Tensor& input, Tensor output,
 void RoundRobinProcessGroup::Barrier() {
   // Barrier must synchronize all (healthy) queues, not just the next one
   // in rotation.
+  bool synchronized = false;
   for (Child& c : children_) {
-    if (c.healthy) c.group->Barrier();
+    if (!c.healthy) continue;
+    c.group->Barrier();
+    synchronized = true;
+  }
+  // Barrier has no error channel (as in ProcessGroupTcp::Barrier), so a
+  // barrier with no healthy child left to run it is logged, not silent.
+  if (!synchronized) {
+    DDPKIT_LOG(Error) << "[" << backend_name() << " rank " << rank()
+                      << "] barrier failed: no healthy child group left";
   }
 }
 

@@ -610,5 +610,41 @@ TEST(RoundRobinFailoverTest, EveryChildFailedFailsTypedInsteadOfAborting) {
   EXPECT_EQ(metrics->counter("pg.ops.all_reduce").value(), 4u);
 }
 
+TEST(RoundRobinFailoverTest, BarrierWithNoHealthyChildLogsAnError) {
+  // Both children drop rank 1, so after the drain no child is left to run
+  // a barrier. Barrier has no return value; it must say so at Error,
+  // naming the composite, instead of returning silently.
+  auto plan = std::make_shared<FaultPlan>();
+  plan->DropRank(1, /*from_seq=*/0);
+  std::vector<std::string> names(2);
+  ::testing::internal::CaptureStderr();
+  SimWorld::Run(2, [&](SimWorld::RankContext& ctx) {
+    ProcessGroupSim::Options opts;
+    opts.fault_plan = plan;
+    opts.collective_timeout_seconds = 2.0;
+    std::vector<std::shared_ptr<ProcessGroup>> children;
+    for (const char* name : {"rr_barrier_0", "rr_barrier_1"}) {
+      children.push_back(ProcessGroupSim::Create(ctx.store, name, ctx.rank,
+                                                 ctx.world, opts, ctx.clock));
+    }
+    RoundRobinProcessGroup rr(std::move(children));
+    Tensor a = Tensor::Full({8}, 1.0);
+    Tensor b = Tensor::Full({8}, 1.0);
+    const WorkHandle first = rr.AllReduce(a, ReduceOp::kSum);
+    const WorkHandle second = rr.AllReduce(b, ReduceOp::kSum);
+    EXPECT_FALSE(rr.DrainAndFailover(/*timeout_seconds=*/5.0).ok());
+    ASSERT_EQ(rr.num_healthy_groups(), 0u);
+    rr.Barrier();
+    names[static_cast<size_t>(ctx.rank)] = rr.backend_name();
+  });
+  const std::string err = ::testing::internal::GetCapturedStderr();
+  for (int rank = 0; rank < 2; ++rank) {
+    const std::string line = "[" + names[static_cast<size_t>(rank)] +
+                             " rank " + std::to_string(rank) +
+                             "] barrier failed: no healthy child group left";
+    EXPECT_NE(err.find(line), std::string::npos) << err;
+  }
+}
+
 }  // namespace
 }  // namespace ddpkit::comm
