@@ -100,10 +100,8 @@ void Backward(const Tensor& root, Tensor grad_output) {
         slot = grad;
       } else {
         // Fan-in: a forward tensor used by several consumers receives the
-        // sum of their gradient contributions.
-        Tensor summed = slot.Clone();
-        kernels::AddInPlace(&summed, grad);
-        slot = summed;
+        // sum of their gradient contributions, slot first, in one pass.
+        slot = kernels::Add(slot.Contiguous(), grad);
       }
     }
     int& deps = dependencies[target];
