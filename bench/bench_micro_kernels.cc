@@ -318,14 +318,13 @@ BENCHMARK(BM_MatMulTransB)
     ->DDPKIT_SIMD_LEVEL_ARGS(128, 256, 64);
 
 // The backward products at the mlp_w2 (batch 8) and transformer_w2 (128
-// tokens) shapes: MatMul is Linear's grad_input and attention's dQ, and
-// MatMulTransA is Linear's grad_weight and attention's dK/dV, out [m, n]
-// over k terms. A quarter or more zeros in A keeps the skip-zero row loop,
-// fewer take the register tile (masked if A holds any zero), so the
-// `zeros` percentages straddle that constant:
+// tokens) shapes: MatMul is Linear's grad_input and MatMulTransA Linear's
+// grad_weight, out [m, n] over k terms. Two fifths or more zeros in A keep
+// the skip-zero row loop, fewer take the register tile (masked if A holds
+// any zero), so the `zeros` percentages straddle that constant:
 // - 0: dense, as most of transformer_w2's gradients are (unmasked tile);
-// - 20: the masked tile just below a quarter;
-// - 30: the row loop just above it;
+// - 35: the masked tile just below two fifths;
+// - 45: the row loop just above it;
 // - 50: ReLU-sparse, as every large mlp_w2 gradient is (row loop).
 Tensor RandnWithZeros(std::vector<int64_t> shape, int64_t zeros_pct,
                       Rng* rng) {
@@ -366,7 +365,7 @@ void BackwardShapes(benchmark::internal::Benchmark* b,
                     const std::vector<std::vector<int64_t>>& shapes) {
   b->ArgNames({"level", "m", "k", "n", "zeros"});
   for (const auto& s : shapes) {
-    for (const long zeros_pct : {0, 20, 30, 50}) {
+    for (const long zeros_pct : {0, 35, 45, 50}) {
       b->DDPKIT_SIMD_LEVEL_ARGS(s[0], s[1], s[2], zeros_pct);
     }
   }
@@ -428,22 +427,10 @@ BENCHMARK(BM_Softmax)
     ->DDPKIT_SIMD_LEVEL_ARGS(128, 256);
 
 // Multi-head attention forward plus backward at transformer_w2's shape:
-// batch 8, 16 tokens, model width 64 in 4 heads of 16. q, k and v are
-// leaves, so their gradient accumulation is part of the cell; items are
-// the multiply-adds of the six products (two forward, four backward).
-Tensor MultiHeadAttention(const Tensor& q, const Tensor& k, const Tensor& v,
-                          int64_t heads) {
-  const int64_t head_dim = q.size(2) / heads;
-  std::vector<Tensor> outs;
-  for (int64_t h = 0; h < heads; ++h) {
-    const int64_t start = h * head_dim;
-    outs.push_back(ops::Attention(ops::SliceLastDim(q, start, head_dim),
-                                  ops::SliceLastDim(k, start, head_dim),
-                                  ops::SliceLastDim(v, start, head_dim)));
-  }
-  return ops::ConcatLastDim(outs);
-}
-
+// batch 8, 16 tokens, model width 64 in 4 heads of 16, one Attention node.
+// q, k and v are leaves, so their gradient accumulation is part of the
+// cell; items are the multiply-adds of the six products (two forward, four
+// backward).
 void BM_Attention(benchmark::State& state) {
   SimdLevelSweep sweep(state, static_cast<int>(state.range(0)));
   const int64_t b = state.range(1), s = state.range(2), d = state.range(3);
@@ -454,7 +441,7 @@ void BM_Attention(benchmark::State& state) {
   const Tensor g = Tensor::Randn({b, s, d}, &rng);
   for (Tensor* t : {&q, &k, &v}) t->set_requires_grad(true);
   for (auto _ : state) {
-    autograd::Backward(MultiHeadAttention(q, k, v, state.range(4)), g);
+    autograd::Backward(ops::Attention(q, k, v, state.range(4)), g);
   }
   state.SetItemsProcessed(state.iterations() * 6 * b * s * s * d);
 }

@@ -1,7 +1,6 @@
 #include "autograd/ops.h"
 
 #include <cmath>
-#include <cstring>
 #include <functional>
 #include <memory>
 #include <string>
@@ -322,96 +321,6 @@ Tensor TileRows(const Tensor& a, int64_t repeats) {
              }
              return std::vector<Tensor>{grad_a};
            });
-  }
-  return out;
-}
-
-namespace {
-
-/// Copies columns [src_start, src_start+len) of every row of `src` into
-/// columns [dst_start, ...) of `dst`. Rows = numel / last-dim.
-void CopyColumns(const Tensor& src, int64_t src_start, Tensor* dst,
-                 int64_t dst_start, int64_t len) {
-  const int64_t src_width = src.size(src.dim() - 1);
-  const int64_t dst_width = dst->size(dst->dim() - 1);
-  const int64_t rows = src.numel() / src_width;
-  DDPKIT_CHECK_EQ(dst->numel() / dst_width, rows);
-  const float* ps = src.data<float>();
-  float* pd = dst->data<float>();
-  for (int64_t r = 0; r < rows; ++r) {
-    std::memcpy(pd + r * dst_width + dst_start,
-                ps + r * src_width + src_start,
-                static_cast<size_t>(len) * sizeof(float));
-  }
-}
-
-}  // namespace
-
-Tensor SliceLastDim(const Tensor& a, int64_t start, int64_t len) {
-  DDPKIT_CHECK_GE(a.dim(), 1);
-  const int64_t width = a.size(a.dim() - 1);
-  DDPKIT_CHECK(start >= 0 && len > 0 && start + len <= width);
-  std::vector<int64_t> out_shape = a.shape();
-  out_shape.back() = len;
-  Tensor out = Tensor::Empty(out_shape, DType::kFloat32, a.device_id());
-  Tensor src = a.Contiguous();
-  CopyColumns(src, start, &out, 0, len);
-  if (AnyRequiresGrad({&a})) {
-    std::vector<int64_t> in_shape = a.shape();
-    Record(&out, "SliceLastDimBackward", {&a},
-           [in_shape, start, len](std::vector<Tensor> grads) {
-             Tensor g = FirstGrad(grads);
-             Tensor grad_in = Tensor::Zeros(in_shape);
-             CopyColumns(g, 0, &grad_in, start, len);
-             return std::vector<Tensor>{grad_in};
-           });
-  }
-  return out;
-}
-
-Tensor ConcatLastDim(const std::vector<Tensor>& parts) {
-  DDPKIT_CHECK(!parts.empty());
-  int64_t total_width = 0;
-  for (const Tensor& p : parts) {
-    DDPKIT_CHECK(p.defined());
-    total_width += p.size(p.dim() - 1);
-  }
-  std::vector<int64_t> out_shape = parts[0].shape();
-  out_shape.back() = total_width;
-  Tensor out = Tensor::Empty(out_shape, DType::kFloat32,
-                             parts[0].device_id());
-  std::vector<int64_t> widths;
-  int64_t offset = 0;
-  for (const Tensor& p : parts) {
-    const int64_t w = p.size(p.dim() - 1);
-    CopyColumns(p.Contiguous(), 0, &out, offset, w);
-    widths.push_back(w);
-    offset += w;
-  }
-  bool any_grad = false;
-  for (const Tensor& p : parts) {
-    if (p.requires_grad()) any_grad = true;
-  }
-  if (GradModeEnabled() && any_grad) {
-    auto node = std::make_shared<LambdaNode>(
-        "ConcatLastDimBackward", [widths](std::vector<Tensor> grads) {
-          Tensor g = FirstGrad(grads);
-          std::vector<Tensor> out_grads;
-          int64_t off = 0;
-          for (int64_t w : widths) {
-            std::vector<int64_t> part_shape = g.shape();
-            part_shape.back() = w;
-            Tensor part = Tensor::Empty(part_shape);
-            CopyColumns(g, off, &part, 0, w);
-            out_grads.push_back(part);
-            off += w;
-          }
-          return out_grads;
-        });
-    std::vector<Edge> edges;
-    for (const Tensor& p : parts) edges.push_back(GradEdge(p));
-    node->set_next_edges(std::move(edges));
-    SetHistory(&out, std::move(node));
   }
   return out;
 }
@@ -825,73 +734,17 @@ Tensor Softmax(const Tensor& a) {
   return out;
 }
 
-Tensor Attention(const Tensor& q, const Tensor& k, const Tensor& v) {
-  DDPKIT_CHECK_EQ(q.dim(), 3);
-  DDPKIT_CHECK(q.shape() == k.shape() && q.shape() == v.shape());
-  const int64_t batch = q.size(0), seq = q.size(1), dim = q.size(2);
-  const double scale = 1.0 / std::sqrt(static_cast<double>(dim));
-
-  Tensor out = Tensor::Empty(q.shape());
-  Tensor probs = Tensor::Empty({batch, seq, seq});
-
-  for (int64_t b = 0; b < batch; ++b) {
-    Tensor qb = q.Narrow(0, b, 1).Reshape({seq, dim});
-    Tensor kb = k.Narrow(0, b, 1).Reshape({seq, dim});
-    Tensor vb = v.Narrow(0, b, 1).Reshape({seq, dim});
-    Tensor scores = kernels::Scale(kernels::MatMulTransB(qb, kb), scale);
-    Tensor p = kernels::Softmax(scores);
-    Tensor ob = kernels::MatMul(p, vb);
-    probs.Narrow(0, b, 1).Reshape({seq, seq}).CopyFrom(p);
-    out.Narrow(0, b, 1).Reshape({seq, dim}).CopyFrom(ob);
-  }
-
+Tensor Attention(const Tensor& q, const Tensor& k, const Tensor& v,
+                 int64_t num_heads) {
+  Tensor probs;
+  Tensor out = kernels::Attention(q, k, v, num_heads, &probs);
   if (AnyRequiresGrad({&q, &k, &v})) {
-    Tensor sq = q, sk = k, sv = v, sp = probs;
+    Tensor sq = q, sk = k, sv = v;
     Record(&out, "AttentionBackward", {&q, &k, &v},
-           [sq, sk, sv, sp, batch, seq, dim,
-            scale](std::vector<Tensor> grads) {
-             Tensor g = FirstGrad(grads);
-             Tensor gq = Tensor::Empty(sq.shape());
-             Tensor gk = Tensor::Empty(sk.shape());
-             Tensor gv = Tensor::Empty(sv.shape());
-             for (int64_t b = 0; b < batch; ++b) {
-               Tensor gb = g.Narrow(0, b, 1).Reshape({seq, dim});
-               Tensor qb = sq.Narrow(0, b, 1).Reshape({seq, dim});
-               Tensor kb = sk.Narrow(0, b, 1).Reshape({seq, dim});
-               Tensor vb = sv.Narrow(0, b, 1).Reshape({seq, dim});
-               Tensor pb = sp.Narrow(0, b, 1).Reshape({seq, seq});
-               // dV = P^T dO
-               Tensor gvb = kernels::MatMulTransA(pb, gb);
-               // dP = dO V^T
-               Tensor gpb = kernels::MatMulTransB(gb, vb);
-               // dA = P * (dP - rowsum(dP * P))  (softmax backward), then
-               // scale.
-               Tensor gab = Tensor::Empty({seq, seq});
-               {
-                 const float* pp = pb.data<float>();
-                 const float* pgp = gpb.data<float>();
-                 float* pga = gab.data<float>();
-                 for (int64_t i = 0; i < seq; ++i) {
-                   double dot = 0.0;
-                   for (int64_t j = 0; j < seq; ++j) {
-                     dot += static_cast<double>(pgp[i * seq + j]) *
-                            pp[i * seq + j];
-                   }
-                   for (int64_t j = 0; j < seq; ++j) {
-                     pga[i * seq + j] = static_cast<float>(
-                         pp[i * seq + j] *
-                         (pgp[i * seq + j] - dot) * scale);
-                   }
-                 }
-               }
-               // dQ = dA K ; dK = dA^T Q
-               Tensor gqb = kernels::MatMul(gab, kb);
-               Tensor gkb = kernels::MatMulTransA(gab, qb);
-               gq.Narrow(0, b, 1).Reshape({seq, dim}).CopyFrom(gqb);
-               gk.Narrow(0, b, 1).Reshape({seq, dim}).CopyFrom(gkb);
-               gv.Narrow(0, b, 1).Reshape({seq, dim}).CopyFrom(gvb);
-             }
-             return std::vector<Tensor>{gq, gk, gv};
+           [sq, sk, sv, probs, num_heads](std::vector<Tensor> grads) {
+             kernels::AttentionGrads g = kernels::AttentionBackward(
+                 FirstGrad(grads), sq, sk, sv, probs, num_heads);
+             return std::vector<Tensor>{g.q, g.k, g.v};
            });
   }
   return out;

@@ -53,13 +53,6 @@ Tensor Reshape(const Tensor& a, std::vector<int64_t> shape);
 /// across a batch.
 Tensor TileRows(const Tensor& a, int64_t repeats);
 
-/// Slice along the LAST dimension: [..., D] -> [..., len] taking columns
-/// [start, start+len). Used to split attention heads.
-Tensor SliceLastDim(const Tensor& a, int64_t start, int64_t len);
-
-/// Concatenation along the LAST dimension (inverse of SliceLastDim).
-Tensor ConcatLastDim(const std::vector<Tensor>& parts);
-
 // ---- Convolution / pooling ---------------------------------------------------------
 
 /// input [N,Cin,H,W], weight [Cout,Cin,kH,kW], optional bias [Cout].
@@ -100,9 +93,12 @@ Tensor Embedding(const Tensor& indices, const Tensor& table);
 /// Row-wise softmax of [m, n].
 Tensor Softmax(const Tensor& a);
 
-/// Fused single-head scaled-dot-product attention:
-/// q,k,v are [B, S, D]; returns softmax(q k^T / sqrt(D)) v, shape [B, S, D].
-Tensor Attention(const Tensor& q, const Tensor& k, const Tensor& v);
+/// Multi-head scaled-dot-product attention as one node: q, k, v are
+/// [B, S, D] and head h is columns [h·dh, (h+1)·dh), dh = D / num_heads;
+/// returns softmax(q_h k_hᵀ / √dh) v_h in those columns, [B, S, D]
+/// (kernels::Attention).
+Tensor Attention(const Tensor& q, const Tensor& k, const Tensor& v,
+                 int64_t num_heads);
 
 // ---- Reductions / losses ----------------------------------------------------------------
 

@@ -198,12 +198,16 @@ int64_t CountZeros(const float* a, int64_t n);
 
 // ---------------------------------------------------------------------------
 // The matmul tile. Every product kernel runs kTileRows × kTileCols output
-// tiles through MatMulTile: MatMulTransB against a packed panel of B,
-// MatMul and MatMulTransA against B's rows in place.
+// tiles through MatMulTile: MatMulTransB and attention's scores against a
+// packed panel of B, MatMul, MatMulTransA and attention's other products
+// against B's rows in place. AVX-512 holds the whole tile in sixteen
+// registers (8 rows × two 16-lane halves; one half when cols <= 16); AVX2
+// and the scalar level run it as 4 × 16 blocks. The block shape never
+// changes a lane's sequence.
 // ---------------------------------------------------------------------------
 
-inline constexpr int kTileRows = 4;
-inline constexpr int kTileCols = 16;
+inline constexpr int kTileRows = 8;
+inline constexpr int kTileCols = 32;
 
 /// Packs `cols` (1..kTileCols) rows of a row-major B, each `k` floats long
 /// and `ldb` floats apart, into a k × kTileCols panel:

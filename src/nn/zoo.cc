@@ -137,21 +137,7 @@ Tensor TransformerLayer::Forward(const Tensor& input) {
   Tensor q = ops::Reshape(wq_->Forward(flat), {batch, seq, dim});
   Tensor k = ops::Reshape(wk_->Forward(flat), {batch, seq, dim});
   Tensor v = ops::Reshape(wv_->Forward(flat), {batch, seq, dim});
-  Tensor attn;
-  if (num_heads_ == 1) {
-    attn = ops::Attention(q, k, v);
-  } else {
-    // Split the feature dimension into heads, attend per head, re-join.
-    const int64_t head_dim = dim / num_heads_;
-    std::vector<Tensor> heads;
-    for (int64_t h = 0; h < num_heads_; ++h) {
-      Tensor qh = ops::SliceLastDim(q, h * head_dim, head_dim);
-      Tensor kh = ops::SliceLastDim(k, h * head_dim, head_dim);
-      Tensor vh = ops::SliceLastDim(v, h * head_dim, head_dim);
-      heads.push_back(ops::Attention(qh, kh, vh));
-    }
-    attn = ops::ConcatLastDim(heads);
-  }
+  Tensor attn = ops::Attention(q, k, v, num_heads_);
   Tensor proj = ops::Reshape(
       wo_->Forward(ops::Reshape(attn, {batch * seq, dim})),
       {batch, seq, dim});

@@ -71,7 +71,8 @@ class ResNetTiny : public Module {
 };
 
 /// One pre-norm transformer encoder layer with multi-head scaled-dot
-/// attention (heads split/joined along the feature dimension).
+/// attention (one ops::Attention node; head h is a column range of the
+/// feature dimension).
 class TransformerLayer : public Module {
  public:
   TransformerLayer(int64_t dim, int64_t ff_dim, Rng* rng,

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstdint>
 #include <cstring>
 #include <vector>
 
@@ -215,39 +216,64 @@ void RowLoopMatMul(const float* a, int64_t a_row, int64_t a_p, const float* b,
   }
 }
 
+// Columns [0, cols) of out[m, ·] = A · B, rows ldo apart, through
+// kTileRows-row tiles: A(i, p) = a[i * a_row + p * a_p] and B's k rows
+// `cols` floats wide, ldb apart (a strip of B in place, or a packed panel).
+void TileStrip(const float* a, int64_t a_row, int64_t a_p, int64_t m,
+               const float* b, int64_t ldb, int64_t k, float* out,
+               int64_t ldo, int cols, bool skip_zero) {
+  constexpr int64_t kRows = vec::kTileRows;
+  for (int64_t i = 0; i < m; i += kRows) {
+    vec::MatMulTile(a + i * a_row, a_row, a_p,
+                    static_cast<int>(std::min(kRows, m - i)), b, ldb, k,
+                    out + i * ldo, ldo, cols, skip_zero);
+  }
+}
+
+// This thread's panel for PackPanel: k rows of kTileCols floats, reused
+// across calls. It starts on a 64-byte line, so each 16-float half of a
+// panel row is one cache line; the heap's 16-byte alignment packed 1.2×
+// slower at k = 1024.
+float* PanelScratch(int64_t k) {
+  constexpr size_t kLineFloats = 64 / sizeof(float);
+  thread_local std::vector<float> panel;
+  const size_t need = static_cast<size_t>(k * vec::kTileCols) + kLineFloats;
+  if (panel.size() < need) panel.resize(need);
+  const size_t misalign =
+      reinterpret_cast<uintptr_t>(panel.data()) / sizeof(float) % kLineFloats;
+  return panel.data() + (kLineFloats - misalign) % kLineFloats;
+}
+
 // out[m, n] = A · B as above, where A spans m·k contiguous floats
 // (MatMul's A, or MatMulTransA's A read transposed). Both paths give every
 // output the row loop's bits: +0.0f, then av · B[p, j] added for every
 // nonzero av = A(i, p) in ascending p, mul then add. A's zero count only
 // picks the faster one:
-// - a quarter or more zeros (ReLU gradients): the row loop, which skips a
-//   whole row of B per zero and streams B's rows in order;
-// - fewer: the register tile over 16-column strips of B read in place,
-//   with the zero skip as a lane mask only if A holds any zero at all.
+// - two fifths or more zeros (ReLU gradients): the row loop, which skips
+//   a whole row of B per zero and streams B's rows in order;
+// - fewer: the register tile over kTileCols-column strips of B read in
+//   place, with the zero skip as a lane mask only if A holds any zero.
 // Each output has one writer (a row, or a tile lane), so results do not
 // depend on the pool size either.
 void StridedMatMul(const float* a, int64_t a_row, int64_t a_p,
                    const float* b, int64_t m, int64_t k, int64_t n,
                    float* out) {
   const int64_t zeros = vec::CountZeros(a, m * k);
-  if (4 * zeros >= m * k) {
+  if (5 * zeros >= 2 * m * k) {
     ParallelFor(0, m, GrainFromCost(k * n), [&](int64_t rb, int64_t re) {
       RowLoopMatMul(a, a_row, a_p, b, k, n, out, rb, re);
     });
     return;
   }
-  constexpr int64_t kCols = vec::kTileCols, kRows = vec::kTileRows;
+  constexpr int64_t kCols = vec::kTileCols;
   const int64_t strips = (n + kCols - 1) / kCols;
   const int64_t grain = GrainFromCost(m * k * kCols);
   ParallelFor(0, strips, grain, [&](int64_t sb, int64_t se) {
     for (int64_t s = sb; s < se; ++s) {
       const int64_t j0 = s * kCols;
-      const int cols = static_cast<int>(std::min(kCols, n - j0));
-      for (int64_t i = 0; i < m; i += kRows) {
-        vec::MatMulTile(a + i * a_row, a_row, a_p,
-                        static_cast<int>(std::min(kRows, m - i)), b + j0, n,
-                        k, out + i * n + j0, n, cols, /*skip_zero=*/zeros > 0);
-      }
+      TileStrip(a, a_row, a_p, m, b + j0, n, k, out + j0, n,
+                static_cast<int>(std::min(kCols, n - j0)),
+                /*skip_zero=*/zeros > 0);
     }
   });
 }
@@ -295,25 +321,18 @@ Tensor MatMulTransB(const Tensor& a, const Tensor& b) {
   // of b once and runs every kTileRows-row tile of a against the packed
   // panel. Each output element is one tile lane with the serial loop's
   // roundings, so results do not depend on the pool size or SIMD level.
-  constexpr int64_t kCols = vec::kTileCols, kRows = vec::kTileRows;
+  constexpr int64_t kCols = vec::kTileCols;
   const int64_t strips = (n + kCols - 1) / kCols;
   const int64_t grain = GrainFromCost(m * k * kCols);
   ParallelFor(0, strips, grain, [&](int64_t sb, int64_t se) {
-    // Per-thread, reused across calls: k × 64 bytes (64 KiB at k = 1024).
-    thread_local std::vector<float> panel;
-    if (panel.size() < static_cast<size_t>(k * kCols)) {
-      panel.resize(static_cast<size_t>(k * kCols));
-    }
+    // Per-thread, reused across calls: k × 128 bytes (128 KiB at k = 1024).
+    float* panel = PanelScratch(k);
     for (int64_t s = sb; s < se; ++s) {
       const int64_t j0 = s * kCols;
       const int cols = static_cast<int>(std::min(kCols, n - j0));
-      vec::PackPanel(pb + j0 * k, k, cols, k, panel.data());
-      for (int64_t i = 0; i < m; i += kRows) {
-        vec::MatMulTile(pa + i * k, k, 1,
-                        static_cast<int>(std::min(kRows, m - i)),
-                        panel.data(), kCols, k, po + i * n + j0, n, cols,
-                        /*skip_zero=*/false);
-      }
+      vec::PackPanel(pb + j0 * k, k, cols, k, panel);
+      TileStrip(pa, k, 1, m, panel, kCols, k, po + j0, n, cols,
+                /*skip_zero=*/false);
     }
   });
   return out;
@@ -747,6 +766,153 @@ Tensor LogSoftmax(const Tensor& a) {
     }
   });
   return out;
+}
+
+// ---- Attention ---------------------------------------------------------------------
+
+namespace {
+
+// The geometry of one Attention call: q, k, v and out are [batch, seq,
+// dim], and head h of batch row b is the dh columns starting at Offset.
+struct Heads {
+  int64_t batch, seq, dim, num_heads, dh;
+
+  Heads(const Tensor& q, const Tensor& k, const Tensor& v, int64_t heads) {
+    CheckFloatContiguous(q, "q");
+    CheckFloatContiguous(k, "k");
+    CheckFloatContiguous(v, "v");
+    DDPKIT_CHECK_EQ(q.dim(), 3);
+    DDPKIT_CHECK(q.shape() == k.shape() && q.shape() == v.shape())
+        << "q, k and v must share a shape";
+    DDPKIT_CHECK(heads > 0 && q.size(2) % heads == 0)
+        << "num_heads must divide the model dimension";
+    batch = q.size(0);
+    seq = q.size(1);
+    dim = q.size(2);
+    num_heads = heads;
+    dh = dim / heads;
+  }
+  // Block bh = b · num_heads + h: its first element in q, k, v and out.
+  int64_t Offset(int64_t bh) const {
+    return bh / num_heads * seq * dim + bh % num_heads * dh;
+  }
+  // Each (batch, head) block runs its products in one task, so every
+  // output element has one writer whatever the pool size.
+  template <class F>
+  void ForEachBlock(int64_t cost, const F& body) const {
+    ParallelFor(0, batch * num_heads, GrainFromCost(cost),
+                [&](int64_t lo, int64_t hi) {
+                  for (int64_t bh = lo; bh < hi; ++bh) body(bh, Offset(bh));
+                });
+  }
+};
+
+// out[seq, n] = A · B for n = dh columns of B's rows in place, `dim`
+// floats apart, in kTileCols strips; with the zero skip, the product
+// MatMul and MatMulTransA give (StridedMatMul's row-loop semantics).
+void HeadProduct(const float* a, int64_t a_row, int64_t a_p, const Heads& geo,
+                 const float* b, float* out) {
+  for (int64_t c0 = 0; c0 < geo.dh; c0 += vec::kTileCols) {
+    const int cols =
+        static_cast<int>(std::min<int64_t>(vec::kTileCols, geo.dh - c0));
+    TileStrip(a, a_row, a_p, geo.seq, b + c0, geo.dim, geo.seq, out + c0,
+              geo.dim, cols, /*skip_zero=*/true);
+  }
+}
+
+// s[seq, seq] = x · yᵀ over the head's dh columns of x's and y's rows:
+// MatMulTransB's packed panels and unmasked tile.
+void HeadScores(const float* x, const float* y, const Heads& geo, float* s) {
+  float* panel = PanelScratch(geo.dh);
+  for (int64_t j0 = 0; j0 < geo.seq; j0 += vec::kTileCols) {
+    const int cols =
+        static_cast<int>(std::min<int64_t>(vec::kTileCols, geo.seq - j0));
+    vec::PackPanel(y + j0 * geo.dim, geo.dim, cols, geo.dh, panel);
+    TileStrip(x, geo.dim, 1, geo.seq, panel, vec::kTileCols, geo.dh, s + j0,
+              geo.seq, cols, /*skip_zero=*/false);
+  }
+}
+
+}  // namespace
+
+Tensor Attention(const Tensor& q, const Tensor& k, const Tensor& v,
+                 int64_t num_heads, Tensor* probs) {
+  DDPKIT_CHECK(probs != nullptr);
+  const Heads geo(q, k, v, num_heads);
+  const float scale =
+      static_cast<float>(1.0 / std::sqrt(static_cast<double>(geo.dh)));
+  Tensor out = Tensor::Empty(q.shape(), DType::kFloat32, q.device_id());
+  *probs = Tensor::Empty({geo.batch, num_heads, geo.seq, geo.seq},
+                         DType::kFloat32, q.device_id());
+  const float* pq = q.data<float>();
+  const float* pk = k.data<float>();
+  const float* pv = v.data<float>();
+  float* po = out.data<float>();
+  float* pp = probs->data<float>();
+  const int64_t seq = geo.seq;
+  geo.ForEachBlock(2 * seq * seq * geo.dh, [&](int64_t bh, int64_t off) {
+    float* p = pp + bh * seq * seq;
+    HeadScores(pq + off, pk + off, geo, p);
+    for (int64_t i = 0; i < seq; ++i) {
+      float* row = p + i * seq;
+      vec::Scale(row, scale, row, seq);
+      const float denom = ExpShiftedRowSum(row, RowMax(row, seq), seq, row);
+      vec::ScaleInPlace(row, 1.0f / denom, seq);
+    }
+    HeadProduct(p, seq, 1, geo, pv + off, po + off);
+  });
+  return out;
+}
+
+AttentionGrads AttentionBackward(const Tensor& grad_out, const Tensor& q,
+                                 const Tensor& k, const Tensor& v,
+                                 const Tensor& probs, int64_t num_heads) {
+  const Heads geo(q, k, v, num_heads);
+  CheckFloatContiguous(grad_out, "grad_out");
+  CheckFloatContiguous(probs, "probs");
+  DDPKIT_CHECK(grad_out.shape() == q.shape());
+  DDPKIT_CHECK_EQ(probs.numel(), geo.batch * num_heads * geo.seq * geo.seq);
+  const double scale = 1.0 / std::sqrt(static_cast<double>(geo.dh));
+  AttentionGrads grads{
+      Tensor::Empty(q.shape(), DType::kFloat32, q.device_id()),
+      Tensor::Empty(q.shape(), DType::kFloat32, q.device_id()),
+      Tensor::Empty(q.shape(), DType::kFloat32, q.device_id())};
+  const float* pg = grad_out.data<float>();
+  const float* pq = q.data<float>();
+  const float* pk = k.data<float>();
+  const float* pv = v.data<float>();
+  const float* pp = probs.data<float>();
+  float* gq = grads.q.data<float>();
+  float* gk = grads.k.data<float>();
+  float* gv = grads.v.data<float>();
+  const int64_t seq = geo.seq;
+  geo.ForEachBlock(4 * seq * seq * geo.dh, [&](int64_t bh, int64_t off) {
+    thread_local std::vector<float> scratch;
+    scratch.resize(static_cast<size_t>(seq * seq));
+    float* da = scratch.data();
+    const float* p = pp + bh * seq * seq;
+    // dV = Pᵀ dO, then dP = dO Vᵀ into da.
+    HeadProduct(p, 1, seq, geo, pg + off, gv + off);
+    HeadScores(pg + off, pv + off, geo, da);
+    // The softmax backward, scaled, in double and in place over dP:
+    // dA = P ⊙ (dP − Σ_j dP ⊙ P) · scale.
+    for (int64_t i = 0; i < seq; ++i) {
+      const float* prow = p + i * seq;
+      float* drow = da + i * seq;
+      double dot = 0.0;
+      for (int64_t j = 0; j < seq; ++j) {
+        dot += static_cast<double>(drow[j]) * prow[j];
+      }
+      for (int64_t j = 0; j < seq; ++j) {
+        // ddplint: allow(raw-elementwise-loop) evaluated in double
+        drow[j] = static_cast<float>(prow[j] * (drow[j] - dot) * scale);
+      }
+    }
+    // dQ = dA K, dK = dAᵀ Q.
+    HeadProduct(da, seq, 1, geo, pk + off, gq + off);
+    HeadProduct(da, 1, seq, geo, pq + off, gk + off);
+  });
+  return grads;
 }
 
 Tensor ArgMaxRows(const Tensor& a) {

@@ -105,6 +105,30 @@ Tensor LogSoftmax(const Tensor& a);
 /// Row-wise argmax of [m, n] -> int64 [m].
 Tensor ArgMaxRows(const Tensor& a);
 
+// ---- Attention -------------------------------------------------------------------
+
+/// Scaled-dot-product attention over `num_heads` heads of q, k, v
+/// [B, S, D]. Head h is columns [h·dh, (h+1)·dh) of each, dh = D /
+/// num_heads, read in place through the matmul tile's strides:
+/// P = softmax(q_h k_hᵀ · (1/√dh)) row by row, and out_h = P v_h in the
+/// same columns of out. `probs` receives every P, [B, num_heads, S, S],
+/// for the backward pass. Each product has the bits of the 2-D kernel it
+/// replaces: q_h k_hᵀ MatMulTransB's, P v_h MatMul's.
+Tensor Attention(const Tensor& q, const Tensor& k, const Tensor& v,
+                 int64_t num_heads, Tensor* probs);
+
+struct AttentionGrads {
+  Tensor q, k, v;
+};
+/// The gradients of Attention for grad_out [B, S, D], from its inputs and
+/// the probs it returned, head by head: dV = Pᵀ dO and dK = dAᵀ Q
+/// (MatMulTransA's bits), dP = dO Vᵀ (MatMulTransB's), dQ = dA K
+/// (MatMul's), where dA = P ⊙ (dP − rowsum(dP ⊙ P)) / √dh is evaluated in
+/// double and rounded once.
+AttentionGrads AttentionBackward(const Tensor& grad_out, const Tensor& q,
+                                 const Tensor& k, const Tensor& v,
+                                 const Tensor& probs, int64_t num_heads);
+
 // ---- Embedding ------------------------------------------------------------------
 
 /// indices int64 [n], table [vocab, dim] -> [n, dim].

@@ -204,7 +204,20 @@ TEST(GradCheckTest, Attention) {
   Tensor v = Param(Tensor::Randn({2, 3, 4}, &rng));
   GradCheck({q, k, v},
             [&] {
-              Tensor out = ops::Attention(q, k, v);
+              Tensor out = ops::Attention(q, k, v, /*num_heads=*/1);
+              return ops::MeanAll(ops::Mul(out, out));
+            },
+            6e-2);
+}
+
+TEST(GradCheckTest, MultiHeadAttention) {
+  Rng rng(121);
+  Tensor q = Param(Tensor::Randn({2, 3, 6}, &rng));
+  Tensor k = Param(Tensor::Randn({2, 3, 6}, &rng));
+  Tensor v = Param(Tensor::Randn({2, 3, 6}, &rng));
+  GradCheck({q, k, v},
+            [&] {
+              Tensor out = ops::Attention(q, k, v, /*num_heads=*/3);
               return ops::MeanAll(ops::Mul(out, out));
             },
             6e-2);

@@ -221,6 +221,90 @@ TEST(VecBitExactTest, AllFloatKernelsMatchScalarAtEveryLevel) {
   }
 }
 
+// Every partial tile, rows 1..kTileRows × cols 1..kTileCols, in each
+// address form with the skip on and off, against the serial loop it stands
+// for: +0.0f, then acc += A(r, p) · B(p, c) in ascending p, leaving out a
+// ±0 A(r, p) under the skip. k = 19 gives the AVX2 panel packer two full
+// groups of eight p and a tail. A holds exactly `rows` rows and B ends at
+// the tile's last float, so ASan catches a read past either, and the 99s
+// around the tile catch a store past it.
+TEST(VecBitExactTest, EveryPartialTileMatchesTheSerialLoop) {
+  VecLevelGuard guard;
+  constexpr int64_t k = 19;
+  const std::vector<float> x = RandomFloats(4 * vec::kTileRows * k, 0x711e);
+  const std::vector<float> y = RandomFloats(4 * vec::kTileCols * k, 0x711f);
+  for (const TileForm form :
+       {TileForm::kPanel, TileForm::kRows, TileForm::kTransA}) {
+    for (const bool skip_zero : {false, true}) {
+      for (int rows = 1; rows <= vec::kTileRows; ++rows) {
+        for (int cols = 1; cols <= vec::kTileCols; ++cols) {
+          const int64_t a_row = form == TileForm::kTransA ? 1 : k + 2;
+          const int64_t a_p = form == TileForm::kTransA ? rows + 1 : 1;
+          std::vector<float> a(x.begin(),
+                               x.begin() + (rows - 1) * a_row +
+                                   (k - 1) * a_p + 1);
+          // Every third p is ±0 in every row; under the skip its B row
+          // holds an infinity or NaN that must not reach any lane.
+          for (int64_t p = 1; p < k; p += 3) {
+            for (int r = 0; r < rows; ++r) {
+              a[static_cast<size_t>(r * a_row + p * a_p)] =
+                  r % 2 == 0 ? 0.0f : -0.0f;
+            }
+          }
+          // B(p, c) as rows `ldb` apart; the panel form packs it from
+          // cols rows of k floats.
+          const int64_t ldb = cols + 3;
+          std::vector<float> b(y.begin(), y.begin() + (k - 1) * ldb + cols);
+          for (int64_t p = 1; skip_zero && p < k; p += 3) {
+            b[static_cast<size_t>(p * ldb + p % cols)] =
+                p % 2 == 0 ? std::numeric_limits<float>::infinity()
+                           : std::numeric_limits<float>::quiet_NaN();
+          }
+          std::vector<float> want(vec::kTileRows * vec::kTileCols, 99.0f);
+          for (int r = 0; r < rows; ++r) {
+            for (int c = 0; c < cols; ++c) {
+              float acc = 0.0f;
+              for (int64_t p = 0; p < k; ++p) {
+                const float av = a[static_cast<size_t>(r * a_row + p * a_p)];
+                if (skip_zero && av == 0.0f) continue;
+                acc += av * b[static_cast<size_t>(p * ldb + c)];
+              }
+              want[static_cast<size_t>(r * vec::kTileCols + c)] = acc;
+            }
+          }
+          std::vector<float> b_rows(static_cast<size_t>(cols * k));
+          for (int c = 0; c < cols; ++c) {
+            for (int64_t p = 0; p < k; ++p) {
+              b_rows[static_cast<size_t>(c * k + p)] =
+                  b[static_cast<size_t>(p * ldb + c)];
+            }
+          }
+          for (const vec::Level level : AvailableLevels()) {
+            vec::SetLevelForTesting(level);
+            std::vector<float> panel(static_cast<size_t>(k * vec::kTileCols));
+            const float* bt = b.data();
+            int64_t bt_ld = ldb;
+            if (form == TileForm::kPanel) {
+              vec::PackPanel(b_rows.data(), k, cols, k, panel.data());
+              bt = panel.data();
+              bt_ld = vec::kTileCols;
+            }
+            std::vector<float> got(vec::kTileRows * vec::kTileCols, 99.0f);
+            vec::MatMulTile(a.data(), a_row, a_p, rows, bt, bt_ld, k,
+                            got.data(), vec::kTileCols, cols, skip_zero);
+            SCOPED_TRACE("form=" + std::to_string(static_cast<int>(form)) +
+                         " skip=" + std::to_string(skip_zero) +
+                         " rows=" + std::to_string(rows) +
+                         " cols=" + std::to_string(cols) + " " +
+                         vec::LevelName(level));
+            ExpectBitEqual(want, got);
+          }
+        }
+      }
+    }
+  }
+}
+
 TEST(VecBitExactTest, DoubleAccumulatorsMatchScalarAtEveryLevel) {
   VecLevelGuard guard;
   for (const int64_t n : kLengths) {

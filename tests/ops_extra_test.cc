@@ -172,49 +172,7 @@ TEST(DropoutModuleTest, ZeroProbabilityIsIdentity) {
 }
 
 
-// ---- Slice / Concat (multi-head attention plumbing) -----------------------------
-
-TEST(SliceConcatTest, SliceExtractsColumns) {
-  Tensor a = Tensor::FromVector({1, 2, 3, 4, 5, 6}, {2, 3});
-  Tensor s = ops::SliceLastDim(a, 1, 2);
-  EXPECT_EQ(s.shape(), (std::vector<int64_t>{2, 2}));
-  EXPECT_DOUBLE_EQ(s.At({0, 0}), 2.0);
-  EXPECT_DOUBLE_EQ(s.At({1, 1}), 6.0);
-}
-
-TEST(SliceConcatTest, ConcatInvertsSlice) {
-  Rng rng(20);
-  Tensor a = Tensor::Randn({2, 3, 6}, &rng);
-  Tensor left = ops::SliceLastDim(a, 0, 2);
-  Tensor mid = ops::SliceLastDim(a, 2, 3);
-  Tensor right = ops::SliceLastDim(a, 5, 1);
-  Tensor joined = ops::ConcatLastDim({left, mid, right});
-  EXPECT_EQ(kernels::MaxAbsDiff(joined, a), 0.0);
-}
-
-TEST(SliceConcatTest, GradientsRouteToTheRightColumns) {
-  Tensor x = Param(Tensor::Zeros({2, 4}));
-  Tensor s = ops::SliceLastDim(x, 1, 2);
-  Backward(ops::SumAll(s));
-  for (int64_t r = 0; r < 2; ++r) {
-    EXPECT_DOUBLE_EQ(x.grad().At({r, 0}), 0.0);
-    EXPECT_DOUBLE_EQ(x.grad().At({r, 1}), 1.0);
-    EXPECT_DOUBLE_EQ(x.grad().At({r, 2}), 1.0);
-    EXPECT_DOUBLE_EQ(x.grad().At({r, 3}), 0.0);
-  }
-}
-
-TEST(SliceConcatTest, ConcatGradientsSplitBack) {
-  Tensor a = Param(Tensor::Zeros({3, 2}));
-  Tensor b = Param(Tensor::Zeros({3, 1}));
-  Tensor joined = ops::ConcatLastDim({a, b});
-  // Weight columns differently so routing errors are visible.
-  Tensor weight = Tensor::FromVector({1, 1, 5, 1, 1, 5, 1, 1, 5}, {3, 3});
-  Backward(ops::SumAll(ops::Mul(joined, weight)));
-  EXPECT_DOUBLE_EQ(a.grad().At({0, 0}), 1.0);
-  EXPECT_DOUBLE_EQ(a.grad().At({0, 1}), 1.0);
-  EXPECT_DOUBLE_EQ(b.grad().At({0, 0}), 5.0);
-}
+// ---- Multi-head attention -------------------------------------------------------
 
 TEST(SliceConcatTest, MultiHeadAttentionMatchesSingleHeadWidth) {
   // Multi-head attention produces the right shape and gradients for all

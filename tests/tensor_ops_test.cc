@@ -7,6 +7,7 @@
 #include <limits>
 #include <string>
 
+#include "common/parallel.h"
 #include "common/rng.h"
 #include "common/vec.h"
 #include "tensor/tensor_ops.h"
@@ -439,6 +440,140 @@ TEST(KernelsTest, GeluMatchesReferencePoints) {
   EXPECT_NEAR(y.FlatAt(0), 0.0, 1e-6);
   EXPECT_NEAR(y.FlatAt(1), 0.8412, 5e-3);
   EXPECT_NEAR(y.FlatAt(2), -0.1588, 5e-3);
+}
+
+
+// ---- Attention: one node for all heads against the per-head 2-D kernels ----
+
+// Columns [h·dh, (h+1)·dh) of x [B, S, D] as a contiguous [B, S, dh] copy,
+// and back.
+Tensor HeadColumns(const Tensor& x, int64_t h, int64_t dh) {
+  const int64_t rows = x.size(0) * x.size(1), dim = x.size(2);
+  Tensor out = Tensor::Empty({x.size(0), x.size(1), dh});
+  for (int64_t r = 0; r < rows; ++r) {
+    std::memcpy(out.data<float>() + r * dh, x.data<float>() + r * dim + h * dh,
+                static_cast<size_t>(dh) * sizeof(float));
+  }
+  return out;
+}
+void PutHeadColumns(const Tensor& part, int64_t h, Tensor* x) {
+  const int64_t rows = x->size(0) * x->size(1), dim = x->size(2),
+                dh = part.size(2);
+  for (int64_t r = 0; r < rows; ++r) {
+    std::memcpy(x->data<float>() + r * dim + h * dh,
+                part.data<float>() + r * dh,
+                static_cast<size_t>(dh) * sizeof(float));
+  }
+}
+
+struct AttentionResult {
+  Tensor out, gq, gk, gv;
+};
+
+// The per-head path the multi-head transformer layer ran before one
+// Attention node took every head: each head's columns copied out, then,
+// per batch row, the single-head forward and backward bodies as plain 2-D
+// kernel calls, the results written back into the head's columns (where
+// the old path's zero-padded slice gradients summed to exactly these
+// values, since no product output is −0).
+AttentionResult PerHeadAttention(const Tensor& q, const Tensor& k,
+                                 const Tensor& v, const Tensor& g,
+                                 int64_t heads) {
+  const int64_t batch = q.size(0), seq = q.size(1), dh = q.size(2) / heads;
+  const double scale = 1.0 / std::sqrt(static_cast<double>(dh));
+  AttentionResult r{Tensor::Empty(q.shape()), Tensor::Empty(q.shape()),
+                    Tensor::Empty(q.shape()), Tensor::Empty(q.shape())};
+  for (int64_t h = 0; h < heads; ++h) {
+    const Tensor qh = HeadColumns(q, h, dh), kh = HeadColumns(k, h, dh),
+                 vh = HeadColumns(v, h, dh), gh = HeadColumns(g, h, dh);
+    Tensor out = Tensor::Empty(qh.shape()), gq = Tensor::Empty(qh.shape()),
+           gk = Tensor::Empty(qh.shape()), gv = Tensor::Empty(qh.shape());
+    for (int64_t b = 0; b < batch; ++b) {
+      const Tensor qb = qh.Narrow(0, b, 1).Reshape({seq, dh});
+      const Tensor kb = kh.Narrow(0, b, 1).Reshape({seq, dh});
+      const Tensor vb = vh.Narrow(0, b, 1).Reshape({seq, dh});
+      const Tensor gb = gh.Narrow(0, b, 1).Reshape({seq, dh});
+      const Tensor p = Softmax(Scale(MatMulTransB(qb, kb), scale));
+      out.Narrow(0, b, 1).Reshape({seq, dh}).CopyFrom(MatMul(p, vb));
+      gv.Narrow(0, b, 1).Reshape({seq, dh}).CopyFrom(MatMulTransA(p, gb));
+      const Tensor gp = MatMulTransB(gb, vb);
+      Tensor ga = Tensor::Empty({seq, seq});
+      const float* pp = p.data<float>();
+      const float* pgp = gp.data<float>();
+      float* pga = ga.data<float>();
+      for (int64_t i = 0; i < seq; ++i) {
+        double dot = 0.0;
+        for (int64_t j = 0; j < seq; ++j) {
+          dot += static_cast<double>(pgp[i * seq + j]) * pp[i * seq + j];
+        }
+        for (int64_t j = 0; j < seq; ++j) {
+          pga[i * seq + j] = static_cast<float>(
+              pp[i * seq + j] * (pgp[i * seq + j] - dot) * scale);
+        }
+      }
+      gq.Narrow(0, b, 1).Reshape({seq, dh}).CopyFrom(MatMul(ga, kb));
+      gk.Narrow(0, b, 1).Reshape({seq, dh}).CopyFrom(MatMulTransA(ga, qb));
+    }
+    PutHeadColumns(out, h, &r.out);
+    PutHeadColumns(gq, h, &r.gq);
+    PutHeadColumns(gk, h, &r.gk);
+    PutHeadColumns(gv, h, &r.gv);
+  }
+  return r;
+}
+
+bool SameBits(const Tensor& a, const Tensor& b) {
+  return a.shape() == b.shape() &&
+         std::memcmp(a.data<float>(), b.data<float>(), a.nbytes()) == 0;
+}
+
+// Every head count, sequence length (partial and full row tiles and score
+// strips) and head width (partial and full column strips) gives the
+// per-head kernels' bits, at every level and pool size. The sharp cases
+// scale q up until most probabilities underflow to exactly 0, so the zero
+// skip runs where the 2-D kernels took the row loop.
+TEST(AttentionKernelTest, MatchesPerHeadKernelsBitForBit) {
+  VecLevelGuard level_guard;
+  const int previous_threads = ThreadPool::Global().num_threads();
+  for (const int64_t heads : {1, 2, 4}) {
+    for (const int64_t seq : {5, 16, 17, 33}) {
+      for (const int64_t dh : {3, 16, 20}) {
+        for (const bool sharp : {false, true}) {
+          Rng rng(static_cast<uint64_t>(heads * 1000 + seq * 10 + dh));
+          const std::vector<int64_t> shape = {2, seq, heads * dh};
+          Tensor q = Tensor::Randn(shape, &rng);
+          if (sharp) q = Scale(q, 40.0);
+          const Tensor k = Tensor::Randn(shape, &rng);
+          const Tensor v = Tensor::Randn(shape, &rng);
+          const Tensor g = Tensor::Randn(shape, &rng);
+          vec::SetLevelForTesting(vec::Level::kScalar);
+          ThreadPool::SetNumThreads(1);
+          const AttentionResult want = PerHeadAttention(q, k, v, g, heads);
+          for (const vec::Level level : AvailableLevels()) {
+            vec::SetLevelForTesting(level);
+            for (const int threads : {1, 8}) {
+              ThreadPool::SetNumThreads(threads);
+              SCOPED_TRACE("heads=" + std::to_string(heads) +
+                           " seq=" + std::to_string(seq) +
+                           " dh=" + std::to_string(dh) +
+                           " sharp=" + std::to_string(sharp) + " " +
+                           vec::LevelName(level) + "/" +
+                           std::to_string(threads));
+              Tensor probs;
+              const Tensor out = Attention(q, k, v, heads, &probs);
+              const AttentionGrads got =
+                  AttentionBackward(g, q, k, v, probs, heads);
+              EXPECT_TRUE(SameBits(want.out, out));
+              EXPECT_TRUE(SameBits(want.gq, got.q));
+              EXPECT_TRUE(SameBits(want.gk, got.k));
+              EXPECT_TRUE(SameBits(want.gv, got.v));
+            }
+          }
+        }
+      }
+    }
+  }
+  ThreadPool::SetNumThreads(previous_threads);
 }
 
 }  // namespace
