@@ -319,12 +319,12 @@ BENCHMARK(BM_MatMulTransB)
 
 // The backward products at the mlp_w2 (batch 8) and transformer_w2 (128
 // tokens) shapes: MatMul is Linear's grad_input and MatMulTransA Linear's
-// grad_weight, out [m, n] over k terms. Two fifths or more zeros in A keep
+// grad_weight, out [m, n] over k terms. A quarter or more zeros in A keeps
 // the skip-zero row loop, fewer take the register tile (masked if A holds
 // any zero), so the `zeros` percentages straddle that constant:
 // - 0: dense, as most of transformer_w2's gradients are (unmasked tile);
-// - 35: the masked tile just below two fifths;
-// - 45: the row loop just above it;
+// - 20: the masked tile just below a quarter;
+// - 30: the row loop just above it;
 // - 50: ReLU-sparse, as every large mlp_w2 gradient is (row loop).
 Tensor RandnWithZeros(std::vector<int64_t> shape, int64_t zeros_pct,
                       Rng* rng) {
@@ -365,7 +365,7 @@ void BackwardShapes(benchmark::internal::Benchmark* b,
                     const std::vector<std::vector<int64_t>>& shapes) {
   b->ArgNames({"level", "m", "k", "n", "zeros"});
   for (const auto& s : shapes) {
-    for (const long zeros_pct : {0, 35, 45, 50}) {
+    for (const long zeros_pct : {0, 20, 30, 50}) {
       b->DDPKIT_SIMD_LEVEL_ARGS(s[0], s[1], s[2], zeros_pct);
     }
   }

@@ -249,8 +249,8 @@ float* PanelScratch(int64_t k) {
 // output the row loop's bits: +0.0f, then av · B[p, j] added for every
 // nonzero av = A(i, p) in ascending p, mul then add. A's zero count only
 // picks the faster one:
-// - two fifths or more zeros (ReLU gradients): the row loop, which skips
-//   a whole row of B per zero and streams B's rows in order;
+// - a quarter or more zeros (ReLU gradients): the row loop, which skips a
+//   whole row of B per zero and streams B's rows in order;
 // - fewer: the register tile over kTileCols-column strips of B read in
 //   place, with the zero skip as a lane mask only if A holds any zero.
 // Each output has one writer (a row, or a tile lane), so results do not
@@ -259,7 +259,7 @@ void StridedMatMul(const float* a, int64_t a_row, int64_t a_p,
                    const float* b, int64_t m, int64_t k, int64_t n,
                    float* out) {
   const int64_t zeros = vec::CountZeros(a, m * k);
-  if (5 * zeros >= 2 * m * k) {
+  if (4 * zeros >= m * k) {
     ParallelFor(0, m, GrainFromCost(k * n), [&](int64_t rb, int64_t re) {
       RowLoopMatMul(a, a_row, a_p, b, k, n, out, rb, re);
     });

@@ -224,8 +224,8 @@ TEST(VecBitExactTest, AllFloatKernelsMatchScalarAtEveryLevel) {
 // Every partial tile, rows 1..kTileRows × cols 1..kTileCols, in each
 // address form with the skip on and off, against the serial loop it stands
 // for: +0.0f, then acc += A(r, p) · B(p, c) in ascending p, leaving out a
-// ±0 A(r, p) under the skip. k = 19 gives the AVX2 panel packer two full
-// groups of eight p and a tail. A holds exactly `rows` rows and B ends at
+// ±0 A(r, p) under the skip. k = 19 gives the AVX2 panel packer one visit
+// of sixteen p and a scalar tail. A holds exactly `rows` rows and B ends at
 // the tile's last float, so ASan catches a read past either, and the 99s
 // around the tile catch a store past it.
 TEST(VecBitExactTest, EveryPartialTileMatchesTheSerialLoop) {
