@@ -54,14 +54,19 @@ std::vector<std::vector<T>> RunZoo(Algorithm algorithm, ReduceOp op,
   return bufs;
 }
 
+/// Bitwise equality of two buffers: sizes first, then memcmp, which must
+/// not receive the null data() an empty buffer may have.
+template <typename T>
+bool SameBytes(const std::vector<T>& a, const std::vector<T>& b) {
+  return a.size() == b.size() &&
+         (a.empty() ||
+          std::memcmp(a.data(), b.data(), a.size() * sizeof(T)) == 0);
+}
+
 template <typename T>
 void ExpectAllRanksBitIdentical(const std::vector<std::vector<T>>& out) {
   for (size_t r = 1; r < out.size(); ++r) {
-    ASSERT_EQ(out[0].size(), out[r].size());
-    // An empty buffer's data() may be null, which memcmp must not receive.
-    if (out[0].empty()) continue;
-    EXPECT_EQ(0, std::memcmp(out[0].data(), out[r].data(),
-                             out[0].size() * sizeof(T)))
+    EXPECT_TRUE(SameBytes(out[0], out[r]))
         << "rank " << r << " differs from rank 0";
   }
 }
@@ -114,8 +119,7 @@ TEST_P(ZooAlgorithmTest, FloatMaxBitExactVsNaive) {
   const auto naive = RunZoo(Algorithm::kNaive, ReduceOp::kMax, inputs, n);
   const auto got = RunZoo(algorithm, ReduceOp::kMax, inputs, n);
   ExpectAllRanksBitIdentical(got);
-  EXPECT_EQ(0, std::memcmp(naive[0].data(), got[0].data(),
-                           static_cast<size_t>(n) * sizeof(float)));
+  EXPECT_TRUE(SameBytes(naive[0], got[0]));
 }
 
 // Integer sums are associative, so all variants must agree exactly.
@@ -151,8 +155,7 @@ TEST_P(ZooAlgorithmTest, BitExactAcrossThreadCounts) {
     SCOPED_TRACE("threads=" + std::to_string(threads));
     ExpectAllRanksBitIdentical(got);
     for (size_t r = 0; r < got.size(); ++r) {
-      EXPECT_EQ(0, std::memcmp(ref[r].data(), got[r].data(),
-                               static_cast<size_t>(n) * sizeof(float)))
+      EXPECT_TRUE(SameBytes(ref[r], got[r]))
           << "rank " << r << " differs from 1-thread run";
     }
   }
@@ -207,8 +210,7 @@ TEST(HierarchicalShapeTest, SingleNodeIsBitExactNaive) {
   const auto naive = RunZoo(Algorithm::kNaive, ReduceOp::kSum, inputs, n);
   const auto got =
       RunZoo(Algorithm::kHierarchical, ReduceOp::kSum, inputs, n, world);
-  EXPECT_EQ(0, std::memcmp(naive[0].data(), got[0].data(),
-                           static_cast<size_t>(n) * sizeof(float)));
+  EXPECT_TRUE(SameBytes(naive[0], got[0]));
 }
 
 // Chunked ring with one chunk per rank is the classic ring: bitwise equal.
@@ -246,8 +248,7 @@ TEST(ZooSimdTest, ResultsBitExactAcrossSimdLevels) {
       SCOPED_TRACE(std::string(AlgorithmName(algo)) + " level=" +
                    vec::LevelName(level));
       for (size_t r = 0; r < got.size(); ++r) {
-        EXPECT_EQ(0, std::memcmp(ref[r].data(), got[r].data(),
-                                 static_cast<size_t>(n) * sizeof(float)));
+        EXPECT_TRUE(SameBytes(ref[r], got[r]));
       }
     }
   }
