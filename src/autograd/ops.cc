@@ -739,11 +739,10 @@ Tensor Attention(const Tensor& q, const Tensor& k, const Tensor& v,
   Tensor probs;
   Tensor out = kernels::Attention(q, k, v, num_heads, &probs);
   if (AnyRequiresGrad({&q, &k, &v})) {
-    Tensor sq = q, sk = k, sv = v;
     Record(&out, "AttentionBackward", {&q, &k, &v},
-           [sq, sk, sv, probs, num_heads](std::vector<Tensor> grads) {
+           [q, k, v, probs, num_heads](std::vector<Tensor> grads) {
              kernels::AttentionGrads g = kernels::AttentionBackward(
-                 FirstGrad(grads), sq, sk, sv, probs, num_heads);
+                 FirstGrad(grads), q, k, v, probs, num_heads);
              return std::vector<Tensor>{g.q, g.k, g.v};
            });
   }

@@ -112,8 +112,8 @@ Tensor ArgMaxRows(const Tensor& a);
 /// num_heads, read in place through the matmul tile's strides:
 /// P = softmax(q_h k_hᵀ · (1/√dh)) row by row, and out_h = P v_h in the
 /// same columns of out. `probs` receives every P, [B, num_heads, S, S],
-/// for the backward pass. Each product has the bits of the 2-D kernel it
-/// replaces: q_h k_hᵀ MatMulTransB's, P v_h MatMul's.
+/// for the backward pass. Each product has the bits the 2-D kernel of its
+/// form gives: q_h k_hᵀ MatMulTransB's, P v_h MatMul's.
 Tensor Attention(const Tensor& q, const Tensor& k, const Tensor& v,
                  int64_t num_heads, Tensor* probs);
 
