@@ -35,12 +35,41 @@ std::vector<double> RandomDoubles(int64_t n, uint64_t seed) {
   return v;
 }
 
+// v with ±0, ±inf, NaN of either sign and denormals of either sign at
+// every `stride`-th element from `phase`. Two inputs with different
+// strides put the specials against each other and against random values.
 template <typename T>
-void ExpectBitEqual(const std::vector<T>& a, const std::vector<T>& b) {
-  ASSERT_EQ(a.size(), b.size());
-  // An empty vector's data() may be null, which memcmp must not receive.
-  if (a.empty()) return;
-  ASSERT_EQ(0, std::memcmp(a.data(), b.data(), a.size() * sizeof(T)));
+std::vector<T> WithSpecials(std::vector<T> v, int64_t stride, int64_t phase) {
+  using Limits = std::numeric_limits<T>;
+  const T specials[] = {T{0},
+                        -T{0},
+                        Limits::infinity(),
+                        -Limits::infinity(),
+                        Limits::quiet_NaN(),
+                        -Limits::quiet_NaN(),
+                        Limits::denorm_min(),
+                        -Limits::min() / 3,
+                        Limits::min() / 5 * 3};
+  for (int64_t i = phase; i < static_cast<int64_t>(v.size()); i += stride) {
+    v[static_cast<size_t>(i)] =
+        specials[static_cast<size_t>(i / stride) % std::size(specials)];
+  }
+  return v;
+}
+
+// Bitwise equal, except that where `want` is a NaN `got` need only be one:
+// which NaN a kernel computes (its sign and payload) is left open.
+template <typename T>
+void ExpectSameBits(const std::vector<T>& want, const std::vector<T>& got) {
+  ASSERT_EQ(want.size(), got.size());
+  for (size_t i = 0; i < want.size(); ++i) {
+    if (std::isnan(want[i])) {
+      ASSERT_TRUE(std::isnan(got[i])) << "i=" << i << " got " << got[i];
+    } else {
+      ASSERT_EQ(0, std::memcmp(&want[i], &got[i], sizeof(T)))
+          << "i=" << i << " want " << want[i] << " got " << got[i];
+    }
+  }
 }
 
 // Lengths chosen to exercise: empty, sub-lane, one full AVX2 lane, one full
@@ -52,13 +81,35 @@ const int64_t kLengths[] = {0, 1, 3, 7, 8, 9, 15, 16, 17, 31, 64, 1000, 4097};
 // A's rows adjacent with its p terms kTileRows apart (MatMulTransA).
 enum class TileForm { kPanel, kRows, kTransA };
 
+// The serial loop MatMulTile stands for, in its signature: each output
+// starts at +0.0f and adds A(r, p) · B(p, c) in ascending p, leaving out a
+// ±0 A(r, p) under the skip.
+void SerialTile(const float* a, int64_t a_row, int64_t a_p, int rows,
+                const float* b, int64_t ldb, int64_t k, float* out,
+                int64_t ldo, int cols, bool skip_zero) {
+  for (int r = 0; r < rows; ++r) {
+    for (int c = 0; c < cols; ++c) {
+      float acc = 0.0f;
+      for (int64_t p = 0; p < k; ++p) {
+        const float av = a[r * a_row + p * a_p];
+        if (skip_zero && av == 0.0f) continue;
+        acc += av * b[p * ldb + c];
+      }
+      out[r * ldo + c] = acc;
+    }
+  }
+}
+
+using TileFn = decltype(&vec::MatMulTile);
+
 // Runs one tile of k = n / kTileCols terms over A = x and B = y into a
-// kTileRows × kTileCols block of 99s; rows and cols vary with n. B is
-// copied into an allocation that ends with the tile's last B float, so
-// ASan catches a read past `cols`. With kSkipZero, every third p has a ±0
-// coefficient in every row and an infinity or NaN in its B row, which the
-// skip must leave out of every lane.
-template <TileForm kForm, bool kSkipZero>
+// kTileRows × kTileCols block of 99s through kTile (vec::MatMulTile or
+// SerialTile); rows and cols vary with n. B is copied into an allocation
+// that ends with the tile's last B float, so ASan catches a read past
+// `cols`. With kSkipZero, every third p has a ±0 coefficient in every row
+// and an infinity or NaN in its B row, which the skip must leave out of
+// every lane.
+template <TileForm kForm, bool kSkipZero, TileFn kTile>
 void RunTile(const std::vector<float>& x, const std::vector<float>& y,
              std::vector<float>* d) {
   const int64_t k = static_cast<int64_t>(x.size()) / vec::kTileCols;
@@ -79,9 +130,140 @@ void RunTile(const std::vector<float>& x, const std::vector<float>& y,
     b[static_cast<size_t>(p * ldb + p % cols)] = specials[(p / 3) % 3];
   }
   d->assign(static_cast<size_t>(vec::kTileRows * vec::kTileCols), 99.0f);
-  vec::MatMulTile(a.data(), a_row, a_p, rows, b.data(), ldb, k, d->data(),
-                  vec::kTileCols, cols, kSkipZero);
+  kTile(a.data(), a_row, a_p, rows, b.data(), ldb, k, d->data(),
+        vec::kTileCols, cols, kSkipZero);
 }
+
+// PackPanel over x as `cols` rows of k = n / kTileCols floats (all
+// kTileCols rows when n is even) into a panel of 99s, through vec::PackPanel
+// or, with kSerial, the loop of its contract.
+template <bool kSerial>
+void RunPack(const std::vector<float>& x, const std::vector<float>&,
+             std::vector<float>* d) {
+  const int64_t k = static_cast<int64_t>(x.size()) / vec::kTileCols;
+  const int partial = 1 + static_cast<int>(x.size() % vec::kTileCols);
+  const int cols = x.size() % 2 == 0 ? vec::kTileCols : partial;
+  d->assign(static_cast<size_t>(k * vec::kTileCols), 99.0f);
+  if (!kSerial) {
+    vec::PackPanel(x.data(), k, cols, k, d->data());
+    return;
+  }
+  for (int64_t p = 0; p < k; ++p) {
+    for (int c = 0; c < cols; ++c) {
+      (*d)[static_cast<size_t>(p * vec::kTileCols + c)] =
+          x[static_cast<size_t>(c * k + p)];
+    }
+  }
+}
+
+using Floats = std::vector<float>;
+
+// One float kernel under test. `run` calls it on x and y into d, which
+// starts as x.size() 99s. The serial loop its vec.h contract states is
+// d[i] = lane(x[i], y[i]) for a lanewise kernel, else `serial`.
+struct FloatCase {
+  const char* name;
+  void (*run)(const Floats& x, const Floats& y, Floats* d);
+  float (*lane)(float x, float y);
+  void (*serial)(const Floats& x, const Floats& y, Floats* d) = nullptr;
+};
+
+const FloatCase kFloatCases[] = {
+    {"Add",
+     [](const Floats& x, const Floats& y, Floats* d) {
+       vec::Add(x.data(), y.data(), d->data(), x.size());
+     },
+     [](float x, float y) { return x + y; }},
+    {"Sub",
+     [](const Floats& x, const Floats& y, Floats* d) {
+       vec::Sub(x.data(), y.data(), d->data(), x.size());
+     },
+     [](float x, float y) { return x - y; }},
+    {"Mul",
+     [](const Floats& x, const Floats& y, Floats* d) {
+       vec::Mul(x.data(), y.data(), d->data(), x.size());
+     },
+     [](float x, float y) { return x * y; }},
+    {"Div",
+     [](const Floats& x, const Floats& y, Floats* d) {
+       vec::Div(x.data(), y.data(), d->data(), x.size());
+     },
+     [](float x, float y) { return x / y; }},
+    {"Scale",
+     [](const Floats& x, const Floats&, Floats* d) {
+       vec::Scale(x.data(), 1.7f, d->data(), x.size());
+     },
+     [](float x, float) { return x * 1.7f; }},
+    {"AddScalar",
+     [](const Floats& x, const Floats&, Floats* d) {
+       vec::AddScalar(x.data(), -0.3f, d->data(), x.size());
+     },
+     [](float x, float) { return x + -0.3f; }},
+    {"Neg",
+     [](const Floats& x, const Floats&, Floats* d) {
+       vec::Neg(x.data(), d->data(), x.size());
+     },
+     [](float x, float) { return -x; }},
+    {"Relu",
+     [](const Floats& x, const Floats&, Floats* d) {
+       vec::Relu(x.data(), d->data(), x.size());
+     },
+     [](float x, float) { return x > 0.0f ? x : 0.0f; }},
+    {"ReluBackward",
+     [](const Floats& g, const Floats& x, Floats* d) {
+       vec::ReluBackward(g.data(), x.data(), d->data(), g.size());
+     },
+     [](float g, float x) { return x > 0.0f ? g : 0.0f; }},
+    {"Sqrt",
+     [](const Floats& x, const Floats&, Floats* d) {
+       vec::Sqrt(x.data(), d->data(), x.size());
+     },
+     [](float x, float) { return std::sqrt(x); }},
+    {"Axpy",
+     [](const Floats& x, const Floats& y, Floats* d) {
+       *d = y;
+       vec::Axpy(0.37f, x.data(), d->data(), x.size());
+     },
+     [](float x, float y) {
+       const float prod = 0.37f * x;
+       return y + prod;
+     }},
+    {"ScaleInPlace",
+     [](const Floats& x, const Floats&, Floats* d) {
+       *d = x;
+       vec::ScaleInPlace(d->data(), 2.5f, x.size());
+     },
+     [](float x, float) { return x * 2.5f; }},
+    {"AccumulateAdd",
+     [](const Floats& x, const Floats& y, Floats* d) {
+       *d = y;
+       vec::AccumulateAdd(d->data(), x.data(), x.size());
+     },
+     [](float x, float y) { return y + x; }},
+    {"AccumulateMax",
+     [](const Floats& x, const Floats& y, Floats* d) {
+       *d = y;
+       vec::AccumulateMax(d->data(), x.data(), x.size());
+     },
+     [](float x, float y) { return y > x ? y : x; }},
+    // The tile cases read k = n / kTileCols; rows and cols vary with n so
+    // full and partial panels and tiles are covered, and the 99s left
+    // outside the tile check that no level stores past `cols`.
+    {"PackPanel", RunPack<false>, nullptr, RunPack<true>},
+    {"MatMulTile/panel", RunTile<TileForm::kPanel, false, vec::MatMulTile>,
+     nullptr, RunTile<TileForm::kPanel, false, SerialTile>},
+    {"MatMulTile/panel+skip", RunTile<TileForm::kPanel, true, vec::MatMulTile>,
+     nullptr, RunTile<TileForm::kPanel, true, SerialTile>},
+    {"MatMulTile/rows", RunTile<TileForm::kRows, false, vec::MatMulTile>,
+     nullptr, RunTile<TileForm::kRows, false, SerialTile>},
+    {"MatMulTile/rows+skip", RunTile<TileForm::kRows, true, vec::MatMulTile>,
+     nullptr, RunTile<TileForm::kRows, true, SerialTile>},
+    {"MatMulTile/trans_a", RunTile<TileForm::kTransA, false, vec::MatMulTile>,
+     nullptr, RunTile<TileForm::kTransA, false, SerialTile>},
+    {"MatMulTile/trans_a+skip",
+     RunTile<TileForm::kTransA, true, vec::MatMulTile>, nullptr,
+     RunTile<TileForm::kTransA, true, SerialTile>},
+};
 
 TEST(VecDispatchTest, SetLevelClampsToDetected) {
   VecLevelGuard guard;
@@ -103,119 +285,30 @@ TEST(VecDispatchTest, LevelNamesAreStable) {
   EXPECT_STREQ("avx512", vec::LevelName(vec::Level::kAvx512));
 }
 
-// Every batch helper must produce bit-identical output at every dispatch
-// level — this is the contract that lets runtime dispatch coexist with
-// deterministic training.
-TEST(VecBitExactTest, AllFloatKernelsMatchScalarAtEveryLevel) {
+// Every float kernel gives the bits of the serial loop its vec.h contract
+// states at every dispatch level, scalar included — the contract that
+// lets runtime dispatch coexist with deterministic training. The inputs
+// put ±0, ±inf, NaN and denormals against each other and against random
+// values of either sign.
+TEST(VecBitExactTest, AllFloatKernelsMatchTheSerialLoopAtEveryLevel) {
   VecLevelGuard guard;
   for (const int64_t n : kLengths) {
-    const std::vector<float> a = RandomFloats(n, 0x5eed0 + n);
-    const std::vector<float> b = RandomFloats(n, 0x5eed1 + n);
-    struct Case {
-      const char* name;
-      void (*run)(const std::vector<float>&, const std::vector<float>&,
-                  std::vector<float>*);
-    };
-    const Case cases[] = {
-        {"Add",
-         [](const std::vector<float>& x, const std::vector<float>& y,
-            std::vector<float>* d) {
-           vec::Add(x.data(), y.data(), d->data(), x.size());
-         }},
-        {"Sub",
-         [](const std::vector<float>& x, const std::vector<float>& y,
-            std::vector<float>* d) {
-           vec::Sub(x.data(), y.data(), d->data(), x.size());
-         }},
-        {"Mul",
-         [](const std::vector<float>& x, const std::vector<float>& y,
-            std::vector<float>* d) {
-           vec::Mul(x.data(), y.data(), d->data(), x.size());
-         }},
-        {"Div",
-         [](const std::vector<float>& x, const std::vector<float>& y,
-            std::vector<float>* d) {
-           vec::Div(x.data(), y.data(), d->data(), x.size());
-         }},
-        {"Scale",
-         [](const std::vector<float>& x, const std::vector<float>&,
-            std::vector<float>* d) {
-           vec::Scale(x.data(), 1.7f, d->data(), x.size());
-         }},
-        {"AddScalar",
-         [](const std::vector<float>& x, const std::vector<float>&,
-            std::vector<float>* d) {
-           vec::AddScalar(x.data(), -0.3f, d->data(), x.size());
-         }},
-        {"Neg",
-         [](const std::vector<float>& x, const std::vector<float>&,
-            std::vector<float>* d) {
-           vec::Neg(x.data(), d->data(), x.size());
-         }},
-        {"Relu",
-         [](const std::vector<float>& x, const std::vector<float>&,
-            std::vector<float>* d) {
-           vec::Relu(x.data(), d->data(), x.size());
-         }},
-        {"ReluBackward",
-         [](const std::vector<float>& g, const std::vector<float>& x,
-            std::vector<float>* d) {
-           vec::ReluBackward(g.data(), x.data(), d->data(), g.size());
-         }},
-        {"Axpy",
-         [](const std::vector<float>& x, const std::vector<float>& y,
-            std::vector<float>* d) {
-           *d = y;
-           vec::Axpy(0.37f, x.data(), d->data(), x.size());
-         }},
-        {"ScaleInPlace",
-         [](const std::vector<float>& x, const std::vector<float>&,
-            std::vector<float>* d) {
-           *d = x;
-           vec::ScaleInPlace(d->data(), 2.5f, x.size());
-         }},
-        {"AccumulateAdd",
-         [](const std::vector<float>& x, const std::vector<float>& y,
-            std::vector<float>* d) {
-           *d = y;
-           vec::AccumulateAdd(d->data(), x.data(), x.size());
-         }},
-        {"AccumulateMax",
-         [](const std::vector<float>& x, const std::vector<float>& y,
-            std::vector<float>* d) {
-           *d = y;
-           vec::AccumulateMax(d->data(), x.data(), x.size());
-         }},
-        // The tile cases read k = n / kTileCols; rows and cols vary with n so
-        // full and partial panels and tiles are covered, and the 99s left
-        // outside the tile check that no level stores past `cols`.
-        {"PackPanel",
-         [](const std::vector<float>& x, const std::vector<float>&,
-            std::vector<float>* d) {
-           const int64_t k = static_cast<int64_t>(x.size()) / vec::kTileCols;
-           const int partial = 1 + static_cast<int>(x.size() % vec::kTileCols);
-           const int cols = x.size() % 2 == 0 ? vec::kTileCols : partial;
-           d->assign(static_cast<size_t>(k * vec::kTileCols), 99.0f);
-           vec::PackPanel(x.data(), k, cols, k, d->data());
-         }},
-        {"MatMulTile/panel", RunTile<TileForm::kPanel, false>},
-        {"MatMulTile/panel+skip", RunTile<TileForm::kPanel, true>},
-        {"MatMulTile/rows", RunTile<TileForm::kRows, false>},
-        {"MatMulTile/rows+skip", RunTile<TileForm::kRows, true>},
-        {"MatMulTile/trans_a", RunTile<TileForm::kTransA, false>},
-        {"MatMulTile/trans_a+skip", RunTile<TileForm::kTransA, true>},
-    };
-    for (const Case& c : cases) {
-      vec::SetLevelForTesting(vec::Level::kScalar);
-      std::vector<float> ref(static_cast<size_t>(n), 99.0f);
-      c.run(a, b, &ref);
+    const Floats x = WithSpecials(RandomFloats(n, 0x5eed0 + n), 3, 0);
+    const Floats y = WithSpecials(RandomFloats(n, 0x5eed1 + n), 4, 1);
+    for (const FloatCase& c : kFloatCases) {
+      Floats want(static_cast<size_t>(n), 99.0f);
+      if (c.lane != nullptr) {
+        for (size_t i = 0; i < x.size(); ++i) want[i] = c.lane(x[i], y[i]);
+      } else {
+        c.serial(x, y, &want);
+      }
       for (const vec::Level level : AvailableLevels()) {
         vec::SetLevelForTesting(level);
-        std::vector<float> got(static_cast<size_t>(n), 99.0f);
-        c.run(a, b, &got);
+        Floats got(static_cast<size_t>(n), 99.0f);
+        c.run(x, y, &got);
         SCOPED_TRACE(std::string(c.name) + " n=" + std::to_string(n) +
                      " level=" + vec::LevelName(level));
-        ExpectBitEqual(ref, got);
+        ExpectSameBits(want, got);
       }
     }
   }
@@ -261,17 +354,8 @@ TEST(VecBitExactTest, EveryPartialTileMatchesTheSerialLoop) {
                            : std::numeric_limits<float>::quiet_NaN();
           }
           std::vector<float> want(vec::kTileRows * vec::kTileCols, 99.0f);
-          for (int r = 0; r < rows; ++r) {
-            for (int c = 0; c < cols; ++c) {
-              float acc = 0.0f;
-              for (int64_t p = 0; p < k; ++p) {
-                const float av = a[static_cast<size_t>(r * a_row + p * a_p)];
-                if (skip_zero && av == 0.0f) continue;
-                acc += av * b[static_cast<size_t>(p * ldb + c)];
-              }
-              want[static_cast<size_t>(r * vec::kTileCols + c)] = acc;
-            }
-          }
+          SerialTile(a.data(), a_row, a_p, rows, b.data(), ldb, k,
+                     want.data(), vec::kTileCols, cols, skip_zero);
           std::vector<float> b_rows(static_cast<size_t>(cols * k));
           for (int c = 0; c < cols; ++c) {
             for (int64_t p = 0; p < k; ++p) {
@@ -297,7 +381,7 @@ TEST(VecBitExactTest, EveryPartialTileMatchesTheSerialLoop) {
                          " rows=" + std::to_string(rows) +
                          " cols=" + std::to_string(cols) + " " +
                          vec::LevelName(level));
-            ExpectBitEqual(want, got);
+            ExpectSameBits(want, got);
           }
         }
       }
@@ -305,18 +389,18 @@ TEST(VecBitExactTest, EveryPartialTileMatchesTheSerialLoop) {
   }
 }
 
-TEST(VecBitExactTest, DoubleAccumulatorsMatchScalarAtEveryLevel) {
+TEST(VecBitExactTest, DoubleAccumulatorsMatchTheSerialLoopAtEveryLevel) {
   VecLevelGuard guard;
   for (const int64_t n : kLengths) {
-    const std::vector<double> src = RandomDoubles(n, 0xd0 + n);
-    const std::vector<double> dst0 = RandomDoubles(n, 0xd1 + n);
+    const std::vector<double> src =
+        WithSpecials(RandomDoubles(n, 0xd0 + n), 3, 0);
+    const std::vector<double> dst0 =
+        WithSpecials(RandomDoubles(n, 0xd1 + n), 4, 1);
     for (const bool use_max : {false, true}) {
-      vec::SetLevelForTesting(vec::Level::kScalar);
-      std::vector<double> ref = dst0;
-      if (use_max) {
-        vec::AccumulateMax(ref.data(), src.data(), n);
-      } else {
-        vec::AccumulateAdd(ref.data(), src.data(), n);
+      std::vector<double> want = dst0;
+      for (size_t i = 0; i < want.size(); ++i) {
+        const double d = want[i], s = src[i];
+        want[i] = use_max ? (d > s ? d : s) : d + s;
       }
       for (const vec::Level level : AvailableLevels()) {
         vec::SetLevelForTesting(level);
@@ -329,7 +413,7 @@ TEST(VecBitExactTest, DoubleAccumulatorsMatchScalarAtEveryLevel) {
         SCOPED_TRACE(std::string(use_max ? "max" : "add") +
                      " n=" + std::to_string(n) +
                      " level=" + vec::LevelName(level));
-        ExpectBitEqual(ref, got);
+        ExpectSameBits(want, got);
       }
     }
   }
@@ -337,34 +421,40 @@ TEST(VecBitExactTest, DoubleAccumulatorsMatchScalarAtEveryLevel) {
 
 // The max kernels must reproduce the scalar `dst > src ? dst : src` edge
 // semantics exactly: NaN on either side yields src, and max(-0, +0)
-// resolves the tie to src too. This pins the maxps operand order.
-TEST(VecSemanticsTest, AccumulateMaxNanAndSignedZero) {
-  VecLevelGuard guard;
-  const float nan = std::numeric_limits<float>::quiet_NaN();
-  // 16 lanes so AVX2/AVX-512 take their vector path, not just the tail.
-  std::vector<float> dst0(16), src(16);
+// resolves the tie to src too. This pins the select's operand order.
+template <typename T>
+void ExpectMaxPicksSrcOnNanAndTies() {
+  const T nan = std::numeric_limits<T>::quiet_NaN();
+  // 16 lanes so every level runs whole registers, not just the tail.
+  std::vector<T> dst0(16), src(16);
   for (int i = 0; i < 16; ++i) {
-    dst0[static_cast<size_t>(i)] = static_cast<float>(i);
-    src[static_cast<size_t>(i)] = static_cast<float>(15 - i);
+    dst0[static_cast<size_t>(i)] = static_cast<T>(i);
+    src[static_cast<size_t>(i)] = static_cast<T>(15 - i);
   }
-  dst0[0] = nan;    src[0] = 2.0f;   // NaN dst  -> src
-  dst0[1] = 2.0f;   src[1] = nan;    // NaN src  -> src (NaN propagates)
-  dst0[2] = -0.0f;  src[2] = 0.0f;   // tie      -> src (+0)
-  dst0[3] = 0.0f;   src[3] = -0.0f;  // tie      -> src (-0)
+  dst0[0] = nan;    src[0] = 2;      // NaN dst  -> src
+  dst0[1] = 2;      src[1] = nan;    // NaN src  -> src (NaN propagates)
+  dst0[2] = -T{0};  src[2] = T{0};   // tie      -> src (+0)
+  dst0[3] = T{0};   src[3] = -T{0};  // tie      -> src (-0)
   for (const vec::Level level : AvailableLevels()) {
     vec::SetLevelForTesting(level);
-    std::vector<float> got = dst0;
+    std::vector<T> got = dst0;
     vec::AccumulateMax(got.data(), src.data(), 16);
-    SCOPED_TRACE(vec::LevelName(level));
+    SCOPED_TRACE(std::string(vec::LevelName(level)) + " " +
+                 std::to_string(sizeof(T)) + "-byte");
     for (int i = 0; i < 16; ++i) {
-      const float d = dst0[static_cast<size_t>(i)];
-      const float s = src[static_cast<size_t>(i)];
-      const float want = d > s ? d : s;
-      EXPECT_EQ(0, std::memcmp(&want, &got[static_cast<size_t>(i)],
-                               sizeof(float)))
+      const T d = dst0[static_cast<size_t>(i)];
+      const T s = src[static_cast<size_t>(i)];
+      const T want = d > s ? d : s;
+      EXPECT_EQ(0, std::memcmp(&want, &got[static_cast<size_t>(i)], sizeof(T)))
           << "lane " << i;
     }
   }
+}
+
+TEST(VecSemanticsTest, AccumulateMaxNanAndSignedZero) {
+  VecLevelGuard guard;
+  ExpectMaxPicksSrcOnNanAndTies<float>();
+  ExpectMaxPicksSrcOnNanAndTies<double>();
 }
 
 TEST(VecSemanticsTest, ReluMapsNegativeZeroAndNanToPositiveZero) {
