@@ -5,6 +5,7 @@
 
 #include <benchmark/benchmark.h>
 
+#include <string>
 #include <vector>
 
 #include "autograd/engine.h"
@@ -202,9 +203,7 @@ BENCHMARK(BM_RingAllReduceThreads)
 // SIMD dispatch-level sweep: the vec.h batch kernels at scalar / AVX2 /
 // AVX-512, per-element throughput (items/s). Levels the host cannot
 // execute clamp down and are labeled with the level that actually ran, so
-// a row never silently reports the wrong ISA. The all-reduce combine
-// primitive (AccumulateAdd) is the acceptance surface: the vectorized
-// levels must beat scalar by >= 2x per element on AVX2-class hosts.
+// a row never silently reports the wrong ISA.
 // ---------------------------------------------------------------------------
 
 class SimdLevelSweep {
@@ -228,74 +227,128 @@ class SimdLevelSweep {
       ->Args({static_cast<long>(vec::Level::kAvx2), __VA_ARGS__})    \
       ->Args({static_cast<long>(vec::Level::kAvx512), __VA_ARGS__})
 
-void BM_VecAccumulateAdd(benchmark::State& state) {
-  SimdLevelSweep sweep(state, static_cast<int>(state.range(0)));
-  const int64_t n = state.range(1);
-  std::vector<float> dst(static_cast<size_t>(n), 1.0f);
-  std::vector<float> src(static_cast<size_t>(n), 0.5f);
-  for (auto _ : state) {
-    vec::AccumulateAdd(dst.data(), src.data(), n);
-    benchmark::DoNotOptimize(dst.data());
-    benchmark::ClobberMemory();
-  }
-  state.SetItemsProcessed(state.iterations() * n);
-  state.SetBytesProcessed(state.iterations() * n * 4 * 3);
-}
-BENCHMARK(BM_VecAccumulateAdd)
-    ->ArgNames({"level", "n"})
-    ->DDPKIT_SIMD_LEVEL_ARGS(1 << 16);
+// Every lanewise vec.h entry point over a and b (its inputs) and out (its
+// output, or the operand it updates in place), all n long; the
+// accumulators' double forms use a64 and out64. The values keep every
+// kernel finite and normal however many times a cell repeats it.
+struct VecBuffers {
+  explicit VecBuffers(int64_t n)
+      : a(static_cast<size_t>(n), 0.75f),
+        b(static_cast<size_t>(n), 1.25f),
+        out(static_cast<size_t>(n), 0.5f),
+        a64(static_cast<size_t>(n), 0.75),
+        out64(static_cast<size_t>(n), 0.5) {}
+  std::vector<float> a, b, out;
+  std::vector<double> a64, out64;
+};
 
-void BM_VecAccumulateMax(benchmark::State& state) {
-  SimdLevelSweep sweep(state, static_cast<int>(state.range(0)));
-  const int64_t n = state.range(1);
-  std::vector<float> dst(static_cast<size_t>(n), 1.0f);
-  std::vector<float> src(static_cast<size_t>(n), 0.5f);
-  for (auto _ : state) {
-    vec::AccumulateMax(dst.data(), src.data(), n);
-    benchmark::DoNotOptimize(dst.data());
-    benchmark::ClobberMemory();
-  }
-  state.SetItemsProcessed(state.iterations() * n);
-  state.SetBytesProcessed(state.iterations() * n * 4 * 3);
-}
-BENCHMARK(BM_VecAccumulateMax)
-    ->ArgNames({"level", "n"})
-    ->DDPKIT_SIMD_LEVEL_ARGS(1 << 16);
+struct VecKernel {
+  const char* name;
+  void (*run)(VecBuffers& v, int64_t n);
+};
 
-void BM_VecAdd(benchmark::State& state) {
-  SimdLevelSweep sweep(state, static_cast<int>(state.range(0)));
-  const int64_t n = state.range(1);
-  std::vector<float> a(static_cast<size_t>(n), 1.0f);
-  std::vector<float> b(static_cast<size_t>(n), 2.0f);
-  std::vector<float> out(static_cast<size_t>(n));
-  for (auto _ : state) {
-    vec::Add(a.data(), b.data(), out.data(), n);
-    benchmark::DoNotOptimize(out.data());
-    benchmark::ClobberMemory();
-  }
-  state.SetItemsProcessed(state.iterations() * n);
-  state.SetBytesProcessed(state.iterations() * n * 4 * 3);
-}
-BENCHMARK(BM_VecAdd)
-    ->ArgNames({"level", "n"})
-    ->DDPKIT_SIMD_LEVEL_ARGS(1 << 16);
+const VecKernel kVecKernels[] = {
+    {"Add",
+     [](VecBuffers& v, int64_t n) {
+       vec::Add(v.a.data(), v.b.data(), v.out.data(), n);
+     }},
+    {"Sub",
+     [](VecBuffers& v, int64_t n) {
+       vec::Sub(v.a.data(), v.b.data(), v.out.data(), n);
+     }},
+    {"Mul",
+     [](VecBuffers& v, int64_t n) {
+       vec::Mul(v.a.data(), v.b.data(), v.out.data(), n);
+     }},
+    {"Div",
+     [](VecBuffers& v, int64_t n) {
+       vec::Div(v.a.data(), v.b.data(), v.out.data(), n);
+     }},
+    {"Scale",
+     [](VecBuffers& v, int64_t n) {
+       vec::Scale(v.a.data(), 0.5f, v.out.data(), n);
+     }},
+    {"AddScalar",
+     [](VecBuffers& v, int64_t n) {
+       vec::AddScalar(v.a.data(), 0.5f, v.out.data(), n);
+     }},
+    {"Neg",
+     [](VecBuffers& v, int64_t n) { vec::Neg(v.a.data(), v.out.data(), n); }},
+    {"Relu",
+     [](VecBuffers& v, int64_t n) { vec::Relu(v.a.data(), v.out.data(), n); }},
+    {"ReluBackward",
+     [](VecBuffers& v, int64_t n) {
+       vec::ReluBackward(v.a.data(), v.b.data(), v.out.data(), n);
+     }},
+    {"Sqrt",
+     [](VecBuffers& v, int64_t n) { vec::Sqrt(v.a.data(), v.out.data(), n); }},
+    {"Exp",
+     [](VecBuffers& v, int64_t n) { vec::Exp(v.a.data(), v.out.data(), n); }},
+    {"Tanh",
+     [](VecBuffers& v, int64_t n) { vec::Tanh(v.a.data(), v.out.data(), n); }},
+    {"Log",
+     [](VecBuffers& v, int64_t n) { vec::Log(v.a.data(), v.out.data(), n); }},
+    {"Sigmoid",
+     [](VecBuffers& v, int64_t n) {
+       vec::Sigmoid(v.a.data(), v.out.data(), n);
+     }},
+    {"Gelu",
+     [](VecBuffers& v, int64_t n) { vec::Gelu(v.a.data(), v.out.data(), n); }},
+    {"GeluBackward",
+     [](VecBuffers& v, int64_t n) {
+       vec::GeluBackward(v.a.data(), v.b.data(), v.out.data(), n);
+     }},
+    {"Axpy",
+     [](VecBuffers& v, int64_t n) {
+       vec::Axpy(0.5f, v.a.data(), v.out.data(), n);
+     }},
+    // −1 keeps the buffer at ±0.5, where a fraction would reach denormals.
+    {"ScaleInPlace",
+     [](VecBuffers& v, int64_t n) {
+       vec::ScaleInPlace(v.out.data(), -1.0f, n);
+     }},
+    {"AccumulateAdd",
+     [](VecBuffers& v, int64_t n) {
+       vec::AccumulateAdd(v.out.data(), v.a.data(), n);
+     }},
+    {"AccumulateMax",
+     [](VecBuffers& v, int64_t n) {
+       vec::AccumulateMax(v.out.data(), v.a.data(), n);
+     }},
+    {"AccumulateAddF64",
+     [](VecBuffers& v, int64_t n) {
+       vec::AccumulateAdd(v.out64.data(), v.a64.data(), n);
+     }},
+    {"AccumulateMaxF64",
+     [](VecBuffers& v, int64_t n) {
+       vec::AccumulateMax(v.out64.data(), v.a64.data(), n);
+     }},
+};
 
-void BM_VecAxpy(benchmark::State& state) {
+void BM_Vec(benchmark::State& state, const VecKernel& kernel) {
   SimdLevelSweep sweep(state, static_cast<int>(state.range(0)));
   const int64_t n = state.range(1);
-  std::vector<float> x(static_cast<size_t>(n), 1.0f);
-  std::vector<float> y(static_cast<size_t>(n), 2.0f);
+  VecBuffers v(n);
   for (auto _ : state) {
-    vec::Axpy(0.5f, x.data(), y.data(), n);
-    benchmark::DoNotOptimize(y.data());
+    kernel.run(v, n);
     benchmark::ClobberMemory();
   }
   state.SetItemsProcessed(state.iterations() * n);
-  state.SetBytesProcessed(state.iterations() * n * 4 * 3);
 }
-BENCHMARK(BM_VecAxpy)
-    ->ArgNames({"level", "n"})
-    ->DDPKIT_SIMD_LEVEL_ARGS(1 << 16);
+
+// One cell per kernel, level and n, named BM_Vec<kernel>. At n = 10 every
+// level runs the tail alone; 1024 floats fit in L1 and 2^16 in L2.
+[[maybe_unused]] const bool kVecCellsRegistered = [] {
+  for (const VecKernel& kernel : kVecKernels) {
+    benchmark::RegisterBenchmark((std::string("BM_Vec") + kernel.name).c_str(),
+                                 BM_Vec, kernel)
+        ->ArgNames({"level", "n"})
+        ->DDPKIT_SIMD_LEVEL_ARGS(10)
+        ->DDPKIT_SIMD_LEVEL_ARGS(1024)
+        ->DDPKIT_SIMD_LEVEL_ARGS(1 << 16);
+  }
+  return true;
+}();
 
 // The Linear forward, C[m,n] = A[m,k] · B[n,k]ᵀ, at the mlp_w2 (batch 8)
 // and transformer_w2 (128 tokens) shapes; items are multiply-adds.
