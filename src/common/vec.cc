@@ -5,6 +5,7 @@
 #include <cstdlib>
 #include <cstring>
 #include <string_view>
+#include <type_traits>
 
 #if defined(__x86_64__) || defined(_M_X64)
 #define DDPKIT_VEC_X86 1
@@ -16,197 +17,150 @@ namespace {
 
 // Target attributes deliberately request only the base ISA sets (no "fma"):
 // the kernels below must emit separate mul and add instructions so their
-// rounding matches the scalar fallback bit-for-bit (see the contract in
-// vec.h). The x86-64 baseline the scalar path compiles against has no FMA
-// instruction, so -ffp-contract cannot fuse it either.
+// rounding matches the serial loops of vec.h bit-for-bit. The x86-64
+// baseline the scalar level compiles against has no FMA instruction, so
+// -ffp-contract cannot fuse it either.
 #if defined(DDPKIT_VEC_X86)
 #define DDPKIT_TARGET_AVX2 __attribute__((target("avx2")))
 #define DDPKIT_TARGET_AVX512 __attribute__((target("avx512f")))
 #endif
 
 // ---------------------------------------------------------------------------
-// Scalar kernels, written over Vec<T,N> so the fallback exercises the same
-// fixed-width shape the intrinsic paths use (N=8 matches one AVX2 float
-// register). The compiler is free to auto-vectorize these at the baseline
-// ISA; correctness never depends on whether it does.
-// ---------------------------------------------------------------------------
-
-template <typename T, typename LaneFn>
-void ScalarLanewise2(const T* a, const T* b, T* dst, int64_t n, LaneFn fn) {
-  using V = Vec<T, 8>;
-  int64_t i = 0;
-  for (; i + V::size() <= n; i += V::size()) {
-    fn(V::Load(a + i), V::Load(b + i)).Store(dst + i);
-  }
-  for (; i < n; ++i) {
-    V va = V::Broadcast(a[i]);
-    V vb = V::Broadcast(b[i]);
-    dst[i] = fn(va, vb).lane[0];
-  }
-}
-
-template <typename T, typename LaneFn>
-void ScalarLanewise1(const T* a, T* dst, int64_t n, LaneFn fn) {
-  using V = Vec<T, 8>;
-  int64_t i = 0;
-  for (; i + V::size() <= n; i += V::size()) {
-    fn(V::Load(a + i)).Store(dst + i);
-  }
-  for (; i < n; ++i) {
-    dst[i] = fn(V::Broadcast(a[i])).lane[0];
-  }
-}
-
-void AddScalarImpl(const float* a, const float* b, float* dst, int64_t n) {
-  ScalarLanewise2(a, b, dst, n, [](auto x, auto y) { return x + y; });
-}
-void SubScalarImpl(const float* a, const float* b, float* dst, int64_t n) {
-  ScalarLanewise2(a, b, dst, n, [](auto x, auto y) { return x - y; });
-}
-void MulScalarImpl(const float* a, const float* b, float* dst, int64_t n) {
-  ScalarLanewise2(a, b, dst, n, [](auto x, auto y) { return x * y; });
-}
-void DivScalarImpl(const float* a, const float* b, float* dst, int64_t n) {
-  ScalarLanewise2(a, b, dst, n, [](auto x, auto y) { return x / y; });
-}
-
-void ScaleScalarImpl(const float* a, float s, float* dst, int64_t n) {
-  for (int64_t i = 0; i < n; ++i) dst[i] = a[i] * s;
-}
-void AddScalarScalarImpl(const float* a, float s, float* dst, int64_t n) {
-  for (int64_t i = 0; i < n; ++i) dst[i] = a[i] + s;
-}
-void NegScalarImpl(const float* a, float* dst, int64_t n) {
-  for (int64_t i = 0; i < n; ++i) dst[i] = -a[i];
-}
-void ReluScalarImpl(const float* a, float* dst, int64_t n) {
-  for (int64_t i = 0; i < n; ++i) dst[i] = a[i] > 0.0f ? a[i] : 0.0f;
-}
-void ReluBackwardScalarImpl(const float* g, const float* x, float* dst,
-                            int64_t n) {
-  for (int64_t i = 0; i < n; ++i) dst[i] = x[i] > 0.0f ? g[i] : 0.0f;
-}
-void SqrtScalarImpl(const float* a, float* dst, int64_t n) {
-  for (int64_t i = 0; i < n; ++i) dst[i] = __builtin_sqrtf(a[i]);
-}
-void AxpyScalarImpl(float alpha, const float* x, float* y, int64_t n) {
-  for (int64_t i = 0; i < n; ++i) {
-    const float prod = alpha * x[i];
-    y[i] = y[i] + prod;
-  }
-}
-void ScaleInPlaceScalarImpl(float* y, float s, int64_t n) {
-  for (int64_t i = 0; i < n; ++i) y[i] = y[i] * s;
-}
-void AccumAddF32ScalarImpl(float* dst, const float* src, int64_t n) {
-  ScalarLanewise2<float>(dst, src, dst, n,
-                         [](auto x, auto y) { return x + y; });
-}
-void AccumMaxF32ScalarImpl(float* dst, const float* src, int64_t n) {
-  ScalarLanewise2<float>(dst, src, dst, n, [](auto x, auto y) {
-    return decltype(x)::Max(x, y);
-  });
-}
-void AccumAddF64ScalarImpl(double* dst, const double* src, int64_t n) {
-  ScalarLanewise2<double>(dst, src, dst, n,
-                          [](auto x, auto y) { return x + y; });
-}
-void AccumMaxF64ScalarImpl(double* dst, const double* src, int64_t n) {
-  ScalarLanewise2<double>(dst, src, dst, n, [](auto x, auto y) {
-    return decltype(x)::Max(x, y);
-  });
-}
-int64_t CountZerosScalarImpl(const float* a, int64_t n) {
-  int64_t zeros = 0;
-  for (int64_t i = 0; i < n; ++i) zeros += a[i] == 0.0f ? 1 : 0;
-  return zeros;
-}
-void PackPanelScalarImpl(const float* b, int64_t ldb, int cols, int64_t k,
-                         float* panel) {
-  for (int64_t p = 0; p < k; ++p) {
-    for (int c = 0; c < cols; ++c) panel[p * kTileCols + c] = b[c * ldb + p];
-  }
-}
-// The scalar and AVX2 levels run the tile as register blocks of
-// kBlockRows × kBlockCols; every lane keeps its own sequence whatever block
-// it falls in.
-constexpr int kBlockRows = 4;
-constexpr int kBlockCols = 16;
-
-template <class Block>
-inline void ForEachBlock(int rows, int cols, Block block) {
-  for (int c0 = 0; c0 < cols; c0 += kBlockCols) {
-    for (int r0 = 0; r0 < rows; r0 += kBlockRows) {
-      block(r0, std::min(kBlockRows, rows - r0), c0,
-            std::min(kBlockCols, cols - c0));
-    }
-  }
-}
-
-// Kept out of line: inlined into the block loop it runs 20-25% slower.
-[[gnu::noinline]] void MatMulBlockScalar(const float* a, int64_t a_row,
-                                         int64_t a_p, int rows,
-                                         const float* b, int64_t ldb,
-                                         int64_t k, float* out, int64_t ldo,
-                                         int cols, bool skip_zero) {
-  using V = Vec<float, kBlockCols>;
-  const size_t row_bytes = static_cast<size_t>(cols) * sizeof(float);
-  V acc[kBlockRows];
-  for (V& v : acc) v = V::Broadcast(0.0f);
-  for (int64_t p = 0; p < k; ++p) {
-    V bp = V::Broadcast(0.0f);
-    std::memcpy(bp.lane, b + p * ldb, row_bytes);
-    for (int r = 0; r < rows; ++r) {
-      const float av = a[r * a_row + p * a_p];
-      if (skip_zero && av == 0.0f) continue;
-      acc[r] = acc[r] + V::Broadcast(av) * bp;
-    }
-  }
-  for (int r = 0; r < rows; ++r) {
-    std::memcpy(out + r * ldo, acc[r].lane, row_bytes);
-  }
-}
-void MatMulTileScalarImpl(const float* a, int64_t a_row, int64_t a_p,
-                          int rows, const float* b, int64_t ldb, int64_t k,
-                          float* out, int64_t ldo, int cols, bool skip_zero) {
-  ForEachBlock(rows, cols, [&](int r0, int block_rows, int c0,
-                               int block_cols) {
-    MatMulBlockScalar(a + r0 * a_row, a_row, a_p, block_rows, b + c0, ldb, k,
-                      out + r0 * ldo + c0, ldo, block_cols, skip_zero);
-  });
-}
-
-// ---------------------------------------------------------------------------
-// Transcendentals. Each one is written once, as a static Apply over a GCC
-// vector of kLanes floats: 4 lanes (the baseline ISA's register) at the
-// scalar level, 8 for AVX2, 16 for AVX-512. The bodies use only lanewise
-// IEEE add, sub, mul and div, lanewise compares and selects, and integer
-// ops on the float bits, so lane i's result does not depend on kLanes and
-// every level returns the same bits. They are always inlined into the
-// level's target-attributed loop, which picks the instructions. A vector
-// crosses a call only inside the Lanes struct, by reference or as a
+// Lanewise kernels. Each one is written once, as an Op: a struct whose
+// Apply maps Lanes vectors to a Lanes vector with GCC vector arithmetic.
+// MapLanes runs an Op over whole registers of the level's width, 16 bytes
+// (the baseline ISA's register) at the scalar level, 32 for AVX2 and 64
+// for AVX-512, and then over the tail one element at a time as Lanes<T, 1>,
+// which GCC compiles to scalar instructions. An Apply uses only lanewise
+// IEEE add, sub, mul, div and sqrt, lanewise compares and selects, and
+// integer ops on the float bits, so lane i's result does not depend on the
+// width and every level returns the same bits. Ops are always inlined into
+// the level's target-attributed loop, which picks the instructions. A
+// vector crosses a call only inside the Lanes struct, by reference or as a
 // return, never as a bare wide vector, whose calling convention would
-// depend on the target. Coefficients are Cephes' expf, tanhf and logf.
+// depend on the target.
 // ---------------------------------------------------------------------------
 
 #define DDPKIT_LANES_INLINE inline __attribute__((always_inline))
 
-template <int kLanes>
+/// kLanes elements of T, and the integer vector of the same width that
+/// compares yield and bit operations run on.
+template <typename T, int kLanes>
 struct Lanes {
-  typedef float F __attribute__((vector_size(4 * kLanes)));
-  typedef int32_t I __attribute__((vector_size(4 * kLanes)));
+  using Int = std::conditional_t<sizeof(T) == 4, int32_t, int64_t>;
+  typedef T F __attribute__((vector_size(sizeof(T) * kLanes)));
+  typedef Int I __attribute__((vector_size(sizeof(T) * kLanes)));
+  static constexpr int kCount = kLanes;
   F v;
 
-  static DDPKIT_LANES_INLINE Lanes Load(const float* p, int64_t count) {
-    Lanes l{};
-    std::memcpy(&l.v, p, static_cast<size_t>(count) * sizeof(float));
+  static DDPKIT_LANES_INLINE Lanes Load(const T* p) {
+    Lanes l;
+    std::memcpy(&l.v, p, sizeof(l.v));
     return l;
   }
-  DDPKIT_LANES_INLINE void Store(float* p, int64_t count) const {
-    std::memcpy(p, &v, static_cast<size_t>(count) * sizeof(float));
+  DDPKIT_LANES_INLINE void Store(T* p) const { std::memcpy(p, &v, sizeof(v)); }
+};
+
+/// dst[i] = op.Apply(in[i]...) for i < n, kBytes at a time, then one
+/// element at a time.
+template <int kBytes, class Op, typename T, typename... In>
+DDPKIT_LANES_INLINE void MapLanes(Op op, int64_t n, T* dst, const In*... in) {
+  constexpr int kLanes = kBytes / static_cast<int>(sizeof(T));
+  using L = Lanes<T, kLanes>;
+  int64_t i = 0;
+  for (; i + kLanes <= n; i += kLanes) {
+    op.Apply(L::Load(in + i)...).Store(dst + i);
+  }
+  for (; i < n; ++i) op.Apply(Lanes<T, 1>::Load(in + i)...).Store(dst + i);
+}
+
+// The arithmetic kernels, each in the operand order of the serial loop
+// vec.h states for it.
+struct AddOp {
+  template <class L>
+  DDPKIT_LANES_INLINE L Apply(const L& a, const L& b) const {
+    return {a.v + b.v};
+  }
+};
+struct SubOp {
+  template <class L>
+  DDPKIT_LANES_INLINE L Apply(const L& a, const L& b) const {
+    return {a.v - b.v};
+  }
+};
+struct MulOp {
+  template <class L>
+  DDPKIT_LANES_INLINE L Apply(const L& a, const L& b) const {
+    return {a.v * b.v};
+  }
+};
+struct DivOp {
+  template <class L>
+  DDPKIT_LANES_INLINE L Apply(const L& a, const L& b) const {
+    return {a.v / b.v};
+  }
+};
+// dst > src ? dst : src: a NaN on either side, or a tie of ±0, gives src.
+struct MaxOp {
+  template <class L>
+  DDPKIT_LANES_INLINE L Apply(const L& dst, const L& src) const {
+    return {dst.v > src.v ? dst.v : src.v};
+  }
+};
+struct NegOp {
+  template <class L>
+  DDPKIT_LANES_INLINE L Apply(const L& a) const {
+    return {-a.v};
+  }
+};
+// a > 0 ? a : 0, so −0 and NaN give +0.
+struct ReluOp {
+  template <class L>
+  DDPKIT_LANES_INLINE L Apply(const L& a) const {
+    return {a.v > 0.0f ? a.v : typename L::F{}};
+  }
+};
+struct ReluBackwardOp {
+  template <class L>
+  DDPKIT_LANES_INLINE L Apply(const L& g, const L& x) const {
+    return {x.v > 0.0f ? g.v : typename L::F{}};
+  }
+};
+// GCC has no vector sqrt operator; it turns this loop into the level's
+// vector sqrt (vec.cc is built with -fno-math-errno, which lets it).
+struct SqrtOp {
+  template <class L>
+  DDPKIT_LANES_INLINE L Apply(const L& a) const {
+    L r;
+    for (int i = 0; i < L::kCount; ++i) r.v[i] = __builtin_sqrtf(a.v[i]);
+    return r;
+  }
+};
+struct ScaleOp {
+  float s;
+  template <class L>
+  DDPKIT_LANES_INLINE L Apply(const L& a) const {
+    return {a.v * s};
+  }
+};
+struct AddScalarOp {
+  float s;
+  template <class L>
+  DDPKIT_LANES_INLINE L Apply(const L& a) const {
+    return {a.v + s};
+  }
+};
+// y + alpha·x with the product rounded first (never fused).
+struct AxpyOp {
+  float alpha;
+  template <class L>
+  DDPKIT_LANES_INLINE L Apply(const L& y, const L& x) const {
+    return {y.v + alpha * x.v};
   }
 };
 
+// The transcendentals, in the same form. Coefficients are Cephes' expf,
+// tanhf and logf.
 constexpr int32_t kSignBit = INT32_MIN;
 
 // e^x = 2^n · e^r with n = round(x / ln 2), by adding and subtracting
@@ -215,9 +169,9 @@ constexpr int32_t kSignBit = INT32_MIN;
 // 2^(n/2) · 2^(n − n/2), two normal factors whose product rounds once, so
 // results below 2^-126 underflow gradually. x is first clamped to
 // [−112, 100], where e^x already rounds to +0 and +inf.
-struct ExpLanes {
+struct ExpOp {
   template <class L>
-  static DDPKIT_LANES_INLINE L Apply(const L& in) {
+  DDPKIT_LANES_INLINE L Apply(const L& in) const {
     using F = typename L::F;
     using I = typename L::I;
     const F x = in.v;
@@ -248,14 +202,14 @@ struct ExpLanes {
 // tanh|x| is 1 − 2/(e^{2|x|} + 1), which rounds to 1 from |x| ≈ 9.01 on,
 // except below 0.625, where that form cancels and an odd polynomial takes
 // over. The sign is x's, so tanh(−0) = −0.
-struct TanhLanes {
+struct TanhOp {
   template <class L>
-  static DDPKIT_LANES_INLINE L Apply(const L& in) {
+  DDPKIT_LANES_INLINE L Apply(const L& in) const {
     using F = typename L::F;
     using I = typename L::I;
     const F x = in.v;
     const F z = (F)((I)x & ~kSignBit);
-    const F s = ExpLanes::Apply(L{z + z}).v;
+    const F s = ExpOp{}.Apply(L{z + z}).v;
     const F big = 1.0f - 2.0f / (s + 1.0f);
     const F z2 = z * z;
     F p = -5.70498872745e-3f * z2 + 2.06390887954e-2f;
@@ -272,9 +226,9 @@ struct TanhLanes {
 // ln x = e·ln 2 + ln(1 + m) for x = (1 + m)·2^e with 1 + m in [√½, √2):
 // ln(1 + m) is m − m²/2 + m³·P(m) with P of degree 8, and ln 2 is split
 // like exp's. A denormal x is scaled by 2^23 first.
-struct LogLanes {
+struct LogOp {
   template <class L>
-  static DDPKIT_LANES_INLINE L Apply(const L& in) {
+  DDPKIT_LANES_INLINE L Apply(const L& in) const {
     using F = typename L::F;
     using I = typename L::I;
     const F x = in.v;
@@ -308,10 +262,10 @@ struct LogLanes {
   }
 };
 
-struct SigmoidLanes {
+struct SigmoidOp {
   template <class L>
-  static DDPKIT_LANES_INLINE L Apply(const L& in) {
-    return {1.0f / (1.0f + ExpLanes::Apply(L{-in.v}).v)};
+  DDPKIT_LANES_INLINE L Apply(const L& in) const {
+    return {1.0f / (1.0f + ExpOp{}.Apply(L{-in.v}).v)};
   }
 };
 
@@ -319,109 +273,149 @@ struct SigmoidLanes {
 // the operation order of the scalar formula it replaced.
 constexpr float kGeluK = 0.7978845608028654f;  // √(2/π)
 
-struct GeluLanes {
+struct GeluOp {
   template <class L>
-  static DDPKIT_LANES_INLINE L Apply(const L& in) {
+  DDPKIT_LANES_INLINE L Apply(const L& in) const {
     const typename L::F x = in.v;
     const typename L::F inner = kGeluK * (x + 0.044715f * x * x * x);
-    return {0.5f * x * (1.0f + TanhLanes::Apply(L{inner}).v)};
+    return {0.5f * x * (1.0f + TanhOp{}.Apply(L{inner}).v)};
   }
 };
 
-struct GeluBackwardLanes {
+struct GeluBackwardOp {
   template <class L>
-  static DDPKIT_LANES_INLINE L Apply(const L& g, const L& in) {
+  DDPKIT_LANES_INLINE L Apply(const L& g, const L& in) const {
     using F = typename L::F;
     const F x = in.v;
     const F x3 = x * x * x;
     const F inner = kGeluK * (x + 0.044715f * x3);
-    const F t = TanhLanes::Apply(L{inner}).v;
+    const F t = TanhOp{}.Apply(L{inner}).v;
     const F sech2 = 1.0f - t * t;
     return {g.v * (0.5f * (1.0f + t) + 0.5f * x * sech2 * kGeluK *
                                            (1.0f + 3.0f * 0.044715f * x * x))};
   }
 };
 
-// dst[i] = Op(a[i]), or Op(a[i], b[i]), over whole kLanes blocks and then
-// once over the tail, zero-padded to a block.
-template <class Op, int kLanes>
-DDPKIT_LANES_INLINE void MapLanes(const float* a, float* dst, int64_t n) {
-  using L = Lanes<kLanes>;
-  int64_t i = 0;
-  for (; i + kLanes <= n; i += kLanes) {
-    Op::Apply(L::Load(a + i, kLanes)).Store(dst + i, kLanes);
-  }
-  if (i < n) Op::Apply(L::Load(a + i, n - i)).Store(dst + i, n - i);
-}
-template <class Op, int kLanes>
-DDPKIT_LANES_INLINE void MapLanes(const float* a, const float* b, float* dst,
-                                  int64_t n) {
-  using L = Lanes<kLanes>;
-  int64_t i = 0;
-  for (; i + kLanes <= n; i += kLanes) {
-    Op::Apply(L::Load(a + i, kLanes), L::Load(b + i, kLanes))
-        .Store(dst + i, kLanes);
-  }
-  if (i < n) {
-    Op::Apply(L::Load(a + i, n - i), L::Load(b + i, n - i))
-        .Store(dst + i, n - i);
-  }
-}
-
-template <class Op, class... Args>
-void MapScalarImpl(Args... args) {
-  MapLanes<Op, 4>(args...);
-}
-
-// One SGD step (the sequence is in vec.h) over elements [i, i + count).
-// Weight decay and the momentum mode are template arguments, so each of
-// the six loops below has no per-block branch.
+// One SGD step (the sequence is in vec.h) over the L::kCount elements from
+// i, with MapLanes' loop shape. Weight decay and the momentum mode are
+// template arguments, so each of the six loops below has no per-block
+// branch.
 enum class Momentum { kNone, kFirst, kLater };
 
-template <int kLanes, bool kDecay, Momentum kMomentum>
+template <class L, bool kDecay, Momentum kMomentum>
 DDPKIT_LANES_INLINE void SgdBlock(float* p, const float* g, float* m,
-                                  int64_t i, int64_t count,
-                                  const SgdCoefficients& c) {
-  using L = Lanes<kLanes>;
-  const typename L::F pv = L::Load(p + i, count).v;
-  typename L::F d = L::Load(g + i, count).v;
+                                  int64_t i, const SgdCoefficients& c) {
+  const typename L::F pv = L::Load(p + i).v;
+  typename L::F d = L::Load(g + i).v;
   if constexpr (kDecay) d = d + c.weight_decay * pv;
   if constexpr (kMomentum == Momentum::kLater) {
-    d = L::Load(m + i, count).v * c.momentum + d;
+    d = L::Load(m + i).v * c.momentum + d;
   }
-  if constexpr (kMomentum != Momentum::kNone) L{d}.Store(m + i, count);
-  L{pv + c.neg_lr * d}.Store(p + i, count);
+  if constexpr (kMomentum != Momentum::kNone) L{d}.Store(m + i);
+  L{pv + c.neg_lr * d}.Store(p + i);
 }
 
-template <int kLanes, bool kDecay, Momentum kMomentum>
+template <int kBytes, bool kDecay, Momentum kMomentum>
 DDPKIT_LANES_INLINE void SgdLoop(float* p, const float* g, float* m,
                                  int64_t n, const SgdCoefficients& c) {
+  constexpr int kLanes = kBytes / static_cast<int>(sizeof(float));
   int64_t i = 0;
   for (; i + kLanes <= n; i += kLanes) {
-    SgdBlock<kLanes, kDecay, kMomentum>(p, g, m, i, kLanes, c);
+    SgdBlock<Lanes<float, kLanes>, kDecay, kMomentum>(p, g, m, i, c);
   }
-  if (i < n) SgdBlock<kLanes, kDecay, kMomentum>(p, g, m, i, n - i, c);
+  for (; i < n; ++i) {
+    SgdBlock<Lanes<float, 1>, kDecay, kMomentum>(p, g, m, i, c);
+  }
 }
 
-template <int kLanes>
+template <int kBytes>
 DDPKIT_LANES_INLINE void SgdLanes(float* p, const float* g, float* m,
                                   int64_t n, const SgdCoefficients& c) {
   const bool decay = c.weight_decay != 0.0f;
   if (m == nullptr) {
-    decay ? SgdLoop<kLanes, true, Momentum::kNone>(p, g, m, n, c)
-          : SgdLoop<kLanes, false, Momentum::kNone>(p, g, m, n, c);
+    decay ? SgdLoop<kBytes, true, Momentum::kNone>(p, g, m, n, c)
+          : SgdLoop<kBytes, false, Momentum::kNone>(p, g, m, n, c);
   } else if (c.first_step) {
-    decay ? SgdLoop<kLanes, true, Momentum::kFirst>(p, g, m, n, c)
-          : SgdLoop<kLanes, false, Momentum::kFirst>(p, g, m, n, c);
+    decay ? SgdLoop<kBytes, true, Momentum::kFirst>(p, g, m, n, c)
+          : SgdLoop<kBytes, false, Momentum::kFirst>(p, g, m, n, c);
   } else {
-    decay ? SgdLoop<kLanes, true, Momentum::kLater>(p, g, m, n, c)
-          : SgdLoop<kLanes, false, Momentum::kLater>(p, g, m, n, c);
+    decay ? SgdLoop<kBytes, true, Momentum::kLater>(p, g, m, n, c)
+          : SgdLoop<kBytes, false, Momentum::kLater>(p, g, m, n, c);
   }
 }
 
+template <class Op, typename T, typename... In>
+void MapScalarImpl(Op op, int64_t n, T* dst, const In*... in) {
+  MapLanes<16>(op, n, dst, in...);
+}
 void SgdStepScalarImpl(float* p, const float* g, float* m, int64_t n,
                        const SgdCoefficients& c) {
-  SgdLanes<4>(p, g, m, n, c);
+  SgdLanes<16>(p, g, m, n, c);
+}
+
+// ---------------------------------------------------------------------------
+// The kernels that are not lanewise maps keep a body per level: CountZeros
+// (a popcount reduction), PackPanel (transposes) and MatMulTile (the
+// register tile). These are their scalar bodies.
+// ---------------------------------------------------------------------------
+
+int64_t CountZerosScalarImpl(const float* a, int64_t n) {
+  int64_t zeros = 0;
+  for (int64_t i = 0; i < n; ++i) zeros += a[i] == 0.0f ? 1 : 0;
+  return zeros;
+}
+void PackPanelScalarImpl(const float* b, int64_t ldb, int cols, int64_t k,
+                         float* panel) {
+  for (int64_t p = 0; p < k; ++p) {
+    for (int c = 0; c < cols; ++c) panel[p * kTileCols + c] = b[c * ldb + p];
+  }
+}
+// The scalar and AVX2 levels run the tile as register blocks of
+// kBlockRows × kBlockCols; every lane keeps its own sequence whatever block
+// it falls in.
+constexpr int kBlockRows = 4;
+constexpr int kBlockCols = 16;
+
+template <class Block>
+inline void ForEachBlock(int rows, int cols, Block block) {
+  for (int c0 = 0; c0 < cols; c0 += kBlockCols) {
+    for (int r0 = 0; r0 < rows; r0 += kBlockRows) {
+      block(r0, std::min(kBlockRows, rows - r0), c0,
+            std::min(kBlockCols, cols - c0));
+    }
+  }
+}
+
+// Kept out of line: inlined into the block loop it runs 20-25% slower.
+[[gnu::noinline]] void MatMulBlockScalar(const float* a, int64_t a_row,
+                                         int64_t a_p, int rows,
+                                         const float* b, int64_t ldb,
+                                         int64_t k, float* out, int64_t ldo,
+                                         int cols, bool skip_zero) {
+  using L = Lanes<float, kBlockCols>;
+  const size_t row_bytes = static_cast<size_t>(cols) * sizeof(float);
+  L acc[kBlockRows] = {};
+  for (int64_t p = 0; p < k; ++p) {
+    L bp{};
+    std::memcpy(&bp.v, b + p * ldb, row_bytes);
+    for (int r = 0; r < rows; ++r) {
+      const float av = a[r * a_row + p * a_p];
+      if (skip_zero && av == 0.0f) continue;
+      acc[r].v = acc[r].v + av * bp.v;
+    }
+  }
+  for (int r = 0; r < rows; ++r) {
+    std::memcpy(out + r * ldo, &acc[r].v, row_bytes);
+  }
+}
+void MatMulTileScalarImpl(const float* a, int64_t a_row, int64_t a_p,
+                          int rows, const float* b, int64_t ldb, int64_t k,
+                          float* out, int64_t ldo, int cols, bool skip_zero) {
+  ForEachBlock(rows, cols, [&](int r0, int block_rows, int c0,
+                               int block_cols) {
+    MatMulBlockScalar(a + r0 * a_row, a_row, a_p, block_rows, b + c0, ldb, k,
+                      out + r0 * ldo + c0, ldo, block_cols, skip_zero);
+  });
 }
 
 #if defined(DDPKIT_VEC_X86)
@@ -430,163 +424,15 @@ void SgdStepScalarImpl(float* p, const float* g, float* m, int64_t n,
 // AVX2 kernels: 8 float / 4 double lanes per register.
 // ---------------------------------------------------------------------------
 
-template <class Op, class... Args>
-DDPKIT_TARGET_AVX2 void MapAvx2(Args... args) {
-  MapLanes<Op, 8>(args...);
+template <class Op, typename T, typename... In>
+DDPKIT_TARGET_AVX2 void MapAvx2(Op op, int64_t n, T* dst, const In*... in) {
+  MapLanes<32>(op, n, dst, in...);
 }
 DDPKIT_TARGET_AVX2 void SgdStepAvx2(float* p, const float* g, float* m,
                                     int64_t n, const SgdCoefficients& c) {
-  SgdLanes<8>(p, g, m, n, c);
+  SgdLanes<32>(p, g, m, n, c);
 }
 
-DDPKIT_TARGET_AVX2 void AddAvx2(const float* a, const float* b, float* dst,
-                                int64_t n) {
-  int64_t i = 0;
-  for (; i + 8 <= n; i += 8) {
-    _mm256_storeu_ps(dst + i, _mm256_add_ps(_mm256_loadu_ps(a + i),
-                                            _mm256_loadu_ps(b + i)));
-  }
-  for (; i < n; ++i) dst[i] = a[i] + b[i];
-}
-DDPKIT_TARGET_AVX2 void SubAvx2(const float* a, const float* b, float* dst,
-                                int64_t n) {
-  int64_t i = 0;
-  for (; i + 8 <= n; i += 8) {
-    _mm256_storeu_ps(dst + i, _mm256_sub_ps(_mm256_loadu_ps(a + i),
-                                            _mm256_loadu_ps(b + i)));
-  }
-  for (; i < n; ++i) dst[i] = a[i] - b[i];
-}
-DDPKIT_TARGET_AVX2 void MulAvx2(const float* a, const float* b, float* dst,
-                                int64_t n) {
-  int64_t i = 0;
-  for (; i + 8 <= n; i += 8) {
-    _mm256_storeu_ps(dst + i, _mm256_mul_ps(_mm256_loadu_ps(a + i),
-                                            _mm256_loadu_ps(b + i)));
-  }
-  for (; i < n; ++i) dst[i] = a[i] * b[i];
-}
-DDPKIT_TARGET_AVX2 void DivAvx2(const float* a, const float* b, float* dst,
-                                int64_t n) {
-  int64_t i = 0;
-  for (; i + 8 <= n; i += 8) {
-    _mm256_storeu_ps(dst + i, _mm256_div_ps(_mm256_loadu_ps(a + i),
-                                            _mm256_loadu_ps(b + i)));
-  }
-  for (; i < n; ++i) dst[i] = a[i] / b[i];
-}
-DDPKIT_TARGET_AVX2 void ScaleAvx2(const float* a, float s, float* dst,
-                                  int64_t n) {
-  const __m256 vs = _mm256_set1_ps(s);
-  int64_t i = 0;
-  for (; i + 8 <= n; i += 8) {
-    _mm256_storeu_ps(dst + i, _mm256_mul_ps(_mm256_loadu_ps(a + i), vs));
-  }
-  for (; i < n; ++i) dst[i] = a[i] * s;
-}
-DDPKIT_TARGET_AVX2 void AddScalarAvx2(const float* a, float s, float* dst,
-                                      int64_t n) {
-  const __m256 vs = _mm256_set1_ps(s);
-  int64_t i = 0;
-  for (; i + 8 <= n; i += 8) {
-    _mm256_storeu_ps(dst + i, _mm256_add_ps(_mm256_loadu_ps(a + i), vs));
-  }
-  for (; i < n; ++i) dst[i] = a[i] + s;
-}
-DDPKIT_TARGET_AVX2 void NegAvx2(const float* a, float* dst, int64_t n) {
-  const __m256 sign = _mm256_set1_ps(-0.0f);
-  int64_t i = 0;
-  for (; i + 8 <= n; i += 8) {
-    _mm256_storeu_ps(dst + i, _mm256_xor_ps(_mm256_loadu_ps(a + i), sign));
-  }
-  for (; i < n; ++i) dst[i] = -a[i];
-}
-DDPKIT_TARGET_AVX2 void ReluAvx2(const float* a, float* dst, int64_t n) {
-  const __m256 zero = _mm256_setzero_ps();
-  int64_t i = 0;
-  for (; i + 8 <= n; i += 8) {
-    // max(a, +0.0) maps -0.0 inputs to +0.0, matching `a > 0 ? a : 0`.
-    _mm256_storeu_ps(dst + i, _mm256_max_ps(_mm256_loadu_ps(a + i), zero));
-  }
-  for (; i < n; ++i) dst[i] = a[i] > 0.0f ? a[i] : 0.0f;
-}
-DDPKIT_TARGET_AVX2 void ReluBackwardAvx2(const float* g, const float* x,
-                                         float* dst, int64_t n) {
-  const __m256 zero = _mm256_setzero_ps();
-  int64_t i = 0;
-  for (; i + 8 <= n; i += 8) {
-    const __m256 mask = _mm256_cmp_ps(_mm256_loadu_ps(x + i), zero, _CMP_GT_OQ);
-    _mm256_storeu_ps(dst + i, _mm256_and_ps(_mm256_loadu_ps(g + i), mask));
-  }
-  for (; i < n; ++i) dst[i] = x[i] > 0.0f ? g[i] : 0.0f;
-}
-DDPKIT_TARGET_AVX2 void SqrtAvx2(const float* a, float* dst, int64_t n) {
-  int64_t i = 0;
-  for (; i + 8 <= n; i += 8) {
-    _mm256_storeu_ps(dst + i, _mm256_sqrt_ps(_mm256_loadu_ps(a + i)));
-  }
-  for (; i < n; ++i) dst[i] = __builtin_sqrtf(a[i]);
-}
-DDPKIT_TARGET_AVX2 void AxpyAvx2(float alpha, const float* x, float* y,
-                                 int64_t n) {
-  const __m256 va = _mm256_set1_ps(alpha);
-  int64_t i = 0;
-  for (; i + 8 <= n; i += 8) {
-    const __m256 prod = _mm256_mul_ps(va, _mm256_loadu_ps(x + i));
-    _mm256_storeu_ps(y + i, _mm256_add_ps(_mm256_loadu_ps(y + i), prod));
-  }
-  for (; i < n; ++i) {
-    const float prod = alpha * x[i];
-    y[i] = y[i] + prod;
-  }
-}
-DDPKIT_TARGET_AVX2 void ScaleInPlaceAvx2(float* y, float s, int64_t n) {
-  const __m256 vs = _mm256_set1_ps(s);
-  int64_t i = 0;
-  for (; i + 8 <= n; i += 8) {
-    _mm256_storeu_ps(y + i, _mm256_mul_ps(_mm256_loadu_ps(y + i), vs));
-  }
-  for (; i < n; ++i) y[i] = y[i] * s;
-}
-DDPKIT_TARGET_AVX2 void AccumAddF32Avx2(float* dst, const float* src,
-                                        int64_t n) {
-  int64_t i = 0;
-  for (; i + 8 <= n; i += 8) {
-    _mm256_storeu_ps(dst + i, _mm256_add_ps(_mm256_loadu_ps(dst + i),
-                                            _mm256_loadu_ps(src + i)));
-  }
-  for (; i < n; ++i) dst[i] = dst[i] + src[i];
-}
-DDPKIT_TARGET_AVX2 void AccumMaxF32Avx2(float* dst, const float* src,
-                                        int64_t n) {
-  int64_t i = 0;
-  for (; i + 8 <= n; i += 8) {
-    // maxps returns its second operand on unordered or equal compares, and
-    // the scalar `dst > src ? dst : src` yields src in exactly those cases
-    // (NaN anywhere, or ±0.0 ties) — so src must be the second operand.
-    _mm256_storeu_ps(dst + i, _mm256_max_ps(_mm256_loadu_ps(dst + i),
-                                            _mm256_loadu_ps(src + i)));
-  }
-  for (; i < n; ++i) dst[i] = dst[i] > src[i] ? dst[i] : src[i];
-}
-DDPKIT_TARGET_AVX2 void AccumAddF64Avx2(double* dst, const double* src,
-                                        int64_t n) {
-  int64_t i = 0;
-  for (; i + 4 <= n; i += 4) {
-    _mm256_storeu_pd(dst + i, _mm256_add_pd(_mm256_loadu_pd(dst + i),
-                                            _mm256_loadu_pd(src + i)));
-  }
-  for (; i < n; ++i) dst[i] = dst[i] + src[i];
-}
-DDPKIT_TARGET_AVX2 void AccumMaxF64Avx2(double* dst, const double* src,
-                                        int64_t n) {
-  int64_t i = 0;
-  for (; i + 4 <= n; i += 4) {
-    _mm256_storeu_pd(dst + i, _mm256_max_pd(_mm256_loadu_pd(dst + i),
-                                            _mm256_loadu_pd(src + i)));
-  }
-  for (; i < n; ++i) dst[i] = dst[i] > src[i] ? dst[i] : src[i];
-}
 DDPKIT_TARGET_AVX2 int64_t CountZerosAvx2(const float* a, int64_t n) {
   const __m256 zero = _mm256_setzero_ps();
   int64_t zeros = 0;
@@ -731,90 +577,19 @@ void MatMulTileAvx2(const float* a, int64_t a_row, int64_t a_p, int rows,
 }
 
 // ---------------------------------------------------------------------------
-// AVX-512 kernels: 16 float / 8 double lanes per register. Only the
-// bandwidth-bound accumulate/copy/axpy family and SGD step, and the
-// compute-bound matmul tile and transcendentals, get dedicated 512-bit
-// bodies; the rest reuse the AVX2 bodies at this level (same bit-exact
-// results, and 256-bit ops avoid license-based downclocking on older parts
-// for the short kernels).
+// AVX-512 kernels: 16 float / 8 double lanes per register.
 // ---------------------------------------------------------------------------
 
-template <class Op, class... Args>
-DDPKIT_TARGET_AVX512 void MapAvx512(Args... args) {
-  MapLanes<Op, 16>(args...);
+template <class Op, typename T, typename... In>
+DDPKIT_TARGET_AVX512 void MapAvx512(Op op, int64_t n, T* dst,
+                                    const In*... in) {
+  MapLanes<64>(op, n, dst, in...);
 }
 DDPKIT_TARGET_AVX512 void SgdStepAvx512(float* p, const float* g, float* m,
                                         int64_t n, const SgdCoefficients& c) {
-  SgdLanes<16>(p, g, m, n, c);
+  SgdLanes<64>(p, g, m, n, c);
 }
 
-DDPKIT_TARGET_AVX512 void AddAvx512(const float* a, const float* b, float* dst,
-                                    int64_t n) {
-  int64_t i = 0;
-  for (; i + 16 <= n; i += 16) {
-    _mm512_storeu_ps(dst + i, _mm512_add_ps(_mm512_loadu_ps(a + i),
-                                            _mm512_loadu_ps(b + i)));
-  }
-  for (; i < n; ++i) dst[i] = a[i] + b[i];
-}
-DDPKIT_TARGET_AVX512 void MulAvx512(const float* a, const float* b, float* dst,
-                                    int64_t n) {
-  int64_t i = 0;
-  for (; i + 16 <= n; i += 16) {
-    _mm512_storeu_ps(dst + i, _mm512_mul_ps(_mm512_loadu_ps(a + i),
-                                            _mm512_loadu_ps(b + i)));
-  }
-  for (; i < n; ++i) dst[i] = a[i] * b[i];
-}
-DDPKIT_TARGET_AVX512 void AxpyAvx512(float alpha, const float* x, float* y,
-                                     int64_t n) {
-  const __m512 va = _mm512_set1_ps(alpha);
-  int64_t i = 0;
-  for (; i + 16 <= n; i += 16) {
-    const __m512 prod = _mm512_mul_ps(va, _mm512_loadu_ps(x + i));
-    _mm512_storeu_ps(y + i, _mm512_add_ps(_mm512_loadu_ps(y + i), prod));
-  }
-  for (; i < n; ++i) {
-    const float prod = alpha * x[i];
-    y[i] = y[i] + prod;
-  }
-}
-DDPKIT_TARGET_AVX512 void AccumAddF32Avx512(float* dst, const float* src,
-                                            int64_t n) {
-  int64_t i = 0;
-  for (; i + 16 <= n; i += 16) {
-    _mm512_storeu_ps(dst + i, _mm512_add_ps(_mm512_loadu_ps(dst + i),
-                                            _mm512_loadu_ps(src + i)));
-  }
-  for (; i < n; ++i) dst[i] = dst[i] + src[i];
-}
-DDPKIT_TARGET_AVX512 void AccumMaxF32Avx512(float* dst, const float* src,
-                                            int64_t n) {
-  int64_t i = 0;
-  for (; i + 16 <= n; i += 16) {
-    _mm512_storeu_ps(dst + i, _mm512_max_ps(_mm512_loadu_ps(dst + i),
-                                            _mm512_loadu_ps(src + i)));
-  }
-  for (; i < n; ++i) dst[i] = dst[i] > src[i] ? dst[i] : src[i];
-}
-DDPKIT_TARGET_AVX512 void AccumAddF64Avx512(double* dst, const double* src,
-                                            int64_t n) {
-  int64_t i = 0;
-  for (; i + 8 <= n; i += 8) {
-    _mm512_storeu_pd(dst + i, _mm512_add_pd(_mm512_loadu_pd(dst + i),
-                                            _mm512_loadu_pd(src + i)));
-  }
-  for (; i < n; ++i) dst[i] = dst[i] + src[i];
-}
-DDPKIT_TARGET_AVX512 void AccumMaxF64Avx512(double* dst, const double* src,
-                                            int64_t n) {
-  int64_t i = 0;
-  for (; i + 8 <= n; i += 8) {
-    _mm512_storeu_pd(dst + i, _mm512_max_pd(_mm512_loadu_pd(dst + i),
-                                            _mm512_loadu_pd(src + i)));
-  }
-  for (; i < n; ++i) dst[i] = dst[i] > src[i] ? dst[i] : src[i];
-}
 DDPKIT_TARGET_AVX512 int64_t CountZerosAvx512(const float* a, int64_t n) {
   const __m512 zero = _mm512_setzero_ps();
   int64_t zeros = 0;
@@ -942,6 +717,41 @@ std::atomic<Level>& ActiveLevelState() {
   return level;
 }
 
+// ---------------------------------------------------------------------------
+// Dispatch. The switch costs one predictable branch per batch call —
+// negligible against the loops it guards, and it keeps SetLevelForTesting
+// effective without a rebindable function table.
+// ---------------------------------------------------------------------------
+
+#if defined(DDPKIT_VEC_X86)
+#define DDPKIT_VEC_DISPATCH(avx512_call, avx2_call, scalar_call) \
+  do {                                                           \
+    switch (ActiveLevel()) {                                     \
+      case Level::kAvx512:                                       \
+        avx512_call;                                             \
+        break;                                                   \
+      case Level::kAvx2:                                         \
+        avx2_call;                                               \
+        break;                                                   \
+      case Level::kScalar:                                       \
+        scalar_call;                                             \
+        break;                                                   \
+    }                                                            \
+  } while (0)
+#else
+#define DDPKIT_VEC_DISPATCH(avx512_call, avx2_call, scalar_call) \
+  do {                                                           \
+    scalar_call;                                                 \
+  } while (0)
+#endif
+
+/// dst[i] = op.Apply(in[i]...) for i < n at the active level.
+template <class Op, typename T, typename... In>
+void Map(Op op, int64_t n, T* dst, const In*... in) {
+  DDPKIT_VEC_DISPATCH(MapAvx512(op, n, dst, in...), MapAvx2(op, n, dst, in...),
+                      MapScalarImpl(op, n, dst, in...));
+}
+
 }  // namespace
 
 const char* LevelName(Level level) {
@@ -971,107 +781,61 @@ Level SetLevelForTesting(Level level) {
   return clamped;
 }
 
-// ---------------------------------------------------------------------------
-// Dispatched entry points. The switch costs one predictable branch per
-// batch call — negligible against the loops it guards, and it keeps
-// SetLevelForTesting effective without a rebindable function table.
-// ---------------------------------------------------------------------------
-
-#if defined(DDPKIT_VEC_X86)
-#define DDPKIT_VEC_DISPATCH(avx512_call, avx2_call, scalar_call) \
-  do {                                                           \
-    switch (ActiveLevel()) {                                     \
-      case Level::kAvx512:                                       \
-        avx512_call;                                             \
-        break;                                                   \
-      case Level::kAvx2:                                         \
-        avx2_call;                                               \
-        break;                                                   \
-      case Level::kScalar:                                       \
-        scalar_call;                                             \
-        break;                                                   \
-    }                                                            \
-  } while (0)
-#else
-#define DDPKIT_VEC_DISPATCH(avx512_call, avx2_call, scalar_call) \
-  do {                                                           \
-    scalar_call;                                                 \
-  } while (0)
-#endif
-
 void Add(const float* a, const float* b, float* dst, int64_t n) {
-  DDPKIT_VEC_DISPATCH(AddAvx512(a, b, dst, n), AddAvx2(a, b, dst, n),
-                      AddScalarImpl(a, b, dst, n));
+  Map(AddOp{}, n, dst, a, b);
 }
 void Sub(const float* a, const float* b, float* dst, int64_t n) {
-  DDPKIT_VEC_DISPATCH(SubAvx2(a, b, dst, n), SubAvx2(a, b, dst, n),
-                      SubScalarImpl(a, b, dst, n));
+  Map(SubOp{}, n, dst, a, b);
 }
 void Mul(const float* a, const float* b, float* dst, int64_t n) {
-  DDPKIT_VEC_DISPATCH(MulAvx512(a, b, dst, n), MulAvx2(a, b, dst, n),
-                      MulScalarImpl(a, b, dst, n));
+  Map(MulOp{}, n, dst, a, b);
 }
 void Div(const float* a, const float* b, float* dst, int64_t n) {
-  DDPKIT_VEC_DISPATCH(DivAvx2(a, b, dst, n), DivAvx2(a, b, dst, n),
-                      DivScalarImpl(a, b, dst, n));
+  Map(DivOp{}, n, dst, a, b);
 }
 void Scale(const float* a, float s, float* dst, int64_t n) {
-  DDPKIT_VEC_DISPATCH(ScaleAvx2(a, s, dst, n), ScaleAvx2(a, s, dst, n),
-                      ScaleScalarImpl(a, s, dst, n));
+  Map(ScaleOp{s}, n, dst, a);
 }
 void AddScalar(const float* a, float s, float* dst, int64_t n) {
-  DDPKIT_VEC_DISPATCH(AddScalarAvx2(a, s, dst, n), AddScalarAvx2(a, s, dst, n),
-                      AddScalarScalarImpl(a, s, dst, n));
+  Map(AddScalarOp{s}, n, dst, a);
 }
-void Neg(const float* a, float* dst, int64_t n) {
-  DDPKIT_VEC_DISPATCH(NegAvx2(a, dst, n), NegAvx2(a, dst, n),
-                      NegScalarImpl(a, dst, n));
-}
-void Relu(const float* a, float* dst, int64_t n) {
-  DDPKIT_VEC_DISPATCH(ReluAvx2(a, dst, n), ReluAvx2(a, dst, n),
-                      ReluScalarImpl(a, dst, n));
-}
+void Neg(const float* a, float* dst, int64_t n) { Map(NegOp{}, n, dst, a); }
+void Relu(const float* a, float* dst, int64_t n) { Map(ReluOp{}, n, dst, a); }
 void ReluBackward(const float* g, const float* x, float* dst, int64_t n) {
-  DDPKIT_VEC_DISPATCH(ReluBackwardAvx2(g, x, dst, n),
-                      ReluBackwardAvx2(g, x, dst, n),
-                      ReluBackwardScalarImpl(g, x, dst, n));
+  Map(ReluBackwardOp{}, n, dst, g, x);
 }
-void Sqrt(const float* a, float* dst, int64_t n) {
-  DDPKIT_VEC_DISPATCH(SqrtAvx2(a, dst, n), SqrtAvx2(a, dst, n),
-                      SqrtScalarImpl(a, dst, n));
+void Sqrt(const float* a, float* dst, int64_t n) { Map(SqrtOp{}, n, dst, a); }
+void Exp(const float* a, float* dst, int64_t n) { Map(ExpOp{}, n, dst, a); }
+void Tanh(const float* a, float* dst, int64_t n) { Map(TanhOp{}, n, dst, a); }
+void Log(const float* a, float* dst, int64_t n) { Map(LogOp{}, n, dst, a); }
+void Sigmoid(const float* a, float* dst, int64_t n) {
+  Map(SigmoidOp{}, n, dst, a);
+}
+void Gelu(const float* a, float* dst, int64_t n) { Map(GeluOp{}, n, dst, a); }
+void GeluBackward(const float* g, const float* x, float* dst, int64_t n) {
+  Map(GeluBackwardOp{}, n, dst, g, x);
 }
 void Axpy(float alpha, const float* x, float* y, int64_t n) {
-  DDPKIT_VEC_DISPATCH(AxpyAvx512(alpha, x, y, n), AxpyAvx2(alpha, x, y, n),
-                      AxpyScalarImpl(alpha, x, y, n));
+  Map(AxpyOp{alpha}, n, y, y, x);
 }
-void ScaleInPlace(float* y, float s, int64_t n) {
-  DDPKIT_VEC_DISPATCH(ScaleInPlaceAvx2(y, s, n), ScaleInPlaceAvx2(y, s, n),
-                      ScaleInPlaceScalarImpl(y, s, n));
+void ScaleInPlace(float* y, float s, int64_t n) { Map(ScaleOp{s}, n, y, y); }
+void AccumulateAdd(float* dst, const float* src, int64_t n) {
+  Map(AddOp{}, n, dst, dst, src);
 }
+void AccumulateMax(float* dst, const float* src, int64_t n) {
+  Map(MaxOp{}, n, dst, dst, src);
+}
+void AccumulateAdd(double* dst, const double* src, int64_t n) {
+  Map(AddOp{}, n, dst, dst, src);
+}
+void AccumulateMax(double* dst, const double* src, int64_t n) {
+  Map(MaxOp{}, n, dst, dst, src);
+}
+
 void SgdStep(float* p, const float* g, float* m, int64_t n,
              const SgdCoefficients& c) {
   DDPKIT_VEC_DISPATCH(SgdStepAvx512(p, g, m, n, c), SgdStepAvx2(p, g, m, n, c),
                       SgdStepScalarImpl(p, g, m, n, c));
-}
-void AccumulateAdd(float* dst, const float* src, int64_t n) {
-  DDPKIT_VEC_DISPATCH(AccumAddF32Avx512(dst, src, n),
-                      AccumAddF32Avx2(dst, src, n),
-                      AccumAddF32ScalarImpl(dst, src, n));
-}
-void AccumulateMax(float* dst, const float* src, int64_t n) {
-  DDPKIT_VEC_DISPATCH(AccumMaxF32Avx512(dst, src, n),
-                      AccumMaxF32Avx2(dst, src, n),
-                      AccumMaxF32ScalarImpl(dst, src, n));
-}
-void AccumulateAdd(double* dst, const double* src, int64_t n) {
-  DDPKIT_VEC_DISPATCH(AccumAddF64Avx512(dst, src, n),
-                      AccumAddF64Avx2(dst, src, n),
-                      AccumAddF64ScalarImpl(dst, src, n));
-}
-void AccumulateMax(double* dst, const double* src, int64_t n) {
-  DDPKIT_VEC_DISPATCH(AccumMaxF64Avx512(dst, src, n),
-                      AccumMaxF64Avx2(dst, src, n),
-                      AccumMaxF64ScalarImpl(dst, src, n));
 }
 int64_t CountZeros(const float* a, int64_t n) {
   int64_t zeros = 0;
@@ -1080,38 +844,6 @@ int64_t CountZeros(const float* a, int64_t n) {
                       zeros = CountZerosScalarImpl(a, n));
   return zeros;
 }
-
-void Exp(const float* a, float* dst, int64_t n) {
-  DDPKIT_VEC_DISPATCH(MapAvx512<ExpLanes>(a, dst, n),
-                      MapAvx2<ExpLanes>(a, dst, n),
-                      MapScalarImpl<ExpLanes>(a, dst, n));
-}
-void Tanh(const float* a, float* dst, int64_t n) {
-  DDPKIT_VEC_DISPATCH(MapAvx512<TanhLanes>(a, dst, n),
-                      MapAvx2<TanhLanes>(a, dst, n),
-                      MapScalarImpl<TanhLanes>(a, dst, n));
-}
-void Log(const float* a, float* dst, int64_t n) {
-  DDPKIT_VEC_DISPATCH(MapAvx512<LogLanes>(a, dst, n),
-                      MapAvx2<LogLanes>(a, dst, n),
-                      MapScalarImpl<LogLanes>(a, dst, n));
-}
-void Sigmoid(const float* a, float* dst, int64_t n) {
-  DDPKIT_VEC_DISPATCH(MapAvx512<SigmoidLanes>(a, dst, n),
-                      MapAvx2<SigmoidLanes>(a, dst, n),
-                      MapScalarImpl<SigmoidLanes>(a, dst, n));
-}
-void Gelu(const float* a, float* dst, int64_t n) {
-  DDPKIT_VEC_DISPATCH(MapAvx512<GeluLanes>(a, dst, n),
-                      MapAvx2<GeluLanes>(a, dst, n),
-                      MapScalarImpl<GeluLanes>(a, dst, n));
-}
-void GeluBackward(const float* g, const float* x, float* dst, int64_t n) {
-  DDPKIT_VEC_DISPATCH(MapAvx512<GeluBackwardLanes>(g, x, dst, n),
-                      MapAvx2<GeluBackwardLanes>(g, x, dst, n),
-                      MapScalarImpl<GeluBackwardLanes>(g, x, dst, n));
-}
-
 void PackPanel(const float* b, int64_t ldb, int cols, int64_t k,
                float* panel) {
   // The transposes are shuffle-bound and B streams from memory, so 256-bit

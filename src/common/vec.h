@@ -2,15 +2,25 @@
 #define DDPKIT_COMMON_VEC_H_
 
 #include <cstdint>
-#include <cstring>
 
 namespace ddpkit::vec {
 
 /// Portable SIMD layer for the elementwise hot paths (tensor kernels, the
-/// all-reduce combine loops, the Reducer's bucket copies), modeled on
-/// ATen's cpu/vec Vectorized<T> idiom: a fixed-width value type `Vec<T,N>`
-/// plus batch entry points that runtime-dispatch to AVX-512, AVX2 or a
-/// scalar loop depending on what the host CPU supports.
+/// all-reduce combine loops, the Reducer's bucket copies): batch entry
+/// points that runtime-dispatch to AVX-512, AVX2 or the scalar level
+/// depending on what the host CPU supports.
+///
+/// One way to write a lanewise kernel
+/// ----------------------------------
+/// Every lanewise entry point below is one Op in vec.cc, a struct whose
+/// Apply maps GCC vectors of lanes to a vector of lanes, written once and
+/// run by one loop at every level. The loop runs whole registers at the
+/// level's full width (16 bytes at the scalar level, the x86-64 baseline's
+/// register; 32 at AVX2; 64 at AVX-512) and then the tail one element at a
+/// time as a one-lane vector, which compiles to scalar instructions. Three
+/// kernels are not lanewise maps and keep a body per level: CountZeros (a
+/// popcount reduction), PackPanel (transposes) and MatMulTile (the
+/// register tile).
 ///
 /// Bit-exactness contract
 /// ----------------------
@@ -20,9 +30,10 @@ namespace ddpkit::vec {
 /// add, sub, shift, and, or on a float's bits (the exponent field that
 /// Exp builds and Log reads). No implementation ever emits a fused
 /// multiply-add (Axpy is an explicit mul-then-add at all levels; the
-/// x86-64 baseline has no FMA instruction, so the scalar fallback cannot
-/// contract either). Element i of the output therefore has the same bit
-/// pattern no matter which Level executes the call. Combined with
+/// x86-64 baseline has no FMA instruction, so the scalar level cannot
+/// contract either). Element i of the output therefore has the bits of
+/// the serial loop stated for each helper, whichever Level executes the
+/// call and however wide its registers are. Combined with
 /// ParallelFor's thread-count-independent chunking this means the SIMD
 /// dispatch can never perturb a deterministic run: results are identical
 /// across machines with different ISA extensions, across DDPKIT_SIMD
@@ -65,65 +76,6 @@ Level ActiveLevel();
 Level SetLevelForTesting(Level level);
 
 // ---------------------------------------------------------------------------
-// Vec<T, N>: the fixed-width value type. This generic definition is the
-// scalar fallback (an N-lane array with lanewise operators); the AVX2 and
-// AVX-512 batch implementations in vec.cc use the intrinsic registers
-// directly inside target-attributed functions, with identical lanewise
-// semantics. N = 8 floats matches one AVX2 register; N = 16 one AVX-512
-// register.
-// ---------------------------------------------------------------------------
-
-template <typename T, int N>
-struct Vec {
-  T lane[N];
-
-  static constexpr int size() { return N; }
-
-  static Vec Load(const T* p) {
-    Vec v;
-    std::memcpy(v.lane, p, sizeof(v.lane));
-    return v;
-  }
-
-  static Vec Broadcast(T value) {
-    Vec v;
-    for (int i = 0; i < N; ++i) v.lane[i] = value;
-    return v;
-  }
-
-  void Store(T* p) const { std::memcpy(p, lane, sizeof(lane)); }
-
-  Vec operator+(const Vec& o) const {
-    Vec r;
-    for (int i = 0; i < N; ++i) r.lane[i] = lane[i] + o.lane[i];
-    return r;
-  }
-  Vec operator-(const Vec& o) const {
-    Vec r;
-    for (int i = 0; i < N; ++i) r.lane[i] = lane[i] - o.lane[i];
-    return r;
-  }
-  Vec operator*(const Vec& o) const {
-    Vec r;
-    for (int i = 0; i < N; ++i) r.lane[i] = lane[i] * o.lane[i];
-    return r;
-  }
-  Vec operator/(const Vec& o) const {
-    Vec r;
-    for (int i = 0; i < N; ++i) r.lane[i] = lane[i] / o.lane[i];
-    return r;
-  }
-
-  static Vec Max(const Vec& a, const Vec& b) {
-    Vec r;
-    for (int i = 0; i < N; ++i) {
-      r.lane[i] = a.lane[i] > b.lane[i] ? a.lane[i] : b.lane[i];
-    }
-    return r;
-  }
-};
-
-// ---------------------------------------------------------------------------
 // Batch entry points (runtime-dispatched). Pointers may alias only when the
 // scalar loop would tolerate it: dst == a or dst == b is fine (pure
 // lanewise), partially-overlapping ranges are not.
@@ -140,6 +92,7 @@ void Neg(const float* a, float* dst, int64_t n);
 void Relu(const float* a, float* dst, int64_t n);
 /// dst[i] = x[i] > 0 ? g[i] : 0 — the ReLU gradient mask.
 void ReluBackward(const float* g, const float* x, float* dst, int64_t n);
+/// The correctly rounded square root; it sets no errno.
 void Sqrt(const float* a, float* dst, int64_t n);
 
 /// The transcendentals: a fixed sequence of the operations above, owned

@@ -803,25 +803,5 @@ TEST(VecSemanticsTest, TranscendentalSpecialValues) {
   }
 }
 
-TEST(VecSemanticsTest, GenericVecLanewiseOps) {
-  using V = vec::Vec<float, 8>;
-  float a[8], b[8];
-  for (int i = 0; i < 8; ++i) {
-    a[i] = static_cast<float>(i + 1);
-    b[i] = static_cast<float>(8 - i);
-  }
-  const V va = V::Load(a), vb = V::Load(b);
-  float out[8];
-  (va + vb).Store(out);
-  for (int i = 0; i < 8; ++i) EXPECT_EQ(a[i] + b[i], out[i]);
-  (va * vb).Store(out);
-  for (int i = 0; i < 8; ++i) EXPECT_EQ(a[i] * b[i], out[i]);
-  V::Max(va, vb).Store(out);
-  for (int i = 0; i < 8; ++i) EXPECT_EQ(std::max(a[i], b[i]), out[i]);
-  V::Broadcast(3.0f).Store(out);
-  for (int i = 0; i < 8; ++i) EXPECT_EQ(3.0f, out[i]);
-  EXPECT_EQ(8, V::size());
-}
-
 }  // namespace
 }  // namespace ddpkit
