@@ -7,6 +7,8 @@
 #include <string_view>
 #include <type_traits>
 
+#include "common/logging.h"
+
 #if defined(__x86_64__) || defined(_M_X64)
 #define DDPKIT_VEC_X86 1
 #include <immintrin.h>
@@ -699,7 +701,7 @@ Level ClampToEnv(Level hw) {
   // Startup-only env read; the result is a process-wide constant, and every
   // level is bit-exact anyway, so this cannot make a run irreproducible.
   const char* env = std::getenv("DDPKIT_SIMD");
-  if (env == nullptr) return hw;
+  if (env == nullptr || *env == '\0') return hw;
   const std::string_view want(env);
   Level requested = hw;
   if (want == "scalar") {
@@ -708,12 +710,16 @@ Level ClampToEnv(Level hw) {
     requested = Level::kAvx2;
   } else if (want == "avx512") {
     requested = Level::kAvx512;
+  } else {
+    DDPKIT_LOG(Warning) << "DDPKIT_SIMD=" << want
+                        << " is not one of scalar, avx2, avx512; running at "
+                        << LevelName(hw);
   }
   return requested <= hw ? requested : hw;
 }
 
 std::atomic<Level>& ActiveLevelState() {
-  static std::atomic<Level> level{ClampToEnv(DetectHardwareLevel())};
+  static std::atomic<Level> level{DetectedLevel()};
   return level;
 }
 

@@ -61,8 +61,9 @@ enum class Level : int {
 const char* LevelName(Level level);
 
 /// Highest level the host CPU supports, clamped by the DDPKIT_SIMD
-/// environment variable ("scalar" | "avx2" | "avx512") when set. Computed
-/// once per process.
+/// environment variable ("scalar" | "avx2" | "avx512") when set; any other
+/// value logs one warning and leaves the detected level. Computed once per
+/// process.
 Level DetectedLevel();
 
 /// Level the batch helpers currently dispatch to (DetectedLevel() unless a
