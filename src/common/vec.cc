@@ -56,7 +56,7 @@ struct Lanes {
   F v;
 
   static DDPKIT_LANES_INLINE Lanes Load(const T* p) {
-    Lanes l;
+    Lanes l{};
     std::memcpy(&l.v, p, sizeof(l.v));
     return l;
   }
@@ -133,7 +133,7 @@ struct ReluBackwardOp {
 struct SqrtOp {
   template <class L>
   DDPKIT_LANES_INLINE L Apply(const L& a) const {
-    L r;
+    L r{};
     for (int i = 0; i < L::kCount; ++i) r.v[i] = __builtin_sqrtf(a.v[i]);
     return r;
   }
