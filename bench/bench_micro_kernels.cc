@@ -331,6 +331,8 @@ void BM_Vec(benchmark::State& state, const VecKernel& kernel) {
   VecBuffers v(n);
   for (auto _ : state) {
     kernel.run(v, n);
+    benchmark::DoNotOptimize(v.out.data());
+    benchmark::DoNotOptimize(v.out64.data());
     benchmark::ClobberMemory();
   }
   state.SetItemsProcessed(state.iterations() * n);
