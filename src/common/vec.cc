@@ -701,7 +701,7 @@ Level ClampToEnv(Level hw) {
   // Startup-only env read; the result is a process-wide constant, and every
   // level is bit-exact anyway, so this cannot make a run irreproducible.
   const char* env = std::getenv("DDPKIT_SIMD");
-  if (env == nullptr || *env == '\0') return hw;
+  if (env == nullptr) return hw;
   const std::string_view want(env);
   Level requested = hw;
   if (want == "scalar") {
