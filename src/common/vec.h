@@ -41,7 +41,7 @@ namespace ddpkit::vec {
 /// A reduction is offered only when each lane owns one output and runs
 /// that output's serial order unchanged: MatMulTile, the one matmul tile,
 /// where lane c of row r sums its p terms in ascending p, exactly like the
-/// scalar loop. Its zero skip is exact too. A skipped term adds nothing,
+/// serial loop. Its zero skip is exact too. A skipped term adds nothing,
 /// and where a level masks the product to +0 instead, adding +0 is a no-op
 /// because an accumulator that starts at +0.0f is never −0 (x + y is −0
 /// only when both are −0). Reductions that reassociate — splitting one sum
@@ -78,7 +78,7 @@ Level SetLevelForTesting(Level level);
 
 // ---------------------------------------------------------------------------
 // Batch entry points (runtime-dispatched). Pointers may alias only when the
-// scalar loop would tolerate it: dst == a or dst == b is fine (pure
+// serial loop would tolerate it: dst == a or dst == b is fine (pure
 // lanewise), partially-overlapping ranges are not.
 // ---------------------------------------------------------------------------
 
